@@ -212,7 +212,7 @@ def _params_lines(params, seed) -> List[str]:
         f"D={params.D}",
         f"set_size={params.set_size}",
         f"grid_size={len(params.grid)}",
-        f"stream_size={params.stream_size}",
+        f"stream_size={params.stream_size_text}",
     ]
 
 
@@ -223,7 +223,7 @@ def _cmd_hitset(args) -> int:
     if limit is None:
         if params.stream_size > DEFAULT_STREAM_CAP:
             raise ValueError(
-                f"stream has {params.stream_size} tuples; pass --limit")
+                f"stream has {params.stream_size_text} tuples; pass --limit")
         limit = params.stream_size
     lines = _params_lines(params, args.seed)
     for h in hitting_set_stream(params, limit=limit):

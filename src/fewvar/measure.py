@@ -6,9 +6,12 @@ a shift degree m, the measure is the dimension of the span of
     project( X_S * d_gamma P )    for gamma in M, S subset of [N], |S| = m,
 
 where project drops every monomial with an exponent >= 2 and the shifts range
-over ALL N variables (also when P arose from a restriction).  The rank is
-computed exactly over the rationals, or over a prime field as a fast path
-that can only undercount (reported as a lower bound unless cross-checked).
+over ALL N variables (also when P arose from a restriction).  The rows are
+integer rows: the multilinear survivors of each d_gamma P are multiplied once
+by the lcm of their denominators, which leaves the span's dimension alone.
+The rank is computed exactly by fraction-free elimination over the integers,
+or modulo a prime on the same rows, which can only undercount (reported as a
+lower bound unless cross-checked).
 
 The module also houses random restrictions (keep each variable alive
 independently with probability p), the count of "bad" small-support monomials
@@ -23,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 
@@ -32,7 +35,6 @@ from .algebra import (
     SparsePolynomial,
     derivative_poly,
     mon_is_multilinear,
-    mon_support,
     multilinear_monomials,
 )
 from .circuit import FewVarCircuit, RestrictionMask
@@ -44,6 +46,8 @@ DEFAULT_ROW_CAP = 200_000
 # fixed modulus for the prime-field rank fast path: large enough that random
 # desk-scale matrices essentially never lose rank, small enough to stay fast
 RANK_PRIME = 2 ** 61 - 1
+
+Rational = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -87,34 +91,58 @@ class MeasureReport:
 # ---------------------------------------------------------------------------
 # rank computation
 
-def rank_exact(rows: Iterable[Dict[int, Fraction]]) -> int:
-    """Exact rank of sparse rational rows by streaming elimination.  Pivots
-    on the largest column index present, normalizing each new basis row."""
-    basis: Dict[int, Dict[int, Fraction]] = {}
+def _integer_row(row: Dict[int, Rational]) -> Dict[int, int]:
+    """The row times the lcm of its denominators, zeros dropped: int entries
+    spanning the same line.  A row of ints comes back as a copy."""
+    den = math.lcm(*[c.denominator for c in row.values()])
+    return {j: c.numerator * (den // c.denominator) for j, c in row.items() if c}
+
+
+def rank_exact(rows: Iterable[Dict[int, Rational]]) -> int:
+    """Exact rank of sparse rational rows by fraction-free streaming
+    elimination over the integers.
+
+    Each row is cleared of denominators on entry (just a copy for int rows).
+    It is then reduced on its largest column index: by a basis row b with
+    the same pivot it becomes (b_p/g)*v - (v_p/g)*b, g = gcd(b_p, v_p),
+    divided by its content.  Basis rows are kept primitive with a positive pivot, so
+    entries stay small and no Fraction is ever built."""
+    basis: Dict[int, Dict[int, int]] = {}
     rank = 0
     for row in rows:
-        v = {j: c for j, c in row.items() if c}
+        v = _integer_row(row)
         while v:
             pivot = max(v)
-            if pivot in basis:
-                b = basis[pivot]
-                f = v[pivot]
-                for j, bj in b.items():
-                    nv = v.get(j, Fraction(0)) - f * bj
-                    if nv:
-                        v[j] = nv
-                    else:
-                        v.pop(j, None)
-            else:
-                inv = 1 / v[pivot]
-                basis[pivot] = {j: c * inv for j, c in v.items()}
+            b = basis.get(pivot)
+            if b is None:
+                g = math.gcd(*v.values())
+                if v[pivot] < 0:
+                    g = -g
+                basis[pivot] = v if g == 1 else {j: c // g for j, c in v.items()}
                 rank += 1
                 break
+            bp = b[pivot]
+            vp = v[pivot]
+            g = math.gcd(bp, vp)
+            s, f = bp // g, vp // g
+            if s != 1:
+                v = {j: s * c for j, c in v.items()}
+            for j, bj in b.items():
+                nv = v.get(j, 0) - f * bj
+                if nv:
+                    v[j] = nv
+                else:
+                    del v[j]
+            if v:
+                g = math.gcd(*v.values())
+                if g != 1:
+                    v = {j: c // g for j, c in v.items()}
     return rank
 
 
 def rank_mod(rows: Iterable[Dict[int, int]], p: int = RANK_PRIME) -> int:
-    """Rank over GF(p), same elimination with residue arithmetic."""
+    """Rank over GF(p) of sparse integer rows, same elimination with residue
+    arithmetic and each basis row scaled to pivot 1."""
     basis: Dict[int, Dict[int, int]] = {}
     rank = 0
     for row in rows:
@@ -139,13 +167,20 @@ def rank_mod(rows: Iterable[Dict[int, int]], p: int = RANK_PRIME) -> int:
 
 
 def _shift_rows(P: SparsePolynomial, params: MeasureParams):
-    """Yield the measure's row vectors, keyed by an interned column id per
-    multilinear monomial.  Also returns the column table (shared dict)."""
+    """Yield the measure's integer row vectors, keyed by an interned column id
+    per multilinear monomial (the bitmask of its variables).  Also returns the
+    column table (shared dict) and the number of derivatives.
+
+    The multilinear survivors of each d_gamma P are scaled once by the lcm of
+    their denominators; a row is a nonzero multiple of the projected shifted
+    derivative, so the span's dimension is unchanged."""
     N = P.num_vars
     gammas = params.monomials
     if gammas is None:
         gammas = tuple(multilinear_monomials(N, params.r))
-    col_ids: Dict[Mon, int] = {}
+    col_ids: Dict[int, int] = {}
+    shifts = [sum(1 << v for v in S)
+              for S in itertools.combinations(range(N), params.m)]
 
     def rows():
         for gamma in gammas:
@@ -153,17 +188,16 @@ def _shift_rows(P: SparsePolynomial, params: MeasureParams):
             for v, _ in gamma:
                 D = derivative_poly(D, v, 1)
             # keep only multilinear survivors once; shifts can only re-check disjointness
-            base = [(frozenset(mon_support(m)), m, c) for m, c in D.terms.items()
-                    if mon_is_multilinear(m)]
-            for S in itertools.combinations(range(N), params.m):
-                Sset = frozenset(S)
-                row: Dict[int, Fraction] = {}
-                for supp, m, c in base:
-                    if supp & Sset:
+            base = _integer_row({sum(1 << v for v, _ in m): c
+                                 for m, c in D.terms.items()
+                                 if mon_is_multilinear(m)}).items()
+            for smask in shifts:
+                # distinct survivors stay distinct after the shift: no collisions
+                row: Dict[int, int] = {}
+                for mask, c in base:
+                    if mask & smask:
                         continue
-                    full = tuple(sorted(itertools.chain(m, ((v, 1) for v in S))))
-                    cid = col_ids.setdefault(full, len(col_ids))
-                    row[cid] = row.get(cid, Fraction(0)) + c
+                    row[col_ids.setdefault(mask | smask, len(col_ids))] = c
                 yield row
     return rows, col_ids, len(gammas)
 
@@ -172,9 +206,11 @@ def psd_dimension(P: SparsePolynomial, params: MeasureParams,
                   row_cap: int = DEFAULT_ROW_CAP) -> MeasureReport:
     """The measure of P: rank of all projected shifted derivative rows.
 
-    Shift sets range over the full variable set.  With ``rank_prime`` set the
-    rank is computed modulo that prime (a lower bound on the true rank,
-    flagged exact=False); the default is exact rational elimination.
+    Shift sets range over the full variable set.  The rows are integer rows
+    (each derivative's survivors cleared of denominators), ranked by exact
+    fraction-free elimination over the integers by default.  With
+    ``rank_prime`` set the same rows are ranked modulo that prime (a lower
+    bound on the true rank, flagged exact=False).
     """
     if P.field_p is not None:
         raise ValueError("the measure is defined over the rationals")
@@ -188,10 +224,7 @@ def psd_dimension(P: SparsePolynomial, params: MeasureParams,
             f"> {row_cap}")
     rows, col_ids, gcount = _shift_rows(P, params)
     if params.rank_prime is not None:
-        p = params.rank_prime
-        int_rows = ({j: (c.numerator * pow(c.denominator, p - 2, p)) % p
-                     for j, c in row.items()} for row in rows())
-        phi = rank_mod(int_rows, p)
+        phi = rank_mod(rows(), params.rank_prime)
         exact = False
     else:
         phi = rank_exact(rows())
@@ -259,7 +292,10 @@ def bad_support_monomials(C: FewVarCircuit, s: int,
     bound = T * d * math.comb(smax, s) if s <= smax else 0
     report = BadMonomialReport(count=len(seen), bound=bound, s=s,
                                supports=tuple(sorted(seen, key=sorted)))
-    assert report.ok, "count exceeded its own ceiling"
+    if not report.ok:
+        raise RuntimeError(
+            f"{report.count} support-{s} monomials exceed their own ceiling "
+            f"{report.bound}")
     return report
 
 

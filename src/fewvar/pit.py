@@ -30,6 +30,8 @@ from .nw import NWInstance, nw_eval
 from .rng import named_rng
 
 DEFAULT_STREAM_CAP = 1_000_000
+# stream sizes with more digits are reported as grid_size^l, not in decimal
+DECIMAL_STREAM_DIGITS = 4000
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +213,15 @@ class PitParams:
     def stream_size(self) -> int:
         return len(self.grid) ** self.l
 
+    @property
+    def stream_size_text(self) -> str:
+        """stream_size in decimal, or as ``<grid_size>^<l>`` from 10^4000 on,
+        where the decimal nears Python's int-to-str digit limit."""
+        total = self.stream_size
+        if total < 10 ** DECIMAL_STREAM_DIGITS:
+            return str(total)
+        return f"{len(self.grid)}^{self.l}"
+
 
 def derive_pit_params(mu, c, N: int, k: int) -> PitParams:
     """The full parameter chain for declared class exponents (mu, c) and a
@@ -367,14 +378,18 @@ def pit_run(box: Union[Blackbox, FewVarCircuit], params: PitParams,
     total = params.stream_size
     if budget is None and total > DEFAULT_STREAM_CAP:
         raise ValueError(
-            f"stream has {total} points; pass a budget for a partial scan")
+            f"stream has {params.stream_size_text} points; pass a budget for "
+            f"a partial scan")
     tested = 0
     for h in hitting_set_stream(params, limit=budget):
         v = box.eval_at(h)
         tested += 1
         if v:
             again = box.eval_at(h)
-            assert again, "witness failed re-evaluation"
+            if not again:
+                raise RuntimeError(
+                    f"witness failed re-evaluation: {v} on the first call, "
+                    f"{again} on the second")
             return PitResult(status="witness", tested=tested, point=h,
                              value=again, class_report=report)
     if tested < total:

@@ -1,6 +1,8 @@
 """Shared test utilities: independent brute-force oracles and generators."""
 
+import os
 from fractions import Fraction
+from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from fewvar.algebra import (
@@ -117,3 +119,13 @@ def bounded_support_poly(rng, N: int, c: int, n: int, s: int
 
 def make_mon(*pairs) -> Mon:
     return mon_make(pairs)
+
+
+def src_env() -> dict:
+    """The environment with the repository's ``src`` ahead on PYTHONPATH, for
+    running the package from source in a subprocess."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from fewvar.cli import main
+from helpers import src_env
 
 PROJ_CIRCUIT = """\
 fewvar-circuit v1
@@ -113,6 +114,22 @@ def test_hitset_toy_frozen(capsys):
     assert body[10] == "stream_size=9"
     assert body[11:] == ["h=0,0", "h=1,1", "h=2,2", "h=1,1", "h=2,2",
                          "h=3,3", "h=2,2", "h=3,3", "h=4,4"]
+
+
+def test_hitset_derived_n256_reports_stream_size_as_power(capsys):
+    # 257^4489 has over 10^4 digits, past the int-to-str limit
+    rc, out, err = run(capsys, "hitset", "--N", "256", "--k", "1",
+                       "--limit", "1")
+    assert rc == 0, err
+    lines = out.splitlines()
+    assert "stream_size=257^4489" in lines
+    assert sum(line.startswith("h=") for line in lines) == 1
+
+
+def test_hitset_derived_n256_without_limit_exits_three(capsys):
+    rc, out, err = run(capsys, "hitset", "--N", "256", "--k", "1")
+    assert rc == 3 and out == ""
+    assert "stream has 257^4489 tuples; pass --limit" in err
 
 
 def test_hitset_grid_override(capsys):
@@ -361,3 +378,12 @@ def test_console_script_installed(tmp_path):
                              cwd=tmp_path, env=run_env)
         assert res.returncode == 0, res.stderr
         assert res.stdout == NW_PARAMS_MU0_N2
+
+
+def test_python_dash_m_fewvar(tmp_path):
+    """`python -m fewvar` runs the command from the source tree."""
+    res = subprocess.run(
+        [sys.executable, "-m", "fewvar", "nw-params", "--mu", "0", "--n", "2"],
+        capture_output=True, text=True, cwd=tmp_path, env=src_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == NW_PARAMS_MU0_N2

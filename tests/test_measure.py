@@ -5,8 +5,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import fcircuit, bounded_support_poly, brute_phi, make_mon, random_poly
+from helpers import (fcircuit, bounded_support_poly, brute_phi, dense_rank,
+                     make_mon, random_poly)
 from fewvar.algebra import SparsePolynomial
 from fewvar.circuit import FactorPoly, FewVarCircuit
 from fewvar.measure import (
@@ -128,6 +130,109 @@ def test_subadditivity_cancellation_and_random_pairs():
         alpha = Fraction(int(rng.integers(-3, 4)))
         beta = Fraction(int(rng.integers(-3, 4)))
         assert subadditivity_check(A, B, alpha, beta, params)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free kernel against the dense oracle
+
+ENTRIES = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+
+
+@st.composite
+def sparse_rows(draw):
+    """Sparse rational rows over a few columns, with explicit zero entries,
+    duplicate rows, nonzero scalar multiples of earlier rows and zero rows."""
+    n_cols = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(("new", "new", "copy", "multiple", "zero")))
+        if kind == "zero" or (kind != "new" and not rows):
+            rows.append({j: Fraction(0) for j in
+                         draw(st.sets(st.integers(0, n_cols - 1)))})
+        elif kind == "new":
+            rows.append(draw(st.dictionaries(st.integers(0, n_cols - 1), ENTRIES)))
+        else:
+            row = dict(rows[draw(st.integers(0, len(rows) - 1))])
+            if kind == "multiple":
+                f = draw(ENTRIES.filter(bool)) * draw(st.sampled_from((1, 10 ** 12)))
+                row = {j: f * c for j, c in row.items()}
+            rows.append(row)
+    return n_cols, rows
+
+
+def scaled_to_integers(row):
+    den = math.lcm(*(c.denominator for c in row.values()))
+    return {j: int(c * den) for j, c in row.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_rows())
+def test_rank_exact_matches_dense_rank(case):
+    n_cols, rows = case
+    dense = [[row.get(j, Fraction(0)) for j in range(n_cols)] for row in rows]
+    rank = dense_rank(dense)
+    assert rank_exact(rows) == rank
+    int_rows = [scaled_to_integers(row) for row in rows]
+    assert rank_exact(int_rows) == rank
+    assert rank_mod(int_rows, 2 ** 61 - 1) <= rank
+
+
+@st.composite
+def rational_polys(draw, num_vars=4):
+    items = []
+    for _ in range(draw(st.integers(1, 5))):
+        c = draw(ENTRIES.filter(bool))
+        exps = draw(st.lists(st.integers(0, 2), min_size=num_vars,
+                             max_size=num_vars))
+        items.append((c, [(v, e) for v, e in enumerate(exps) if e]))
+    return SparsePolynomial.from_terms(num_vars, items)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rational_polys(), st.sampled_from(((1, 1), (1, 2), (2, 1))))
+def test_phi_is_scale_invariant_and_matches_brute_force(P, rm):
+    r, m = rm
+    params = MeasureParams(r=r, m=m)
+    phi = psd_dimension(P, params).phi
+    assert psd_dimension(P.scale(Fraction(7, 3)), params).phi == phi
+    assert phi == brute_phi(P, r, m)
+
+
+def test_phi_of_a_product_of_rational_linear_forms():
+    # (x0/2 + x1/3)(x2 + 6 x3): each first derivative is a multiple of one
+    # of the two forms, so phi at m=0 is 2 only if every derivative's
+    # coefficients keep their ratios when denominators are cleared
+    L1 = SparsePolynomial.from_terms(4, [(Fraction(1, 2), [(0, 1)]),
+                                         (Fraction(1, 3), [(1, 1)])])
+    L2 = SparsePolynomial.from_terms(4, [(1, [(2, 1)]), (6, [(3, 1)])])
+    P = L1 * L2
+    for m in (0, 1, 2):
+        for rank_prime in (None, (1 << 61) - 1):
+            rep = psd_dimension(P, MeasureParams(r=1, m=m, rank_prime=rank_prime))
+            assert rep.phi == brute_phi(P, 1, m)
+    assert psd_dimension(P, MeasureParams(r=1, m=0)).phi == 2
+
+
+@pytest.mark.parametrize("rank_prime", [None, (1 << 61) - 1])
+def test_rank_kernels_receive_integer_rows(monkeypatch, rank_prime):
+    # the kernels are looked up by module-level name, rows first
+    import fewvar.measure as measure
+    name = "rank_exact" if rank_prime is None else "rank_mod"
+    kernel = getattr(measure, name)
+    seen = []
+
+    def spy(rows, *args):
+        rows = list(rows)
+        seen.extend(rows)
+        return kernel(rows, *args)
+    monkeypatch.setattr(measure, name, spy)
+    P = SparsePolynomial.from_terms(
+        4, [(Fraction(1, 2), [(0, 1), (1, 1)]), (Fraction(-2, 3), [(1, 1), (2, 1)]),
+            (Fraction(5, 6), [(2, 1), (3, 1)])])
+    rep = psd_dimension(P, MeasureParams(r=1, m=1, rank_prime=rank_prime))
+    assert rep.phi == brute_phi(P, 1, 1)
+    assert len(seen) == rep.rows
+    assert all(type(c) is int and c for row in seen for c in row.values())
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 driver, and the baselines."""
 
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from fewvar.pit import (
     verify_design,
 )
 from fewvar.rng import named_rng
+from helpers import src_env
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +129,14 @@ def test_toy_params_validation():
         toy_pit_params(N=2, k=1, l=1)               # set cannot fit
 
 
+def test_stream_size_text_switches_to_a_power_at_ten_to_the_4000():
+    below = toy_pit_params(N=1, k=1, l=3999, grid=range(10))
+    assert below.stream_size_text == "1" + "0" * 3999
+    assert toy_pit_params(N=1, k=1, l=4000, grid=range(10)).stream_size_text \
+        == "10^4000"
+    assert toy_pit_params(N=2, k=1, l=2).stream_size_text == "9"
+
+
 # ---------------------------------------------------------------------------
 # the stream
 
@@ -198,6 +209,43 @@ def test_pit_dimension_mismatch():
     box = Blackbox(fn=lambda pt: Fraction(0), num_vars=4, k=1)
     with pytest.raises(ValueError):
         pit_run(box, params)
+
+
+def test_pit_refusal_names_a_stream_past_the_digit_limit():
+    params = derive_pit_params(0, 3.0, 256, 1)    # 257^4489 points
+    box = Blackbox(fn=lambda pt: Fraction(0), num_vars=256, k=1)
+    with pytest.raises(ValueError, match=r"stream has 257\^4489 points"):
+        pit_run(box, params)
+
+
+FLAKY_WITNESS_SCRIPT = """\
+import sys
+from fewvar.pit import Blackbox, pit_run, toy_pit_params
+if __debug__:
+    sys.exit("not running under -O")
+seen = set()
+def flaky(pt):
+    if tuple(pt) in seen:
+        return 0
+    seen.add(tuple(pt))
+    return 1
+try:
+    pit_run(Blackbox(fn=flaky, num_vars=2, k=1), toy_pit_params(N=2, k=1, l=2))
+except RuntimeError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit("pit_run returned")
+"""
+
+
+def test_witness_recheck_survives_python_dash_o(tmp_path):
+    """A box that is nonzero at a point once and zero when asked again makes
+    pit_run raise, also with assertions compiled away."""
+    res = subprocess.run([sys.executable, "-O", "-c", FLAKY_WITNESS_SCRIPT],
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env=src_env())
+    assert res.returncode == 0, res.stderr
+    assert "witness failed re-evaluation" in res.stdout
 
 
 def test_pit_refuses_unbounded_scan():
