@@ -157,6 +157,14 @@ def coerce(value, p: Field = None) -> FieldElem:
     return GFElem(int(value), p)
 
 
+def to_fraction(x) -> Fraction:
+    """An exact rational; floats are read through their shortest decimal
+    repr, so 0.1 means 1/10."""
+    if isinstance(x, float):
+        return Fraction(str(x))
+    return Fraction(x)
+
+
 def field_zero(p: Field = None) -> FieldElem:
     return Fraction(0) if p is None else GFElem(0, p)
 
@@ -595,7 +603,9 @@ def series_inverse(U: SparsePolynomial, t: int) -> SparsePolynomial:
     steps = max(1, math.ceil(math.log2(t + 1)) + 1) if t > 0 else 1
     for _ in range(steps):
         g = truncate_degree(g * (two - U * g), t)
-    assert truncate_degree(U * g, t) == truncate_degree(one, t)
+    if truncate_degree(U * g, t) != truncate_degree(one, t):
+        raise RuntimeError(
+            f"series inverse failed: U * g differs from 1 below degree {t + 1}")
     return g
 
 

@@ -63,6 +63,9 @@ def _tf(flag: bool) -> str:
 
 
 def _num(v) -> str:
+    """A report value.  An int and the integral Fraction equal to it print
+    the same, so a report does not depend on which of the two a stage
+    returns."""
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, float):
@@ -90,7 +93,8 @@ def _csv_ints(text: str) -> List[int]:
 
 class _SubprocessBox:
     """Line protocol: write the point as space-separated rationals, read one
-    rational back.  The child is started once and fed one line per call."""
+    rational back.  The child is started once and fed one line per call.
+    An int and the integral Fraction equal to it are written the same."""
 
     def __init__(self, command: str):
         self.proc = subprocess.Popen(
@@ -99,7 +103,8 @@ class _SubprocessBox:
 
     def __call__(self, point: Sequence) -> Fraction:
         line = " ".join(str(Fraction(v)) for v in point)
-        assert self.proc.stdin is not None and self.proc.stdout is not None
+        if self.proc.stdin is None or self.proc.stdout is None:
+            raise RuntimeError("blackbox pipes are not open")
         self.proc.stdin.write(line + "\n")
         self.proc.stdin.flush()
         reply = self.proc.stdout.readline()

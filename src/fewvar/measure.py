@@ -36,6 +36,7 @@ from .algebra import (
     derivative_poly,
     mon_is_multilinear,
     multilinear_monomials,
+    to_fraction,
 )
 from .circuit import FewVarCircuit, RestrictionMask
 from .nw import NWParams, derive_nw_params
@@ -401,7 +402,7 @@ def derive_measure_params(mu, n: int, eps1: Optional[float] = None,
     s = int(eps2 * math.sqrt(n))
     if r * math.log(n) > n:
         raise ValueError("out of regime: r ln n exceeds n, so m would exceed N/2")
-    exponent = float(_frac(mu) + nw.delta)
+    exponent = float(to_fraction(mu) + nw.delta)
     with mpmath.workdps(40 + len(str(nw.N))):
         factor = 1 - mpmath.mpf(r) * mpmath.log(n) / n
         m = int(mpmath.floor(mpmath.mpf(nw.N) / 2 * factor))
@@ -409,12 +410,6 @@ def derive_measure_params(mu, n: int, eps1: Optional[float] = None,
     p = math.exp(log_p)
     return DerivedMeasure(nw=nw, r=r, s=s, m=m, p=p, log_p=log_p,
                           eps1=eps1, eps2=eps2)
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
 
 
 EXACT_BINOMIAL_LIMIT = 10 ** 6
@@ -466,7 +461,7 @@ def appendix_ratios(n: int, mu, eps1: Optional[float] = None,
         lr2 = (r * mpmath.mpf(derived.log_p) - r * mpmath.log(4)
                + lnC(N, r) + lnC(N, m) - lnC(N, m + r * s) - lnC(n + r, r))
         lr1f, lr2f = float(lr1), float(lr2)
-    return RatioReport(n=n, mu=float(_frac(mu)), r=r, s=s, m=m, N=N,
+    return RatioReport(n=n, mu=float(to_fraction(mu)), r=r, s=s, m=m, N=N,
                        log_ratio_1=lr1f, log_ratio_2=lr2f,
                        closed_form_1=lr1_closed_form(n, r, s), exact=exact)
 

@@ -21,10 +21,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .algebra import (
-    FieldElem,
     Mon,
     SparsePolynomial,
     bertrand_prime,
@@ -34,16 +34,10 @@ from .algebra import (
     mon_degree,
     mon_is_multilinear,
     mon_support,
+    to_fraction,
 )
 
 DEFAULT_ENUM_CAP = 10 ** 6
-
-
-def _to_fraction(x) -> Fraction:
-    """Floats are read through their shortest decimal repr, so 0.1 means 1/10."""
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -66,7 +60,7 @@ def derive_nw_params(mu, n: int) -> NWParams:
     is resolved with integer root arithmetic, never floats, so the smallest
     prime is reproducible.  Real-valued D is rounded up and clamped to >= 1.
     """
-    mu = _to_fraction(mu)
+    mu = to_fraction(mu)
     if not 0 <= mu < 1:
         raise ValueError(f"mu={mu} outside [0, 1)")
     if n < 2:
@@ -133,18 +127,30 @@ class NWInstance:
             acc = (acc + c * pow(x, t, self.psi)) % self.psi
         return acc
 
+    @cached_property
+    def columns(self) -> Tuple[Tuple[int, ...], ...]:
+        """The compiled column table: per univariate f, in lexicographic
+        order of its coefficient vector (constant coefficient first), the
+        variable indices X[i, f(i)] for i < n.  Built on first use, so check
+        the enumeration cap before asking for it."""
+        return tuple(
+            tuple(self.var_index(i, self._column(coeffs, i)) for i in range(self.n))
+            for coeffs in itertools.product(range(self.psi), repeat=self.D))
+
+    def check_cap(self, cap: Optional[int] = None) -> None:
+        limit = DEFAULT_ENUM_CAP if cap is None else cap
+        if self.monomial_count > limit:
+            raise ValueError(
+                f"enumeration cap exceeded: psi^D = {self.monomial_count} > {limit}")
+
 
 def nw_monomials(inst: NWInstance, cap: Optional[int] = None) -> Iterator[Mon]:
     """One multilinear degree-n monomial per univariate, enumerated in
     lexicographic order of the coefficient vector (constant coefficient
     first)."""
-    limit = DEFAULT_ENUM_CAP if cap is None else cap
-    if inst.monomial_count > limit:
-        raise ValueError(
-            f"enumeration cap exceeded: psi^D = {inst.monomial_count} > {limit}")
-    for coeffs in itertools.product(range(inst.psi), repeat=inst.D):
-        yield tuple(
-            (inst.var_index(i, inst._column(coeffs, i)), 1) for i in range(inst.n))
+    inst.check_cap(cap)
+    for cols in inst.columns:
+        yield tuple((v, 1) for v in cols)
 
 
 def nw_expand(inst: NWInstance, cap: Optional[int] = None) -> SparsePolynomial:
@@ -153,23 +159,25 @@ def nw_expand(inst: NWInstance, cap: Optional[int] = None) -> SparsePolynomial:
     return SparsePolynomial(inst.num_vars, terms, None)
 
 
-def nw_eval(inst: NWInstance, point: Sequence, cap: Optional[int] = None) -> FieldElem:
-    """Evaluate by enumerating the psi^D univariates directly (no monomial
-    search): sum over f of prod_i point[i, f(i)]."""
+def nw_eval(inst: NWInstance, point: Sequence,
+            cap: Optional[int] = None) -> Union[int, Fraction]:
+    """Evaluate over the compiled column table (no monomial search): the sum
+    over f of prod_i point[i, f(i)].
+
+    The value is exact.  Values that are not ``int`` are coerced into Q, so
+    an integer point is evaluated in int arithmetic and gives an int, and
+    any other point gives a Fraction or an int."""
     if len(point) != inst.num_vars:
         raise ValueError(
             f"dimension mismatch: point has {len(point)} values, instance has "
             f"{inst.num_vars} variables")
-    limit = DEFAULT_ENUM_CAP if cap is None else cap
-    if inst.monomial_count > limit:
-        raise ValueError(
-            f"enumeration cap exceeded: psi^D = {inst.monomial_count} > {limit}")
-    vals = [coerce(v, None) for v in point]
-    total = Fraction(0)
-    for coeffs in itertools.product(range(inst.psi), repeat=inst.D):
-        prod = Fraction(1)
-        for i in range(inst.n):
-            prod *= vals[inst.var_index(i, inst._column(coeffs, i))]
+    inst.check_cap(cap)
+    vals = [v if type(v) is int else coerce(v, None) for v in point]
+    total = 0
+    for cols in inst.columns:
+        prod = 1
+        for v in cols:
+            prod *= vals[v]
             if not prod:
                 break
         total += prod
@@ -217,40 +225,3 @@ def nw_check_properties(inst: NWInstance, cap: Optional[int] = None) -> NWReport
         intersection_bound=inst.D - 1,
         intersection_ok=worst <= inst.D - 1,
     )
-
-
-@dataclass(frozen=True)
-class NWOnSet:
-    """The family instantiated on an explicit variable set: the sorted set of
-    size rows*q is arranged row-major into a rows-by-q matrix, and the local
-    instance evaluates points given in set order."""
-
-    set_vars: Tuple[int, ...]
-    rows: int
-    q: int
-    D: int
-
-    def __post_init__(self):
-        if len(self.set_vars) != self.rows * self.q:
-            raise ValueError(
-                f"set size {len(self.set_vars)} != rows*q = {self.rows * self.q}")
-        NWInstance(n=self.rows, psi=self.q, D=self.D)
-
-    @property
-    def inst(self) -> NWInstance:
-        return NWInstance(n=self.rows, psi=self.q, D=self.D)
-
-    def eval_local(self, point: Sequence) -> FieldElem:
-        """Evaluate at a point indexed like the set (length rows*q)."""
-        return nw_eval(self.inst, point)
-
-    def eval_global(self, point: Sequence) -> FieldElem:
-        """Evaluate at a point over the ambient universe, picking out the
-        set's coordinates."""
-        return nw_eval(self.inst, [point[v] for v in self.set_vars])
-
-
-def nw_on_set(S: Sequence[int], rows: int, q: int, D: int) -> NWOnSet:
-    """Instantiate on the variable set S with a rows-by-q layout.  Requires
-    |S| = rows * q with q prime and 1 <= D <= q."""
-    return NWOnSet(set_vars=tuple(S), rows=rows, q=q, D=D)

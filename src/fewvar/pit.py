@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 
-from .algebra import is_prime, next_prime_at_least
+from .algebra import is_prime, next_prime_at_least, to_fraction
 from .circuit import ClassReport, FewVarCircuit, class_check, eval_circuit
 from .nw import NWInstance, nw_eval
 from .rng import named_rng
@@ -65,7 +66,10 @@ def rs_design(b: int, a: int, intersection_cap: Optional[int] = None) -> Design:
     c0 = 0
     while q0 ** (c0 + 1) < b:
         c0 += 1
-    assert b <= q0 ** (c0 + 1)
+    if b > q0 ** (c0 + 1):
+        raise RuntimeError(
+            f"degree cap {c0} gives {q0 ** (c0 + 1)} univariates over "
+            f"F_{q0}, fewer than the {b} sets")
     if intersection_cap is not None and c0 > intersection_cap:
         raise ValueError(
             f"degree cap {c0} needed for {b} sets exceeds requested "
@@ -156,12 +160,6 @@ def _floor_rational_power(num: int, den: int, exp: Fraction) -> int:
     return t
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class PitParams:
     """Everything the generator needs: the trimmed variable sets, the local
@@ -237,7 +235,7 @@ def derive_pit_params(mu, c, N: int, k: int) -> PitParams:
     a' = 1 forces D = 1 since a single row needs only the constants;
     G = {0..Nka'}.
     """
-    mu = _frac(mu)
+    mu = to_fraction(mu)
     if not 0 <= mu < Fraction(1, 2):
         raise ValueError(f"mu = {mu} outside [0, 1/2)")
     if N < 4 or k < 1:
@@ -308,16 +306,49 @@ def toy_pit_params(N: int, k: int, l: int, a_prime: int = 1, q: int = 2,
 # the generator and the driver
 
 def hitting_set_stream(params: PitParams,
-                       limit: Optional[int] = None) -> Iterator[Tuple[Fraction, ...]]:
+                       limit: Optional[int] = None) -> Iterator[Tuple]:
     """Lazily yield the N-tuples (NW(S_1)|p, ..., NW(S_N)|p) for p ranging
-    over G^l in lexicographic order; full length |G|^l."""
+    over G^l in lexicographic order; full length |G|^l, or the first
+    ``limit`` tuples.
+
+    Values are exact, and ints on an integer grid.  The points come from an
+    odometer: a step that changes coordinates j..l-1 re-evaluates only the
+    distinct sets whose largest element is at least j.  A set listed more
+    than once is evaluated once and its value shared."""
     inst = NWInstance(n=params.a_prime, psi=params.q, D=params.D)
+    if limit is not None and limit <= 0:
+        return
+    grid, l = params.grid, params.l
+    # distinct sets by largest element, so a step re-evaluates a suffix
+    distinct = sorted(set(params.sets), key=lambda S: S[-1])
+    slot = {S: i for i, S in enumerate(distinct)}
+    where = [slot[S] for S in params.sets]
+    tops = [S[-1] for S in distinct]
+    digits = [0] * l
+    point = [grid[0]] * l
+    values = [nw_eval(inst, [point[v] for v in S]) for S in distinct]
+    h = tuple(values[i] for i in where)
+    last = len(grid) - 1
     count = 0
-    for p in itertools.product(params.grid, repeat=params.l):
+    while True:
+        yield h
+        count += 1
         if limit is not None and count >= limit:
             return
-        yield tuple(nw_eval(inst, [p[v] for v in S]) for S in params.sets)
-        count += 1
+        j = l - 1
+        while j >= 0 and digits[j] == last:
+            digits[j] = 0
+            point[j] = grid[0]
+            j -= 1
+        if j < 0:
+            return
+        digits[j] += 1
+        point[j] = grid[digits[j]]
+        first = bisect_left(tops, j)
+        if first < len(distinct):
+            for i in range(first, len(distinct)):
+                values[i] = nw_eval(inst, [point[v] for v in distinct[i]])
+            h = tuple(values[i] for i in where)
 
 
 @dataclass(frozen=True)
@@ -337,16 +368,67 @@ class Blackbox:
         return self.fn(point)
 
 
+def _integer_circuit(C: FewVarCircuit) -> Tuple[int, Tuple]:
+    """A circuit over Q in ints: L and terms (mult, factors), each factor a
+    tuple of (c, ((var, exp), ...)), such that the sum over terms of mult
+    times the product of the factors is L times the circuit.  Each factor
+    is cleared by the lcm of its coefficients' denominators; the term's
+    scale and those lcms fold into mult, and L is the lcm of the terms'
+    denominators.  Terms with scale 0 are dropped."""
+    cleared = []
+    for scale, factors in C.terms:
+        if not scale:
+            continue
+        num, den = scale.numerator, scale.denominator
+        polys = []
+        for f in factors:
+            d = math.lcm(*(c.denominator for c in f.poly.terms.values()))
+            polys.append(tuple(
+                (c.numerator * (d // c.denominator),
+                 tuple((f.support[v], e) for v, e in mon))
+                for mon, c in f.poly.terms.items()))
+            den *= d
+        cleared.append((num, den, tuple(polys)))
+    L = math.lcm(*(den for _, den, _ in cleared))
+    return L, tuple((num * (L // den), polys) for num, den, polys in cleared)
+
+
 def blackbox_from_circuit(C: FewVarCircuit) -> Blackbox:
-    return Blackbox(fn=lambda pt: eval_circuit(C, pt), num_vars=C.num_vars,
-                    k=C.k, notes="open circuit")
+    """Evaluation access to an open circuit.  A circuit over Q is compiled
+    once into integer form, and an all-int point is evaluated in ints; GF
+    circuits and other points go through ``eval_circuit``, the reference.
+    Both give the same exact value."""
+    n = C.num_vars
+    if C.field_p is not None:
+        return Blackbox(fn=lambda pt: eval_circuit(C, pt), num_vars=n, k=C.k,
+                        notes="open circuit")
+    L, terms = _integer_circuit(C)
+
+    def evaluate(pt):
+        if len(pt) != n or not all(type(v) is int for v in pt):
+            return eval_circuit(C, pt)
+        total = 0
+        for prod, polys in terms:
+            for poly in polys:
+                value = 0
+                for c, mon in poly:
+                    for v, e in mon:
+                        c *= pt[v] if e == 1 else pt[v] ** e
+                    value += c
+                prod *= value
+                if not prod:
+                    break
+            total += prod
+        return Fraction(total, L)
+
+    return Blackbox(fn=evaluate, num_vars=n, k=C.k, notes="open circuit")
 
 
 @dataclass
 class PitResult:
     status: str                    # "witness" | "zero-on-set" | "inconclusive"
     tested: int
-    point: Optional[Tuple[Fraction, ...]] = None
+    point: Optional[Tuple] = None  # exact values, ints on an integer grid
     value: Optional[object] = None
     class_report: Optional[ClassReport] = None
 

@@ -1,5 +1,6 @@
 """Shared test utilities: independent brute-force oracles and generators."""
 
+import itertools
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -115,6 +116,34 @@ def bounded_support_poly(rng, N: int, c: int, n: int, s: int
             prod = prod * Q
         total = total + prod
     return total, c, n
+
+
+def naive_nw_value(values: Sequence, rows: int, q: int, D: int) -> Fraction:
+    """The NW polynomial of a rows-by-q block, at the block's values in
+    row-major order, summed over every univariate f of degree < D over F_q
+    straight from its coefficients: sum_f prod_i values[i*q + f(i)]."""
+    total = Fraction(0)
+    for coeffs in itertools.product(range(q), repeat=D):
+        prod = Fraction(1)
+        for i in range(rows):
+            col = sum(c * i ** t for t, c in enumerate(coeffs)) % q
+            prod *= Fraction(values[i * q + col])
+        total += prod
+    return total
+
+
+def naive_stream(params, limit: Optional[int] = None) -> List[Tuple[Fraction, ...]]:
+    """The hitting-set stream by brute force: every point of G^l from
+    itertools.product, and every set's NW value computed afresh."""
+    out = []
+    for point in itertools.product(params.grid, repeat=params.l):
+        if limit is not None and len(out) >= limit:
+            break
+        out.append(tuple(
+            naive_nw_value([point[v] for v in S], params.a_prime, params.q,
+                           params.D)
+            for S in params.sets))
+    return out
 
 
 def make_mon(*pairs) -> Mon:

@@ -30,6 +30,7 @@ from fewvar.algebra import (
     series_inverse,
     substitute,
     subst_var_poly,
+    to_fraction,
     translate_poly,
     truncate_degree,
 )
@@ -220,6 +221,15 @@ def test_subst_var_poly_matches_expansion():
     Q = P_of(2, (1, [(1, 1)]), (1, []))          # y + 1
     R = subst_var_poly(P, 0, Q)
     assert R == P_of(2, (1, [(1, 2)]), (3, [(1, 1)]), (1, []))
+
+
+def test_to_fraction_reads_floats_by_their_shortest_repr():
+    assert to_fraction(0.1) == Fraction(1, 10)
+    assert to_fraction(1 / 3) == Fraction("0.3333333333333333")
+    assert to_fraction(-2.5) == Fraction(-5, 2)
+    assert to_fraction(3) == 3 and type(to_fraction(3)) is Fraction
+    assert to_fraction(Fraction(2, 7)) == Fraction(2, 7)
+    assert to_fraction("3/4") == Fraction(3, 4)
 
 
 def test_series_inverse():

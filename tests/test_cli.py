@@ -49,6 +49,51 @@ coeff 1 ; 0:1
 coeff 3 ; 1:2
 """
 
+# (1/2)(2x0+x1)^2 - 2x0^2 - 2x0x1 - x1^2/2 + (3/2)(x2/3+1) - (1/2)(x2+3) = 0
+IDENTITY_CIRCUIT = """\
+fewvar-circuit v1
+vars=3 field=Q s=2 k=2
+term scale=1/2
+factor support=0,1
+coeff 2 ; 0:1
+coeff 1 ; 1:1
+factor support=0,1
+coeff 2 ; 0:1
+coeff 1 ; 1:1
+term scale=-2
+factor support=0
+coeff 1 ; 0:2
+term scale=-1
+factor support=0,1
+coeff 2 ; 0:1 1:1
+term scale=-1/2
+factor support=1
+coeff 1 ; 0:2
+term scale=3/2
+factor support=2
+coeff 1/3 ; 0:1
+coeff 1 ;
+term scale=-1/2
+factor support=2
+coeff 1 ; 0:1
+coeff 3 ;
+"""
+
+# (2/3)(x0x1/2 - x1)(5/7)x2^2 - x0^2/5
+WITNESS_CIRCUIT = """\
+fewvar-circuit v1
+vars=3 field=Q s=2 k=2
+term scale=2/3
+factor support=0,1
+coeff 1/2 ; 0:1 1:1
+coeff -1 ; 1:1
+factor support=2
+coeff 5/7 ; 0:2
+term scale=-1/5
+factor support=0
+coeff 1 ; 0:2
+"""
+
 QUAD_POLY = """\
 vars=4 field=Q
 coeff 1 ; 0:1 1:1
@@ -114,6 +159,32 @@ def test_hitset_toy_frozen(capsys):
     assert body[10] == "stream_size=9"
     assert body[11:] == ["h=0,0", "h=1,1", "h=2,2", "h=1,1", "h=2,2",
                          "h=3,3", "h=2,2", "h=3,3", "h=4,4"]
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+TOY_PIT_ARGS = ("--override-l", "5", "--a-prime", "2", "--q", "2", "--D", "2",
+                "--override-grid", "0,1,2")
+
+
+def test_hitset_full6_golden(capsys):
+    """Six copies of one set, the whole universe, on a four-value grid."""
+    rc, out, _ = run(capsys, "hitset", "--N", "6", "--k", "2",
+                     "--override-l", "6", "--a-prime", "2", "--q", "3",
+                     "--D", "2", "--override-grid", "0,1,2,3", "--limit", "300")
+    assert rc == 0
+    assert out == (GOLDEN / "hitset_full6.txt").read_text()
+
+
+@pytest.mark.parametrize("circuit, golden, code", [
+    (IDENTITY_CIRCUIT, "pit_identity.txt", 1),
+    (WITNESS_CIRCUIT, "pit_witness.txt", 0),
+])
+def test_pit_toy_scan_golden(capsys, tmp_path, circuit, golden, code):
+    f = tmp_path / "fixture.circuit"
+    f.write_text(circuit)
+    rc, out, _ = run(capsys, "pit", "--circuit", str(f), *TOY_PIT_ARGS)
+    assert rc == code
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_hitset_derived_n256_reports_stream_size_as_power(capsys):

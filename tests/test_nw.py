@@ -13,7 +13,6 @@ from fewvar.nw import (
     nw_eval,
     nw_expand,
     nw_monomials,
-    nw_on_set,
 )
 from fewvar.rng import named_rng
 
@@ -127,24 +126,3 @@ def test_enumeration_cap():
     inst = NWInstance(n=3, psi=5, D=2)
     with pytest.raises(ValueError, match="cap"):
         list(nw_monomials(inst, cap=10))
-
-
-def test_on_set_single_row():
-    # a'=1, q=2, D=1 on an arbitrary 2-element set: X_a + X_b
-    on = nw_on_set([4, 9], rows=1, q=2, D=1)
-    assert on.eval_local([Fraction(3), Fraction(5)]) == 8
-    universe = [Fraction(0)] * 12
-    universe[4] = Fraction(2)
-    universe[9] = Fraction(7)
-    assert on.eval_global(universe) == 9
-    assert on.eval_global([Fraction(0)] * 12) == 0
-
-
-def test_on_set_monomial_count():
-    on = nw_on_set(list(range(6)), rows=2, q=3, D=2)
-    assert on.inst.monomial_count == 9
-
-
-def test_on_set_size_mismatch():
-    with pytest.raises(ValueError):
-        nw_on_set([0, 1, 2], rows=2, q=2, D=1)

@@ -7,9 +7,17 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fewvar.pit as pit_module
 from fewvar.algebra import SparsePolynomial, is_prime_trial
-from fewvar.circuit import expand_circuit, random_circuit
+from fewvar.circuit import (
+    FactorPoly,
+    FewVarCircuit,
+    eval_circuit,
+    expand_circuit,
+    random_circuit,
+)
 from fewvar.pit import (
     Blackbox,
     Design,
@@ -24,7 +32,7 @@ from fewvar.pit import (
     verify_design,
 )
 from fewvar.rng import named_rng
-from helpers import src_env
+from helpers import naive_stream, src_env
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +135,8 @@ def test_toy_params_validation():
         toy_pit_params(N=2, k=1, l=2, q=4)          # composite q
     with pytest.raises(ValueError):
         toy_pit_params(N=2, k=1, l=1)               # set cannot fit
+    with pytest.raises(ValueError, match="set 1 has size 3, expected 2"):
+        toy_pit_params(N=2, k=1, l=4, sets=[(0, 1), (0, 1, 2)])
 
 
 def test_stream_size_text_switches_to_a_power_at_ten_to_the_4000():
@@ -158,6 +168,146 @@ def test_stream_lex_order_prefix():
 def test_stream_limit():
     params = toy_pit_params(N=2, k=1, l=2)
     assert len(list(hitting_set_stream(params, limit=4))) == 4
+
+
+@st.composite
+def toy_streams(draw):
+    """Toy parameters with small streams: repeated sets, sets that miss the
+    last coordinates, grids of one value or of negative values, and limits
+    from 0 past the end of the stream."""
+    a_prime = draw(st.integers(1, 2))
+    q = draw(st.sampled_from((2, 3)))
+    size = a_prime * q
+    grid = draw(st.lists(st.integers(-3, 5), min_size=1, max_size=3,
+                         unique=True))
+    l_max = {1: 6, 2: 5, 3: 4}[len(grid)]
+    l = draw(st.integers(size, max(size, l_max)))
+    N = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        sets = None                  # the cycled combination enumeration
+    else:
+        pool = list(itertools.combinations(range(l), size))
+        sets = [draw(st.sampled_from(pool)) for _ in range(N)]
+    params = toy_pit_params(N=N, k=1, l=l, a_prime=a_prime, q=q,
+                            D=draw(st.integers(1, q)), grid=grid, sets=sets)
+    limit = draw(st.one_of(st.none(), st.integers(0, params.stream_size + 2)))
+    return params, limit
+
+
+@settings(max_examples=150, deadline=None)
+@given(toy_streams())
+def test_stream_matches_the_naive_stream(case):
+    params, limit = case
+    got = list(hitting_set_stream(params, limit=limit))
+    assert got == naive_stream(params, limit)
+    assert all(type(v) is int for h in got for v in h)
+
+
+@pytest.mark.parametrize("kwargs, limit", [
+    # every set the same: one evaluation shared by six copies
+    (dict(N=6, k=2, l=6, a_prime=2, q=3, D=2, grid=range(4)), 300),
+    # sets {0,1},{0,2},{1,2} never touch coordinates 3 and 4
+    (dict(N=3, k=1, l=5, grid=range(3),
+          sets=[(0, 1), (0, 2), (1, 2)]), None),
+    # 20 of 2^5 points: the step to point 16 carries through four coordinates
+    (dict(N=4, k=1, l=5, grid=(1, -1), sets=[(3, 4), (0, 4), (3, 4), (1, 2)]),
+     20),
+    (dict(N=2, k=1, l=3), 0),
+    (dict(N=3, k=1, l=4, grid=(7,)), None),
+    # values that are not ints are coerced into Q
+    (dict(N=3, k=1, l=3, grid=(Fraction(1, 2), -2, Fraction(-5, 3))), None),
+])
+def test_stream_matches_the_naive_stream_on_fixed_cases(kwargs, limit):
+    params = toy_pit_params(**kwargs)
+    got = list(hitting_set_stream(params, limit=limit))
+    assert got == naive_stream(params, limit)
+    if limit == 0:
+        assert got == []
+    if len(params.grid) == 1:
+        assert got == [(14,) * 3]      # X_a + X_b at 7
+
+
+def test_stream_evaluates_distinct_sets_and_changed_suffixes(monkeypatch):
+    """NW is evaluated through the binding in fewvar.pit, once per
+    distinct set at the first point, then only for sets reaching into the
+    changed suffix of coordinates."""
+    calls = []
+    real = pit_module.nw_eval
+    monkeypatch.setattr(pit_module, "nw_eval",
+                        lambda inst, pt: calls.append(tuple(pt)) or real(inst, pt))
+    full6 = toy_pit_params(N=6, k=2, l=6, a_prime=2, q=3, D=2, grid=range(4))
+    assert len(set(full6.sets)) == 1
+    assert len(list(hitting_set_stream(full6, limit=300))) == 300
+    assert len(calls) == 300
+    calls.clear()
+    derived = derive_pit_params(0, 3.0, 16, 1)
+    top = max(S[-1] for S in derived.sets)
+    assert top < derived.l - 1
+    assert len(list(hitting_set_stream(derived, limit=15))) == 15
+    assert len(calls) == len(set(derived.sets))
+
+
+# ---------------------------------------------------------------------------
+# the circuit blackbox
+
+FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+
+
+@st.composite
+def rational_circuits(draw):
+    """Circuits over Q with fractional scales and coefficients, zero
+    factors, zero scales, and terms that cancel a copy of another term."""
+    num_vars = draw(st.integers(1, 4))
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        factors = []
+        for _ in range(draw(st.integers(0, 3))):
+            support = tuple(sorted(draw(st.sets(
+                st.integers(0, num_vars - 1), max_size=2))))
+            items = [(draw(FRACTIONS),
+                      [(v, e) for v in range(len(support))
+                       if (e := draw(st.integers(0, 3)))])
+                     for _ in range(draw(st.integers(0, 3)))]
+            factors.append(FactorPoly(
+                support, SparsePolynomial.from_terms(len(support), items)))
+        scale = draw(FRACTIONS)
+        terms.append((scale, tuple(factors)))
+        if draw(st.booleans()):
+            terms.append((-scale, tuple(factors)))
+    return FewVarCircuit(num_vars=num_vars, terms=tuple(terms), declared_s=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_circuits(), st.data())
+def test_circuit_blackbox_matches_eval_circuit(C, data):
+    box = blackbox_from_circuit(C)
+    for _ in range(4):
+        pt = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=C.num_vars,
+                                      max_size=C.num_vars)))
+        got = box.eval_at(pt)
+        assert type(got) is Fraction
+        assert got == eval_circuit(C, pt)
+
+
+def test_circuit_blackbox_falls_back_to_eval_circuit(monkeypatch):
+    """GF circuits and points that are not all ints go through
+    eval_circuit; an all-int point over Q does not."""
+    calls = []
+    monkeypatch.setattr(pit_module, "eval_circuit",
+                        lambda C, pt: calls.append(pt) or eval_circuit(C, pt))
+    rng = named_rng(71, "blackbox-fallback")
+    C = random_circuit(rng, num_vars=3, max_terms=3, max_factors=2,
+                       max_support=2, max_k=2)
+    box = blackbox_from_circuit(C)
+    box.eval_at((1, -2, 3))
+    assert calls == []
+    half = (Fraction(1, 2), 2, Fraction(-3))
+    assert box.eval_at(half) == eval_circuit(C, half)
+    assert calls == [half]
+    G = random_circuit(rng, num_vars=3, max_terms=3, max_factors=2,
+                       max_support=2, max_k=2, field_p=7)
+    assert blackbox_from_circuit(G).eval_at((1, 2, 3)) == eval_circuit(G, (1, 2, 3))
+    assert calls == [half, (1, 2, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +396,56 @@ def test_witness_recheck_survives_python_dash_o(tmp_path):
                          env=src_env())
     assert res.returncode == 0, res.stderr
     assert "witness failed re-evaluation" in res.stdout
+
+
+RUNTIME_CHECKS_SCRIPT = """\
+import math, sys, types
+from fewvar import algebra, cli, pit
+if __debug__:
+    sys.exit("not running under -O")
+
+def expect(fn, *args):
+    try:
+        fn(*args)
+    except RuntimeError as exc:
+        print(exc)
+        return
+    sys.exit(f"{fn.__name__} returned")
+
+# rs_design: a modulus whose powers change between calls breaks the count
+class Lying(int):
+    calls = 0
+    def __pow__(self, e):
+        Lying.calls += 1
+        return int(self) ** e if Lying.calls == 1 else 0
+pit.next_prime_at_least = lambda a: Lying(2)
+expect(pit.rs_design, 1, 1)
+
+# series_inverse: one Newton step is too few for degree 5
+algebra.math = types.SimpleNamespace(ceil=math.ceil, log2=lambda v: 0)
+U = algebra.SparsePolynomial.from_terms(1, [(1, []), (1, [(0, 1)])])
+expect(algebra.series_inverse, U, 5)
+algebra.math = math
+
+# _SubprocessBox: a child without pipes
+box = cli._SubprocessBox.__new__(cli._SubprocessBox)
+box.proc = types.SimpleNamespace(stdin=None, stdout=None)
+expect(box, [1, 2])
+"""
+
+
+def test_runtime_checks_survive_python_dash_o(tmp_path):
+    """The design count, the series-inverse identity and the blackbox pipe
+    check raise RuntimeError also with assertions compiled away."""
+    res = subprocess.run([sys.executable, "-O", "-c", RUNTIME_CHECKS_SCRIPT],
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env=src_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "degree cap 0 gives 0 univariates over F_2, fewer than the 1 sets",
+        "series inverse failed: U * g differs from 1 below degree 6",
+        "blackbox pipes are not open",
+    ]
 
 
 def test_pit_refuses_unbounded_scan():
