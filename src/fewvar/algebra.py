@@ -410,19 +410,6 @@ def esym_all(inputs: Sequence[SparsePolynomial], lmax: int) -> List[SparsePolyno
     return E
 
 
-def esym(inputs: Sequence[SparsePolynomial], l: int,
-         num_vars: Optional[int] = None, field_p: Field = None) -> SparsePolynomial:
-    """Sum over all size-l subsets of the product of the chosen inputs."""
-    if not inputs:
-        nv = 0 if num_vars is None else num_vars
-        if l == 0:
-            return SparsePolynomial.const(nv, 1, field_p)
-        return SparsePolynomial.zero(nv, field_p)
-    if l > len(inputs):
-        return SparsePolynomial.zero(inputs[0].num_vars, inputs[0].field_p)
-    return esym_all(inputs, l)[l]
-
-
 def translate_poly(P: SparsePolynomial, a: Sequence) -> SparsePolynomial:
     """Return P(X + a).  Degree is preserved; translating back by -a undoes it."""
     if len(a) != P.num_vars:
@@ -483,35 +470,6 @@ def derivative_poly(P: SparsePolynomial, var: int, order: int = 1) -> SparsePoly
     return SparsePolynomial(P.num_vars, out, P.field_p)
 
 
-def deriv_order_at_root(R: SparsePolynomial, a) -> int:
-    """Given a univariate R with R(a) = 0, the number of extra derivatives
-    that still vanish at a: the smallest j with the (j+1)-st derivative
-    nonzero there.  A simple root reports j = 0.
-    """
-    if R.is_zero():
-        raise ValueError("the zero polynomial has no well-defined root order")
-    used = R.used_vars()
-    if len(used) > 1:
-        raise ValueError("deriv_order_at_root expects a univariate polynomial")
-    var = used[0] if used else 0
-    point = [field_zero(R.field_p)] * R.num_vars
-    point[var] = coerce(a, R.field_p)
-    if R.eval_at(point):
-        raise ValueError(f"{a} is not a root")
-    d = R
-    for j in range(R.degree()):
-        d = derivative_poly(d, var, 1)
-        if d.eval_at(point):
-            return j
-    raise AssertionError("unreachable: a nonzero univariate has finite root order")
-
-
-def multilinear_project(P: SparsePolynomial) -> SparsePolynomial:
-    """Drop every monomial containing an exponent >= 2.  Linear, idempotent."""
-    out = {m: c for m, c in P.terms.items() if mon_is_multilinear(m)}
-    return SparsePolynomial(P.num_vars, out, P.field_p)
-
-
 def substitute(P: SparsePolynomial, var: int, value) -> SparsePolynomial:
     """Substitute a scalar for one variable; num_vars is unchanged."""
     val = coerce(value, P.field_p)
@@ -568,81 +526,6 @@ def coeffs_in_var(P: SparsePolynomial, var: int) -> List[SparsePolynomial]:
         rest = tuple((v, x) for v, x in mon if v != var)
         outs[e][rest] = c
     return [SparsePolynomial(P.num_vars, o, P.field_p) for o in outs]
-
-
-def truncate_degree(P: SparsePolynomial, t: int) -> SparsePolynomial:
-    return hom_component(P, t, "le")
-
-
-def subst_var_poly(P: SparsePolynomial, var: int, Q: SparsePolynomial,
-                   max_degree: Optional[int] = None) -> SparsePolynomial:
-    """Substitute the polynomial Q for one variable of P, optionally truncating
-    every intermediate product to total degree <= max_degree (Horner scheme)."""
-    P._check_compatible(Q)
-    layers = coeffs_in_var(P, var)
-    acc = layers[-1]
-    for i in range(len(layers) - 2, -1, -1):
-        acc = acc * Q + layers[i]
-        if max_degree is not None:
-            acc = truncate_degree(acc, max_degree)
-    if max_degree is not None:
-        acc = truncate_degree(acc, max_degree)
-    return acc
-
-
-def series_inverse(U: SparsePolynomial, t: int) -> SparsePolynomial:
-    """Multiplicative inverse of U as a power series, truncated to total
-    degree t.  Requires a nonzero constant term."""
-    c0 = U.constant_term()
-    if not c0:
-        raise ValueError("series inverse needs a nonzero constant term")
-    one = SparsePolynomial.const(U.num_vars, 1, U.field_p)
-    two = SparsePolynomial.const(U.num_vars, 2, U.field_p)
-    g = SparsePolynomial.const(U.num_vars, field_one(U.field_p) / c0, U.field_p)
-    # each step doubles the correct order; one extra pass for safety
-    steps = max(1, math.ceil(math.log2(t + 1)) + 1) if t > 0 else 1
-    for _ in range(steps):
-        g = truncate_degree(g * (two - U * g), t)
-    if truncate_degree(U * g, t) != truncate_degree(one, t):
-        raise RuntimeError(
-            f"series inverse failed: U * g differs from 1 below degree {t + 1}")
-    return g
-
-
-def root_lift(P: SparsePolynomial, y0, t: int) -> SparsePolynomial:
-    """Truncated power-series root of P(X, Y) = 0 around X = 0, Y = y0.
-
-    The last variable of P plays the unknown Y.  Requires P(0, y0) = 0 with a
-    nonzero Y-derivative there (a simple root); returns the unique series f
-    with f(0) = y0 and P(X, f(X)) = 0 modulo all monomials of degree > t,
-    truncated to total degree t.  Computed by formal Newton iteration with
-    degree-truncated arithmetic.
-    """
-    if P.num_vars < 1:
-        raise ValueError("need at least the unknown variable")
-    if t < 0:
-        raise ValueError("truncation degree must be nonnegative")
-    yvar = P.num_vars - 1
-    nx = P.num_vars - 1
-    origin = [field_zero(P.field_p)] * nx + [coerce(y0, P.field_p)]
-    if P.eval_at(origin):
-        raise ValueError(f"y0={y0} is not a root of P at the origin")
-    dP = derivative_poly(P, yvar, 1)
-    if not dP.eval_at(origin):
-        raise ValueError(f"y0={y0} is not a simple root (zero derivative)")
-
-    down = {v: v for v in range(nx)}
-    f = SparsePolynomial.const(nx, y0, P.field_p)
-    steps = max(1, math.ceil(math.log2(t + 1))) if t > 0 else 0
-    for _ in range(steps):
-        f_up = relabel_vars(f, P.num_vars, {v: v for v in range(nx)})
-        num = subst_var_poly(P, yvar, f_up, max_degree=t)
-        den = subst_var_poly(dP, yvar, f_up, max_degree=t)
-        # both are Y-free now; bring them down to the X variables
-        num_d = relabel_vars(num, nx, down)
-        den_d = relabel_vars(den, nx, down)
-        f = truncate_degree(f - num_d * series_inverse(den_d, t), t)
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -758,22 +641,6 @@ def is_prime(n: int) -> bool:
     if n < _MR_PROVEN_BOUND:
         return True
     return _strong_lucas(n)
-
-
-def is_prime_trial(n: int) -> bool:
-    """Trial division, for use as an independent cross-check."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def next_prime_at_least(n: int) -> int:

@@ -16,10 +16,8 @@ derivative rebuilt from coefficients.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .algebra import (
     Field,
@@ -31,7 +29,6 @@ from .algebra import (
     field_one,
     field_zero,
     hom_component,
-    mon_degree,
     parse_coeff,
     parse_poly_lines,
     relabel_vars,
@@ -44,13 +41,6 @@ from .algebra import (
 )
 
 DEFAULT_EXPAND_CAP = 10 ** 6
-EXPAND_CAP_ENV = "FEWVAR_EXPAND_CAP"
-
-
-def expand_cap(explicit: Optional[int] = None) -> int:
-    if explicit is not None:
-        return explicit
-    return int(os.environ.get(EXPAND_CAP_ENV, DEFAULT_EXPAND_CAP))
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +160,9 @@ def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynom
     """The exact polynomial the circuit computes.
 
     Refuses when the pre-merge term-count estimate exceeds the cap (argument,
-    else the FEWVAR_EXPAND_CAP environment variable, else 10^6).
+    else 10^6).
     """
-    limit = expand_cap(cap)
+    limit = DEFAULT_EXPAND_CAP if cap is None else cap
     est = 0
     for _, factors in C.terms:
         count = 1

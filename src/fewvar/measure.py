@@ -9,8 +9,8 @@ where project drops every monomial with an exponent >= 2 and the shifts range
 over ALL N variables (also when P arose from a restriction).  The rows are
 integer rows: the multilinear survivors of each d_gamma P are multiplied once
 by the lcm of their denominators, which leaves the span's dimension alone.
-The rank is computed exactly by fraction-free elimination over the integers,
-or modulo a prime on the same rows, which can only undercount (reported as a
+One fraction-free elimination kernel ranks them, exactly over the integers or
+over GF(p) for a prime p; the rank mod p can only undercount (reported as a
 lower bound unless cross-checked).
 
 The module also houses random restrictions (keep each variable alive
@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 import mpmath
 
@@ -34,6 +34,7 @@ from .algebra import (
     Mon,
     SparsePolynomial,
     derivative_poly,
+    is_prime,
     mon_is_multilinear,
     multilinear_monomials,
     to_fraction,
@@ -58,16 +59,14 @@ class MeasureParams:
 
     r: int
     m: int
-    s: Optional[int] = None
-    p: Optional[float] = None
     monomials: Optional[Tuple[Mon, ...]] = None
-    eps1: Optional[float] = None
-    eps2: Optional[float] = None
     rank_prime: Optional[int] = None
 
     def __post_init__(self):
         if self.r < 0 or self.m < 0:
             raise ValueError("r and m must be nonnegative")
+        if self.rank_prime is not None and not is_prime(self.rank_prime):
+            raise ValueError(f"rank prime {self.rank_prime} is not a prime")
         if self.monomials is not None:
             for g in self.monomials:
                 if not mon_is_multilinear(g) or len(g) != self.r:
@@ -82,7 +81,6 @@ class MeasureReport:
     cols: int
     params: MeasureParams
     exact: bool
-    bound: Optional[int] = None
 
     def __post_init__(self):
         if not 0 <= self.phi <= min(self.rows, self.cols) and self.rows:
@@ -99,19 +97,42 @@ def _integer_row(row: Dict[int, Rational]) -> Dict[int, int]:
     return {j: c.numerator * (den // c.denominator) for j, c in row.items() if c}
 
 
-def rank_exact(rows: Iterable[Dict[int, Rational]]) -> int:
-    """Exact rank of sparse rational rows by fraction-free streaming
-    elimination over the integers.
+def _residues(v: Dict[int, int], p: int) -> Dict[int, int]:
+    """The symmetric residues of v's entries mod p, in [-p//2, p//2], zeros
+    dropped."""
+    h = p // 2
+    return {j: r - p if r > h else r for j, c in v.items() if (r := c % p)}
+
+
+def _rank(rows: Iterable[Dict[int, Rational]], p: Optional[int] = None) -> int:
+    """Rank of sparse rows by fraction-free streaming elimination: over the
+    rationals when p is None, else over GF(p) for a prime p.
 
     Each row is cleared of denominators on entry (just a copy for int rows).
     It is then reduced on its largest column index: by a basis row b with
     the same pivot it becomes (b_p/g)*v - (v_p/g)*b, g = gcd(b_p, v_p),
-    divided by its content.  Basis rows are kept primitive with a positive pivot, so
-    entries stay small and no Fraction is ever built."""
+    divided by its content.  Basis rows are kept primitive with a positive
+    pivot, so entries stay small and no Fraction is ever built.
+
+    Modulo p every stored entry stays in [-p//2, p//2].  A row is taken to
+    symmetric residues only when an entry may have left that range: at
+    intake, and after a reduction step before its content is divided out,
+    judged by ``top``, a bound on the row's largest |entry| carried through
+    the step's scalars (each basis row keeps its own in ``tops``).  So an
+    entry is 0 mod p exactly when it is 0, and the gcds, the pivot sign and
+    b_p/g all have absolute value below p, hence are units mod p: the same
+    steps compute the rank over GF(p) with no modular inverse."""
+    h = p // 2 if p is not None else 0
     basis: Dict[int, Dict[int, int]] = {}
+    tops: Dict[int, int] = {}
     rank = 0
     for row in rows:
         v = _integer_row(row)
+        top = 0
+        if p is not None:
+            top = max(map(abs, v.values()), default=0)
+            if top > h:
+                v, top = _residues(v, p), h
         while v:
             pivot = max(v)
             b = basis.get(pivot)
@@ -120,6 +141,7 @@ def rank_exact(rows: Iterable[Dict[int, Rational]]) -> int:
                 if v[pivot] < 0:
                     g = -g
                 basis[pivot] = v if g == 1 else {j: c // g for j, c in v.items()}
+                tops[pivot] = top // abs(g)
                 rank += 1
                 break
             bp = b[pivot]
@@ -134,37 +156,26 @@ def rank_exact(rows: Iterable[Dict[int, Rational]]) -> int:
                     v[j] = nv
                 else:
                     del v[j]
+            if p is not None:
+                top = abs(s) * top + abs(f) * tops[pivot]
+                if top > h:
+                    v, top = _residues(v, p), h
             if v:
                 g = math.gcd(*v.values())
                 if g != 1:
                     v = {j: c // g for j, c in v.items()}
+                    top //= g
     return rank
+
+
+def rank_exact(rows: Iterable[Dict[int, Rational]]) -> int:
+    """Exact rank of sparse rational rows."""
+    return _rank(rows)
 
 
 def rank_mod(rows: Iterable[Dict[int, int]], p: int = RANK_PRIME) -> int:
-    """Rank over GF(p) of sparse integer rows, same elimination with residue
-    arithmetic and each basis row scaled to pivot 1."""
-    basis: Dict[int, Dict[int, int]] = {}
-    rank = 0
-    for row in rows:
-        v = {j: c % p for j, c in row.items() if c % p}
-        while v:
-            pivot = max(v)
-            if pivot in basis:
-                b = basis[pivot]
-                f = v[pivot]
-                for j, bj in b.items():
-                    nv = (v.get(j, 0) - f * bj) % p
-                    if nv:
-                        v[j] = nv
-                    else:
-                        v.pop(j, None)
-            else:
-                inv = pow(v[pivot], p - 2, p)
-                basis[pivot] = {j: c * inv % p for j, c in v.items()}
-                rank += 1
-                break
-    return rank
+    """Rank over GF(p) of sparse integer rows, p prime."""
+    return _rank(rows, p)
 
 
 def _shift_rows(P: SparsePolynomial, params: MeasureParams):

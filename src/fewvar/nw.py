@@ -93,7 +93,6 @@ class NWInstance:
     n: int
     psi: int
     D: int
-    params: Optional[NWParams] = None
 
     def __post_init__(self):
         if not is_prime(self.psi):
@@ -102,10 +101,6 @@ class NWInstance:
             raise ValueError(f"D={self.D} outside [1, psi={self.psi}]")
         if not 1 <= self.n <= self.psi:
             raise ValueError(f"n={self.n} outside [1, psi={self.psi}]")
-
-    @classmethod
-    def from_params(cls, p: NWParams) -> "NWInstance":
-        return cls(n=p.n, psi=p.psi, D=p.D, params=p)
 
     @property
     def num_vars(self) -> int:

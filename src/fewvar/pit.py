@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -179,7 +179,6 @@ class PitParams:
     gamma_prime: float
     sets: Tuple[Tuple[int, ...], ...]
     grid: Tuple[int, ...]
-    design: Optional[Design] = None
 
     def __post_init__(self):
         if self.N < 1 or self.k < 1:
@@ -275,7 +274,7 @@ def derive_pit_params(mu, c, N: int, k: int) -> PitParams:
         mu=float(mu), mu_prime=float(mu_prime), c=float(c), N=N, k=k, a=a,
         a_prime=a_prime, q=q, D=D, l=design.l,
         delta_prime=float(delta_prime), gamma_prime=float(gamma_prime),
-        sets=sets, grid=grid, design=design)
+        sets=sets, grid=grid)
 
 
 def toy_pit_params(N: int, k: int, l: int, a_prime: int = 1, q: int = 2,
@@ -299,7 +298,7 @@ def toy_pit_params(N: int, k: int, l: int, a_prime: int = 1, q: int = 2,
         mu=mu, mu_prime=(2 * mu + 1) / 2, c=c, N=N, k=k, a=size,
         a_prime=a_prime, q=q, D=D, l=l,
         delta_prime=(1 - (2 * mu + 1) / 2) / 2, gamma_prime=0.0,
-        sets=sets, grid=tuple(grid), design=None)
+        sets=sets, grid=tuple(grid))
 
 
 # ---------------------------------------------------------------------------

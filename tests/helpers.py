@@ -12,9 +12,30 @@ from fewvar.algebra import (
     derivative_poly,
     mon_make,
     multilinear_monomials,
-    multilinear_project,
 )
 from fewvar.circuit import FactorPoly, FewVarCircuit
+
+
+def is_prime_trial(n: int) -> bool:
+    """Primality by trial division, the cross-check for ``is_prime``."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def multilinear_project(P: SparsePolynomial) -> SparsePolynomial:
+    """Drop every monomial containing an exponent >= 2."""
+    out = {m: c for m, c in P.terms.items() if all(e == 1 for _, e in m)}
+    return SparsePolynomial(P.num_vars, out, P.field_p)
 
 
 def fcircuit(num_vars, declared_s, *factor_groups, k=None):
@@ -54,6 +75,24 @@ def dense_rank(rows: List[List[Fraction]]) -> int:
             if i != rank and mat[i][col]:
                 f = mat[i][col] / pv
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def dense_rank_mod(rows: List[List[int]], p: int) -> int:
+    """Plain Gaussian elimination mod a prime p on a dense integer matrix."""
+    mat = [[c % p for c in r] for r in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], -1, p)
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                f = mat[i][col] * inv % p
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
 

@@ -1,4 +1,4 @@
-"""Exact polynomial algebra: ring laws, symmetric functions, series tools,
+"""Exact polynomial algebra: ring laws, symmetric functions, calculus,
 primality, and the text format."""
 
 import itertools
@@ -7,32 +7,25 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import is_prime_trial, multilinear_project
 from fewvar.algebra import (
     GFElem,
     SparsePolynomial,
     bertrand_prime,
     coeffs_in_var,
-    deriv_order_at_root,
     derivative_poly,
-    esym,
     esym_all,
     hom_component,
     int_floor_root,
     is_prime,
-    is_prime_trial,
     mon_make,
     multilinear_monomials,
-    multilinear_project,
     next_prime_at_least,
     parse_poly,
-    root_lift,
     serialize_poly,
-    series_inverse,
     substitute,
-    subst_var_poly,
     to_fraction,
     translate_poly,
-    truncate_degree,
 )
 
 
@@ -139,23 +132,23 @@ def brute_esym(inputs, l, num_vars):
 
 def test_esym_degenerate_cases():
     vs = [x(i) for i in range(3)]
-    assert esym(vs, 0) == SparsePolynomial.const(4, 1)
-    assert esym(vs, 4).is_zero()
-    assert esym(vs, 2) == x(0) * x(1) + x(0) * x(2) + x(1) * x(2)
+    assert esym_all(vs, 0)[0] == SparsePolynomial.const(4, 1)
+    assert esym_all(vs, 4)[4].is_zero()
+    assert esym_all(vs, 2)[2] == x(0) * x(1) + x(0) * x(2) + x(1) * x(2)
 
 
 def test_esym_matches_subset_enumeration():
     inputs = [x(0) + x(1), x(1) * x(2), x(2) - SparsePolynomial.const(4, 2),
               x(3) * x(3), x(0)]
     for l in range(len(inputs) + 2):
-        assert esym(inputs, l) == brute_esym(inputs, l, 4)
+        assert esym_all(inputs, l)[l] == brute_esym(inputs, l, 4)
 
 
 def test_esym_all_prefix_consistency():
     inputs = [x(0), x(1) + x(2), x(3)]
     table = esym_all(inputs, 3)
     for l in range(4):
-        assert table[l] == esym(inputs, l)
+        assert table[l] == esym_all(inputs, l)[l]
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +175,6 @@ def test_derivative_gf_high_order_rejected():
         derivative_poly(P, 0, 5)
 
 
-def test_deriv_order_at_root():
-    z = SparsePolynomial.var(1, 0)
-    one = SparsePolynomial.const(1, 1)
-    cube = (z - one) * (z - one) * (z - one)
-    assert deriv_order_at_root(cube, Fraction(1)) == 2
-    assert deriv_order_at_root(z, Fraction(0)) == 0
-    with pytest.raises(ValueError):
-        deriv_order_at_root(z, Fraction(5))
-
-
 def test_multilinear_project():
     P = P_of(2, (1, [(0, 2), (1, 1)]), (3, [(0, 1), (1, 1)]), (5, []))
     sig = multilinear_project(P)
@@ -216,13 +199,6 @@ def test_substitute_and_coeffs():
     assert cs[2] == SparsePolynomial.var(2, 1)
 
 
-def test_subst_var_poly_matches_expansion():
-    P = P_of(2, (1, [(0, 2)]), (1, [(1, 1)]))
-    Q = P_of(2, (1, [(1, 1)]), (1, []))          # y + 1
-    R = subst_var_poly(P, 0, Q)
-    assert R == P_of(2, (1, [(1, 2)]), (3, [(1, 1)]), (1, []))
-
-
 def test_to_fraction_reads_floats_by_their_shortest_repr():
     assert to_fraction(0.1) == Fraction(1, 10)
     assert to_fraction(1 / 3) == Fraction("0.3333333333333333")
@@ -230,47 +206,6 @@ def test_to_fraction_reads_floats_by_their_shortest_repr():
     assert to_fraction(3) == 3 and type(to_fraction(3)) is Fraction
     assert to_fraction(Fraction(2, 7)) == Fraction(2, 7)
     assert to_fraction("3/4") == Fraction(3, 4)
-
-
-def test_series_inverse():
-    U = P_of(1, (1, []), (1, [(0, 1)]))
-    g = series_inverse(U, 5)
-    assert truncate_degree(U * g, 5) == SparsePolynomial.const(1, 1)
-    assert g == P_of(1, (1, []), (-1, [(0, 1)]), (1, [(0, 2)]),
-                     (-1, [(0, 3)]), (1, [(0, 4)]), (-1, [(0, 5)]))
-
-
-def test_root_lift_linear_case():
-    # P(x, Y) = Y - x: the root is f = x itself
-    P = P_of(2, (1, [(1, 1)]), (-1, [(0, 1)]))
-    f = root_lift(P, Fraction(0), 3)
-    assert f == SparsePolynomial.var(1, 0)
-
-
-def test_root_lift_sqrt_series():
-    # Y^2 = 1 + x around y0 = 1: 1 + x/2 - x^2/8 + x^3/16
-    P = P_of(2, (1, [(1, 2)]), (-1, [(0, 1)]), (-1, []))
-    f = root_lift(P, Fraction(1), 2)
-    assert f == P_of(1, (1, []), (Fraction(1, 2), [(0, 1)]),
-                     (Fraction(-1, 8), [(0, 2)]))
-
-
-@pytest.mark.parametrize("t", range(1, 7))
-def test_root_lift_residual_vanishes(t):
-    # P(x1, x2, Y) = Y^3 + x1*Y - 1 - x2 has a simple root at (0, 0, 1)
-    P = P_of(3, (1, [(2, 3)]), (1, [(0, 1), (2, 1)]), (-1, []), (-1, [(1, 1)]))
-    f = root_lift(P, Fraction(1), t)
-    lifted = subst_var_poly(
-        SparsePolynomial(3, P.terms, None), 2,
-        SparsePolynomial(3, f.terms, None))
-    assert truncate_degree(lifted, t).is_zero()
-
-
-def test_root_lift_rejects_double_root():
-    # Y^2 - 2x*Y + x^2: double root in Y at every x
-    P = P_of(2, (1, [(1, 2)]), (-2, [(0, 1), (1, 1)]), (1, [(0, 2)]))
-    with pytest.raises(ValueError):
-        root_lift(P, Fraction(0), 3)
 
 
 # ---------------------------------------------------------------------------

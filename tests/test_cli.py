@@ -321,6 +321,20 @@ def test_measure_modular_flag(capsys, tmp_path):
     assert "phi=6" in out.splitlines()
 
 
+@pytest.mark.parametrize("rank_prime", ["4", "1"])
+def test_measure_rejects_non_prime_rank_prime(tmp_path, rank_prime):
+    # a rank modulo a composite or modulo 1 is no rank over a field
+    f = tmp_path / "quad.poly"
+    f.write_text(QUAD_POLY)
+    res = subprocess.run(
+        [sys.executable, "-m", "fewvar", "measure", "--poly", str(f),
+         "--r", "1", "--m", "0", "--rank-prime", rank_prime],
+        capture_output=True, text=True, cwd=tmp_path, env=src_env(), timeout=60)
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert f"rank prime {rank_prime} is not a prime" in res.stderr
+
+
 def test_homogenize_subcommand(capsys, tmp_path):
     f = tmp_path / "hom.circuit"
     f.write_text(HOM_CIRCUIT)

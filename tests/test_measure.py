@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (fcircuit, bounded_support_poly, brute_phi, dense_rank,
-                     make_mon, random_poly)
+                     dense_rank_mod, make_mon, random_poly)
 from fewvar.algebra import SparsePolynomial
-from fewvar.circuit import FactorPoly, FewVarCircuit
 from fewvar.measure import (
     DerivedMeasure,
     MeasureParams,
@@ -175,6 +174,90 @@ def test_rank_exact_matches_dense_rank(case):
     int_rows = [scaled_to_integers(row) for row in rows]
     assert rank_exact(int_rows) == rank
     assert rank_mod(int_rows, 2 ** 61 - 1) <= rank
+
+
+RANK_PRIMES = (2, 3, 5, 7, 97, 2 ** 61 - 1)
+
+
+@st.composite
+def rows_mod_p(draw):
+    """A prime and sparse integer rows over a few columns, with entries above
+    p/2 and near multiples of p, rows that are nonzero over Z but vanish
+    mod p, rows whose largest column holds a multiple of p, and integer
+    combinations of earlier rows (which may vanish mod p too)."""
+    p = draw(st.sampled_from(RANK_PRIMES))
+    n_cols = draw(st.integers(1, 6))
+    multiple = st.integers(-3, 3).filter(bool).map(lambda k: k * p)
+    entry = st.one_of(
+        st.integers(-6, 6),
+        st.integers(p // 2 + 1, 3 * p),
+        st.integers(-3 * p, -(p // 2) - 1),
+        st.tuples(multiple, st.integers(-2, 2)).map(sum),
+    )
+    cols = st.integers(0, n_cols - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(("new", "new", "vanish", "pivot", "combo")))
+        if kind == "combo" and rows:
+            a, b = draw(entry), draw(entry)
+            r1 = rows[draw(st.integers(0, len(rows) - 1))]
+            r2 = rows[draw(st.integers(0, len(rows) - 1))]
+            row = {j: a * r1.get(j, 0) + b * r2.get(j, 0) for j in set(r1) | set(r2)}
+        elif kind == "vanish":
+            row = draw(st.dictionaries(cols, multiple, min_size=1))
+        else:
+            row = draw(st.dictionaries(cols, entry, min_size=1))
+            if kind == "pivot":
+                row[max(row)] = draw(multiple)
+        rows.append(row)
+    return p, n_cols, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_mod_p())
+def test_rank_mod_matches_dense_rank_mod(case):
+    p, n_cols, rows = case
+    dense = [[row.get(j, 0) for j in range(n_cols)] for row in rows]
+    rank = rank_mod(rows, p)
+    assert rank == dense_rank_mod(dense, p)
+    assert rank <= rank_exact(rows)
+
+
+@pytest.mark.parametrize("p", RANK_PRIMES)
+def test_rank_mod_residue_cases(p):
+    h = p // 2
+
+    def neg_inverse(k):
+        """-1/k mod p as a symmetric residue."""
+        a = -pow(k, -1, p) % p
+        return a - p if a > h else a
+
+    k = 2 if p == 3 else 3
+    k7 = 11 if p == 7 else 7
+    a, a7 = neg_inverse(k), neg_inverse(k7)
+    cases = [
+        # entries above p/2: h+1 and p-1 are the units -h and -1 mod p
+        ([{0: h + 1, 1: p - 1}, {0: 1}, {1: 3 * p - 1}], 2),
+        # nonzero over Z, zero mod p
+        ([{0: p, 1: 2 * p}, {2: -3 * p}], 0),
+        # pivots divisible by p: rows 1 and 2 agree mod p, so rank 2 of 3
+        ([{0: 1, 3: p}, {0: 2, 3: 5 * p}, {1: 1, 2: p + 1}], 2),
+        # a step scaled by the basis pivot k lands on k*a + 1 = 0 mod p
+        ([{1: k, 0: -1}, {1: 1, 0: a}], 1),
+        # the same after a content of 3 is divided out of the reduced row
+        ([{1: k7, 0: -1}, {2: 1, 0: -a7, 1: -1}, {2: 1, 0: 2 * a7, 1: 2}], 2),
+    ]
+    for rows, want in cases:
+        dense = [[row.get(j, 0) for j in range(4)] for row in rows]
+        assert dense_rank_mod(dense, p) == want
+        assert rank_mod(rows, p) == want
+
+
+def test_rank_prime_must_be_prime():
+    for bad in (4, 6, -7, 1, 0):
+        with pytest.raises(ValueError, match=f"rank prime {bad} is not a prime"):
+            MeasureParams(r=1, m=0, rank_prime=bad)
+    assert MeasureParams(r=1, m=0, rank_prime=2).rank_prime == 2
 
 
 @st.composite

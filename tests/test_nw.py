@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from fewvar.algebra import is_prime_trial, mon_degree, mon_is_multilinear
+from helpers import is_prime_trial
+from fewvar.algebra import mon_degree, mon_is_multilinear
 from fewvar.nw import (
     NWInstance,
     derive_nw_params,
