@@ -2,8 +2,9 @@
 
 The package is organized as:
 
-  algebra  -- exact rational / prime-field coefficients, sparse multivariate
-              polynomials, and the scalar utilities (primes, integer roots).
+  algebra  -- sparse multivariate polynomials with plain-number coefficients
+              over Q or GF(p), and the scalar utilities (primes, integer
+              roots).
   circuit  -- the circuit model (weighted sums of products of polynomials that
               each touch few variables) and its transforms.
   nw       -- the combinatorial hard-polynomial family built from low-degree
@@ -17,12 +18,11 @@ The package is organized as:
 
 __version__ = "0.1.0"
 
-from .algebra import SparsePolynomial, GFElem, bertrand_prime, is_prime
+from .algebra import SparsePolynomial, bertrand_prime, is_prime
 from .circuit import FewVarCircuit, FactorPoly, RestrictionMask
 
 __all__ = [
     "SparsePolynomial",
-    "GFElem",
     "FewVarCircuit",
     "FactorPoly",
     "RestrictionMask",

@@ -1,8 +1,12 @@
-"""Exact field arithmetic and sparse multivariate polynomials.
+"""Exact sparse multivariate polynomials over Q or a prime field GF(p).
 
-Coefficients are either exact rationals (``fractions.Fraction``) or residues
-modulo a prime (``GFElem``).  A polynomial carries a field tag and never mixes
-the two; every binary operation checks compatibility and raises on a mismatch.
+A polynomial carries a field tag, ``field_p``: None for Q, a prime p for
+GF(p).  Coefficients are plain Python numbers under that tag: over Q an int
+or a Fraction (an int stays an int), over GF(p) an int in [0, p).
+``coerce`` is the one lift into that domain.  Ring operations compute on
+the representatives and the constructor reduces every coefficient and drops
+the zeros.  Binary operations check that both tags agree and raise on a
+mismatch.
 
 A monomial is a sorted tuple of ``(variable_index, exponent)`` pairs with all
 exponents positive; the empty tuple is the constant monomial.  A polynomial is
@@ -72,66 +76,12 @@ def mon_sort_key(a: Mon, num_vars: int) -> Tuple[int, Tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# field elements
-
-@dataclass(frozen=True)
-class GFElem:
-    """A residue modulo a prime, with the modulus carried along.
-
-    Arithmetic between residues with different moduli, or between a residue
-    and a rational, is rejected: values from different fields never mix
-    silently.
-    """
-
-    val: int
-    p: int
-
-    def __post_init__(self):
-        # primality of the modulus is enforced once per polynomial, not here
-        if self.p < 2:
-            raise ValueError(f"modulus {self.p} must be at least 2")
-        object.__setattr__(self, "val", self.val % self.p)
-
-    def _check(self, other: "GFElem") -> None:
-        if not isinstance(other, GFElem):
-            raise TypeError(f"cannot mix GF({self.p}) with {type(other).__name__}")
-        if other.p != self.p:
-            raise ValueError(f"cannot mix GF({self.p}) with GF({other.p})")
-
-    def __add__(self, other):
-        self._check(other)
-        return GFElem(self.val + other.val, self.p)
-
-    def __sub__(self, other):
-        self._check(other)
-        return GFElem(self.val - other.val, self.p)
-
-    def __mul__(self, other):
-        self._check(other)
-        return GFElem(self.val * other.val, self.p)
-
-    def __truediv__(self, other):
-        self._check(other)
-        if other.val == 0:
-            raise ZeroDivisionError(f"division by zero in GF({self.p})")
-        return GFElem(self.val * pow(other.val, self.p - 2, self.p), self.p)
-
-    def __neg__(self):
-        return GFElem(-self.val, self.p)
-
-    def __pow__(self, e: int):
-        return GFElem(pow(self.val, e, self.p), self.p)
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return f"{self.val} (mod {self.p})"
-
-
-FieldElem = Union[Fraction, GFElem]
+# coefficients
 
 Field = Optional[int]           # None marks the rationals, an int p marks GF(p)
+
+# A coefficient over Q is an int or a Fraction; over GF(p) an int in [0, p).
+FieldElem = Union[int, Fraction]
 
 
 def field_name(p: Field) -> str:
@@ -139,22 +89,21 @@ def field_name(p: Field) -> str:
 
 
 def coerce(value, p: Field = None) -> FieldElem:
-    """Lift an int, Fraction, or GFElem into the requested field."""
+    """Lift a value into the coefficient domain of the field tag p.
+
+    Into Q an int or a Fraction is returned as is and anything else becomes
+    ``Fraction(value)``.  Into GF(p) the result is an int in [0, p): a
+    rational num/den maps to num * den^-1 mod p, and a den divisible by p
+    raises ZeroDivisionError."""
     if p is None:
-        if isinstance(value, GFElem):
-            raise ValueError(f"cannot coerce GF({value.p}) element into Q")
+        if type(value) is int or type(value) is Fraction:
+            return value
         return Fraction(value)
-    if isinstance(value, GFElem):
-        if value.p != p:
-            raise ValueError(f"cannot coerce GF({value.p}) element into GF({p})")
-        return value
     if isinstance(value, Fraction):
         if value.denominator % p == 0:
             raise ZeroDivisionError(f"denominator divisible by {p}")
-        num = value.numerator % p
-        den = pow(value.denominator % p, p - 2, p)
-        return GFElem(num * den, p)
-    return GFElem(int(value), p)
+        return value.numerator * pow(value.denominator, -1, p) % p
+    return int(value) % p
 
 
 def to_fraction(x) -> Fraction:
@@ -163,14 +112,6 @@ def to_fraction(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(str(x))
     return Fraction(x)
-
-
-def field_zero(p: Field = None) -> FieldElem:
-    return Fraction(0) if p is None else GFElem(0, p)
-
-
-def field_one(p: Field = None) -> FieldElem:
-    return Fraction(1) if p is None else GFElem(1, p)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +169,7 @@ class SparsePolynomial:
         acc: Dict[Mon, FieldElem] = {}
         for c, pairs in items:
             mon = mon_make(pairs)
-            cc = coerce(c, field_p)
-            if mon in acc:
-                acc[mon] = acc[mon] + cc
-            else:
-                acc[mon] = cc
+            acc[mon] = acc.get(mon, 0) + coerce(c, field_p)
         return cls(num_vars, acc, field_p)
 
     # -- inspection ---------------------------------------------------------
@@ -255,26 +192,8 @@ class SparsePolynomial:
                     best = e
         return best
 
-    def used_vars(self) -> Tuple[int, ...]:
-        seen = set()
-        for mon in self.terms:
-            for v, _ in mon:
-                seen.add(v)
-        return tuple(sorted(seen))
-
-    def is_multilinear(self) -> bool:
-        return all(mon_is_multilinear(m) for m in self.terms)
-
-    def is_homogeneous(self, deg: Optional[int] = None) -> bool:
-        degs = {mon_degree(m) for m in self.terms}
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return deg is None or degs == {deg}
-
     def constant_term(self) -> FieldElem:
-        return self.terms.get(MON_ONE, field_zero(self.field_p))
+        return self.terms.get(MON_ONE, 0)
 
     def _check_compatible(self, other: "SparsePolynomial") -> None:
         if not isinstance(other, SparsePolynomial):
@@ -292,14 +211,7 @@ class SparsePolynomial:
         self._check_compatible(other)
         out = dict(self.terms)
         for mon, c in other.terms.items():
-            if mon in out:
-                s = out[mon] + c
-                if s:
-                    out[mon] = s
-                else:
-                    del out[mon]
-            else:
-                out[mon] = c
+            out[mon] = out.get(mon, 0) + c
         return SparsePolynomial(self.num_vars, out, self.field_p)
 
     def __neg__(self) -> "SparsePolynomial":
@@ -315,22 +227,11 @@ class SparsePolynomial:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 mon = mon_mul(ma, mb)
-                prod = ca * cb
-                if mon in out:
-                    s = out[mon] + prod
-                    if s:
-                        out[mon] = s
-                    else:
-                        del out[mon]
-                else:
-                    if prod:
-                        out[mon] = prod
+                out[mon] = out.get(mon, 0) + ca * cb
         return SparsePolynomial(self.num_vars, out, self.field_p)
 
     def scale(self, c) -> "SparsePolynomial":
         cc = coerce(c, self.field_p)
-        if not cc:
-            return SparsePolynomial.zero(self.num_vars, self.field_p)
         return SparsePolynomial(
             self.num_vars, {m: v * cc for m, v in self.terms.items()}, self.field_p)
 
@@ -341,13 +242,12 @@ class SparsePolynomial:
                 f"dimension mismatch: point has {len(point)} values, "
                 f"polynomial has {self.num_vars} variables")
         vals = [coerce(v, self.field_p) for v in point]
-        total = field_zero(self.field_p)
+        total = 0
         for mon, c in self.terms.items():
-            term = c
             for v, e in mon:
-                term = term * vals[v] ** e
-            total = total + term
-        return total
+                c *= vals[v] ** e
+            total += c
+        return coerce(total, self.field_p)
 
     def sorted_terms(self) -> List[Tuple[Mon, FieldElem]]:
         """Terms in descending graded-lexicographic order (canonical)."""
@@ -418,20 +318,12 @@ def translate_poly(P: SparsePolynomial, a: Sequence) -> SparsePolynomial:
             f"polynomial has {P.num_vars} variables")
     shift = [coerce(v, P.field_p) for v in a]
     out = SparsePolynomial.zero(P.num_vars, P.field_p)
-    one = field_one(P.field_p)
     for mon, c in P.terms.items():
         # expand prod_v (x_v + a_v)^e by the binomial theorem, variable by variable
         term = SparsePolynomial.const(P.num_vars, c, P.field_p)
         for v, e in mon:
-            if not shift[v]:
-                term = term * SparsePolynomial(
-                    P.num_vars, {((v, e),): one}, P.field_p)
-                continue
-            binom: Dict[Mon, FieldElem] = {}
-            for j in range(e + 1):
-                coeff = coerce(math.comb(e, j), P.field_p) * shift[v] ** (e - j)
-                if coeff:
-                    binom[((v, j),) if j else MON_ONE] = coeff
+            binom = {((v, j),) if j else MON_ONE:
+                     math.comb(e, j) * shift[v] ** (e - j) for j in range(e + 1)}
             term = term * SparsePolynomial(P.num_vars, binom, P.field_p)
         out = out + term
     return out
@@ -455,18 +347,11 @@ def derivative_poly(P: SparsePolynomial, var: int, order: int = 1) -> SparsePoly
         fall = 1
         for t in range(order):
             fall *= e - t
+        # distinct monomials keep distinct images, so nothing merges
         new = tuple((v, x) for v, x in mon if v != var)
         if e > order:
             new = tuple(sorted(new + ((var, e - order),)))
-        coeff = c * coerce(fall, P.field_p)
-        if new in out:
-            s = out[new] + coeff
-            if s:
-                out[new] = s
-            else:
-                del out[new]
-        elif coeff:
-            out[new] = coeff
+        out[new] = c * fall
     return SparsePolynomial(P.num_vars, out, P.field_p)
 
 
@@ -479,16 +364,7 @@ def substitute(P: SparsePolynomial, var: int, value) -> SparsePolynomial:
         if e:
             c = c * val ** e
             mon = tuple((v, x) for v, x in mon if v != var)
-        if not c:
-            continue
-        if mon in out:
-            s = out[mon] + c
-            if s:
-                out[mon] = s
-            else:
-                del out[mon]
-        else:
-            out[mon] = c
+        out[mon] = out.get(mon, 0) + c
     return SparsePolynomial(P.num_vars, out, P.field_p)
 
 
@@ -496,11 +372,7 @@ def scale_all_vars(P: SparsePolynomial, t) -> SparsePolynomial:
     """Substitute x_v -> t * x_v for every variable: each degree-d monomial
     picks up a factor t^d."""
     tv = coerce(t, P.field_p)
-    out: Dict[Mon, FieldElem] = {}
-    for mon, c in P.terms.items():
-        coeff = c * tv ** mon_degree(mon)
-        if coeff:
-            out[mon] = coeff
+    out = {mon: c * tv ** mon_degree(mon) for mon, c in P.terms.items()}
     return SparsePolynomial(P.num_vars, out, P.field_p)
 
 
@@ -688,21 +560,13 @@ def int_floor_root(x: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # text format
 
-def _format_coeff(c: FieldElem) -> str:
-    if isinstance(c, GFElem):
-        return str(c.val)
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def serialize_poly(P: SparsePolynomial) -> str:
     """Canonical text form: a header line, then one `coeff` line per term in
     descending graded-lexicographic order."""
     lines = [f"vars={P.num_vars} field={field_name(P.field_p)}"]
     for mon, c in P.sorted_terms():
         body = " ".join(f"{v}:{e}" for v, e in mon)
-        lines.append(f"coeff {_format_coeff(c)} ; {body}".rstrip())
+        lines.append(f"coeff {c} ; {body}".rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -745,10 +609,12 @@ def parse_poly_lines(lines: Sequence[str], num_vars: int, field_p: Field,
             raise ValueError(f"{where}line {ln}: bad coefficient: {exc}") from None
         pairs = []
         for tok in mpart.split():
-            if ":" not in tok:
-                raise ValueError(f"{where}line {ln}: bad monomial token {tok!r}")
-            v, e = tok.split(":", 1)
-            pairs.append((int(v), int(e)))
+            v, _, e = tok.partition(":")
+            try:
+                pairs.append((int(v), int(e)))
+            except ValueError:
+                raise ValueError(
+                    f"{where}line {ln}: bad monomial token {tok!r}") from None
         items.append((c, pairs))
     return SparsePolynomial.from_terms(num_vars, items, field_p)
 

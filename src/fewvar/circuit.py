@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -26,8 +27,6 @@ from .algebra import (
     coerce,
     esym_all,
     field_name,
-    field_one,
-    field_zero,
     hom_component,
     parse_coeff,
     parse_poly_lines,
@@ -36,7 +35,6 @@ from .algebra import (
     substitute,
     translate_poly,
     serialize_poly,
-    _format_coeff,
     _parse_field,
 )
 
@@ -145,15 +143,15 @@ def eval_circuit(C: FewVarCircuit, point: Sequence) -> FieldElem:
             f"dimension mismatch: point has {len(point)} values, circuit has "
             f"{C.num_vars} variables")
     vals = [coerce(v, C.field_p) for v in point]
-    total = field_zero(C.field_p)
+    total = 0
     for scale, factors in C.terms:
         prod = scale
         for f in factors:
-            prod = prod * f.eval_at(vals)
+            prod *= f.eval_at(vals)
             if not prod:
                 break
-        total = total + prod
-    return total
+        total += prod
+    return coerce(total, C.field_p)
 
 
 def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynomial:
@@ -198,9 +196,10 @@ def normalize_constants(C: FewVarCircuit) -> FewVarCircuit:
             if f.poly.degree() == 0:
                 scale = scale * c0
                 continue
-            if c0 and c0 != field_one(C.field_p):
+            if c0 and c0 != 1:
                 scale = scale * c0
-                f = FactorPoly(f.support, f.poly.scale(field_one(C.field_p) / c0))
+                f = FactorPoly(f.support,
+                               f.poly.scale(coerce(Fraction(1, c0), C.field_p)))
             kept.append(f)
         if dead or not scale:
             continue
@@ -216,34 +215,34 @@ def _lagrange_coeff_matrix(nodes: List[FieldElem], field_p: Field):
     node v.  Writing P(y) = sum_i c_i y^i, the coefficients recombine the node
     evaluations as c_i = sum_v W[v][i] * P(node_v)."""
     k = len(nodes) - 1
-    one = field_one(field_p)
     W: List[List[FieldElem]] = []
     for v, xv in enumerate(nodes):
         # expand prod_{u != v} (y - x_u) / (x_v - x_u)
-        coeffs = [one]
-        denom = one
+        coeffs = [1]
+        denom = 1
         for u, xu in enumerate(nodes):
             if u == v:
                 continue
-            nxt = [field_zero(field_p)] * (len(coeffs) + 1)
+            nxt = [0] * (len(coeffs) + 1)
             for i, c in enumerate(coeffs):
                 nxt[i + 1] = nxt[i + 1] + c
                 nxt[i] = nxt[i] - c * xu
             coeffs = nxt
             denom = denom * (xv - xu)
-        row = [c / denom for c in coeffs]
-        row += [field_zero(field_p)] * (k + 1 - len(row))
+        # denom is a product of differences of distinct nodes: a unit mod p
+        row = [coerce(Fraction(c, denom), field_p) for c in coeffs]
+        row += [0] * (k + 1 - len(row))
         W.append(row)
     return W
 
 
-def _interp_nodes(count: int, field_p: Field) -> List[FieldElem]:
-    """The integers 0..count-1 lifted into the field; exact and always
-    distinct in characteristic zero."""
+def _interp_nodes(count: int, field_p: Field) -> List[int]:
+    """The integers 0..count-1, distinct in the field: always in
+    characteristic zero, and over GF(p) when count <= p."""
     if field_p is not None and count > field_p:
         raise ValueError(
             f"need {count} distinct nodes but GF({field_p}) has only {field_p}")
-    return [coerce(v, field_p) for v in range(count)]
+    return list(range(count))
 
 
 def _substitute_factor(f: FactorPoly, gvar: int, value) -> Optional[FactorPoly]:
@@ -333,11 +332,10 @@ def derivative_circuit(C: FewVarCircuit, y: int, j: int) -> FewVarCircuit:
             continue
         power: Optional[FactorPoly] = None
         if i > j:
-            ypoly = SparsePolynomial(1, {((0, i - j),): field_one(C.field_p)},
-                                     C.field_p)
+            ypoly = SparsePolynomial(1, {((0, i - j),): 1}, C.field_p)
             power = FactorPoly((y,), ypoly)
         for scale, factors in coeffs[i].terms:
-            s = scale * coerce(fall, C.field_p)
+            s = scale * fall
             if not s:
                 continue
             terms.append((s, factors + (power,) if power else factors))
@@ -470,7 +468,6 @@ def homogenize(C: FewVarCircuit, n: int) -> HomogDecomposition:
     """
     if n < 0:
         raise ValueError("target degree must be nonnegative")
-    one = field_one(C.field_p)
     pieces: List[HomogPiece] = []
     for scale, factors in C.terms:
         plain: List[FactorPoly] = []
@@ -479,7 +476,7 @@ def homogenize(C: FewVarCircuit, n: int) -> HomogDecomposition:
             c0 = f.poly.constant_term()
             if not c0:
                 plain.append(f)
-            elif c0 == one:
+            elif c0 == 1:
                 pos = hom_component(f.embed(C.num_vars), 1, "ge")
                 args.append(pos)
             else:
@@ -547,7 +544,7 @@ def serialize_circuit(C: FewVarCircuit) -> str:
         f"vars={C.num_vars} field={field_name(C.field_p)} s={C.declared_s} k={k_text}",
     ]
     for scale, factors in C.terms:
-        lines.append(f"term scale={_format_coeff(scale)}")
+        lines.append(f"term scale={scale}")
         for f in factors:
             lines.append("factor support=" + ",".join(str(v) for v in f.support))
             body = serialize_poly(f.poly).splitlines()[1:]
@@ -604,14 +601,20 @@ def parse_circuit(text: str) -> FewVarCircuit:
             kv = dict(tok.split("=", 1) for tok in stripped.split()[1:] if "=" in tok)
             if "scale" not in kv:
                 raise ValueError(f"line {ln}: term line needs scale=")
-            terms.append((parse_coeff(kv["scale"], field_p), []))
+            try:
+                terms.append((parse_coeff(kv["scale"], field_p), []))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"line {ln}: bad scale: {exc}") from None
         elif stripped.startswith("factor "):
             close_factor()
             kv = dict(tok.split("=", 1) for tok in stripped.split()[1:] if "=" in tok)
             if "support" not in kv:
                 raise ValueError(f"line {ln}: factor line needs support=")
-            sup = tuple(int(x) for x in kv["support"].split(",")) if kv["support"] \
-                else ()
+            try:
+                sup = tuple(int(x) for x in kv["support"].split(",")) \
+                    if kv["support"] else ()
+            except ValueError as exc:
+                raise ValueError(f"line {ln}: bad support: {exc}") from None
             factor_head = (ln, sup)
         elif stripped.startswith("coeff "):
             if factor_head is None:

@@ -20,7 +20,13 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .algebra import parse_poly, serialize_poly
-from .circuit import expand_circuit, homogenize, parse_circuit, transform_audit
+from .circuit import (
+    FewVarCircuit,
+    expand_circuit,
+    homogenize,
+    parse_circuit,
+    transform_audit,
+)
 from .algebra import hom_component
 from .measure import (
     MeasureParams,
@@ -71,6 +77,13 @@ def _num(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
+
+
+def _value_line(value, box) -> str:
+    """The `value=` report line.  A value of a GF(p) circuit names its
+    modulus; a subprocess blackbox's values are rational."""
+    p = box.field_p if isinstance(box, FewVarCircuit) else None
+    return f"value={_num(value)}" + ("" if p is None else f" (mod {p})")
 
 
 def _emit(lines: List[str], out: Optional[str]):
@@ -258,7 +271,7 @@ def _cmd_pit(args) -> int:
     lines.append(f"tested={result.tested}")
     if result.point is not None:
         lines.append("witness=" + ",".join(_num(v) for v in result.point))
-        lines.append(f"value={_num(result.value)}")
+        lines.append(_value_line(result.value, box))
     if result.class_report is not None:
         lines.append(f"class={_pf(result.class_report.ok)}")
     _emit(lines, args.out)
@@ -272,9 +285,8 @@ def _cmd_pit(args) -> int:
 def _cmd_sz(args) -> int:
     box, cleanup = _load_box(args)
     try:
-        if not isinstance(box, Blackbox):
-            box = blackbox_from_circuit(box)
-        result = schwartz_zippel(box, args.trials, args.domain, args.seed)
+        bb = box if isinstance(box, Blackbox) else blackbox_from_circuit(box)
+        result = schwartz_zippel(bb, args.trials, args.domain, args.seed)
     finally:
         if cleanup:
             cleanup()
@@ -286,7 +298,7 @@ def _cmd_sz(args) -> int:
     ]
     if result.point is not None:
         lines.append("witness=" + ",".join(str(v) for v in result.point))
-        lines.append(f"value={_num(result.value)}")
+        lines.append(_value_line(result.value, box))
     _emit(lines, args.out)
     return EXIT_OK if result.found else EXIT_CHECK_FAILED
 

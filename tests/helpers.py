@@ -54,10 +54,11 @@ def fcircuit(num_vars, declared_s, *factor_groups, k=None):
 
 
 def dense_rank(rows: List[List[Fraction]]) -> int:
-    """Plain Gaussian elimination on a dense rational matrix."""
+    """Plain Gaussian elimination on a dense rational matrix.  Entries are
+    lifted to Fraction on entry, so int rows are eliminated exactly too."""
     if not rows:
         return 0
-    mat = [list(r) for r in rows]
+    mat = [[Fraction(c) for c in r] for r in rows]
     n_cols = len(mat[0])
     rank = 0
     col = 0

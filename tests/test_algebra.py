@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import is_prime_trial, multilinear_project
 from fewvar.algebra import (
-    GFElem,
     SparsePolynomial,
     bertrand_prime,
     coeffs_in_var,
+    coerce,
     derivative_poly,
     esym_all,
     hom_component,
@@ -49,28 +49,33 @@ def test_mon_make_canonicalizes():
 
 
 def test_gf_arithmetic_table():
-    a, b = GFElem(3, 7), GFElem(5, 7)
-    assert a + b == GFElem(1, 7)
-    assert a - b == GFElem(5, 7)
-    assert a * b == GFElem(1, 7)
-    assert a / b == GFElem(2, 7)
-    assert -a == GFElem(4, 7)
-    assert a ** 6 == GFElem(1, 7)
-    assert not GFElem(0, 7)
+    def c7(v):
+        return SparsePolynomial.const(1, v, 7)
+
+    a, b = c7(3), c7(5)
+    assert a + b == c7(1)
+    assert a - b == c7(5)
+    assert a * b == c7(1)
+    # 3/5 = 3 * 5^-1 = 3 * 3 = 2 (mod 7)
+    assert coerce(Fraction(3, 5), 7) == 2
+    assert a * c7(Fraction(1, 5)) == c7(2)
+    assert -a == c7(4)
+    assert P_of(1, (1, [(0, 6)]), p=7).eval_at([3]) == 1
+    assert c7(7).is_zero() and c7(7) == SparsePolynomial.zero(1, 7)
 
 
 def test_gf_rejects_mixed_moduli():
     with pytest.raises(ValueError):
-        GFElem(1, 5) + GFElem(1, 7)
-    with pytest.raises(TypeError):
-        GFElem(1, 5) * Fraction(2)
+        SparsePolynomial.const(1, 1, 5) + SparsePolynomial.const(1, 1, 7)
+    with pytest.raises(ValueError):
+        SparsePolynomial.const(1, 1, 5) * SparsePolynomial.const(1, 2)
 
 
 def test_composite_modulus_rejected():
     with pytest.raises(ValueError):
         SparsePolynomial.from_terms(1, [(1, [(0, 1)])], 6)
     with pytest.raises(ValueError):
-        GFElem(1, 1)
+        SparsePolynomial.from_terms(1, [(1, [(0, 1)])], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +120,61 @@ def test_hom_component_examples():
     assert hom_component(P, 1, "ge") == x(0) * x(1) + x(0)
     assert hom_component(P, 0, "eq") == SparsePolynomial.const(4, 1)
     assert hom_component(P, 3, "eq").is_zero()
+
+
+# ---------------------------------------------------------------------------
+# GF(p) arithmetic against reduction mod p of the integer results
+
+GF_PRIMES = (2, 3, 5, 7, 97)
+wide_coeffs = st.integers(min_value=-300, max_value=300)
+
+
+@st.composite
+def int_polys(draw, num_vars=3):
+    items = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        mon = [(v, draw(exps)) for v in range(num_vars)]
+        items.append((draw(wide_coeffs), [(v, e) for v, e in mon if e]))
+    return SparsePolynomial.from_terms(num_vars, items)
+
+
+def reduce_mod(P, p):
+    """The image of an integer polynomial in GF(p), reduced term by term."""
+    return {m: c % p for m, c in P.terms.items() if c % p}
+
+
+def as_gf(P, p):
+    return SparsePolynomial(P.num_vars, dict(P.terms), p)
+
+
+def assert_gf_coeffs(G, p):
+    assert all(type(c) is int and 0 <= c < p for c in G.terms.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(GF_PRIMES), int_polys(), int_polys(),
+       st.integers(min_value=0, max_value=2),
+       st.integers(min_value=1, max_value=3),
+       st.lists(wide_coeffs, min_size=3, max_size=3))
+def test_gf_operations_are_reduction_of_integer_results(p, A, B, var, order,
+                                                       point):
+    Ap, Bp = as_gf(A, p), as_gf(B, p)
+    assert Ap.terms == reduce_mod(A, p)
+    order = min(order, p - 1)
+    pairs = [
+        (Ap + Bp, A + B),
+        (Ap - Bp, A - B),
+        (Ap * Bp, A * B),
+        (derivative_poly(Ap, var, order), derivative_poly(A, var, order)),
+        (substitute(Ap, var, point[0]), substitute(A, var, point[0])),
+        (translate_poly(Ap, point), translate_poly(A, point)),
+    ]
+    for got, want in pairs:
+        assert got.field_p == p
+        assert_gf_coeffs(got, p)
+        assert got.terms == reduce_mod(want, p)
+    value = Ap.eval_at(point)
+    assert type(value) is int and value == A.eval_at(point) % p
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +230,7 @@ def test_derivative_poly_orders():
 
 
 def test_derivative_gf_high_order_rejected():
-    P = SparsePolynomial.from_terms(1, [(GFElem(1, 5), [(0, 6)])], 5)
+    P = SparsePolynomial.from_terms(1, [(1, [(0, 6)])], 5)
     with pytest.raises(ValueError):
         derivative_poly(P, 0, 5)
 
@@ -267,7 +327,7 @@ def test_poly_round_trip():
 
 def test_poly_round_trip_gf():
     P = SparsePolynomial.from_terms(
-        2, [(GFElem(4, 11), [(0, 2)]), (GFElem(1, 11), [])], 11)
+        2, [(4, [(0, 2)]), (1, [])], 11)
     assert parse_poly(serialize_poly(P)) == P
 
 

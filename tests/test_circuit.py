@@ -4,6 +4,7 @@ the homogenization identity, and the document format."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fewvar.algebra import (
     SparsePolynomial,
@@ -242,6 +243,103 @@ def test_class_check_regime():
 
 
 # ---------------------------------------------------------------------------
+# transforms over GF(p)
+
+GF_PRIMES = (2, 3, 5, 7, 97)
+small_ints = st.integers(min_value=-50, max_value=50)
+
+
+@st.composite
+def circuit_data(draw, num_vars=4):
+    """Terms as (scale, [(support, [(c, pairs), ...]), ...]) with integer
+    coefficients, to be built over Q and over GF(p) alike."""
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        factors = []
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            support = tuple(sorted(draw(st.sets(
+                st.integers(min_value=0, max_value=num_vars - 1),
+                min_size=1, max_size=2))))
+            items = [(draw(small_ints),
+                      [(i, draw(st.integers(min_value=0, max_value=2)))
+                       for i in range(len(support))])
+                     for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+            factors.append((support, items))
+        terms.append((draw(small_ints), factors))
+    return terms
+
+
+def build_circuit(data, num_vars, p):
+    terms = [(scale, tuple(fp(support, *items, p=p)
+                           for support, items in factors))
+             for scale, factors in data]
+    C = FewVarCircuit(num_vars, tuple(terms), 2, p)
+    return FewVarCircuit(num_vars, C.terms, 2, p,
+                         expand_circuit(C).individual_degree())
+
+
+def assert_gf_circuit(C, p):
+    for scale, factors in C.terms:
+        assert type(scale) is int and 0 <= scale < p
+        for f in factors:
+            assert f.poly.field_p == p
+            assert all(type(c) is int and 0 <= c < p
+                       for c in f.poly.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GF_PRIMES), circuit_data(),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=8),
+       st.lists(small_ints, min_size=4, max_size=4),
+       st.sets(st.integers(min_value=0, max_value=3)))
+def test_gf_transforms_match_polynomial_operations(p, data, y, i, shift, alive):
+    C = build_circuit(data, 4, p)
+    P = expand_circuit(C)
+    # the expansion over GF(p) is the integer expansion reduced mod p
+    P_int = expand_circuit(build_circuit(data, 4, None))
+    assert P.terms == {m: c % p for m, c in P_int.terms.items() if c % p}
+    assert eval_circuit(C, shift) == P.eval_at(shift) == P_int.eval_at(shift) % p
+    assert_gf_circuit(C, p)
+
+    if C.k + 1 <= p:
+        ref = coeffs_in_var(P, y)
+        for e, ce in enumerate(coeff_circuits(C, y)):
+            assert_gf_circuit(ce, p)
+            want = ref[e] if e < len(ref) else SparsePolynomial.zero(4, p)
+            assert expand_circuit(ce) == want
+    else:
+        with pytest.raises(ValueError, match="distinct nodes"):
+            coeff_circuits(C, y)
+
+    D = P.degree()
+    if D + 1 <= p:
+        hC = hom_component_circuit(C, i, D)
+        assert_gf_circuit(hC, p)
+        assert expand_circuit(hC) == hom_component(P, i, "eq")
+    elif i <= D:
+        with pytest.raises(ValueError, match="distinct nodes"):
+            hom_component_circuit(C, i, D)
+
+    nC = normalize_constants(C)
+    assert_gf_circuit(nC, p)
+    assert expand_circuit(nC) == P
+    assert homogenize(nC, i).value() == hom_component(P, i, "eq")
+
+    tC = translate_circuit(C, shift)
+    assert_gf_circuit(tC, p)
+    assert expand_circuit(tC) == translate_poly(P, shift)
+
+    rC = restrict_circuit(C, RestrictionMask.of(alive))
+    assert_gf_circuit(rC, p)
+    want = P
+    for v in range(4):
+        if v not in alive:
+            want = substitute(want, v, 0)
+    assert expand_circuit(rC) == want
+
+
+# ---------------------------------------------------------------------------
 # document format
 
 def test_circuit_round_trip(C):
@@ -279,15 +377,17 @@ def test_parse_circuit_bad_field_tag():
 
 
 def test_parse_circuit_error_line_numbers():
-    text = "\n".join([
-        "fewvar-circuit v1",
-        "vars=2 field=Q s=1 k=1",
-        "term scale=1",
-        "factor support=0",
-        "coeff x ; 0:1",
-    ])
-    with pytest.raises(ValueError, match="line 5"):
-        parse_circuit(text)
+    # bad scales and supports are checked through the CLI in test_cli.py
+    for bad in ("coeff x ; 0:1", "coeff 1 ; 0:y", "coeff 1 ; 0"):
+        text = "\n".join([
+            "fewvar-circuit v1",
+            "vars=2 field=Q s=1 k=1",
+            "term scale=1",
+            "factor support=0",
+            bad,
+        ])
+        with pytest.raises(ValueError, match="line 5"):
+            parse_circuit(text)
 
 
 def test_random_circuit_respects_bounds():

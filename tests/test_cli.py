@@ -94,6 +94,23 @@ factor support=0
 coeff 1 ; 0:2
 """
 
+# 3(x0x1 + 5x1)(x2/2 + 1) - (1/3)(2x0) over GF(7): fractional coefficients
+# read mod 7, and constant terms 0 or 1 so homogenize accepts it
+GF7_CIRCUIT = """\
+fewvar-circuit v1
+vars=3 field=GF(7) s=2 k=1
+term scale=3
+factor support=0,1
+coeff 1 ; 0:1 1:1
+coeff 5 ; 1:1
+factor support=2
+coeff 1/2 ; 0:1
+coeff 1 ;
+term scale=-1/3
+factor support=0
+coeff 2 ; 0:1
+"""
+
 QUAD_POLY = """\
 vars=4 field=Q
 coeff 1 ; 0:1 1:1
@@ -184,6 +201,21 @@ def test_pit_toy_scan_golden(capsys, tmp_path, circuit, golden, code):
     f.write_text(circuit)
     rc, out, _ = run(capsys, "pit", "--circuit", str(f), *TOY_PIT_ARGS)
     assert rc == code
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("pit", "--override-l", "3", "--a-prime", "1", "--q", "2", "--D", "1",
+      "--override-grid", "0,1,2"), "pit_gf7.txt"),
+    (("sz", "--trials", "20", "--domain", "5", "--seed", "9"), "sz_gf7.txt"),
+    (("homogenize", "--n", "2"), "homogenize_gf7.txt"),
+])
+def test_gf7_reports_golden(capsys, tmp_path, argv, golden):
+    """A GF(7) circuit's reports, values printed as `<v> (mod 7)`."""
+    f = tmp_path / "gf7.circuit"
+    f.write_text(GF7_CIRCUIT)
+    rc, out, _ = run(capsys, argv[0], "--circuit", str(f), *argv[1:])
+    assert rc == 0
     assert out == (GOLDEN / golden).read_text()
 
 
@@ -390,6 +422,22 @@ def test_error_exits(capsys, tmp_path):
     rc, _, err = run(capsys, "pit", "--circuit", str(tmp_path / "missing"),
                      "--override-l", "2")
     assert rc == 3
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ("term scale=3", "term scale=abc", "line 3: bad scale"),
+    ("term scale=3", "term scale=1/0", "line 3: bad scale"),
+    ("term scale=3", "term scale=1/7",
+     "line 3: bad scale: denominator divisible by 7"),
+    ("factor support=2", "factor support=0,x", "line 7: bad support"),
+])
+def test_malformed_circuit_names_its_line(capsys, tmp_path, old, new, where):
+    f = tmp_path / "bad.circuit"
+    f.write_text(GF7_CIRCUIT.replace(old, new))
+    rc, out, err = run(capsys, "pit", "--circuit", str(f), "--override-l", "3")
+    assert rc == 3
+    assert out == ""
+    assert f"error: {where}" in err
 
 
 def test_help_exits_zero(capsys):
