@@ -615,7 +615,14 @@ def parse_poly_lines(lines: Sequence[str], num_vars: int, field_p: Field,
             except ValueError:
                 raise ValueError(
                     f"{where}line {ln}: bad monomial token {tok!r}") from None
-        items.append((c, pairs))
+        try:
+            mon = mon_make(pairs)
+            if mon and mon[-1][0] >= num_vars:
+                raise ValueError(f"variable {mon[-1][0]} out of range for "
+                                 f"num_vars={num_vars}")
+        except ValueError as exc:
+            raise ValueError(f"{where}line {ln}: {exc}") from None
+        items.append((c, mon))
     return SparsePolynomial.from_terms(num_vars, items, field_p)
 
 

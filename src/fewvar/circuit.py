@@ -68,6 +68,17 @@ class FactorPoly:
         return self.poly.eval_at([point[g] for g in self.support])
 
 
+def _check_factor(f: FactorPoly, num_vars: int, declared_s: int) -> None:
+    """Raise unless the factor's support fits a circuit of ``num_vars``
+    variables and support bound ``declared_s``."""
+    if len(f.support) > declared_s:
+        raise ValueError(
+            f"factor support {f.support} exceeds declared_s={declared_s}")
+    if f.support and not 0 <= f.support[0] <= f.support[-1] < num_vars:
+        raise ValueError(
+            f"factor support {f.support} out of range for {num_vars} variables")
+
+
 @dataclass(frozen=True)
 class RestrictionMask:
     """The set of variable indices kept alive; everything else is zeroed."""
@@ -104,13 +115,7 @@ class FewVarCircuit:
             scale = coerce(scale, self.field_p)
             factors = tuple(factors)
             for f in factors:
-                if len(f.support) > self.declared_s:
-                    raise ValueError(
-                        f"factor support {f.support} exceeds declared_s={self.declared_s}")
-                if f.support and f.support[-1] >= self.num_vars:
-                    raise ValueError(
-                        f"factor support {f.support} out of range for "
-                        f"{self.num_vars} variables")
+                _check_factor(f, self.num_vars, self.declared_s)
                 if f.poly.field_p != self.field_p:
                     raise ValueError(
                         f"factor over {field_name(f.poly.field_p)} in a "
@@ -591,7 +596,12 @@ def parse_circuit(text: str) -> FewVarCircuit:
                                 where=f"factor at line {fln}: ")
         if not terms:
             raise ValueError(f"line {fln}: factor before any `term` line")
-        terms[-1][1].append(FactorPoly(support, poly))
+        try:
+            factor = FactorPoly(support, poly)
+            _check_factor(factor, num_vars, declared_s)
+        except ValueError as exc:
+            raise ValueError(f"line {fln}: {exc}") from None
+        terms[-1][1].append(factor)
         factor_head, factor_lines = None, []
 
     for ln, raw in content[2:]:

@@ -11,7 +11,11 @@ integer rows: the multilinear survivors of each d_gamma P are multiplied once
 by the lcm of their denominators, which leaves the span's dimension alone.
 One fraction-free elimination kernel ranks them, exactly over the integers or
 over GF(p) for a prime p; the rank mod p can only undercount (reported as a
-lower bound unless cross-checked).
+lower bound unless cross-checked).  The kernel works block by block: the
+rank is the sum of the ranks of the connected components of the row/column
+graph, in which two rows meet when they share a column.  Each block is
+eliminated sparsest row first and stops once its rank equals its number of
+columns.
 
 The module also houses random restrictions (keep each variable alive
 independently with probability p), the count of "bad" small-support monomials
@@ -104,33 +108,96 @@ def _residues(v: Dict[int, int], p: int) -> Dict[int, int]:
     return {j: r - p if r > h else r for j, c in v.items() if (r := c % p)}
 
 
-def _rank(rows: Iterable[Dict[int, Rational]], p: Optional[int] = None) -> int:
-    """Rank of sparse rows by fraction-free streaming elimination: over the
-    rationals when p is None, else over GF(p) for a prime p.
+_INT = frozenset((int,))
 
-    Each row is cleared of denominators on entry (just a copy for int rows).
-    It is then reduced on its largest column index: by a basis row b with
-    the same pivot it becomes (b_p/g)*v - (v_p/g)*b, g = gcd(b_p, v_p),
-    divided by its content.  Basis rows are kept primitive with a positive
-    pivot, so entries stay small and no Fraction is ever built.
+
+def _blocks(rows: List[Dict[int, int]]) -> List[List[Dict[int, int]]]:
+    """The rows grouped into the connected components of the graph that
+    joins two columns when a row holds both: union-find over column ids,
+    with path halving.  No row of one block shares a column with another
+    block, so the matrix is block-diagonal after a permutation."""
+    parent: Dict[int, Optional[int]] = dict.fromkeys(
+        itertools.chain.from_iterable(rows))
+
+    def find(j):
+        while (q := parent[j]) is not None:
+            g = parent[q]
+            if g is None:
+                return q
+            parent[j] = j = g
+        return j
+
+    for v in rows:
+        cols = iter(v)
+        root = find(next(cols))
+        for j in cols:
+            r = find(j)
+            if r != root:
+                parent[r] = root
+    blocks: Dict[int, List[Dict[int, int]]] = {}
+    for v in rows:
+        blocks.setdefault(find(next(iter(v))), []).append(v)
+    return list(blocks.values())
+
+
+def _rank(rows: Iterable[Dict[int, Rational]], p: Optional[int] = None) -> int:
+    """Rank of sparse rows by fraction-free elimination, block by block:
+    over the rationals when p is None, else over GF(p) for a prime p.
+
+    The rows are read once.  Int rows without zero entries are taken as
+    they are; any other row is cleared of denominators and zeros first, and
+    empty rows are dropped.  The rows then split into the connected
+    components of their row/column graph (``_blocks``), and the rank is the
+    sum of the block ranks.  Inside a block the rows go sparsest first, and
+    the block stops as soon as its rank equals its number of columns: no
+    later row can add to it.  A block's columns are those of its rows over
+    the integers, which bound its rank mod p too, so both the partition and
+    the early exit hold over GF(p).
+
+    Each row is copied, then reduced on its largest column index: by a
+    basis row b with the same pivot it becomes (b_p/g)*v - (v_p/g)*b,
+    g = gcd(b_p, v_p), divided by its content.  Basis rows are kept
+    primitive with a positive pivot, so entries stay small and no Fraction
+    is ever built.
 
     Modulo p every stored entry stays in [-p//2, p//2].  A row is taken to
-    symmetric residues only when an entry may have left that range: at
-    intake, and after a reduction step before its content is divided out,
-    judged by ``top``, a bound on the row's largest |entry| carried through
-    the step's scalars (each basis row keeps its own in ``tops``).  So an
-    entry is 0 mod p exactly when it is 0, and the gcds, the pivot sign and
-    b_p/g all have absolute value below p, hence are units mod p: the same
-    steps compute the rank over GF(p) with no modular inverse."""
+    symmetric residues only when an entry may have left that range: when it
+    enters elimination, and after a reduction step before its content is
+    divided out, judged by ``top``, a bound on the row's largest |entry|
+    carried through the step's scalars (each basis row keeps its own in
+    ``tops``).  So an entry is 0 mod p exactly when it is 0, and the gcds,
+    the pivot sign and b_p/g all have absolute value below p, hence are
+    units mod p: the same steps compute the rank over GF(p) with no modular
+    inverse."""
+    ints: List[Dict[int, int]] = []
+    for row in rows:
+        vals = row.values()
+        if _INT.issuperset(map(type, vals)) and 0 not in vals:
+            if row:
+                ints.append(row)
+        elif v := _integer_row(row):
+            ints.append(v)
+    rank = 0
+    for block in _blocks(ints):
+        block.sort(key=len)
+        rank += _block_rank(block, len(set().union(*block)), p)
+    return rank
+
+
+def _block_rank(block: List[Dict[int, int]], width: int,
+                p: Optional[int]) -> int:
+    """The rank of one block of ``width`` columns (the loop of ``_rank``)."""
     h = p // 2 if p is not None else 0
     basis: Dict[int, Dict[int, int]] = {}
     tops: Dict[int, int] = {}
     rank = 0
-    for row in rows:
-        v = _integer_row(row)
+    for row in block:
+        if rank == width:
+            break
+        v = dict(row)
         top = 0
         if p is not None:
-            top = max(map(abs, v.values()), default=0)
+            top = max(map(abs, v.values()))
             if top > h:
                 v, top = _residues(v, p), h
         while v:

@@ -349,8 +349,11 @@ def test_parse_poly_error_carries_line_number():
         parse_poly("vars=2 field=GF(8)\ncoeff 1 ;")
     with pytest.raises(ValueError, match="field"):
         parse_poly("vars=2 field=R\ncoeff 1 ;")
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError,
+                       match="line 2: variable 5 out of range for num_vars=2"):
         parse_poly("vars=2 field=Q\ncoeff 1 ; 5:1")
+    with pytest.raises(ValueError, match="line 3: negative exponent"):
+        parse_poly("vars=2 field=Q\ncoeff 1 ; 0:1\ncoeff 1 ; 1:-1")
 
 
 def test_serialize_poly_is_graded_lex_descending():

@@ -430,6 +430,13 @@ def test_error_exits(capsys, tmp_path):
     ("term scale=3", "term scale=1/7",
      "line 3: bad scale: denominator divisible by 7"),
     ("factor support=2", "factor support=0,x", "line 7: bad support"),
+    ("factor support=0,1", "factor support=1,0",
+     "line 4: support (1, 0) must be strictly increasing"),
+    ("coeff 5 ; 1:1", "coeff 5 ; 4:1",
+     "factor at line 4: line 6: variable 4 out of range for num_vars=2"),
+    ("s=2 k=1", "s=1 k=1", "line 4: factor support (0, 1) exceeds declared_s=1"),
+    ("factor support=2", "factor support=-1",
+     "line 7: factor support (-1,) out of range for 3 variables"),
 ])
 def test_malformed_circuit_names_its_line(capsys, tmp_path, old, new, where):
     f = tmp_path / "bad.circuit"

@@ -1,6 +1,7 @@
 """The rank measure, restrictions, the closed-form bound, and the
 large-parameter ratio calculators."""
 
+import copy
 import math
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from fewvar.measure import (
     subadditivity_check,
     survival_experiment,
 )
-from fewvar.nw import NWParams
+from fewvar.nw import NWInstance, NWParams, nw_expand
 from fewvar.rng import named_rng
 
 
@@ -222,6 +223,64 @@ def test_rank_mod_matches_dense_rank_mod(case):
     assert rank <= rank_exact(rows)
 
 
+@st.composite
+def block_rows(draw):
+    """Rows over disjoint column ranges, one range per block, interleaved
+    across blocks in a drawn order.  A block either starts with a triangular
+    set of rows of full column rank, followed by denser rows it already
+    spans, or holds random rows.  Extra rows: one bridging two blocks, one
+    with an explicit zero entry on another block's column, and empty rows.
+    Rows hold ints or Fractions."""
+    int_entry = st.integers(-6, 6).filter(bool)
+    blocks, ranges = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        lo = sum(map(len, ranges))
+        cols = range(lo, lo + draw(st.integers(1, 4)))
+        ranges.append(cols)
+        entry = draw(st.sampled_from((int_entry, ENTRIES.filter(bool))))
+        block = []
+        if draw(st.booleans()):
+            for j in cols:
+                row = draw(st.dictionaries(st.sampled_from(cols[:j - lo + 1]), entry))
+                row[j] = draw(entry)
+                block.append(row)
+            for _ in range(draw(st.integers(1, 3))):
+                block.append({j: draw(entry) for j in cols})
+        else:
+            for _ in range(draw(st.integers(1, 5))):
+                block.append(draw(st.dictionaries(st.sampled_from(cols), entry)))
+        blocks.append(block)
+    extra = [{}] * draw(st.integers(0, 2))
+    if len(ranges) > 1:
+        a, b = draw(st.permutations(ranges))[:2]
+        if draw(st.booleans()):
+            extra.append({draw(st.sampled_from(a)): draw(int_entry),
+                          draw(st.sampled_from(b)): draw(ENTRIES.filter(bool))})
+        if draw(st.booleans()):
+            zero = draw(st.sampled_from((0, Fraction(0))))
+            extra.append({draw(st.sampled_from(a)): draw(int_entry),
+                          draw(st.sampled_from(b)): zero})
+    blocks.append(extra)
+    order = draw(st.permutations([i for i, blk in enumerate(blocks) for _ in blk]))
+    queues = [iter(blk) for blk in blocks]
+    return sum(map(len, ranges)), [next(queues[i]) for i in order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_rows())
+def test_block_kernel_matches_dense_rank(case):
+    n_cols, rows = case
+    before = copy.deepcopy(rows)
+    dense = [[row.get(j, 0) for j in range(n_cols)] for row in rows]
+    assert rank_exact(rows) == dense_rank(dense)
+    int_rows = [scaled_to_integers(row) for row in rows]
+    int_dense = [[row.get(j, 0) for j in range(n_cols)] for row in int_rows]
+    for p in RANK_PRIMES:
+        assert rank_mod(int_rows, p) == dense_rank_mod(int_dense, p)
+    assert rows == before
+    assert [scaled_to_integers(row) for row in before] == int_rows
+
+
 @pytest.mark.parametrize("p", RANK_PRIMES)
 def test_rank_mod_residue_cases(p):
     h = p // 2
@@ -293,6 +352,21 @@ def test_phi_of_a_product_of_rational_linear_forms():
             rep = psd_dimension(P, MeasureParams(r=1, m=m, rank_prime=rank_prime))
             assert rep.phi == brute_phi(P, 1, m)
     assert psd_dimension(P, MeasureParams(r=1, m=0)).phi == 2
+
+
+# phi and cols of the NW polynomial (D=2, r=1), as one elimination over all
+# rows computed them before the rank was split into blocks
+@pytest.mark.parametrize("rank_prime", [None, (1 << 61) - 1])
+@pytest.mark.parametrize("n, psi, m, phi, cols", [
+    (3, 5, 2, 1275, 1350),
+    (3, 5, 3, 3000, 3000),
+    (4, 5, 3, 21640, 35700),
+])
+def test_nw_measure_pins(n, psi, m, phi, cols, rank_prime):
+    P = nw_expand(NWInstance(n=n, psi=psi, D=2))
+    rep = psd_dimension(P, MeasureParams(r=1, m=m, rank_prime=rank_prime))
+    assert (rep.phi, rep.cols, rep.rows) == (phi, cols, n * psi * math.comb(n * psi, m))
+    assert rep.exact == (rank_prime is None)
 
 
 @pytest.mark.parametrize("rank_prime", [None, (1 << 61) - 1])
