@@ -20,7 +20,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+
+from mpmath import libmp
+from mpmath.ctx_iv import MPIntervalContext
 
 # ---------------------------------------------------------------------------
 # monomials
@@ -557,6 +560,24 @@ def int_floor_root(x: int, k: int) -> int:
     return r
 
 
+CEIL_REAL_MAX_PREC = 1 << 17      # bits; about 0.8 s to refuse ln 8 / ln 2
+
+
+def ceil_real(build: Callable[[MPIntervalContext], object]) -> int:
+    """The certified ceiling of the real that ``build(ctx)`` computes in the
+    mpmath interval context ``ctx``, at doubling precision until both ends of
+    the interval share a ceiling.  An integer never separates, so past
+    CEIL_REAL_MAX_PREC bits this raises ArithmeticError."""
+    ctx = MPIntervalContext()
+    ctx.prec = 64
+    while ctx.prec <= CEIL_REAL_MAX_PREC:
+        lo, hi = (libmp.to_int(libmp.mpf_ceil(e)) for e in build(ctx)._mpi_)
+        if lo == hi:
+            return lo
+        ctx.prec *= 2
+    raise ArithmeticError(f"no certified ceiling within {CEIL_REAL_MAX_PREC} bits")
+
+
 # ---------------------------------------------------------------------------
 # text format
 
@@ -645,8 +666,11 @@ def parse_poly(text: str) -> SparsePolynomial:
     fields = dict(tok.split("=", 1) for tok in head.split() if "=" in tok)
     if "vars" not in fields or "field" not in fields:
         raise ValueError(f"line {ln}: header must declare vars= and field=")
-    num_vars = int(fields["vars"])
-    field_p = _parse_field(fields["field"])
+    try:
+        num_vars = int(fields["vars"])
+        field_p = _parse_field(fields["field"])
+    except ValueError as exc:
+        raise ValueError(f"line {ln}: bad header: {exc}") from None
     return parse_poly_lines(body, num_vars, field_p)
 
 

@@ -37,6 +37,7 @@ import mpmath
 from .algebra import (
     Mon,
     SparsePolynomial,
+    ceil_real,
     derivative_poly,
     is_prime,
     mon_is_multilinear,
@@ -465,8 +466,8 @@ def derive_measure_params(mu, n: int, eps1: Optional[float] = None,
     eps1*eps2 = eps_product (default 0.001, overridable), m is the floor of
     (N/2)(1 - r ln n / n), and p = N^-(mu+delta).
 
-    m is resolved in high-precision arithmetic because N is typically far
-    beyond float range.
+    m is exact: N // 2 when r = 0, else one below the certified ceiling
+    from ``ceil_real``, since the value is then never an integer.
     """
     if nw is None:
         nw = derive_nw_params(mu, n)
@@ -480,10 +481,13 @@ def derive_measure_params(mu, n: int, eps1: Optional[float] = None,
     s = int(eps2 * math.sqrt(n))
     if r * math.log(n) > n:
         raise ValueError("out of regime: r ln n exceeds n, so m would exceed N/2")
+    if r == 0:
+        m = nw.N // 2
+    else:
+        # ln n is transcendental, so (N/2)(1 - r ln n / n) is not an integer
+        m = ceil_real(lambda ctx: ctx.mpf(nw.N) / 2 * (1 - r * ctx.log(n) / n)) - 1
     exponent = float(to_fraction(mu) + nw.delta)
     with mpmath.workdps(40 + len(str(nw.N))):
-        factor = 1 - mpmath.mpf(r) * mpmath.log(n) / n
-        m = int(mpmath.floor(mpmath.mpf(nw.N) / 2 * factor))
         log_p = float(-exponent * mpmath.log(nw.N))
     p = math.exp(log_p)
     return DerivedMeasure(nw=nw, r=r, s=s, m=m, p=p, log_p=log_p,

@@ -28,6 +28,7 @@ from .algebra import (
     Mon,
     SparsePolynomial,
     bertrand_prime,
+    ceil_real,
     coerce,
     int_floor_root,
     is_prime,
@@ -53,12 +54,27 @@ class NWParams:
     D: int
 
 
+def degree_bound(sigma: Fraction, gamma: Fraction, rows: int, cols: int) -> int:
+    """The D schedule: the ceiling of (gamma+rho)/(2(1+gamma)) * rows with
+    rho = sigma * ln(rows*cols) / ln(rows), clamped to at least 1.  A single
+    row needs only the constants, so rows = 1 gives D = 1."""
+    if rows == 1:
+        return 1
+    base, slope = (rows * x / (2 * (1 + gamma)) for x in (gamma, sigma))
+    # cols is a prime above rows, so log_rows(rows*cols) is irrational and
+    # base + slope * log_rows(rows*cols) is never an integer
+    return max(1, ceil_real(lambda ctx: ctx.mpf(base.numerator) / base.denominator
+                            + ctx.mpf(slope.numerator) / slope.denominator
+                            * ctx.log(rows * cols) / ctx.log(rows)))
+
+
 def derive_nw_params(mu, n: int) -> NWParams:
     """Derive the full parameter set for hardness exponent mu and degree n.
 
     Deterministic and exact: the prime window (n^(1+gamma), 2*n^(1+gamma)]
     is resolved with integer root arithmetic, never floats, so the smallest
-    prime is reproducible.  Real-valued D is rounded up and clamped to >= 1.
+    prime is reproducible, and D is ``degree_bound``'s certified ceiling.
+    rho and D_raw are floats, for the report only.
     """
     mu = to_fraction(mu)
     if not 0 <= mu < 1:
@@ -76,7 +92,7 @@ def derive_nw_params(mu, n: int) -> NWParams:
     N = n * psi
     rho = float(mu + delta) * math.log(N) / math.log(n)
     D_raw = (float(gamma) + rho) / (2 * (1 + float(gamma))) * n
-    D = max(1, math.ceil(D_raw))
+    D = degree_bound(mu + delta, gamma, n, psi)
     if D > psi:
         raise ValueError(f"degree bound D={D} exceeds field size psi={psi}")
     return NWParams(mu=mu, n=n, delta=delta, gamma=gamma, psi=psi, N=N,

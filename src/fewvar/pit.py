@@ -23,11 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
-import mpmath
-
-from .algebra import is_prime, next_prime_at_least, to_fraction
+from .algebra import ceil_real, int_floor_root, is_prime, next_prime_at_least, to_fraction
 from .circuit import ClassReport, FewVarCircuit, class_check, eval_circuit
-from .nw import NWInstance, nw_eval
+from .nw import NWInstance, degree_bound, nw_eval
 from .rng import named_rng
 
 DEFAULT_STREAM_CAP = 1_000_000
@@ -51,11 +49,13 @@ class Design:
     c0: int
 
 
-def rs_design(b: int, a: int, intersection_cap: Optional[int] = None) -> Design:
+def rs_design(b: int, a: int, intersection_cap: Optional[int] = None,
+              size: Optional[int] = None) -> Design:
     """Reed-Solomon design: sets are graphs {(x, f(x)) : x < a} of the first
     b univariates of degree <= c0 over F_q0, with q0 the smallest prime >= a
     and c0 the smallest degree cap giving q0^(c0+1) >= b distinct univariates.
-    The universe is the q0 x q0 grid, index (x, y) -> x*q0 + y.
+    The universe is the q0 x q0 grid, index (x, y) -> x*q0 + y.  A ``size``
+    below a keeps only x < size, so every set has that many elements.
 
     Enumeration order: univariate #i has the base-q0 digits of i as
     coefficients, constant coefficient least significant.
@@ -74,6 +74,7 @@ def rs_design(b: int, a: int, intersection_cap: Optional[int] = None) -> Design:
         raise ValueError(
             f"degree cap {c0} needed for {b} sets exceeds requested "
             f"intersection cap {intersection_cap}")
+    size = a if size is None else size
     sets = []
     for idx in range(b):
         digits = []
@@ -84,8 +85,8 @@ def rs_design(b: int, a: int, intersection_cap: Optional[int] = None) -> Design:
         # x*q0 + f(x) is strictly increasing in x, so the set comes out sorted
         sets.append(tuple(
             x * q0 + (sum(d * pow(x, t, q0) for t, d in enumerate(digits)) % q0)
-            for x in range(a)))
-    return Design(l=q0 * q0, a=a, b=b, sets=tuple(sets), q0=q0, c0=c0)
+            for x in range(size)))
+    return Design(l=q0 * q0, a=size, b=b, sets=tuple(sets), q0=q0, c0=c0)
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ def verify_design(d: Design, cap: Optional[int] = None) -> DesignReport:
     """Exhaustively check set sizes, universe membership, and all pairwise
     intersections against the cap (default: ceil(log2 b))."""
     if cap is None:
-        cap = math.ceil(math.log2(d.b)) if d.b > 1 else 0
+        cap = (d.b - 1).bit_length()
     violations: List[str] = []
     sizes_ok = True
     range_ok = True
@@ -139,34 +140,12 @@ def verify_design(d: Design, cap: Optional[int] = None) -> DesignReport:
 # ---------------------------------------------------------------------------
 # parameter derivation
 
-def _ceil_snap(x) -> int:
-    """Ceiling that forgives numeric fuzz just below an integer; use under
-    mpmath.workdps with generous precision."""
-    n = mpmath.nint(x)
-    if abs(x - n) < mpmath.mpf(10) ** (-(mpmath.mp.dps - 10)):
-        return int(n)
-    return int(mpmath.ceil(x))
-
-
-def _floor_rational_power(num: int, den: int, exp: Fraction) -> int:
-    """Exact floor((num/den)^exp) for positive num/den and exp, by integer
-    root extraction: the largest t with t^q * den^p <= num^p."""
-    p, q = exp.numerator, exp.denominator
-    budget = num ** p
-    scale = den ** p
-    t = 0
-    while (t + 1) ** q * scale <= budget:
-        t += 1
-    return t
-
-
 @dataclass(frozen=True)
 class PitParams:
     """Everything the generator needs: the trimmed variable sets, the local
     family shape (a' rows, q columns, degree bound D), and the value grid."""
 
     mu: float
-    mu_prime: float
     c: float
     N: int
     k: int
@@ -175,8 +154,6 @@ class PitParams:
     q: int
     D: int
     l: int
-    delta_prime: float
-    gamma_prime: float
     sets: Tuple[Tuple[int, ...], ...]
     grid: Tuple[int, ...]
 
@@ -225,14 +202,14 @@ def derive_pit_params(mu, c, N: int, k: int) -> PitParams:
     blackbox on N variables with individual degree k.
 
     mu' = (2mu+1)/2 (midpoint of the feasible region 2mu < mu' < 1);
-    a = ceil(N^(mu/mu') * (log2 N)^(1/mu')); the design has N sets of size a;
+    a = ceil(N^(mu/mu') * (log2 N)^(1/mu')); the design has N sets over
+    F_q0, q0 >= a, with intersections at most ceil(log2 N);
     gamma' = 2(2mu+5)/(1-2mu), kept as an exact rational; a' =
-    floor((a/2)^(1/(2+gamma'))) by integer root extraction; q is the
-    smallest prime with a'q >= a/2 (any smaller prime falls below a/2, so
-    a'q > a is a hard parameter failure); D is the ceiling of the usual
-    (gamma'+rho')/(2(1+gamma')) * a' schedule clamped to [1, q], except that
-    a' = 1 forces D = 1 since a single row needs only the constants;
-    G = {0..Nka'}.
+    floor((a/2)^(1/(2+gamma'))); q is the smallest prime with a'q >= a/2
+    (any smaller prime falls below a/2, so a'q > a is a hard parameter
+    failure); D is ``nw.degree_bound`` on a' rows and q columns, clamped to
+    q; each set keeps its first a'q elements; G = {0..Nka'}.  Each rounding
+    is exact, by integer roots or ``ceil_real``.
     """
     mu = to_fraction(mu)
     if not 0 <= mu < Fraction(1, 2):
@@ -240,41 +217,32 @@ def derive_pit_params(mu, c, N: int, k: int) -> PitParams:
     if N < 4 or k < 1:
         raise ValueError("need N >= 4 and k >= 1")
     mu_prime = (2 * mu + 1) / 2
-    delta_prime = (1 - mu_prime) / 2
-    sigma = mu_prime + delta_prime          # (2mu+3)/4
+    sigma = (1 + mu_prime) / 2              # mu' + delta', delta' = (1-mu')/2
     gamma_prime = (2 * sigma + 1) / (1 - sigma)
-    root_exp = 1 / (2 + gamma_prime)        # reduces to (1-2mu)/12
-    with mpmath.workdps(50):
-        e1 = mpmath.mpf(mu.numerator) / mu.denominator \
-            / (mpmath.mpf(mu_prime.numerator) / mu_prime.denominator)
-        e2 = 1 / (mpmath.mpf(mu_prime.numerator) / mu_prime.denominator)
-        log2N = mpmath.log(N) / mpmath.log(2)
-        a = _ceil_snap(mpmath.power(N, e1) * mpmath.power(log2N, e2))
-    a_prime = max(1, _floor_rational_power(a, 2, root_exp))
+    # a = ceil(x^(1/Q)), x = N^u (log2 N)^v; 2mu' = Q/T gives u/Q = mu/mu', v/Q = 1/mu'
+    Q, T = (2 * mu_prime).as_integer_ratio()
+    u, v, lg = Q - T, 2 * T, N.bit_length() - 1
+    if N == 1 << lg:
+        a = int_floor_root(N ** u * lg ** v - 1, Q) + 1
+    else:
+        # log2 N is transcendental, so x^(1/Q) is never an integer
+        a = ceil_real(lambda ctx: ctx.power(
+            N ** u * (ctx.log(N) / ctx.log(2)) ** v, ctx.mpf(1) / Q))
+    p, r = (1 / (2 + gamma_prime)).as_integer_ratio()      # (1-2mu)/12
+    a_prime = max(1, int_floor_root(a ** p // 2 ** p, r))
     q = next_prime_at_least(-(-a // (2 * a_prime)))     # ceil(a / 2a')
     if a_prime * q > a:
         raise ValueError(
             f"parameter failure: smallest prime q = {q} with a'q >= a/2 has "
             f"a'q = {a_prime * q} > a = {a}, and every smaller prime falls "
             f"below a/2")
-    if a_prime == 1:
-        D = 1
-    else:
-        with mpmath.workdps(50):
-            g = mpmath.mpf(gamma_prime.numerator) / gamma_prime.denominator
-            rho = (mpmath.mpf(sigma.numerator) / sigma.denominator
-                   * mpmath.log(a_prime * q) / mpmath.log(a_prime))
-            D = max(1, _ceil_snap((g + rho) / (2 * (1 + g)) * a_prime))
-        D = min(D, q)
-    design = rs_design(N, a, intersection_cap=math.ceil(math.log2(N)))
-    size = a_prime * q
-    sets = tuple(S[:size] for S in design.sets)
+    D = min(degree_bound(sigma, gamma_prime, a_prime, q), q)
+    design = rs_design(N, a, intersection_cap=(N - 1).bit_length(),
+                       size=a_prime * q)
     grid = tuple(range(N * k * a_prime + 1))
     return PitParams(
-        mu=float(mu), mu_prime=float(mu_prime), c=float(c), N=N, k=k, a=a,
-        a_prime=a_prime, q=q, D=D, l=design.l,
-        delta_prime=float(delta_prime), gamma_prime=float(gamma_prime),
-        sets=sets, grid=grid)
+        mu=float(mu), c=float(c), N=N, k=k, a=a, a_prime=a_prime, q=q, D=D,
+        l=design.l, sets=design.sets, grid=grid)
 
 
 def toy_pit_params(N: int, k: int, l: int, a_prime: int = 1, q: int = 2,
@@ -295,9 +263,7 @@ def toy_pit_params(N: int, k: int, l: int, a_prime: int = 1, q: int = 2,
     if grid is None:
         grid = range(N * k * a_prime + 1)
     return PitParams(
-        mu=mu, mu_prime=(2 * mu + 1) / 2, c=c, N=N, k=k, a=size,
-        a_prime=a_prime, q=q, D=D, l=l,
-        delta_prime=(1 - (2 * mu + 1) / 2) / 2, gamma_prime=0.0,
+        mu=mu, c=c, N=N, k=k, a=size, a_prime=a_prime, q=q, D=D, l=l,
         sets=sets, grid=tuple(grid))
 
 

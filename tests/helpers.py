@@ -32,6 +32,15 @@ def is_prime_trial(n: int) -> bool:
     return True
 
 
+def degree_raw_at_most(sigma: Fraction, gamma: Fraction, n: int, N: int,
+                       k: int) -> bool:
+    """Whether D_raw = (gamma + sigma ln N / ln n) / (2(1+gamma)) * n is at
+    most k, decided in integers: with a/b = (2(1+gamma)k/n - gamma)/sigma,
+    D_raw <= k exactly when ln N / ln n <= a/b, i.e. N^b <= n^a."""
+    t = (2 * (1 + gamma) * Fraction(k, n) - gamma) / sigma
+    return t > 0 and N ** t.denominator <= n ** t.numerator
+
+
 def multilinear_project(P: SparsePolynomial) -> SparsePolynomial:
     """Drop every monomial containing an exponent >= 2."""
     out = {m: c for m, c in P.terms.items() if all(e == 1 for _, e in m)}

@@ -2,6 +2,7 @@
 primality, and the text format."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from helpers import is_prime_trial, multilinear_project
 from fewvar.algebra import (
     SparsePolynomial,
     bertrand_prime,
+    ceil_real,
     coeffs_in_var,
     coerce,
     derivative_poly,
@@ -317,6 +319,20 @@ def test_int_floor_root():
         assert r ** k <= v < (r + 1) ** k
 
 
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(2, 10 ** 30))
+@settings(max_examples=200, deadline=None)
+def test_ceil_real_matches_exact_ceiling(p, q):
+    if p % q == 0:
+        p += 1
+    assert ceil_real(lambda ctx: ctx.mpf(p) / q) == math.ceil(Fraction(p, q))
+
+
+def test_ceil_real_refuses_an_integer_value():
+    # ln 8 / ln 2 = 3 exactly, so no interval around it separates
+    with pytest.raises(ArithmeticError, match="no certified ceiling"):
+        ceil_real(lambda ctx: ctx.log(8) / ctx.log(2))
+
+
 # ---------------------------------------------------------------------------
 # text format
 
@@ -345,10 +361,12 @@ def test_parse_poly_accepts_comments_and_merges():
 def test_parse_poly_error_carries_line_number():
     with pytest.raises(ValueError, match="line 3"):
         parse_poly("vars=2 field=Q\ncoeff 1 ; 0:1\ncoeff nope ; 1:1")
-    with pytest.raises(ValueError, match="prime"):
+    with pytest.raises(ValueError, match="line 1: .*prime"):
         parse_poly("vars=2 field=GF(8)\ncoeff 1 ;")
-    with pytest.raises(ValueError, match="field"):
+    with pytest.raises(ValueError, match="line 1: .*field"):
         parse_poly("vars=2 field=R\ncoeff 1 ;")
+    with pytest.raises(ValueError, match="line 1: .*'x'"):
+        parse_poly("vars=x field=Q\ncoeff 1 ;")
     with pytest.raises(ValueError,
                        match="line 2: variable 5 out of range for num_vars=2"):
         parse_poly("vars=2 field=Q\ncoeff 1 ; 5:1")

@@ -395,6 +395,7 @@ def test_ratios_fields(capsys):
     d = dict(line.split("=", 1) for line in out.splitlines())
     assert d["r"] == "3" and d["s"] == "3"
     assert int(d["N"]) > 10 ** 23          # roughly n^6 for this regime
+    assert d["m"] == "498618448944203572784050"
     assert float(d["log_ratio_1"]) == pytest.approx(29.356, abs=0.01)
     assert float(d["log_ratio_2"]) == pytest.approx(51.053, abs=0.01)
     assert d["exact"] == "false"

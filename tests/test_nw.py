@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import is_prime_trial
+from helpers import degree_raw_at_most, is_prime_trial
 from fewvar.algebra import mon_degree, mon_is_multilinear
 from fewvar.nw import (
     NWInstance,
+    degree_bound,
     derive_nw_params,
     nw_check_properties,
     nw_eval,
@@ -42,6 +43,35 @@ def test_derive_params_delta_identity():
         p = derive_nw_params(mu, 3)
         assert p.mu + p.delta == (1 + p.mu) / 2
         assert p.mu + p.delta < 1
+
+
+@pytest.mark.parametrize("mu", [Fraction(i, 8) for i in range(8)])
+def test_derive_params_D_matches_integer_oracle(mu):
+    for n in range(2, 40):
+        p = derive_nw_params(mu, n)
+        sigma = p.mu + p.delta
+        assert degree_raw_at_most(sigma, p.gamma, n, p.N, p.D)
+        assert not degree_raw_at_most(sigma, p.gamma, n, p.N, p.D - 1)
+
+
+@pytest.mark.parametrize("mu,n,D", [(Fraction(1, 4), 154, 122),
+                                    (Fraction(5, 8), 80, 73)])
+def test_derive_params_D_just_above_an_integer(mu, n, D):
+    # D_raw exceeds D - 1 by less than float resolution here
+    p = derive_nw_params(mu, n)
+    assert p.D == D
+    assert not degree_raw_at_most(p.mu + p.delta, p.gamma, n, p.N, D - 1)
+
+
+def test_degree_bound_pit_shapes():
+    # the local family of the hitting set: a' rows, a prime q > a' columns
+    sigma, gamma = Fraction(3, 4), Fraction(10)          # mu = 0
+    for rows in range(2, 12):
+        for cols in (13, 37, 101, 1009):
+            D = degree_bound(sigma, gamma, rows, cols)
+            assert degree_raw_at_most(sigma, gamma, rows, rows * cols, D)
+            assert not degree_raw_at_most(sigma, gamma, rows, rows * cols, D - 1)
+    assert degree_bound(sigma, gamma, 1, 13) == 1
 
 
 def test_derive_params_rejects_bad_input():

@@ -104,8 +104,6 @@ def test_derive_pit_params_frozen_chain(N, k):
     assert is_prime_trial(p.q)
     assert p.grid == tuple(range(N * k * p.a_prime + 1))
     assert all(len(S) == p.set_size for S in p.sets)
-    assert p.mu_prime == 0.5
-    assert p.gamma_prime == 10.0
 
 
 def test_derive_pit_params_mu_zero_a_formula():
@@ -113,6 +111,11 @@ def test_derive_pit_params_mu_zero_a_formula():
     for N in (16, 64, 256):
         p = derive_pit_params(0, 3.0, N, 1)
         assert p.a == math.ceil(math.log2(N) ** 2)
+
+
+def test_derive_pit_params_exact_a_at_an_integer():
+    # mu = 1/6, N = 16: a = 16^(1/4) * 4^(3/2) is exactly 16
+    assert derive_pit_params(Fraction(1, 6), 3.0, 16, 1).a == 16
 
 
 def test_derive_pit_params_rejects_bad_mu():
