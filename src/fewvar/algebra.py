@@ -62,10 +62,6 @@ def mon_degree(a: Mon) -> int:
     return sum(e for _, e in a)
 
 
-def mon_support(a: Mon) -> Tuple[int, ...]:
-    return tuple(v for v, _ in a)
-
-
 def mon_is_multilinear(a: Mon) -> bool:
     return all(e == 1 for _, e in a)
 

@@ -126,12 +126,13 @@ class _SubprocessBox:
         return Fraction(reply.strip())
 
     def close(self):
-        if self.proc.stdin:
-            self.proc.stdin.close()
+        """Close the child's stdin and wait for it to exit, killing and
+        reaping it after five seconds."""
         try:
-            self.proc.wait(timeout=5)
+            self.proc.communicate(timeout=5)
         except subprocess.TimeoutExpired:
             self.proc.kill()
+            self.proc.wait()
 
 
 def _load_box(args) -> tuple:

@@ -313,18 +313,6 @@ def psd_dimension(P: SparsePolynomial, params: MeasureParams,
                          params=params, exact=exact)
 
 
-def subadditivity_check(P: SparsePolynomial, Q: SparsePolynomial,
-                        alpha, beta, params: MeasureParams) -> bool:
-    """Whether the measure of alpha*P + beta*Q is at most the sum of the two
-    measures.  Holds for every linear combination; checked by three rank
-    computations."""
-    combo = P.scale(alpha) + Q.scale(beta)
-    phi_c = psd_dimension(combo, params).phi
-    phi_p = psd_dimension(P, params).phi
-    phi_q = psd_dimension(Q, params).phi
-    return phi_c <= phi_p + phi_q
-
-
 # ---------------------------------------------------------------------------
 # random restrictions
 
@@ -458,27 +446,35 @@ class DerivedMeasure:
     eps2: float
 
 
+# eps1 * eps2 in the derivative/shift schedule
+EPS_PRODUCT = Fraction(1, 1000)
+
+
 def derive_measure_params(mu, n: int, eps1: Optional[float] = None,
                           eps2: Optional[float] = None,
-                          eps_product: float = 0.001,
                           nw: Optional[NWParams] = None) -> DerivedMeasure:
     """The derivative/shift schedule: r and s are floors of eps*sqrt(n) with
-    eps1*eps2 = eps_product (default 0.001, overridable), m is the floor of
-    (N/2)(1 - r ln n / n), and p = N^-(mu+delta).
+    eps1*eps2 = 1/1000 (both sqrt(1/1000) unless one is given), m is the
+    floor of (N/2)(1 - r ln n / n), and p = N^-(mu+delta).
 
-    m is exact: N // 2 when r = 0, else one below the certified ceiling
-    from ``ceil_real``, since the value is then never an integer.
+    r and s are exact: floor(eps*sqrt(n)) = isqrt(floor(eps^2 * n)) with
+    eps^2 a rational (a given eps is read by ``to_fraction``).  m is exact
+    too: N // 2 when r = 0, else one below the certified ceiling from
+    ``ceil_real``, since the value is then never an integer.
     """
     if nw is None:
         nw = derive_nw_params(mu, n)
     if eps1 is None and eps2 is None:
-        eps1 = eps2 = math.sqrt(eps_product)
-    elif eps1 is None:
-        eps1 = eps_product / eps2
-    elif eps2 is None:
-        eps2 = eps_product / eps1
-    r = int(eps1 * math.sqrt(n))
-    s = int(eps2 * math.sqrt(n))
+        eps1 = eps2 = math.sqrt(EPS_PRODUCT)
+        sq1 = sq2 = EPS_PRODUCT
+    else:
+        e1 = EPS_PRODUCT / to_fraction(eps2) if eps1 is None else to_fraction(eps1)
+        e2 = EPS_PRODUCT / e1 if eps2 is None else to_fraction(eps2)
+        if e1 < 0 or e2 < 0:
+            raise ValueError(f"eps1={e1} and eps2={e2} must be nonnegative")
+        eps1, eps2, sq1, sq2 = float(e1), float(e2), e1 * e1, e2 * e2
+    r = math.isqrt(math.floor(sq1 * n))
+    s = math.isqrt(math.floor(sq2 * n))
     if r * math.log(n) > n:
         raise ValueError("out of regime: r ln n exceeds n, so m would exceed N/2")
     if r == 0:

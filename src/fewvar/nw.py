@@ -7,6 +7,12 @@ prod_i X[i, f(i)], giving exactly psi^D multilinear monomials of degree n
 whose supports pairwise share at most D-1 rows: two distinct univariates of
 degree < D agree on fewer than D points.
 
+The support of f's monomial is its graph {(i, f(i)) : i < n}, as indices
+i*psi + f(i).  ``univariate_graphs`` builds these graphs for the family and
+for the hitting set's design, in the one enumeration order: univariate #k
+has the base-psi digits of k as its coefficients, constant coefficient least
+significant.
+
 Parameter derivation follows the fixed schedule: delta = (1-mu)/2, gamma =
 (2(mu+delta)+1)/(1-mu-delta), psi the smallest prime strictly above
 n^(1+gamma) and at most twice it, N = n*psi, rho = (mu+delta)*ln N / ln n,
@@ -26,19 +32,40 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     Mon,
-    SparsePolynomial,
     bertrand_prime,
     ceil_real,
     coerce,
     int_floor_root,
     is_prime,
-    mon_degree,
-    mon_is_multilinear,
-    mon_support,
     to_fraction,
 )
 
 DEFAULT_ENUM_CAP = 10 ** 6
+
+
+def univariate_graphs(q: int, D: int, rows: int) -> Iterator[Tuple[int, ...]]:
+    """For each univariate f of degree < D over F_q, the graph
+    {(x, f(x)) : x < rows} as the tuple of indices x*q + f(x), x ascending,
+    so each tuple is strictly increasing.  Univariate #k has the base-q
+    digits of k as its coefficients, constant coefficient least significant,
+    and comes k-th; f(x) is evaluated by Horner's rule."""
+    # product's first entry varies slowest, so it is the top coefficient
+    for coeffs in itertools.product(range(q), repeat=D):
+        graph = []
+        for x in range(rows):
+            y = 0
+            for c in coeffs:
+                y = (y * x + c) % q
+            graph.append(x * q + y)
+        yield tuple(graph)
+
+
+def intersections(sets: Sequence[Sequence[int]]) -> Iterator[Tuple[int, int, int]]:
+    """(i, j, |S_i & S_j|) for every pair i < j, in lexicographic order of
+    (i, j).  Each set is frozen once."""
+    frozen = [frozenset(S) for S in sets]
+    for (i, S), (j, T) in itertools.combinations(enumerate(frozen), 2):
+        yield i, j, len(S & T)
 
 
 @dataclass(frozen=True)
@@ -126,27 +153,12 @@ class NWInstance:
     def monomial_count(self) -> int:
         return self.psi ** self.D
 
-    def var_index(self, row: int, col: int) -> int:
-        return row * self.psi + col
-
-    def _column(self, coeffs: Tuple[int, ...], row: int) -> int:
-        """f(row) for the univariate with the given coefficient vector
-        (constant first)."""
-        x = row % self.psi
-        acc = 0
-        for t, c in enumerate(coeffs):
-            acc = (acc + c * pow(x, t, self.psi)) % self.psi
-        return acc
-
     @cached_property
     def columns(self) -> Tuple[Tuple[int, ...], ...]:
-        """The compiled column table: per univariate f, in lexicographic
-        order of its coefficient vector (constant coefficient first), the
-        variable indices X[i, f(i)] for i < n.  Built on first use, so check
-        the enumeration cap before asking for it."""
-        return tuple(
-            tuple(self.var_index(i, self._column(coeffs, i)) for i in range(self.n))
-            for coeffs in itertools.product(range(self.psi), repeat=self.D))
+        """The compiled column table: per univariate f, in the module's
+        enumeration order, the variable indices X[i, f(i)] for i < n.  Built
+        on first use, so check the enumeration cap before asking for it."""
+        return tuple(univariate_graphs(self.psi, self.D, self.n))
 
     def check_cap(self, cap: Optional[int] = None) -> None:
         limit = DEFAULT_ENUM_CAP if cap is None else cap
@@ -156,22 +168,14 @@ class NWInstance:
 
 
 def nw_monomials(inst: NWInstance, cap: Optional[int] = None) -> Iterator[Mon]:
-    """One multilinear degree-n monomial per univariate, enumerated in
-    lexicographic order of the coefficient vector (constant coefficient
-    first)."""
+    """One multilinear degree-n monomial per univariate, in the module's
+    enumeration order."""
     inst.check_cap(cap)
     for cols in inst.columns:
         yield tuple((v, 1) for v in cols)
 
 
-def nw_expand(inst: NWInstance, cap: Optional[int] = None) -> SparsePolynomial:
-    """The instance as an explicit polynomial (desk-scale oracle)."""
-    terms = {mon: Fraction(1) for mon in nw_monomials(inst, cap)}
-    return SparsePolynomial(inst.num_vars, terms, None)
-
-
-def nw_eval(inst: NWInstance, point: Sequence,
-            cap: Optional[int] = None) -> Union[int, Fraction]:
+def nw_eval(inst: NWInstance, point: Sequence) -> Union[int, Fraction]:
     """Evaluate over the compiled column table (no monomial search): the sum
     over f of prod_i point[i, f(i)].
 
@@ -182,7 +186,7 @@ def nw_eval(inst: NWInstance, point: Sequence,
         raise ValueError(
             f"dimension mismatch: point has {len(point)} values, instance has "
             f"{inst.num_vars} variables")
-    inst.check_cap(cap)
+    inst.check_cap()
     vals = [v if type(v) is int else coerce(v, None) for v in point]
     total = 0
     for cols in inst.columns:
@@ -212,26 +216,20 @@ class NWReport:
                 and self.intersection_ok)
 
 
-def nw_check_properties(inst: NWInstance, cap: Optional[int] = None) -> NWReport:
-    """Exhaustively verify the monomial count, multilinearity, the degree,
-    and the pairwise support-intersection bound D-1."""
-    mons = list(nw_monomials(inst, cap))
-    supports = [frozenset(mon_support(m)) for m in mons]
-    count_ok = len(mons) == inst.monomial_count and len(set(mons)) == len(mons)
-    multilinear_ok = all(mon_is_multilinear(m) for m in mons)
-    degree_ok = all(mon_degree(m) == inst.n for m in mons)
-    worst = 0
-    for i in range(len(supports)):
-        for j in range(i + 1, len(supports)):
-            inter = len(supports[i] & supports[j])
-            if inter > worst:
-                worst = inter
+def nw_check_properties(inst: NWInstance) -> NWReport:
+    """Exhaustively verify the column table: psi^D distinct columns, each of
+    n distinct variables (a column's monomial is multilinear when no
+    variable repeats, and of degree n when it has n entries), and the
+    pairwise intersection bound D-1."""
+    inst.check_cap()
+    cols = inst.columns
+    worst = max((t for _, _, t in intersections(cols)), default=0)
     return NWReport(
-        monomial_count=len(mons),
+        monomial_count=len(cols),
         expected_count=inst.monomial_count,
-        count_ok=count_ok,
-        multilinear_ok=multilinear_ok,
-        degree_ok=degree_ok,
+        count_ok=len(cols) == inst.monomial_count and len(set(cols)) == len(cols),
+        multilinear_ok=all(len(set(c)) == len(c) for c in cols),
+        degree_ok=all(len(c) == inst.n for c in cols),
         max_intersection=worst,
         intersection_bound=inst.D - 1,
         intersection_ok=worst <= inst.D - 1,

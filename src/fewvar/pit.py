@@ -2,7 +2,9 @@
 
 The hitting set is built in three stages.  A Reed-Solomon combinatorial
 design supplies N subsets of a small universe with pairwise intersections
-bounded by the univariate degree cap.  Each set, trimmed to a' * q elements,
+bounded by the univariate degree cap: the graphs of low-degree univariates
+from ``nw.univariate_graphs``, the generator of the family's column table,
+in its enumeration order.  Each set, trimmed to a' * q elements,
 carries a local copy of the hard polynomial family (a' rows by q columns,
 univariate degree bound D).  The generator then maps every point of the grid
 G^l through the N local polynomials, and the driver scans the resulting
@@ -25,7 +27,8 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .algebra import ceil_real, int_floor_root, is_prime, next_prime_at_least, to_fraction
 from .circuit import ClassReport, FewVarCircuit, class_check, eval_circuit
-from .nw import NWInstance, degree_bound, nw_eval
+from .nw import (NWInstance, degree_bound, intersections, nw_eval,
+                 univariate_graphs)
 from .rng import named_rng
 
 DEFAULT_STREAM_CAP = 1_000_000
@@ -57,8 +60,9 @@ def rs_design(b: int, a: int, intersection_cap: Optional[int] = None,
     The universe is the q0 x q0 grid, index (x, y) -> x*q0 + y.  A ``size``
     below a keeps only x < size, so every set has that many elements.
 
-    Enumeration order: univariate #i has the base-q0 digits of i as
-    coefficients, constant coefficient least significant.
+    The sets are ``nw.univariate_graphs``, in its order, so the design over
+    F_psi with b = psi^D and size n is the column table of the NW instance
+    (n, psi, D).
     """
     if b < 1 or a < 1:
         raise ValueError("need b >= 1 and a >= 1")
@@ -75,18 +79,8 @@ def rs_design(b: int, a: int, intersection_cap: Optional[int] = None,
             f"degree cap {c0} needed for {b} sets exceeds requested "
             f"intersection cap {intersection_cap}")
     size = a if size is None else size
-    sets = []
-    for idx in range(b):
-        digits = []
-        v = idx
-        for _ in range(c0 + 1):
-            digits.append(v % q0)
-            v //= q0
-        # x*q0 + f(x) is strictly increasing in x, so the set comes out sorted
-        sets.append(tuple(
-            x * q0 + (sum(d * pow(x, t, q0) for t, d in enumerate(digits)) % q0)
-            for x in range(size)))
-    return Design(l=q0 * q0, a=size, b=b, sets=tuple(sets), q0=q0, c0=c0)
+    sets = tuple(itertools.islice(univariate_graphs(q0, c0 + 1, size), b))
+    return Design(l=q0 * q0, a=size, b=b, sets=sets, q0=q0, c0=c0)
 
 
 @dataclass(frozen=True)
@@ -123,17 +117,15 @@ def verify_design(d: Design, cap: Optional[int] = None) -> DesignReport:
             range_ok = False
             violations.append(f"set {i} leaves the universe: {bad}")
     max_int = 0
-    intersections_ok = True
-    for i in range(d.b):
-        for j in range(i + 1, d.b):
-            t = len(set(d.sets[i]) & set(d.sets[j]))
-            max_int = max(max_int, t)
-            if t > cap:
-                intersections_ok = False
-                violations.append(f"|S_{i} & S_{j}| = {t} > {cap}")
+    over: List[str] = []
+    for i, j, t in intersections(d.sets):
+        max_int = max(max_int, t)
+        if t > cap:
+            over.append(f"|S_{i} & S_{j}| = {t} > {cap}")
+    violations += over
     return DesignReport(b=d.b, a=d.a, l=d.l, cap=cap, sizes_ok=sizes_ok,
                         range_ok=range_ok, max_intersection=max_int,
-                        intersections_ok=intersections_ok,
+                        intersections_ok=not over,
                         violations=tuple(violations))
 
 

@@ -14,6 +14,8 @@ from fewvar.algebra import (
     multilinear_monomials,
 )
 from fewvar.circuit import FactorPoly, FewVarCircuit
+from fewvar.measure import MeasureParams, psd_dimension
+from fewvar.nw import NWInstance, nw_monomials
 
 
 def is_prime_trial(n: int) -> bool:
@@ -165,6 +167,37 @@ def bounded_support_poly(rng, N: int, c: int, n: int, s: int
             prod = prod * Q
         total = total + prod
     return total, c, n
+
+
+def nw_expand(inst: NWInstance, cap: Optional[int] = None) -> SparsePolynomial:
+    """The instance as an explicit polynomial, one monomial per column."""
+    terms = {mon: Fraction(1) for mon in nw_monomials(inst, cap)}
+    return SparsePolynomial(inst.num_vars, terms, None)
+
+
+def subadditivity_check(P: SparsePolynomial, Q: SparsePolynomial,
+                        alpha, beta, params: MeasureParams) -> bool:
+    """Whether the measure of alpha*P + beta*Q is at most the sum of the two
+    measures.  Holds for every linear combination; checked by three rank
+    computations."""
+    combo = P.scale(alpha) + Q.scale(beta)
+    phi_c = psd_dimension(combo, params).phi
+    phi_p = psd_dimension(P, params).phi
+    phi_q = psd_dimension(Q, params).phi
+    return phi_c <= phi_p + phi_q
+
+
+def univariate_graphs_oracle(q: int, D: int, rows: int) -> List[Tuple[int, ...]]:
+    """The graphs {(x, f(x)) : x < rows} as indices x*q + f(x), for f = #0,
+    #1, ..., #q^D - 1, where f = #i has the base-q digits c_0, c_1, ... of i
+    (c_0 least significant) and f(x) = sum_t c_t x^t mod q."""
+    out = []
+    for i in range(q ** D):
+        digits = [i // q ** t % q for t in range(D)]
+        out.append(tuple(
+            x * q + sum(c * x ** t for t, c in enumerate(digits)) % q
+            for x in range(rows)))
+    return out
 
 
 def naive_nw_value(values: Sequence, rows: int, q: int, D: int) -> Fraction:

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bounded_support_poly, fcircuit, make_mon, random_poly
+from helpers import (bounded_support_poly, fcircuit, make_mon, random_poly,
+                     subadditivity_check)
 from fewvar.algebra import SparsePolynomial, hom_component
 from fewvar.circuit import (
     expand_circuit,
@@ -27,7 +28,6 @@ from fewvar.measure import (
     approx_check,
     depth4_upper_bound,
     psd_dimension,
-    subadditivity_check,
     survival_experiment,
 )
 from fewvar.nw import NWInstance, derive_nw_params, nw_check_properties, nw_eval, nw_monomials

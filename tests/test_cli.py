@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fewvar.cli import main
+from fewvar.cli import _SubprocessBox, main
 from helpers import src_env
 
 PROJ_CIRCUIT = """\
@@ -201,6 +201,20 @@ def test_pit_toy_scan_golden(capsys, tmp_path, circuit, golden, code):
     f.write_text(circuit)
     rc, out, _ = run(capsys, "pit", "--circuit", str(f), *TOY_PIT_ARGS)
     assert rc == code
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("design", "--b", "30", "--a", "7"), "design_30_7.txt"),
+    (("design", "--b", "100", "--a", "11", "--cap", "2"),
+     "design_100_11_cap2.txt"),
+    (("nw-check", "--psi", "7", "--D", "3", "--n", "5"), "nw_check_7_3_5.txt"),
+])
+def test_design_and_nw_check_golden(capsys, argv, golden):
+    """Both reports read the one univariate-graph generator and the one
+    intersection scan."""
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
     assert out == (GOLDEN / golden).read_text()
 
 
@@ -474,6 +488,33 @@ def test_subprocess_blackbox(capsys, tmp_path):
                      "--trials", "30", "--domain", "7", "--seed", "2")
     assert rc == 0
     assert "status=witness" in out.splitlines()
+
+
+def test_subprocess_box_close_reaps_the_child():
+    box = _SubprocessBox(f"{sys.executable} -c \"import sys; sys.stdin.read()\"")
+    box.close()
+    assert box.proc.returncode == 0
+    assert box.proc.stdin.closed
+
+
+def test_subprocess_box_close_kills_and_reaps_a_stuck_child():
+    calls = []
+
+    class Stuck:
+        def communicate(self, timeout):
+            calls.append(("communicate", timeout))
+            raise subprocess.TimeoutExpired("box", timeout)
+
+        def kill(self):
+            calls.append("kill")
+
+        def wait(self):
+            calls.append("wait")
+
+    box = _SubprocessBox.__new__(_SubprocessBox)
+    box.proc = Stuck()
+    box.close()
+    assert calls == [("communicate", 5), "kill", "wait"]
 
 
 def test_blackbox_requires_N(capsys):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (fcircuit, bounded_support_poly, brute_phi, dense_rank,
-                     dense_rank_mod, make_mon, random_poly)
+                     dense_rank_mod, make_mon, nw_expand, random_poly,
+                     subadditivity_check)
 from fewvar.algebra import SparsePolynomial
 from fewvar.measure import (
     DerivedMeasure,
@@ -24,10 +25,9 @@ from fewvar.measure import (
     rank_exact,
     rank_mod,
     sample_restriction,
-    subadditivity_check,
     survival_experiment,
 )
-from fewvar.nw import NWInstance, NWParams, nw_expand
+from fewvar.nw import NWInstance, NWParams, derive_nw_params
 from fewvar.rng import named_rng
 
 
@@ -496,6 +496,28 @@ def test_derive_measure_params_epsilon_overrides():
     d = derive_measure_params(0, 100, eps1=0.1)
     assert d.eps2 == pytest.approx(0.01)
     assert d.r == 1 and d.s == 0
+
+
+def test_derive_measure_params_exact_floor_at_perfect_squares():
+    # sqrt(n/1000) = k exactly, where float eps*sqrt(n) often lands just
+    # below k
+    nw = derive_nw_params(0, 2)          # r, s do not depend on it
+    for k in range(1, 200):
+        d = derive_measure_params(0, 1000 * k * k, nw=nw)
+        assert d.r == d.s == k
+        d = derive_measure_params(0, 1000 * k * k - 1, nw=nw)
+        assert d.r == d.s == k - 1
+
+
+def test_derive_measure_params_given_eps_read_exactly():
+    # 0.29 * sqrt(10^4) is 28.999999999999996 in floats
+    d = derive_measure_params(0, 10 ** 4, eps1=0.29)
+    assert d.r == 29
+    assert d.s == 0                      # (1/290)^2 * 10^4 < 1
+    d = derive_measure_params(0, 10 ** 4, eps2=0.29)
+    assert (d.r, d.s) == (0, 29)
+    with pytest.raises(ValueError, match="nonnegative"):
+        derive_measure_params(0, 100, eps1=-0.1)
 
 
 def test_ratios_positive_at_desk_scale():

@@ -4,18 +4,22 @@ evaluation, and exhaustive property checks."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import degree_raw_at_most, is_prime_trial
+from helpers import (degree_raw_at_most, is_prime_trial, nw_expand,
+                     univariate_graphs_oracle)
 from fewvar.algebra import mon_degree, mon_is_multilinear
 from fewvar.nw import (
     NWInstance,
     degree_bound,
     derive_nw_params,
+    intersections,
     nw_check_properties,
     nw_eval,
-    nw_expand,
     nw_monomials,
+    univariate_graphs,
 )
+from fewvar.pit import rs_design
 from fewvar.rng import named_rng
 
 
@@ -104,19 +108,67 @@ def test_monomials_tiny_constant_family():
 
 
 def test_monomials_enumeration_order_is_coefficient_lex():
-    # lex on (c_0, ..., c_{D-1}): the constant-term-zero block comes first,
-    # inside it the top coefficient runs 0, 1, 2
+    # univariate #i has the base-3 digits of i as coefficients, constant
+    # coefficient least significant: f = 0, 1, 2, z, 1+z, 2+z, 2z, 1+2z,
+    # 2+2z, each read at rows 0 and 1 as X[0, f(0)] X[1, f(1)]
     inst = NWInstance(n=2, psi=3, D=2)
-    mons = list(nw_monomials(inst))
-    assert len(mons) == 9
-    # f = 0, f = z, f = 2z evaluated at rows 0 and 1
-    assert mons[:3] == [
+    assert list(nw_monomials(inst)) == [
         ((0, 1), (3, 1)),
+        ((1, 1), (4, 1)),
+        ((2, 1), (5, 1)),
         ((0, 1), (4, 1)),
+        ((1, 1), (5, 1)),
+        ((2, 1), (3, 1)),
         ((0, 1), (5, 1)),
+        ((1, 1), (3, 1)),
+        ((2, 1), (4, 1)),
     ]
-    # block boundary: f = 1 (constant) follows
-    assert mons[3] == ((1, 1), (4, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_univariate_graphs_match_digit_oracle(data):
+    q = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
+    D = data.draw(st.integers(1, 3))
+    rows = data.draw(st.integers(0, q))
+    assert list(univariate_graphs(q, D, rows)) == \
+        univariate_graphs_oracle(q, D, rows)
+
+
+@pytest.mark.parametrize("psi,D,n", [(2, 1, 1), (3, 2, 3), (5, 2, 3),
+                                     (5, 3, 4), (7, 2, 5), (7, 3, 7)])
+def test_design_is_the_column_table(psi, D, n):
+    d = rs_design(psi ** D, psi, size=n)
+    assert (d.q0, d.c0) == (psi, D - 1)
+    assert d.sets == NWInstance(n, psi, D).columns
+
+
+def test_intersections_scan_every_pair_once():
+    sets = [(0, 1, 2), (1, 2), (5,), (0, 2, 5)]
+    assert list(intersections(sets)) == [
+        (0, 1, 2), (0, 2, 0), (0, 3, 2), (1, 2, 0), (1, 3, 1), (2, 3, 1)]
+    assert list(intersections(sets[:1])) == []
+
+
+def test_check_properties_reads_the_column_table():
+    # a repeated variable: the monomial X_0^2 is not multilinear
+    inst = NWInstance(n=2, psi=3, D=1)
+    inst.__dict__["columns"] = ((0, 0), (1, 4), (2, 5))
+    rep = nw_check_properties(inst)
+    assert not rep.multilinear_ok and not rep.ok
+    # a column of the wrong length has the wrong degree
+    inst = NWInstance(n=2, psi=3, D=1)
+    inst.__dict__["columns"] = ((0, 3), (1, 4), (2,))
+    rep = nw_check_properties(inst)
+    assert not rep.degree_ok and not rep.ok
+    # two columns sharing D = 2 variables
+    inst = NWInstance(n=3, psi=3, D=2)
+    cols = list(inst.columns)
+    cols[1] = cols[0][:2] + (cols[1][2],)
+    inst.__dict__["columns"] = tuple(cols)
+    rep = nw_check_properties(inst)
+    assert rep.max_intersection == 2 and not rep.intersection_ok
+    assert rep.multilinear_ok and rep.degree_ok and not rep.ok
 
 
 @pytest.mark.parametrize("psi,D,n", [(3, 1, 2), (3, 2, 3), (5, 2, 3)])
