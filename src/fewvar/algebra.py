@@ -20,10 +20,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple, Union)
 
-from mpmath import libmp
-from mpmath.ctx_iv import MPIntervalContext
+if TYPE_CHECKING:
+    from mpmath.ctx_iv import MPIntervalContext
 
 # ---------------------------------------------------------------------------
 # monomials
@@ -563,7 +564,11 @@ def ceil_real(build: Callable[[MPIntervalContext], object]) -> int:
     """The certified ceiling of the real that ``build(ctx)`` computes in the
     mpmath interval context ``ctx``, at doubling precision until both ends of
     the interval share a ceiling.  An integer never separates, so past
-    CEIL_REAL_MAX_PREC bits this raises ArithmeticError."""
+    CEIL_REAL_MAX_PREC bits this raises ArithmeticError.  mpmath is
+    imported here, so only the commands that round a real load it."""
+    from mpmath import libmp
+    from mpmath.ctx_iv import MPIntervalContext
+
     ctx = MPIntervalContext()
     ctx.prec = 64
     while ctx.prec <= CEIL_REAL_MAX_PREC:

@@ -37,6 +37,7 @@ from .algebra import (
     serialize_poly,
     _parse_field,
 )
+from .rng import named_rng
 
 DEFAULT_EXPAND_CAP = 10 ** 6
 
@@ -712,7 +713,6 @@ def transform_audit(count: int, seed: int, num_vars: int = 10, max_terms: int = 
     observed top fan-in against the T*(k+1)^2 and T*(k+1) ceilings.
     """
     from .algebra import derivative_poly, coeffs_in_var
-    from .rng import named_rng
 
     rng = named_rng(seed, "transform-audit")
     failures: List[str] = []

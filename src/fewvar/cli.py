@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
+import selectors
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -50,6 +53,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
+
+# seconds a subprocess blackbox may take to answer one point
+REPLY_TIMEOUT_S = 60.0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,23 +113,51 @@ def _csv_ints(text: str) -> List[int]:
 class _SubprocessBox:
     """Line protocol: write the point as space-separated rationals, read one
     rational back.  The child is started once and fed one line per call.
-    An int and the integral Fraction equal to it are written the same."""
+    An int and the integral Fraction equal to it are written the same.
+    Each reply must arrive within REPLY_TIMEOUT_S seconds; a late or
+    unparsable reply, or a closed pipe, raises RuntimeError."""
 
     def __init__(self, command: str):
         self.proc = subprocess.Popen(
             shlex.split(command), stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE, text=True, bufsize=1)
+            stdout=subprocess.PIPE)
+        self._pending = b""         # bytes read past the last reply's newline
 
     def __call__(self, point: Sequence) -> Fraction:
         line = " ".join(str(Fraction(v)) for v in point)
         if self.proc.stdin is None or self.proc.stdout is None:
             raise RuntimeError("blackbox pipes are not open")
-        self.proc.stdin.write(line + "\n")
-        self.proc.stdin.flush()
-        reply = self.proc.stdout.readline()
-        if not reply:
-            raise RuntimeError("blackbox closed the pipe")
-        return Fraction(reply.strip())
+        try:
+            self.proc.stdin.write(line.encode() + b"\n")
+            self.proc.stdin.flush()
+        except BrokenPipeError:
+            raise RuntimeError("blackbox closed the pipe") from None
+        reply = self._reply().decode(errors="replace").strip()
+        try:
+            return Fraction(reply)
+        except (ValueError, ZeroDivisionError):
+            raise RuntimeError(
+                f"blackbox replied {reply!r}, not a rational") from None
+
+    def _reply(self) -> bytes:
+        """The next line of the child's stdout.  The pipe is read with
+        os.read, past the file object's buffer, so that a wait on it sees
+        every byte not yet taken and can end at the deadline."""
+        deadline = time.monotonic() + REPLY_TIMEOUT_S
+        fd = self.proc.stdout.fileno()
+        with selectors.DefaultSelector() as sel:
+            sel.register(fd, selectors.EVENT_READ)
+            while b"\n" not in self._pending:
+                left = deadline - time.monotonic()
+                if left <= 0 or not sel.select(left):
+                    raise RuntimeError(
+                        f"blackbox gave no reply within {REPLY_TIMEOUT_S} s")
+                chunk = os.read(fd, 65536)
+                if not chunk:
+                    raise RuntimeError("blackbox closed the pipe")
+                self._pending += chunk
+        reply, _, self._pending = self._pending.partition(b"\n")
+        return reply
 
     def close(self):
         """Close the child's stdin and wait for it to exit, killing and
@@ -423,99 +457,118 @@ def _add_override_args(sp):
     sp.add_argument("--D", type=int, default=1)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="fewvar", description=__doc__)
-    subs = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    sp = subs.add_parser("nw-params")
+def _args_nw_params(sp):
     sp.add_argument("--mu", type=_rational, required=True)
     sp.add_argument("--n", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_nw_params)
 
-    sp = subs.add_parser("nw-check")
+
+def _args_nw_check(sp):
     sp.add_argument("--psi", type=int, required=True)
     sp.add_argument("--D", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_nw_check)
 
-    sp = subs.add_parser("design")
+
+def _args_design(sp):
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--cap", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_design)
 
-    sp = subs.add_parser("hitset")
+
+def _args_hitset(sp):
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--limit", type=int, default=None)
     _add_override_args(sp)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_hitset)
 
-    sp = subs.add_parser("pit")
+
+def _args_pit(sp):
     _add_box_args(sp)
     sp.add_argument("--budget", type=int, default=None)
     _add_override_args(sp)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_pit)
 
-    sp = subs.add_parser("sz")
+
+def _args_sz(sp):
     _add_box_args(sp)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--domain", type=int, default=10)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_sz)
 
-    sp = subs.add_parser("measure")
+
+def _args_measure(sp):
     sp.add_argument("--poly", required=True)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--rank-prime", dest="rank_prime", type=int, default=None)
     sp.add_argument("--row-cap", dest="row_cap", type=int, default=200_000)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_measure)
 
-    sp = subs.add_parser("homogenize")
+
+def _args_homogenize(sp):
     sp.add_argument("--circuit", required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--expand-cap", dest="expand_cap", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_homogenize)
 
-    sp = subs.add_parser("restrict-experiment")
+
+def _args_restrict_experiment(sp):
     sp.add_argument("--circuit", required=True)
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--trials", type=int, default=100)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_restrict_experiment)
 
-    sp = subs.add_parser("ratios")
+
+def _args_ratios(sp):
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--mu", type=_rational, default=Fraction(0))
     sp.add_argument("--eps1", type=float, default=None)
     sp.add_argument("--eps2", type=float, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_ratios)
 
-    sp = subs.add_parser("transform-audit")
+
+def _args_transform_audit(sp):
     sp.add_argument("--count", type=int, default=25)
     sp.add_argument("--vars", type=int, default=10)
     sp.add_argument("--terms", type=int, default=4)
     sp.add_argument("--factors", type=int, default=4)
     sp.add_argument("--support", type=int, default=3)
     sp.add_argument("--max-k", dest="max_k", type=int, default=3)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_transform_audit)
 
+
+# name -> (argument adder, handler), in the order help lists them
+_COMMANDS = {
+    "nw-params": (_args_nw_params, _cmd_nw_params),
+    "nw-check": (_args_nw_check, _cmd_nw_check),
+    "design": (_args_design, _cmd_design),
+    "hitset": (_args_hitset, _cmd_hitset),
+    "pit": (_args_pit, _cmd_pit),
+    "sz": (_args_sz, _cmd_sz),
+    "measure": (_args_measure, _cmd_measure),
+    "homogenize": (_args_homogenize, _cmd_homogenize),
+    "restrict-experiment": (_args_restrict_experiment,
+                            _cmd_restrict_experiment),
+    "ratios": (_args_ratios, _cmd_ratios),
+    "transform-audit": (_args_transform_audit, _cmd_transform_audit),
+}
+
+
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for one command line.  Every subcommand is registered, so
+    help, usage and invalid-choice text do not depend on ``argv``, but only
+    the subcommand ``argv`` invokes gets its arguments.  argparse hands the
+    rest of the line to the first word that is not an option; when that word
+    names a subcommand, it is the first word of ``argv`` that does."""
+    parser = _Parser(prog="fewvar", description=__doc__)
+    subs = parser.add_subparsers(dest="command", parser_class=_Parser)
+    invoked = next((a for a in argv if a in _COMMANDS), None)
+    for name, (add_args, handler) in _COMMANDS.items():
+        sp = subs.add_parser(name)
+        if name == invoked:
+            add_args(sp)
+            _add_common(sp)
+            sp.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -32,8 +32,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
-import mpmath
-
 from .algebra import (
     Mon,
     SparsePolynomial,
@@ -462,6 +460,8 @@ def derive_measure_params(mu, n: int, eps1: Optional[float] = None,
     too: N // 2 when r = 0, else one below the certified ceiling from
     ``ceil_real``, since the value is then never an integer.
     """
+    import mpmath
+
     if nw is None:
         nw = derive_nw_params(mu, n)
     if eps1 is None and eps2 is None:
@@ -523,6 +523,8 @@ def appendix_ratios(n: int, mu, eps1: Optional[float] = None,
     Exact big-integer binomials when N <= 10^6, log-gamma with enough working
     precision otherwise (relative tolerance 1e-6 is guaranteed with margin).
     """
+    import mpmath
+
     if derived is None:
         derived = derive_measure_params(mu, n, eps1=eps1, eps2=eps2)
     N, r, s, m = derived.nw.N, derived.r, derived.s, derived.m
@@ -552,6 +554,8 @@ def approx_check(a: int, f: int, g: int, K: float = 2.0) -> Tuple[float, float, 
     error obeys K*(f+g)^2/a in the regime f+g <= a (asserted by callers, not
     here).
     """
+    import mpmath
+
     if a < 1 or f < 0 or g < 0:
         raise ValueError("need a >= 1 and f, g >= 0")
     if f + g > a:

@@ -31,7 +31,6 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .algebra import (
-    Mon,
     bertrand_prime,
     ceil_real,
     coerce,
@@ -165,14 +164,6 @@ class NWInstance:
         if self.monomial_count > limit:
             raise ValueError(
                 f"enumeration cap exceeded: psi^D = {self.monomial_count} > {limit}")
-
-
-def nw_monomials(inst: NWInstance, cap: Optional[int] = None) -> Iterator[Mon]:
-    """One multilinear degree-n monomial per univariate, in the module's
-    enumeration order."""
-    inst.check_cap(cap)
-    for cols in inst.columns:
-        yield tuple((v, 1) for v in cols)
 
 
 def nw_eval(inst: NWInstance, point: Sequence) -> Union[int, Fraction]:

@@ -4,7 +4,7 @@ import itertools
 import os
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from fewvar.algebra import (
     Mon,
@@ -15,7 +15,7 @@ from fewvar.algebra import (
 )
 from fewvar.circuit import FactorPoly, FewVarCircuit
 from fewvar.measure import MeasureParams, psd_dimension
-from fewvar.nw import NWInstance, nw_monomials
+from fewvar.nw import NWInstance
 
 
 def is_prime_trial(n: int) -> bool:
@@ -167,6 +167,14 @@ def bounded_support_poly(rng, N: int, c: int, n: int, s: int
             prod = prod * Q
         total = total + prod
     return total, c, n
+
+
+def nw_monomials(inst: NWInstance, cap: Optional[int] = None) -> Iterator[Mon]:
+    """One multilinear degree-n monomial per univariate, in the column
+    table's enumeration order, after the instance's enumeration cap check."""
+    inst.check_cap(cap)
+    for cols in inst.columns:
+        yield tuple((v, 1) for v in cols)
 
 
 def nw_expand(inst: NWInstance, cap: Optional[int] = None) -> SparsePolynomial:

@@ -4,6 +4,9 @@ Reports are line-oriented key=value text, so most tests freeze the expected
 output verbatim and compare bytes.
 """
 
+import contextlib
+import io
+import json
 import os
 import shutil
 import subprocess
@@ -12,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from fewvar import cli
 from fewvar.cli import _SubprocessBox, main
 from helpers import src_env
 
@@ -466,6 +470,108 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
+COMMANDS = ("nw-params", "nw-check", "design", "hitset", "pit", "sz",
+            "measure", "homogenize", "restrict-experiment", "ratios",
+            "transform-audit")
+
+HELP_ARGVS = [(), ("-h",), *((cmd, "-h") for cmd in COMMANDS), ("bogus",),
+              ("measure", "--poly", "x", "--r", "1", "--m", "2", "extra"),
+              ("pit", "--N", "3"),
+              ("--", "nw-params", "--mu", "0", "--n", "2")]
+
+
+def cli_transcript(argvs) -> str:
+    """Each invocation's exit code, stdout and stderr from main(argv), in
+    order, as one text."""
+    parts = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(list(argv))
+        parts.append(f"=== fewvar {' '.join(argv)}\nexit={rc}\n"
+                     f"--- stdout\n{out.getvalue()}"
+                     f"--- stderr\n{err.getvalue()}")
+    return "".join(parts)
+
+
+def test_help_and_usage_text_golden(monkeypatch):
+    """Help, usage and parse-error text of every subcommand, at a fixed
+    terminal width: the parser fills in only the invoked subcommand's
+    arguments, and no text may move because of it."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli_transcript(HELP_ARGVS) == (GOLDEN / "help_usage.txt").read_text()
+
+
+# Runs main() on each argv (a JSON list) in a fresh interpreter, then prints
+# [exit code, the heavy packages loaded so far] after the import and after
+# each call, as the last line of stdout.
+LOAD_PROBE = """\
+import json, sys
+from fewvar.cli import main
+
+def heavy():
+    return sorted({"numpy", "mpmath"} & set(sys.modules))
+
+seen = [[None, heavy()]]
+for argv in json.loads(sys.argv[1]):
+    seen.append([main(argv), heavy()])
+print(json.dumps(seen))
+"""
+
+
+def probe_loads(cwd, *argvs):
+    """The stdout reports and the [exit code, loaded] steps of LOAD_PROBE."""
+    res = subprocess.run(
+        [sys.executable, "-c", LOAD_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, cwd=cwd, env=src_env(), timeout=120)
+    assert res.returncode == 0, res.stderr
+    *reports, steps = res.stdout.splitlines(keepends=True)
+    return "".join(reports), json.loads(steps)
+
+
+@pytest.fixture
+def probe_dir(tmp_path):
+    (tmp_path / "quad.poly").write_text(QUAD_POLY)
+    (tmp_path / "hom.circuit").write_text(HOM_CIRCUIT)
+    (tmp_path / "gf7.circuit").write_text(GF7_CIRCUIT)
+    return tmp_path
+
+
+def test_light_commands_load_neither_numpy_nor_mpmath(probe_dir):
+    """numpy serves only the seeded streams and mpmath only the certified
+    rounding and the ratio calculators, so neither loads for these."""
+    _, steps = probe_loads(
+        probe_dir,
+        ["measure", "--poly", "quad.poly", "--r", "1", "--m", "1"],
+        ["nw-check", "--psi", "3", "--D", "1", "--n", "2"],
+        ["design", "--b", "4", "--a", "2"],
+        ["homogenize", "--circuit", "hom.circuit", "--n", "2"],
+        ["hitset", "--N", "16", "--k", "1", "--limit", "3"],
+        ["pit", "--circuit", "hom.circuit", "--budget", "20"])
+    assert steps == [[None, []], [0, []], [0, []], [0, []], [0, []], [0, []],
+                     [2, []]]
+
+
+@pytest.mark.parametrize("argv, loaded, golden", [
+    (["nw-params", "--mu", "0", "--n", "2"], ["mpmath"], None),
+    (["ratios", "--n", "10000"], ["mpmath"], None),
+    (["sz", "--circuit", "gf7.circuit", "--trials", "20", "--domain", "5",
+      "--seed", "9"], ["numpy"], "sz_gf7.txt"),
+    (["transform-audit", "--count", "3", "--seed", "5"], ["numpy"],
+     "transform_audit_3_5.txt"),
+    (["restrict-experiment", "--circuit", "hom.circuit", "--s", "1",
+      "--p", "0.3", "--trials", "40", "--seed", "5"], ["numpy"],
+     "restrict_experiment_hom.txt"),
+])
+def test_commands_load_what_they_use(probe_dir, argv, loaded, golden):
+    """A command that draws random numbers loads numpy, one that rounds a
+    real loads mpmath, and the seeded reports do not change."""
+    out, steps = probe_loads(probe_dir, argv)
+    assert steps == [[None, []], [0, loaded]]
+    if golden is not None:
+        assert out == (GOLDEN / golden).read_text()
+
+
 def test_subprocess_blackbox(capsys, tmp_path):
     child = tmp_path / "box.py"
     child.write_text(
@@ -488,6 +594,40 @@ def test_subprocess_blackbox(capsys, tmp_path):
                      "--trials", "30", "--domain", "7", "--seed", "2")
     assert rc == 0
     assert "status=witness" in out.splitlines()
+
+
+@pytest.mark.parametrize("child, error", [
+    # reads each point and sleeps on it; exits once its stdin is closed
+    ("import sys, time\n"
+     "for line in sys.stdin:\n"
+     "    time.sleep(1)\n", "blackbox gave no reply within 0.2 s"),
+    ("import sys\n"
+     "for line in sys.stdin:\n"
+     "    print('abc', flush=True)\n",
+     "blackbox replied 'abc', not a rational"),
+    # exits at once, before or after the first point reaches it
+    ("", "blackbox closed the pipe"),
+])
+def test_subprocess_box_bad_reply_exits_three(capsys, tmp_path, monkeypatch,
+                                              child, error):
+    """A late, unparsable or missing reply ends the scan with exit 3
+    naming the cause, and the child is reaped."""
+    boxes = []
+
+    class Recorded(cli._SubprocessBox):
+        def __init__(self, command):
+            super().__init__(command)
+            boxes.append(self)
+
+    monkeypatch.setattr(cli, "_SubprocessBox", Recorded)
+    monkeypatch.setattr(cli, "REPLY_TIMEOUT_S", 0.2)
+    f = tmp_path / "box.py"
+    f.write_text(child)
+    rc, out, err = run(capsys, "pit", "--blackbox", f"{sys.executable} {f}",
+                       "--N", "3", "--k", "2", "--override-l", "3")
+    assert rc == 3 and out == ""
+    assert f"error: {error}" in err
+    assert [box.proc.returncode for box in boxes] == [0]
 
 
 def test_subprocess_box_close_reaps_the_child():

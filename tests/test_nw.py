@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (degree_raw_at_most, is_prime_trial, nw_expand,
-                     univariate_graphs_oracle)
+                     nw_monomials, univariate_graphs_oracle)
 from fewvar.algebra import mon_degree, mon_is_multilinear
 from fewvar.nw import (
     NWInstance,
@@ -16,7 +16,6 @@ from fewvar.nw import (
     intersections,
     nw_check_properties,
     nw_eval,
-    nw_monomials,
     univariate_graphs,
 )
 from fewvar.pit import rs_design
