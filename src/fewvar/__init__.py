@@ -19,13 +19,12 @@ The package is organized as:
 __version__ = "0.1.0"
 
 from .algebra import SparsePolynomial, bertrand_prime, is_prime
-from .circuit import FewVarCircuit, FactorPoly, RestrictionMask
+from .circuit import FewVarCircuit, FactorPoly
 
 __all__ = [
     "SparsePolynomial",
     "FewVarCircuit",
     "FactorPoly",
-    "RestrictionMask",
     "bertrand_prime",
     "is_prime",
     "__version__",

@@ -7,10 +7,16 @@ polynomial over ``len(support)`` variables.
 
 All transforms return new circuits whose expansion equals the corresponding
 polynomial-level operation exactly; the test suite checks this on randomized
-suites.  Coefficient and homogeneous-component extraction go through exact
-interpolation at the integer nodes 0..k, so fan-in growth is bounded:
-T*(k+1) circuits-worth of terms for one coefficient, T*(k+1)^2 for a
-derivative rebuilt from coefficients.
+suites.  Each is built from two shapes.  ``_rewrite`` rebuilds a circuit
+factor by factor through one step, which may rescale the term, replace or
+drop the factor, or kill the term: translation, constant normalization and
+restriction (which zeroes every dead variable in one pass over the
+factors) are one rewrite each.  ``_interpolate`` evaluates one rewrite per
+integer node 0..k and recombines the node circuits with Lagrange weights:
+coefficient extraction substitutes the node for a variable, and
+homogeneous-component extraction scales every variable by it.  So fan-in
+growth is bounded: T*(k+1) circuits-worth of terms for one coefficient,
+T*(k+1)^2 for a derivative rebuilt from coefficients.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -34,7 +41,6 @@ from .algebra import (
     scale_all_vars,
     substitute,
     translate_poly,
-    serialize_poly,
     _parse_field,
 )
 from .rng import named_rng
@@ -78,17 +84,6 @@ def _check_factor(f: FactorPoly, num_vars: int, declared_s: int) -> None:
     if f.support and not 0 <= f.support[0] <= f.support[-1] < num_vars:
         raise ValueError(
             f"factor support {f.support} out of range for {num_vars} variables")
-
-
-@dataclass(frozen=True)
-class RestrictionMask:
-    """The set of variable indices kept alive; everything else is zeroed."""
-
-    alive: FrozenSet[int]
-
-    @classmethod
-    def of(cls, indices) -> "RestrictionMask":
-        return cls(frozenset(indices))
 
 
 Term = Tuple[FieldElem, Tuple[FactorPoly, ...]]
@@ -186,101 +181,95 @@ def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynom
     return acc
 
 
-def normalize_constants(C: FewVarCircuit) -> FewVarCircuit:
-    """Rescale factors so every constant term is 0 or 1, pushing the extracted
-    constants into the term scales.  A factor that is itself a nonzero
-    constant is absorbed entirely; a zero factor kills its term."""
-    new_terms: List[Term] = []
+# ---------------------------------------------------------------------------
+# the two shapes every transform takes
+
+def _rewrite(C: FewVarCircuit, step) -> FewVarCircuit:
+    """Rebuild C factor by factor.  ``step(f)`` returns ``(c, g)``: c
+    multiplies the term's scale, and g replaces f (None drops f).  A term
+    whose scale becomes 0 is dropped."""
+    terms: List[Term] = []
     for scale, factors in C.terms:
         kept: List[FactorPoly] = []
-        dead = False
         for f in factors:
-            if f.poly.is_zero():
-                dead = True
-                break
-            c0 = f.poly.constant_term()
-            if f.poly.degree() == 0:
-                scale = scale * c0
-                continue
-            if c0 and c0 != 1:
-                scale = scale * c0
-                f = FactorPoly(f.support,
-                               f.poly.scale(coerce(Fraction(1, c0), C.field_p)))
-            kept.append(f)
-        if dead or not scale:
-            continue
-        new_terms.append((scale, tuple(kept)))
-    return FewVarCircuit(C.num_vars, tuple(new_terms), C.declared_s, C.field_p, C.k)
+            c, g = step(f)
+            if c != 1:
+                scale = scale * c
+                if not scale:
+                    break
+            if g is not None:
+                kept.append(g)
+        if scale:
+            terms.append((scale, tuple(kept)))
+    return FewVarCircuit(C.num_vars, tuple(terms), C.declared_s, C.field_p, C.k)
 
 
-# ---------------------------------------------------------------------------
-# interpolation helpers
-
-def _lagrange_coeff_matrix(nodes: List[FieldElem], field_p: Field):
+def _lagrange_coeff_matrix(count: int, field_p: Field):
     """W[v][i] = coefficient of y^i in the Lagrange basis polynomial through
-    node v.  Writing P(y) = sum_i c_i y^i, the coefficients recombine the node
-    evaluations as c_i = sum_v W[v][i] * P(node_v)."""
-    k = len(nodes) - 1
+    node v of the nodes 0..count-1.  Writing P(y) = sum_i c_i y^i, the
+    coefficients recombine the node evaluations as c_i = sum_v W[v][i] *
+    P(v)."""
     W: List[List[FieldElem]] = []
-    for v, xv in enumerate(nodes):
-        # expand prod_{u != v} (y - x_u) / (x_v - x_u)
+    for v in range(count):
+        # expand prod_{u != v} (y - u) / (v - u)
         coeffs = [1]
         denom = 1
-        for u, xu in enumerate(nodes):
+        for u in range(count):
             if u == v:
                 continue
             nxt = [0] * (len(coeffs) + 1)
             for i, c in enumerate(coeffs):
                 nxt[i + 1] = nxt[i + 1] + c
-                nxt[i] = nxt[i] - c * xu
+                nxt[i] = nxt[i] - c * u
             coeffs = nxt
-            denom = denom * (xv - xu)
+            denom = denom * (v - u)
         # denom is a product of differences of distinct nodes: a unit mod p
-        row = [coerce(Fraction(c, denom), field_p) for c in coeffs]
-        row += [0] * (k + 1 - len(row))
-        W.append(row)
+        W.append([coerce(Fraction(c, denom), field_p) for c in coeffs])
     return W
 
 
-def _interp_nodes(count: int, field_p: Field) -> List[int]:
-    """The integers 0..count-1, distinct in the field: always in
-    characteristic zero, and over GF(p) when count <= p."""
-    if field_p is not None and count > field_p:
+def _interpolate(C: FewVarCircuit, count: int, at_node,
+                 wanted: Sequence[int]) -> List[FewVarCircuit]:
+    """Circuits for the coefficients of y^i, i in ``wanted``, of a polynomial
+    in y of degree below ``count`` whose value at y = x is the circuit
+    ``_rewrite(C, at_node(x))``.  The nodes are the integers 0..count-1,
+    distinct in the field: always in characteristic zero, and over GF(p)
+    when count <= p.  A node circuit is built only when some wanted
+    coefficient gives it a nonzero weight."""
+    if C.field_p is not None and count > C.field_p:
         raise ValueError(
-            f"need {count} distinct nodes but GF({field_p}) has only {field_p}")
-    return list(range(count))
+            f"need {count} distinct nodes but GF({C.field_p}) has only {C.field_p}")
+    outs: List[List[Term]] = [[] for _ in wanted]
+    for x, row in enumerate(_lagrange_coeff_matrix(count, C.field_p)):
+        weights = [row[i] for i in wanted]
+        if not any(weights):
+            continue
+        node = _rewrite(C, at_node(x)).terms
+        for terms, w in zip(outs, weights):
+            if w:
+                terms.extend([(scale * w, factors) for scale, factors in node])
+    return [FewVarCircuit(C.num_vars, tuple(terms), C.declared_s, C.field_p, C.k)
+            for terms in outs]
 
 
-def _substitute_factor(f: FactorPoly, gvar: int, value) -> Optional[FactorPoly]:
-    """Set one global variable to a scalar inside a factor.  Returns None when
-    the factor becomes the zero polynomial (killing its term)."""
-    if gvar not in f.support:
-        return f
-    local = f.support.index(gvar)
-    sub = substitute(f.poly, local, value)
+def _substitute_factor(gvars: FrozenSet[int], value, f: FactorPoly):
+    """Set every global variable in ``gvars`` to one scalar inside a factor,
+    as a rewrite step (the factor comes last, for ``partial``): the factor
+    is kept when none is in its support, and its term is killed when it
+    becomes the zero polynomial."""
+    if gvars.isdisjoint(f.support):
+        return 1, f
+    sub = f.poly
+    keep: List[int] = []
+    for local, g in enumerate(f.support):
+        if g in gvars:
+            sub = substitute(sub, local, value)
+        else:
+            keep.append(local)
     if sub.is_zero():
-        return None
-    new_support = tuple(v for v in f.support if v != gvar)
-    mapping = {i: (i if i < local else i - 1) for i in range(len(f.support))}
-    del mapping[local]
-    lowered = relabel_vars(sub, len(new_support), mapping)
-    return FactorPoly(new_support, lowered)
-
-
-def _substitute_circuit(C: FewVarCircuit, gvar: int, value) -> FewVarCircuit:
-    new_terms: List[Term] = []
-    for scale, factors in C.terms:
-        kept: List[FactorPoly] = []
-        dead = False
-        for f in factors:
-            nf = _substitute_factor(f, gvar, value)
-            if nf is None:
-                dead = True
-                break
-            kept.append(nf)
-        if not dead:
-            new_terms.append((scale, tuple(kept)))
-    return FewVarCircuit(C.num_vars, tuple(new_terms), C.declared_s, C.field_p, C.k)
+        return 0, None
+    lowered = relabel_vars(sub, len(keep), {i: j for j, i in enumerate(keep)})
+    return 1, FactorPoly(tuple(f.support[i] for i in keep), lowered)
 
 
 # ---------------------------------------------------------------------------
@@ -297,24 +286,10 @@ def coeff_circuits(C: FewVarCircuit, y: int) -> List[FewVarCircuit]:
         raise ValueError("coefficient extraction needs the declared degree bound k")
     if not 0 <= y < C.num_vars:
         raise ValueError(f"variable {y} out of range")
-    k = C.k
-    nodes = _interp_nodes(k + 1, C.field_p)
-    W = _lagrange_coeff_matrix(nodes, C.field_p)
-    evaluated = [_substitute_circuit(C, y, nodes[v]) for v in range(k + 1)]
-    outs: List[FewVarCircuit] = []
-    for i in range(k + 1):
-        terms: List[Term] = []
-        for v in range(k + 1):
-            w = W[v][i]
-            if not w:
-                continue
-            for scale, factors in evaluated[v].terms:
-                s = scale * w
-                if s:
-                    terms.append((s, factors))
-        outs.append(FewVarCircuit(C.num_vars, tuple(terms), C.declared_s,
-                                  C.field_p, C.k))
-    return outs
+    ys = frozenset((y,))
+    return _interpolate(
+        C, C.k + 1, lambda x: partial(_substitute_factor, ys, x),
+        range(C.k + 1))
 
 
 def derivative_circuit(C: FewVarCircuit, y: int, j: int) -> FewVarCircuit:
@@ -331,30 +306,15 @@ def derivative_circuit(C: FewVarCircuit, y: int, j: int) -> FewVarCircuit:
     coeffs = coeff_circuits(C, y)
     terms: List[Term] = []
     for i in range(j, C.k + 1):
-        fall = 1
-        for t in range(j):
-            fall *= i - t
-        if fall == 0:
-            continue
+        fall = math.perm(i, j)
         power: Optional[FactorPoly] = None
         if i > j:
             ypoly = SparsePolynomial(1, {((0, i - j),): 1}, C.field_p)
             power = FactorPoly((y,), ypoly)
         for scale, factors in coeffs[i].terms:
-            s = scale * fall
-            if not s:
-                continue
-            terms.append((s, factors + (power,) if power else factors))
+            terms.append((scale * fall, factors + (power,) if power else factors))
     return FewVarCircuit(C.num_vars, tuple(terms), max(C.declared_s, 1),
                          C.field_p, C.k)
-
-
-def _scale_vars_circuit(C: FewVarCircuit, t) -> FewVarCircuit:
-    new_terms: List[Term] = []
-    for scale, factors in C.terms:
-        new_terms.append((scale, tuple(
-            FactorPoly(f.support, scale_all_vars(f.poly, t)) for f in factors)))
-    return FewVarCircuit(C.num_vars, tuple(new_terms), C.declared_s, C.field_p, C.k)
 
 
 def hom_component_circuit(C: FewVarCircuit, i: int,
@@ -371,19 +331,9 @@ def hom_component_circuit(C: FewVarCircuit, i: int,
         raise ValueError("total degree bound must be nonnegative")
     if i > D:
         return FewVarCircuit(C.num_vars, (), C.declared_s, C.field_p, C.k)
-    nodes = _interp_nodes(D + 1, C.field_p)
-    W = _lagrange_coeff_matrix(nodes, C.field_p)
-    terms: List[Term] = []
-    for v in range(D + 1):
-        w = W[v][i]
-        if not w:
-            continue
-        scaled = _scale_vars_circuit(C, nodes[v])
-        for scale, factors in scaled.terms:
-            s = scale * w
-            if s:
-                terms.append((s, factors))
-    return FewVarCircuit(C.num_vars, tuple(terms), C.declared_s, C.field_p, C.k)
+    def scaled(t):
+        return lambda f: (1, FactorPoly(f.support, scale_all_vars(f.poly, t)))
+    return _interpolate(C, D + 1, scaled, [i])[0]
 
 
 def translate_circuit(C: FewVarCircuit, a: Sequence) -> FewVarCircuit:
@@ -393,23 +343,32 @@ def translate_circuit(C: FewVarCircuit, a: Sequence) -> FewVarCircuit:
         raise ValueError(
             f"dimension mismatch: shift has {len(a)} values, circuit has "
             f"{C.num_vars} variables")
-    new_terms: List[Term] = []
-    for scale, factors in C.terms:
-        moved = tuple(
-            FactorPoly(f.support, translate_poly(f.poly, [a[g] for g in f.support]))
-            for f in factors)
-        new_terms.append((scale, moved))
-    return FewVarCircuit(C.num_vars, tuple(new_terms), C.declared_s, C.field_p, C.k)
+    return _rewrite(C, lambda f: (1, FactorPoly(
+        f.support, translate_poly(f.poly, [a[g] for g in f.support]))))
 
 
-def restrict_circuit(C: FewVarCircuit, mask: RestrictionMask) -> FewVarCircuit:
-    """Zero every variable outside the mask inside each factor; supports
-    shrink accordingly and killed terms drop out."""
-    out = C
-    dead = [v for v in range(C.num_vars) if v not in mask.alive]
-    for v in dead:
-        out = _substitute_circuit(out, v, 0)
-    return out
+def restrict_circuit(C: FewVarCircuit, alive: FrozenSet[int]) -> FewVarCircuit:
+    """Zero every variable outside ``alive`` inside each factor, in one pass;
+    supports shrink accordingly and killed terms drop out."""
+    dead = frozenset(range(C.num_vars)).difference(alive)
+    return _rewrite(C, partial(_substitute_factor, dead, 0))
+
+
+def normalize_constants(C: FewVarCircuit) -> FewVarCircuit:
+    """Rescale factors so every constant term is 0 or 1, pushing the extracted
+    constants into the term scales.  A factor that is itself a nonzero
+    constant is absorbed entirely; a zero factor kills its term."""
+    def step(f: FactorPoly):
+        if f.poly.is_zero():
+            return 0, None
+        c0 = f.poly.constant_term()
+        if f.poly.degree() == 0:
+            return c0, None
+        if c0 and c0 != 1:
+            return c0, FactorPoly(
+                f.support, f.poly.scale(coerce(Fraction(1, c0), C.field_p)))
+        return 1, f
+    return _rewrite(C, step)
 
 
 # ---------------------------------------------------------------------------
@@ -540,27 +499,9 @@ def class_check(C: FewVarCircuit, c: float, mu: float) -> ClassReport:
 # ---------------------------------------------------------------------------
 # text format
 
-def serialize_circuit(C: FewVarCircuit) -> str:
-    """Canonical text form: fixed header, then term and factor blocks.  Terms
-    keep input order; polynomial lines are graded-lex as in the algebra
-    module."""
-    k_text = "unknown" if C.k is None else str(C.k)
-    lines = [
-        "fewvar-circuit v1",
-        f"vars={C.num_vars} field={field_name(C.field_p)} s={C.declared_s} k={k_text}",
-    ]
-    for scale, factors in C.terms:
-        lines.append(f"term scale={scale}")
-        for f in factors:
-            lines.append("factor support=" + ",".join(str(v) for v in f.support))
-            body = serialize_poly(f.poly).splitlines()[1:]
-            lines.extend(body)
-    return "\n".join(lines) + "\n"
-
-
 def parse_circuit(text: str) -> FewVarCircuit:
     """Parse the circuit document format; raises with a line number on any
-    malformed input.  Round-trips with serialize_circuit."""
+    malformed input."""
     numbered = [(ln, raw) for ln, raw in enumerate(text.splitlines(), start=1)]
     content = [(ln, raw.split("#", 1)[0].rstrip())
                for ln, raw in numbered if raw.split("#", 1)[0].strip()]
@@ -768,7 +709,7 @@ def transform_audit(count: int, seed: int, num_vars: int = 10, max_terms: int = 
             failures.append(f"circuit {idx}: translation mismatch")
 
         alive = frozenset(int(v) for v in range(num_vars) if rng.random() < 0.6)
-        rC = restrict_circuit(C, RestrictionMask(alive))
+        rC = restrict_circuit(C, alive)
         Pr = P
         for v in range(num_vars):
             if v not in alive:

@@ -27,6 +27,7 @@ from .circuit import (
     FewVarCircuit,
     expand_circuit,
     homogenize,
+    normalize_constants,
     parse_circuit,
     transform_audit,
 )
@@ -356,7 +357,7 @@ def _cmd_measure(args) -> int:
 
 def _cmd_homogenize(args) -> int:
     C = parse_circuit(Path(args.circuit).read_text())
-    dec = homogenize(C, args.n)
+    dec = homogenize(normalize_constants(C), args.n)
     value = dec.value()
     try:
         expected = hom_component(expand_circuit(C, cap=args.expand_cap),

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
@@ -42,7 +42,7 @@ from .algebra import (
     multilinear_monomials,
     to_fraction,
 )
-from .circuit import FewVarCircuit, RestrictionMask
+from .circuit import FewVarCircuit
 from .nw import NWParams, derive_nw_params
 from .rng import named_rng
 
@@ -314,14 +314,14 @@ def psd_dimension(P: SparsePolynomial, params: MeasureParams,
 # ---------------------------------------------------------------------------
 # random restrictions
 
-def sample_restriction(N: int, p: float, seed: int) -> RestrictionMask:
-    """Keep each of N variables alive independently with probability p,
+def sample_restriction(N: int, p: float, seed: int) -> FrozenSet[int]:
+    """The variables kept alive: each of N independently with probability p,
     deterministically from the seed (stream "restriction")."""
     if not 0 <= p <= 1:
         raise ValueError(f"probability {p} outside [0, 1]")
     rng = named_rng(seed, "restriction")
     u = rng.random(N)
-    return RestrictionMask(frozenset(int(i) for i in range(N) if u[i] < p))
+    return frozenset(int(i) for i in range(N) if u[i] < p)
 
 
 @dataclass(frozen=True)
@@ -376,7 +376,6 @@ class SurvivalReport:
     stderr_survivors: float        # sample standard error of that mean
     empirical_rate: float          # fraction of trials with any survivor
     markov_bound: float            # min(1, expected_survivors)
-    survivor_counts: List[int] = dc_field(default_factory=list)
 
 
 def survival_experiment(C: FewVarCircuit, s: int, p: float, trials: int,
@@ -389,8 +388,7 @@ def survival_experiment(C: FewVarCircuit, s: int, p: float, trials: int,
     counts: List[int] = []
     survived = 0
     for i in range(trials):
-        mask = sample_restriction(C.num_vars, p, seed + i)
-        alive = mask.alive
+        alive = sample_restriction(C.num_vars, p, seed + i)
         c = sum(1 for supp in bad.supports if supp <= alive)
         counts.append(c)
         if c:
@@ -408,7 +406,6 @@ def survival_experiment(C: FewVarCircuit, s: int, p: float, trials: int,
         stderr_survivors=stderr,
         empirical_rate=survived / trials if trials else 0.0,
         markov_bound=min(1.0, expected),
-        survivor_counts=counts,
     )
 
 
@@ -438,8 +435,7 @@ class DerivedMeasure:
     r: int
     s: int
     m: int
-    p: float
-    log_p: float                   # natural log of p, stable at any scale
+    log_p: float                   # ln p, p = N^-(mu+delta): stable at any scale
     eps1: float
     eps2: float
 
@@ -485,8 +481,7 @@ def derive_measure_params(mu, n: int, eps1: Optional[float] = None,
     exponent = float(to_fraction(mu) + nw.delta)
     with mpmath.workdps(40 + len(str(nw.N))):
         log_p = float(-exponent * mpmath.log(nw.N))
-    p = math.exp(log_p)
-    return DerivedMeasure(nw=nw, r=r, s=s, m=m, p=p, log_p=log_p,
+    return DerivedMeasure(nw=nw, r=r, s=s, m=m, log_p=log_p,
                           eps1=eps1, eps2=eps2)
 
 

@@ -468,12 +468,3 @@ def schwartz_zippel(box: Blackbox, trials: int, domain_size: int,
             return SZResult(status="witness", trials=trials, seed=seed,
                             point=point, value=v)
     return SZResult(status="probably-zero", trials=trials, seed=seed)
-
-
-def combnulls_grid(N: int, d: int) -> Iterator[Tuple[int, ...]]:
-    """Lexicographic enumeration of {0..d}^N.  Any nonzero polynomial with
-    individual degree <= d is nonzero somewhere on this grid, so a full scan
-    is a sound and complete (if exponential) identity test."""
-    if N < 1 or d < 0:
-        raise ValueError("need N >= 1 and d >= 0")
-    return itertools.product(range(d + 1), repeat=N)

@@ -10,8 +10,10 @@ from fewvar.algebra import (
     Mon,
     SparsePolynomial,
     derivative_poly,
+    field_name,
     mon_make,
     multilinear_monomials,
+    serialize_poly,
 )
 from fewvar.circuit import FactorPoly, FewVarCircuit
 from fewvar.measure import MeasureParams, psd_dimension
@@ -62,6 +64,50 @@ def fcircuit(num_vars, declared_s, *factor_groups, k=None):
         terms.append((Fraction(1), factors))
     return FewVarCircuit(num_vars=num_vars, terms=terms,
                          declared_s=declared_s, k=k)
+
+
+# 3(x0x1 + 5x1)(x2/2 + 1) - (1/3)(2x0) over GF(7): fractional coefficients
+# read mod 7, and constant terms 0 or 1 so homogenize accepts it
+GF7_CIRCUIT = """\
+fewvar-circuit v1
+vars=3 field=GF(7) s=2 k=1
+term scale=3
+factor support=0,1
+coeff 1 ; 0:1 1:1
+coeff 5 ; 1:1
+factor support=2
+coeff 1/2 ; 0:1
+coeff 1 ;
+term scale=-1/3
+factor support=0
+coeff 2 ; 0:1
+"""
+
+
+def serialize_circuit(C: FewVarCircuit) -> str:
+    """Canonical text form: fixed header, then term and factor blocks.  Terms
+    keep input order; polynomial lines are graded-lex as in the algebra
+    module.  ``parse_circuit`` reads it back."""
+    k_text = "unknown" if C.k is None else str(C.k)
+    lines = [
+        "fewvar-circuit v1",
+        f"vars={C.num_vars} field={field_name(C.field_p)} s={C.declared_s} k={k_text}",
+    ]
+    for scale, factors in C.terms:
+        lines.append(f"term scale={scale}")
+        for f in factors:
+            lines.append("factor support=" + ",".join(str(v) for v in f.support))
+            lines.extend(serialize_poly(f.poly).splitlines()[1:])
+    return "\n".join(lines) + "\n"
+
+
+def combnulls_grid(N: int, d: int) -> Iterator[Tuple[int, ...]]:
+    """Lexicographic enumeration of {0..d}^N.  Any nonzero polynomial with
+    individual degree <= d is nonzero somewhere on this grid, so a full scan
+    is a sound and complete (if exponential) identity test."""
+    if N < 1 or d < 0:
+        raise ValueError("need N >= 1 and d >= 0")
+    return itertools.product(range(d + 1), repeat=N)
 
 
 def dense_rank(rows: List[List[Fraction]]) -> int:

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (bounded_support_poly, fcircuit, make_mon, nw_monomials,
-                     random_poly, subadditivity_check)
+from helpers import (bounded_support_poly, combnulls_grid, fcircuit, make_mon,
+                     nw_monomials, random_poly, subadditivity_check)
 from fewvar.algebra import SparsePolynomial, hom_component
 from fewvar.circuit import (
     expand_circuit,
@@ -34,7 +34,6 @@ from fewvar.nw import NWInstance, derive_nw_params, nw_check_properties, nw_eval
 from fewvar.pit import (
     Blackbox,
     blackbox_from_circuit,
-    combnulls_grid,
     derive_pit_params,
     pit_run,
     rs_design,

@@ -2,6 +2,7 @@
 the homogenization identity, and the document format."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,6 @@ from fewvar.algebra import (
 from fewvar.circuit import (
     FactorPoly,
     FewVarCircuit,
-    RestrictionMask,
     class_check,
     coeff_circuits,
     derivative_circuit,
@@ -29,11 +29,13 @@ from fewvar.circuit import (
     parse_circuit,
     random_circuit,
     restrict_circuit,
-    serialize_circuit,
     transform_audit,
     translate_circuit,
 )
 from fewvar.rng import named_rng
+from helpers import GF7_CIRCUIT, serialize_circuit
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def fp(support, *items, p=None):
@@ -41,8 +43,7 @@ def fp(support, *items, p=None):
     return FactorPoly(support=tuple(support), poly=poly)
 
 
-@pytest.fixture
-def C():
+def small_circuit():
     # (x0*x1 + 1) * x2  -  2 * (x1 + 3*x3^2)
     return FewVarCircuit(
         num_vars=4,
@@ -54,6 +55,11 @@ def C():
         declared_s=2,
         k=2,
     )
+
+
+@pytest.fixture
+def C():
+    return small_circuit()
 
 
 def test_factor_support_must_be_sorted():
@@ -163,12 +169,81 @@ def test_translate_circuit_identity(C):
 
 def test_restrict_circuit_identity(C):
     P = expand_circuit(C)
-    mask = RestrictionMask.of([0, 2])
-    R = restrict_circuit(C, mask)
+    R = restrict_circuit(C, frozenset([0, 2]))
     want = P
     for v in (1, 3):
         want = substitute(want, v, Fraction(0))
     assert expand_circuit(R) == want
+
+
+# 3(x0x1 + 2)(5)(x2^2 + x3) - (1/2)(x0x3)(x1 + 1) + 2(x2 - 1)(x1x3 + 1/3): a
+# constant factor, constant terms other than 0 and 1, and a factor that
+# zeroing x3 kills
+MIXED_CIRCUIT = """\
+fewvar-circuit v1
+vars=4 field=Q s=2 k=2
+term scale=3
+factor support=0,1
+coeff 1 ; 0:1 1:1
+coeff 2 ;
+factor support=
+coeff 5 ;
+factor support=2,3
+coeff 1 ; 0:2
+coeff 1 ; 1:1
+term scale=-1/2
+factor support=0,3
+coeff 1 ; 0:1 1:1
+factor support=1
+coeff 1 ; 0:1
+coeff 1 ;
+term scale=2
+factor support=2
+coeff 1 ; 0:1
+coeff -1 ;
+factor support=1,3
+coeff 1 ; 0:1 1:1
+coeff 1/3 ;
+"""
+
+
+def transforms_text(name, C, derivatives=True):
+    """Every transform of C in the canonical text form, one labelled block
+    per output circuit: term order, scales, supports and fan-ins."""
+    blocks = []
+
+    def emit(label, out):
+        blocks.append(f"== {name} {label}\n" + serialize_circuit(out))
+
+    for y in range(C.num_vars):
+        for i, ci in enumerate(coeff_circuits(C, y)):
+            emit(f"coeff y={y} i={i}", ci)
+        if derivatives:
+            for j in (1, 2):
+                emit(f"derivative y={y} j={j}", derivative_circuit(C, y, j))
+    D = expand_circuit(C).degree()
+    for i in range(D + 2):
+        emit(f"hom i={i} bound={D}", hom_component_circuit(C, i, D))
+    shift = [1, -1, 2, 0][:C.num_vars]
+    emit(f"translate shift={shift}", translate_circuit(C, shift))
+    for alive in ({0, 2}, set(range(C.num_vars - 1))):
+        emit(f"restrict alive={sorted(alive)}",
+             restrict_circuit(C, frozenset(alive)))
+    emit("normalize", normalize_constants(C))
+    return "".join(blocks)
+
+
+def transforms_golden_text():
+    return (transforms_text("small", small_circuit())
+            + transforms_text("gf7", parse_circuit(GF7_CIRCUIT),
+                              derivatives=False)
+            + transforms_text("mixed", parse_circuit(MIXED_CIRCUIT)))
+
+
+def test_transforms_structural_golden():
+    # expansions alone would not see a reordered, split or merged term
+    assert transforms_golden_text() == \
+        (GOLDEN / "transforms.txt").read_text()
 
 
 def test_transform_audit_clean():
@@ -330,7 +405,7 @@ def test_gf_transforms_match_polynomial_operations(p, data, y, i, shift, alive):
     assert_gf_circuit(tC, p)
     assert expand_circuit(tC) == translate_poly(P, shift)
 
-    rC = restrict_circuit(C, RestrictionMask.of(alive))
+    rC = restrict_circuit(C, frozenset(alive))
     assert_gf_circuit(rC, p)
     want = P
     for v in range(4):

@@ -17,7 +17,7 @@ import pytest
 
 from fewvar import cli
 from fewvar.cli import _SubprocessBox, main
-from helpers import src_env
+from helpers import GF7_CIRCUIT, src_env
 
 PROJ_CIRCUIT = """\
 fewvar-circuit v1
@@ -96,23 +96,6 @@ coeff 5/7 ; 0:2
 term scale=-1/5
 factor support=0
 coeff 1 ; 0:2
-"""
-
-# 3(x0x1 + 5x1)(x2/2 + 1) - (1/3)(2x0) over GF(7): fractional coefficients
-# read mod 7, and constant terms 0 or 1 so homogenize accepts it
-GF7_CIRCUIT = """\
-fewvar-circuit v1
-vars=3 field=GF(7) s=2 k=1
-term scale=3
-factor support=0,1
-coeff 1 ; 0:1 1:1
-coeff 5 ; 1:1
-factor support=2
-coeff 1/2 ; 0:1
-coeff 1 ;
-term scale=-1/3
-factor support=0
-coeff 2 ; 0:1
 """
 
 QUAD_POLY = """\
@@ -392,6 +375,19 @@ def test_homogenize_subcommand(capsys, tmp_path):
     assert rc == 0
     assert out == ("seed=0\nn=2\npieces=2\nidentity=pass\n"
                    "vars=4 field=Q\ncoeff -6 ; 3:2\n")
+
+
+def test_homogenize_normalizes_constant_terms(capsys, tmp_path):
+    # 3(x0x1 + 2)(x2^2 + 5) = 30(x0x1/2 + 1)(x2^2/5 + 1): degree 2 is
+    # 15x0x1 + 6x2^2
+    f = tmp_path / "const.circuit"
+    f.write_text("fewvar-circuit v1\nvars=3 field=Q s=2 k=2\nterm scale=3\n"
+                 "factor support=0,1\ncoeff 1 ; 0:1 1:1\ncoeff 2 ;\n"
+                 "factor support=2\ncoeff 1 ; 0:2\ncoeff 5 ;\n")
+    rc, out, _ = run(capsys, "homogenize", "--circuit", str(f), "--n", "2")
+    assert rc == 0
+    assert out == ("seed=0\nn=2\npieces=1\nidentity=pass\n"
+                   "vars=3 field=Q\ncoeff 15 ; 0:1 1:1\ncoeff 6 ; 2:2\n")
 
 
 def test_restrict_experiment_frozen(capsys, tmp_path):

@@ -22,7 +22,6 @@ from fewvar.pit import (
     Blackbox,
     Design,
     blackbox_from_circuit,
-    combnulls_grid,
     derive_pit_params,
     hitting_set_stream,
     pit_run,
@@ -32,7 +31,7 @@ from fewvar.pit import (
     verify_design,
 )
 from fewvar.rng import named_rng
-from helpers import is_prime_trial, naive_stream, src_env
+from helpers import combnulls_grid, is_prime_trial, naive_stream, src_env
 
 
 # ---------------------------------------------------------------------------
