@@ -12,6 +12,10 @@ A monomial is a sorted tuple of ``(variable_index, exponent)`` pairs with all
 exponents positive; the empty tuple is the constant monomial.  A polynomial is
 a dict from monomials to nonzero coefficients, so the zero polynomial has an
 empty term map and equality is plain term-map equality.
+
+One reader serves both text formats, `.poly` here and `.circuit` in ``circuit``:
+``document_lines`` drops comments and blank lines in one pass, and
+``read_fields``/``read_header`` read every `key=value` token.
 """
 
 from __future__ import annotations
@@ -611,16 +615,45 @@ def parse_coeff(text: str, field_p: Field) -> FieldElem:
     return coerce(int(text), field_p)
 
 
-def parse_poly_lines(lines: Sequence[str], num_vars: int, field_p: Field,
-                     where: str = "") -> SparsePolynomial:
-    """Parse `coeff <c> ; v:e v:e ...` lines into a polynomial."""
+def document_lines(text: str) -> List[Tuple[int, str]]:
+    """The lines of a `.poly` or `.circuit` document that have content, as
+    (line number, text before any '#', stripped)."""
+    bodies = ((ln, raw.split("#", 1)[0].strip())
+              for ln, raw in enumerate(text.splitlines(), start=1))
+    return [(ln, body) for ln, body in bodies if body]
+
+
+def read_fields(line: str) -> Dict[str, str]:
+    """The `key=value` tokens of a line; tokens without '=' are skipped."""
+    return dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
+
+
+def read_header(ln: int, line: str, keys: Sequence[str], build: Callable):
+    """``build(fields, num_vars, field_p)`` on a header line's `key=value`
+    fields, every one of ``keys`` required, with ``vars`` and ``field``
+    converted.  A missing key, or a bad value that the conversions or
+    ``build`` refuse with ValueError, raises `line N: ...`."""
+    fields = read_fields(line)
+    for need in keys:
+        if need not in fields:
+            raise ValueError(f"line {ln}: header must declare {need}=")
+    try:
+        num_vars = int(fields["vars"])
+        if num_vars < 0:
+            raise ValueError(f"vars must be nonnegative, got {num_vars}")
+        return build(fields, num_vars, _parse_field(fields["field"]))
+    except ValueError as exc:
+        raise ValueError(f"line {ln}: bad header: {exc}") from None
+
+
+def parse_poly_lines(lines: Sequence[Tuple[int, str]], num_vars: int,
+                     field_p: Field, where: str = "") -> SparsePolynomial:
+    """Parse `coeff <c> ; v:e v:e ...` lines, as ``document_lines`` gives
+    them, into a polynomial."""
     items = []
-    for ln, raw in lines:
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for ln, body in lines:
         if not body.startswith("coeff "):
-            raise ValueError(f"{where}line {ln}: expected a `coeff` line, got {raw!r}")
+            raise ValueError(f"{where}line {ln}: expected a `coeff` line, got {body!r}")
         rest = body[len("coeff "):]
         if ";" not in rest:
             raise ValueError(f"{where}line {ln}: missing `;` separator")
@@ -650,29 +683,12 @@ def parse_poly_lines(lines: Sequence[str], num_vars: int, field_p: Field,
 
 def parse_poly(text: str) -> SparsePolynomial:
     """Parse the full polynomial document (header plus coeff lines)."""
-    numbered = list(enumerate(text.splitlines(), start=1))
-    header = None
-    body = []
-    for ln, raw in numbered:
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if header is None:
-            header = (ln, stripped)
-        else:
-            body.append((ln, raw))
-    if header is None:
+    lines = document_lines(text)
+    if not lines:
         raise ValueError("empty document: missing `vars=... field=...` header")
-    ln, head = header
-    fields = dict(tok.split("=", 1) for tok in head.split() if "=" in tok)
-    if "vars" not in fields or "field" not in fields:
-        raise ValueError(f"line {ln}: header must declare vars= and field=")
-    try:
-        num_vars = int(fields["vars"])
-        field_p = _parse_field(fields["field"])
-    except ValueError as exc:
-        raise ValueError(f"line {ln}: bad header: {exc}") from None
-    return parse_poly_lines(body, num_vars, field_p)
+    num_vars, field_p = read_header(*lines[0], ("vars", "field"),
+                                    lambda fields, n, p: (n, p))
+    return parse_poly_lines(lines[1:], num_vars, field_p)
 
 
 # ---------------------------------------------------------------------------

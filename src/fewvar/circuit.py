@@ -17,12 +17,15 @@ coefficient extraction substitutes the node for a variable, and
 homogeneous-component extraction scales every variable by it.  So fan-in
 growth is bounded: T*(k+1) circuits-worth of terms for one coefficient,
 T*(k+1)^2 for a derivative rebuilt from coefficients.
+
+``parse_circuit`` reads the `.circuit` format with the one document reader
+of ``algebra`` (``document_lines``, ``read_fields``, ``read_header``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from typing import FrozenSet, List, Optional, Sequence, Tuple
@@ -32,20 +35,23 @@ from .algebra import (
     FieldElem,
     SparsePolynomial,
     coerce,
+    document_lines,
     esym_all,
     field_name,
     hom_component,
     parse_coeff,
     parse_poly_lines,
+    read_fields,
+    read_header,
     relabel_vars,
     scale_all_vars,
     substitute,
     translate_poly,
-    _parse_field,
 )
 from .rng import named_rng
 
 DEFAULT_EXPAND_CAP = 10 ** 6
+RANDOM_CIRCUIT_TRIES = 200     # draws random_circuit makes before giving up
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +112,10 @@ class FewVarCircuit:
     k: Optional[int] = None
 
     def __post_init__(self):
+        for name in ("num_vars", "declared_s", "k"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
         terms = []
         for scale, factors in self.terms:
             scale = coerce(scale, self.field_p)
@@ -187,12 +197,15 @@ def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynom
 def _rewrite(C: FewVarCircuit, step) -> FewVarCircuit:
     """Rebuild C factor by factor.  ``step(f)`` returns ``(c, g)``: c
     multiplies the term's scale, and g replaces f (None drops f).  A term
-    whose scale becomes 0 is dropped."""
+    whose scale becomes 0, or one of whose factors becomes the zero
+    polynomial, is dropped."""
     terms: List[Term] = []
     for scale, factors in C.terms:
         kept: List[FactorPoly] = []
         for f in factors:
             c, g = step(f)
+            if g is not None and g.poly.is_zero():
+                c = 0
             if c != 1:
                 scale = scale * c
                 if not scale:
@@ -255,8 +268,7 @@ def _interpolate(C: FewVarCircuit, count: int, at_node,
 def _substitute_factor(gvars: FrozenSet[int], value, f: FactorPoly):
     """Set every global variable in ``gvars`` to one scalar inside a factor,
     as a rewrite step (the factor comes last, for ``partial``): the factor
-    is kept when none is in its support, and its term is killed when it
-    becomes the zero polynomial."""
+    is kept when none is in its support."""
     if gvars.isdisjoint(f.support):
         return 1, f
     sub = f.poly
@@ -266,8 +278,6 @@ def _substitute_factor(gvars: FrozenSet[int], value, f: FactorPoly):
             sub = substitute(sub, local, value)
         else:
             keep.append(local)
-    if sub.is_zero():
-        return 0, None
     lowered = relabel_vars(sub, len(keep), {i: j for j, i in enumerate(keep)})
     return 1, FactorPoly(tuple(f.support[i] for i in keep), lowered)
 
@@ -356,11 +366,9 @@ def restrict_circuit(C: FewVarCircuit, alive: FrozenSet[int]) -> FewVarCircuit:
 
 def normalize_constants(C: FewVarCircuit) -> FewVarCircuit:
     """Rescale factors so every constant term is 0 or 1, pushing the extracted
-    constants into the term scales.  A factor that is itself a nonzero
-    constant is absorbed entirely; a zero factor kills its term."""
+    constants into the term scales.  A factor that is itself a constant is
+    absorbed entirely, so a zero factor kills its term."""
     def step(f: FactorPoly):
-        if f.poly.is_zero():
-            return 0, None
         c0 = f.poly.constant_term()
         if f.poly.degree() == 0:
             return c0, None
@@ -502,64 +510,31 @@ def class_check(C: FewVarCircuit, c: float, mu: float) -> ClassReport:
 def parse_circuit(text: str) -> FewVarCircuit:
     """Parse the circuit document format; raises with a line number on any
     malformed input."""
-    numbered = [(ln, raw) for ln, raw in enumerate(text.splitlines(), start=1)]
-    content = [(ln, raw.split("#", 1)[0].rstrip())
-               for ln, raw in numbered if raw.split("#", 1)[0].strip()]
-    if not content:
+    lines = document_lines(text)
+    if not lines:
         raise ValueError("empty document: missing `fewvar-circuit v1` header")
-    ln, head = content[0]
-    if head.strip() != "fewvar-circuit v1":
+    ln, head = lines[0]
+    if head != "fewvar-circuit v1":
         raise ValueError(f"line {ln}: expected `fewvar-circuit v1`, got {head!r}")
-    if len(content) < 2:
+    if len(lines) < 2:
         raise ValueError("missing `vars=... field=... s=... k=...` line")
-    ln, decl = content[1]
-    fields = dict(tok.split("=", 1) for tok in decl.split() if "=" in tok)
-    for need in ("vars", "field", "s", "k"):
-        if need not in fields:
-            raise ValueError(f"line {ln}: header must declare {need}=")
-    try:
-        num_vars = int(fields["vars"])
-        field_p = _parse_field(fields["field"])
-        declared_s = int(fields["s"])
-        k = None if fields["k"] == "unknown" else int(fields["k"])
-    except ValueError as e:
-        raise ValueError(f"line {ln}: {e}") from None
-
-    terms: List[Tuple[FieldElem, List[FactorPoly]]] = []
-    factor_head: Optional[Tuple[int, Tuple[int, ...]]] = None
-    factor_lines: List[Tuple[int, str]] = []
-
-    def close_factor():
-        nonlocal factor_head, factor_lines
-        if factor_head is None:
-            return
-        fln, support = factor_head
-        poly = parse_poly_lines(factor_lines, len(support), field_p,
-                                where=f"factor at line {fln}: ")
-        if not terms:
-            raise ValueError(f"line {fln}: factor before any `term` line")
-        try:
-            factor = FactorPoly(support, poly)
-            _check_factor(factor, num_vars, declared_s)
-        except ValueError as exc:
-            raise ValueError(f"line {fln}: {exc}") from None
-        terms[-1][1].append(factor)
-        factor_head, factor_lines = None, []
-
-    for ln, raw in content[2:]:
-        stripped = raw.strip()
-        if stripped.startswith("term "):
-            close_factor()
-            kv = dict(tok.split("=", 1) for tok in stripped.split()[1:] if "=" in tok)
+    header = read_header(*lines[1], ("vars", "field", "s", "k"),
+                         lambda f, n, p: FewVarCircuit(n, (), int(f["s"]), p, (
+                             None if f["k"] == "unknown" else int(f["k"]))))
+    blocks: List[Tuple[FieldElem, list]] = []   # (scale, [(line, support, coeffs)])
+    for ln, body in lines[2:]:
+        if body.startswith("term "):
+            kv = read_fields(body)
             if "scale" not in kv:
                 raise ValueError(f"line {ln}: term line needs scale=")
             try:
-                terms.append((parse_coeff(kv["scale"], field_p), []))
+                blocks.append((parse_coeff(kv["scale"], header.field_p), []))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"line {ln}: bad scale: {exc}") from None
-        elif stripped.startswith("factor "):
-            close_factor()
-            kv = dict(tok.split("=", 1) for tok in stripped.split()[1:] if "=" in tok)
+        elif body.startswith("factor "):
+            if not blocks:
+                raise ValueError(f"line {ln}: factor before any `term` line")
+            kv = read_fields(body)
             if "support" not in kv:
                 raise ValueError(f"line {ln}: factor line needs support=")
             try:
@@ -567,22 +542,24 @@ def parse_circuit(text: str) -> FewVarCircuit:
                     if kv["support"] else ()
             except ValueError as exc:
                 raise ValueError(f"line {ln}: bad support: {exc}") from None
-            factor_head = (ln, sup)
-        elif stripped.startswith("coeff "):
-            if factor_head is None:
+            blocks[-1][1].append((ln, sup, []))
+        elif body.startswith("coeff "):
+            if not blocks or not blocks[-1][1]:
                 raise ValueError(f"line {ln}: coeff line outside a factor block")
-            factor_lines.append((ln, raw))
+            blocks[-1][1][-1][2].append((ln, body))
         else:
-            raise ValueError(f"line {ln}: unrecognized line {stripped!r}")
-    close_factor()
+            raise ValueError(f"line {ln}: unrecognized line {body!r}")
 
-    return FewVarCircuit(
-        num_vars,
-        tuple((s, tuple(fs)) for s, fs in terms),
-        declared_s,
-        field_p,
-        k,
-    )
+    for _, factors in blocks:      # each block becomes its factor, in place
+        for i, (fln, sup, coeffs) in enumerate(factors):
+            poly = parse_poly_lines(coeffs, len(sup), header.field_p,
+                                    where=f"factor at line {fln}: ")
+            try:
+                factors[i] = FactorPoly(sup, poly)
+                _check_factor(factors[i], header.num_vars, header.declared_s)
+            except ValueError as exc:
+                raise ValueError(f"line {fln}: {exc}") from None
+    return replace(header, terms=tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +567,11 @@ def parse_circuit(text: str) -> FewVarCircuit:
 
 def random_circuit(rng, num_vars: int, max_terms: int, max_factors: int,
                    max_support: int, max_k: int,
-                   field_p: Field = None, max_tries: int = 200) -> FewVarCircuit:
+                   field_p: Field = None) -> FewVarCircuit:
     """A random circuit within the given size bounds, with the declared k set
     to the true individual degree of the expansion (recomputed exactly).
     Retries until the individual degree fits max_k."""
-    for _ in range(max_tries):
+    for _ in range(RANDOM_CIRCUIT_TRIES):
         T = int(rng.integers(1, max_terms + 1))
         terms: List[Term] = []
         for _ in range(T):

@@ -11,6 +11,7 @@ for pass, 1 for a failed check, 3 for errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import selectors
@@ -33,6 +34,7 @@ from .circuit import (
 )
 from .algebra import hom_component
 from .measure import (
+    DEFAULT_ROW_CAP,
     MeasureParams,
     appendix_ratios,
     psd_dimension,
@@ -170,19 +172,23 @@ class _SubprocessBox:
             self.proc.wait()
 
 
-def _load_box(args) -> tuple:
-    """Build a Blackbox from --circuit or --blackbox; returns (box, cleanup)."""
+@contextlib.contextmanager
+def _load_box(args):
+    """The box of --circuit or --blackbox, with --k applied when the box
+    declares no k; a subprocess child is closed on exit."""
     if args.circuit:
         C = parse_circuit(Path(args.circuit).read_text())
-        if C.k is None and getattr(args, "k", None) is not None:
+        if C.k is None and args.k is not None:
             C = dataclasses.replace(C, k=args.k)
-        return C, None
-    if getattr(args, "N", None) is None:
+        yield C
+        return
+    if args.N is None:
         raise ValueError("--blackbox mode needs --N")
     sub = _SubprocessBox(args.blackbox)
-    box = Blackbox(fn=sub, num_vars=args.N, k=getattr(args, "k", None),
-                   notes="subprocess")
-    return box, sub.close
+    try:
+        yield Blackbox(fn=sub, num_vars=args.N, k=args.k, notes="subprocess")
+    finally:
+        sub.close()
 
 
 # ---------------------------------------------------------------------------
@@ -287,19 +293,13 @@ def _cmd_hitset(args) -> int:
 
 
 def _cmd_pit(args) -> int:
-    box, cleanup = _load_box(args)
-    try:
-        N = box.num_vars
-        k = box.k if box.k is not None else args.k
-        if k is None:
+    with _load_box(args) as box:
+        if box.k is None:
             raise ValueError(
                 "individual degree unknown: declare k in the circuit file or "
                 "pass --k")
-        params = _toy_or_derived_params(args, N, k)
+        params = _toy_or_derived_params(args, box.num_vars, box.k)
         result = pit_run(box, params, budget=args.budget)
-    finally:
-        if cleanup:
-            cleanup()
     lines = _params_lines(params, args.seed)
     if args.budget is not None:
         lines.append(f"budget={args.budget}")
@@ -319,13 +319,9 @@ def _cmd_pit(args) -> int:
 
 
 def _cmd_sz(args) -> int:
-    box, cleanup = _load_box(args)
-    try:
+    with _load_box(args) as box:
         bb = box if isinstance(box, Blackbox) else blackbox_from_circuit(box)
         result = schwartz_zippel(bb, args.trials, args.domain, args.seed)
-    finally:
-        if cleanup:
-            cleanup()
     lines = [
         f"seed={args.seed}",
         f"trials={result.trials}",
@@ -499,7 +495,8 @@ def _args_measure(sp):
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--rank-prime", dest="rank_prime", type=int, default=None)
-    sp.add_argument("--row-cap", dest="row_cap", type=int, default=200_000)
+    sp.add_argument("--row-cap", dest="row_cap", type=int,
+                    default=DEFAULT_ROW_CAP)
 
 
 def _args_homogenize(sp):

@@ -48,10 +48,6 @@ from .rng import named_rng
 
 DEFAULT_ROW_CAP = 200_000
 
-# fixed modulus for the prime-field rank fast path: large enough that random
-# desk-scale matrices essentially never lose rank, small enough to stay fast
-RANK_PRIME = 2 ** 61 - 1
-
 Rational = Union[int, Fraction]
 
 
@@ -239,7 +235,7 @@ def rank_exact(rows: Iterable[Dict[int, Rational]]) -> int:
     return _rank(rows)
 
 
-def rank_mod(rows: Iterable[Dict[int, int]], p: int = RANK_PRIME) -> int:
+def rank_mod(rows: Iterable[Dict[int, int]], p: int) -> int:
     """Rank over GF(p) of sparse integer rows, p prime."""
     return _rank(rows, p)
 
@@ -541,12 +537,12 @@ def appendix_ratios(n: int, mu, eps1: Optional[float] = None,
                        closed_form_1=lr1_closed_form(n, r, s), exact=exact)
 
 
-def approx_check(a: int, f: int, g: int, K: float = 2.0) -> Tuple[float, float, float]:
+def approx_check(a: int, f: int, g: int) -> Tuple[float, float, float]:
     """Compare ln((a+f)! / (a-g)!) against (f+g) * ln a.
 
     The factorial ratio is the exact integer product over (a-g, a+f]; its log
     is taken at high precision.  Returns (exact, estimate, |error|); the
-    error obeys K*(f+g)^2/a in the regime f+g <= a (asserted by callers, not
+    error obeys 2*(f+g)^2/a in the regime f+g <= a (asserted by callers, not
     here).
     """
     import mpmath
