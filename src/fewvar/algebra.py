@@ -15,7 +15,8 @@ empty term map and equality is plain term-map equality.
 
 One reader serves both text formats, `.poly` here and `.circuit` in ``circuit``:
 ``document_lines`` drops comments and blank lines in one pass, and
-``read_fields``/``read_header`` read every `key=value` token.
+``read_fields``/``read_header`` read every `key=value` token, refusing a
+token without '=' and a missing, repeated or unknown key.
 """
 
 from __future__ import annotations
@@ -623,20 +624,36 @@ def document_lines(text: str) -> List[Tuple[int, str]]:
     return [(ln, body) for ln, body in bodies if body]
 
 
-def read_fields(line: str) -> Dict[str, str]:
-    """The `key=value` tokens of a line; tokens without '=' are skipped."""
-    return dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
+def read_fields(ln: int, text: str, keys: Sequence[str],
+                need: str) -> Dict[str, str]:
+    """The `key=value` tokens of line ``ln``, which must give each of
+    ``keys`` once and nothing else.  A token without '=' or a repeated key
+    raises at the token, then a missing key raises `line N: <need> K=`, then
+    a key outside ``keys``."""
+    fields: Dict[str, str] = {}
+    for tok in text.split():
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ValueError(f"line {ln}: expected key=value, got {tok!r}")
+        if key in fields:
+            raise ValueError(f"line {ln}: repeated key {key!r}")
+        fields[key] = value
+    for key in keys:
+        if key not in fields:
+            raise ValueError(f"line {ln}: {need} {key}=")
+    for key in fields:
+        if key not in keys:
+            raise ValueError(f"line {ln}: unknown key {key!r}")
+    return fields
 
 
 def read_header(ln: int, line: str, keys: Sequence[str], build: Callable):
     """``build(fields, num_vars, field_p)`` on a header line's `key=value`
-    fields, every one of ``keys`` required, with ``vars`` and ``field``
-    converted.  A missing key, or a bad value that the conversions or
-    ``build`` refuse with ValueError, raises `line N: ...`."""
-    fields = read_fields(line)
-    for need in keys:
-        if need not in fields:
-            raise ValueError(f"line {ln}: header must declare {need}=")
+    fields, which are exactly ``keys``, with ``vars`` and ``field``
+    converted.  A bad token, a missing, repeated or unknown key, or a bad
+    value that the conversions or ``build`` refuse with ValueError, raises
+    `line N: ...`."""
+    fields = read_fields(ln, line, keys, "header must declare")
     try:
         num_vars = int(fields["vars"])
         if num_vars < 0:

@@ -28,17 +28,20 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .algebra import (
     Field,
     FieldElem,
+    MON_ONE,
+    Mon,
     SparsePolynomial,
     coerce,
     document_lines,
     esym_all,
     field_name,
     hom_component,
+    mon_mul,
     parse_coeff,
     parse_poly_lines,
     read_fields,
@@ -165,11 +168,40 @@ def eval_circuit(C: FewVarCircuit, point: Sequence) -> FieldElem:
     return coerce(total, C.field_p)
 
 
+def _multiply_out(factors: Sequence[FactorPoly],
+                  field_p: Field) -> Dict[Mon, FieldElem]:
+    """The product of the factors over the global variables, as a map from
+    monomial to nonzero coefficient (empty when the product vanishes).
+    Each factor's monomials are relabelled through its support, which is
+    strictly increasing, so they stay sorted."""
+    prod: Dict[Mon, FieldElem] = {MON_ONE: 1}
+    for f in factors:
+        sup = f.support
+        local = [(tuple([(sup[v], e) for v, e in mon]), c)
+                 for mon, c in f.poly.terms.items()]
+        nxt: Dict[Mon, FieldElem] = {}
+        for ma, ca in prod.items():
+            for mb, cb in local:
+                mon = mon_mul(ma, mb)
+                nxt[mon] = nxt.get(mon, 0) + ca * cb
+        if field_p is None:
+            prod = {m: c for m, c in nxt.items() if c}
+        else:
+            prod = {m: c % field_p for m, c in nxt.items() if c % field_p}
+        if not prod:
+            break
+    return prod
+
+
 def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynomial:
     """The exact polynomial the circuit computes.
 
-    Refuses when the pre-merge term-count estimate exceeds the cap (argument,
-    else 10^6).
+    Refuses when the pre-merge term-count estimate, over every term,
+    exceeds the cap (argument, else 10^6).  Terms whose factors are the very
+    same objects are one product, s1*P + s2*P = (s1 + s2)*P, so each shared
+    product is multiplied out once, with the summed scale, and skipped when
+    that sum is 0.  Every product is added into one accumulator, and the
+    result is validated once, by the one polynomial built at the end.
     """
     limit = DEFAULT_EXPAND_CAP if cap is None else cap
     est = 0
@@ -180,15 +212,19 @@ def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynom
         est += count
     if est > limit:
         raise ValueError(f"too large to expand: estimated {est} terms > cap {limit}")
-    acc = SparsePolynomial.zero(C.num_vars, C.field_p)
+    groups: Dict[Tuple[int, ...], list] = {}     # factor ids -> [scale, factors]
     for scale, factors in C.terms:
-        prod = SparsePolynomial.const(C.num_vars, scale, C.field_p)
-        for f in factors:
-            prod = prod * f.embed(C.num_vars)
-            if prod.is_zero():
-                break
-        acc = acc + prod
-    return acc
+        group = groups.setdefault(tuple(map(id, factors)), [0, factors])
+        group[0] += scale
+    acc: Dict[Mon, FieldElem] = {}
+    for scale, factors in groups.values():
+        if C.field_p is not None:
+            scale %= C.field_p
+        if not scale:
+            continue
+        for mon, c in _multiply_out(factors, C.field_p).items():
+            acc[mon] = acc.get(mon, 0) + scale * c
+    return SparsePolynomial(C.num_vars, acc, C.field_p)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +455,9 @@ class HomogDecomposition:
         n = self.target_degree
         acc = SparsePolynomial.zero(self.num_vars, self.field_p)
         for piece in self.pieces:
-            prod = SparsePolynomial.const(self.num_vars, 1, self.field_p)
-            for f in piece.plain_factors:
-                prod = prod * f.embed(self.num_vars)
+            prod = SparsePolynomial(
+                self.num_vars, _multiply_out(piece.plain_factors, self.field_p),
+                self.field_p)
             esums = esym_all(list(piece.esym_args), piece.l_max) if piece.esym_args \
                 else [SparsePolynomial.const(self.num_vars, 1, self.field_p)]
             total_esym = SparsePolynomial.zero(self.num_vars, self.field_p)
@@ -524,9 +560,7 @@ def parse_circuit(text: str) -> FewVarCircuit:
     blocks: List[Tuple[FieldElem, list]] = []   # (scale, [(line, support, coeffs)])
     for ln, body in lines[2:]:
         if body.startswith("term "):
-            kv = read_fields(body)
-            if "scale" not in kv:
-                raise ValueError(f"line {ln}: term line needs scale=")
+            kv = read_fields(ln, body[len("term "):], ("scale",), "term line needs")
             try:
                 blocks.append((parse_coeff(kv["scale"], header.field_p), []))
             except (ValueError, ZeroDivisionError) as exc:
@@ -534,9 +568,8 @@ def parse_circuit(text: str) -> FewVarCircuit:
         elif body.startswith("factor "):
             if not blocks:
                 raise ValueError(f"line {ln}: factor before any `term` line")
-            kv = read_fields(body)
-            if "support" not in kv:
-                raise ValueError(f"line {ln}: factor line needs support=")
+            kv = read_fields(ln, body[len("factor "):], ("support",),
+                             "factor line needs")
             try:
                 sup = tuple(int(x) for x in kv["support"].split(",")) \
                     if kv["support"] else ()
@@ -550,16 +583,27 @@ def parse_circuit(text: str) -> FewVarCircuit:
         else:
             raise ValueError(f"line {ln}: unrecognized line {body!r}")
 
+    placed: List[Tuple[int, FactorPoly]] = []
     for _, factors in blocks:      # each block becomes its factor, in place
         for i, (fln, sup, coeffs) in enumerate(factors):
             poly = parse_poly_lines(coeffs, len(sup), header.field_p,
                                     where=f"factor at line {fln}: ")
             try:
                 factors[i] = FactorPoly(sup, poly)
-                _check_factor(factors[i], header.num_vars, header.declared_s)
             except ValueError as exc:
                 raise ValueError(f"line {fln}: {exc}") from None
-    return replace(header, terms=tuple(blocks))
+            placed.append((fln, factors[i]))
+    try:
+        return replace(header, terms=tuple(blocks))
+    except ValueError as exc:
+        # the one construction checks every factor's placement; name the
+        # line of the first factor it refused
+        for fln, f in placed:
+            try:
+                _check_factor(f, header.num_vars, header.declared_s)
+            except ValueError:
+                raise ValueError(f"line {fln}: {exc}") from None
+        raise
 
 
 # ---------------------------------------------------------------------------

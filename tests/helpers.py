@@ -101,6 +101,21 @@ def serialize_circuit(C: FewVarCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def expand_by_ring_ops(C: FewVarCircuit) -> SparsePolynomial:
+    """The circuit's expansion through the ring operations alone: each term
+    multiplied out factor by factor on the embedded factors, and the terms
+    summed one polynomial at a time.  The oracle for ``expand_circuit``."""
+    acc = SparsePolynomial.zero(C.num_vars, C.field_p)
+    for scale, factors in C.terms:
+        prod = SparsePolynomial.const(C.num_vars, scale, C.field_p)
+        for f in factors:
+            prod = prod * f.embed(C.num_vars)
+            if prod.is_zero():
+                break
+        acc = acc + prod
+    return acc
+
+
 def combnulls_grid(N: int, d: int) -> Iterator[Tuple[int, ...]]:
     """Lexicographic enumeration of {0..d}^N.  Any nonzero polynomial with
     individual degree <= d is nonzero somewhere on this grid, so a full scan

@@ -18,6 +18,7 @@ from fewvar.algebra import (
 from fewvar.circuit import (
     FactorPoly,
     FewVarCircuit,
+    _multiply_out,
     class_check,
     coeff_circuits,
     derivative_circuit,
@@ -33,7 +34,7 @@ from fewvar.circuit import (
     translate_circuit,
 )
 from fewvar.rng import named_rng
-from helpers import GF7_CIRCUIT, serialize_circuit
+from helpers import GF7_CIRCUIT, expand_by_ring_ops, serialize_circuit
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -99,6 +100,20 @@ def test_expand_cap_refuses_blowup():
     with pytest.raises(ValueError, match="expand"):
         expand_circuit(big, cap=100)
 
+
+
+def test_expand_cap_counts_every_term_before_grouping():
+    # one product of two two-term factors, 4 terms, in 30 terms: expansion
+    # multiplies it out once, but the estimate still counts all 30 copies,
+    # whether their scales add up or cancel
+    fs = (fp((0,), (1, [(0, 1)]), (1, [])), fp((1,), (1, [(0, 1)]), (2, [])))
+    for scales in ([1] * 30, [1, -1] * 15):
+        C = FewVarCircuit(2, tuple((c, fs) for c in scales), 1)
+        with pytest.raises(ValueError) as info:
+            expand_circuit(C, cap=100)
+        assert str(info.value) == \
+            "too large to expand: estimated 120 terms > cap 100"
+        assert expand_circuit(C, cap=120) == expand_by_ring_ops(C)
 
 def test_normalize_constants():
     C = FewVarCircuit(num_vars=2, terms=[
@@ -412,6 +427,66 @@ def test_gf_transforms_match_polynomial_operations(p, data, y, i, shift, alive):
         if v not in alive:
             want = substitute(want, v, 0)
     assert expand_circuit(rC) == want
+
+
+
+# ---------------------------------------------------------------------------
+# expansion against the ring operations
+
+@st.composite
+def shared_factor_circuit(draw):
+    """A circuit over 3 variables, over Q, GF(7) or GF(97), whose terms take
+    their factors from a small pool of factor objects: terms repeat the very
+    same factor tuples, sometimes with scales that sum to 0, distinct
+    factors share supports, a power of one variable overlaps other
+    supports (as in a derivative circuit), and some factors are zero."""
+    p = draw(st.sampled_from((None, 7, 97)))
+    pool = [fp((draw(st.integers(0, 2)),),
+               (1, [(0, draw(st.integers(1, 2)))]), p=p)]
+    for _ in range(draw(st.integers(1, 3))):
+        support = tuple(sorted(draw(st.sets(st.integers(0, 2), max_size=2))))
+        for _ in range(draw(st.integers(1, 2))):
+            items = draw(st.lists(st.tuples(small_ints, st.lists(
+                st.integers(0, 2), min_size=len(support),
+                max_size=len(support))), max_size=3))
+            pool.append(fp(support, *[(c, list(enumerate(es)))
+                                      for c, es in items], p=p))
+    shapes = draw(st.lists(st.lists(st.integers(0, len(pool) - 1), max_size=3),
+                           min_size=1, max_size=3))
+    terms = [(draw(small_ints), tuple(draw(st.sampled_from(shapes))))
+             for _ in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        # one more copy of the first term's product, cancelling its group
+        first = terms[0][1]
+        terms.append((-sum(c for c, shape in terms if shape == first), first))
+    return FewVarCircuit(3, tuple((c, tuple(pool[i] for i in shape))
+                                  for c, shape in terms), 2, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_factor_circuit(), st.lists(small_ints, min_size=3, max_size=3),
+       st.integers(0, 2), st.integers(0, 2))
+def test_expand_matches_ring_operations(C, point, y, j):
+    P = expand_circuit(C)
+    assert P == expand_by_ring_ops(C)
+    assert eval_circuit(C, point) == P.eval_at(point)
+    for _, factors in C.terms:
+        # each product comes out reduced, with no zero coefficient
+        one = FewVarCircuit(C.num_vars, ((1, factors),), C.declared_s, C.field_p)
+        assert _multiply_out(factors, C.field_p) == expand_by_ring_ops(one).terms
+    if C.field_p is None:
+        # coefficient circuits repeat a product that misses y once per node
+        dC = derivative_circuit(FewVarCircuit(
+            C.num_vars, C.terms, C.declared_s, None, P.individual_degree()), y, j)
+        assert expand_circuit(dC) == expand_by_ring_ops(dC) == \
+            derivative_poly(P, y, j)
+
+
+def test_expand_empty_circuit_is_zero():
+    for p in (None, 7):
+        C = FewVarCircuit(3, (), 2, p)
+        assert expand_circuit(C) == expand_by_ring_ops(C) == \
+            SparsePolynomial.zero(3, p)
 
 
 # ---------------------------------------------------------------------------

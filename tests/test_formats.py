@@ -28,6 +28,9 @@ BAD_DOCUMENTS = {
     "poly-bad-modulus": (parse_poly, "vars=2 field=GF(x)", r"line 1: bad header: invalid literal for int\(\)"),
     "poly-nonprime": (parse_poly, "vars=2 field=GF(8)", r"line 1: bad header: modulus 8 is not prime"),
     "poly-header-after-comment": (parse_poly, "# c\n\nvars=2 field=GF(8)", r"line 3: bad header: modulus 8"),
+    "poly-header-bare-token": (parse_poly, "vars=2 field=Q typo", r"line 1: expected key=value, got 'typo'"),
+    "poly-header-repeated-key": (parse_poly, "vars=2 field=Q vars=3 typo", r"line 1: repeated key 'vars'"),
+    "poly-header-unknown-key": (parse_poly, "# c\nvars=2 field=Q s=1", r"line 2: unknown key 's'"),
     # .poly body
     "poly-not-coeff": (parse_poly, POLY + "term scale=1", r"line 2: expected a `coeff` line"),
     "poly-no-semicolon": (parse_poly, POLY + "coeff 1 0:1", r"line 2: missing `;` separator"),
@@ -58,15 +61,25 @@ BAD_DOCUMENTS = {
     "circuit-negative-s": (parse_circuit, "fewvar-circuit v1\nvars=2 field=Q s=-1 k=1", r"line 2: bad header: declared_s must be nonnegative"),
     "circuit-negative-k": (parse_circuit, "fewvar-circuit v1\nvars=2 field=Q s=1 k=-3", r"line 2: bad header: k must be nonnegative"),
     "circuit-negative-after-comment": (parse_circuit, "# c\nfewvar-circuit v1\n\nvars=2 field=Q s=-1 k=1", r"line 4: bad header: declared_s"),
+    "circuit-declaration-bare-token": (parse_circuit, "fewvar-circuit v1\nvars=2 field=Q s=1 k=1 extra", r"line 2: expected key=value, got 'extra'"),
+    "circuit-declaration-repeated-key": (parse_circuit, "fewvar-circuit v1\nvars=2 field=Q s=1 k=1 k=2", r"line 2: repeated key 'k'"),
+    "circuit-declaration-unknown-key": (parse_circuit, "fewvar-circuit v1\nvars=2 field=Q s=1 k=1 t=3", r"line 2: unknown key 't'"),
     # .circuit terms and factors
     "circuit-no-scale": (parse_circuit, CIRCUIT + "term weight=1", r"line 3: term line needs scale="),
     "circuit-bad-scale": (parse_circuit, CIRCUIT + "term scale=x", r"line 3: bad scale: invalid literal"),
     "circuit-zero-scale-denominator": (parse_circuit, CIRCUIT + "term scale=1/0", r"line 3: bad scale: "),
     "circuit-gf-scale": (parse_circuit, "fewvar-circuit v1\nvars=1 field=GF(7) s=1 k=1\nterm scale=1/7", r"line 3: bad scale: denominator divisible by 7"),
+    "circuit-term-bare-token": (parse_circuit, CIRCUIT + "term scale=2 x", r"line 3: expected key=value, got 'x'"),
+    "circuit-term-repeated-key": (parse_circuit, CIRCUIT + "term scale=2 scale=3", r"line 3: repeated key 'scale'"),
+    "circuit-term-unknown-key": (parse_circuit, CIRCUIT + "term scale=2 sacle=3", r"line 3: unknown key 'sacle'"),
     "circuit-no-support": (parse_circuit, TERM + "factor vars=0", r"line 4: factor line needs support="),
     "circuit-bad-support": (parse_circuit, TERM + "factor support=0,a", r"line 4: bad support: invalid literal"),
+    "circuit-factor-bare-token": (parse_circuit, TERM + "factor support=0 junk", r"line 4: expected key=value, got 'junk'"),
+    "circuit-factor-repeated-key": (parse_circuit, TERM + "factor support=0 support=1", r"line 4: repeated key 'support'"),
+    "circuit-factor-unknown-key": (parse_circuit, TERM + "factor support=0 vars=1", r"line 4: unknown key 'vars'"),
     "circuit-unsorted-support": (parse_circuit, "fewvar-circuit v1\nvars=2 field=Q s=2 k=1\nterm scale=1\nfactor support=1,0", r"line 4: support \(1, 0\) must be strictly increasing"),
     "circuit-support-out-of-range": (parse_circuit, TERM + "factor support=5", r"line 4: factor support \(5,\) out of range for 2 variables"),
+    "circuit-later-factor-out-of-range": (parse_circuit, FACTOR + "coeff 1 ;\nterm scale=1\nfactor support=1\nfactor support=7\ncoeff 1 ; 0:1", r"line 8: factor support \(7,\) out of range for 2 variables"),
     "circuit-support-over-s": (parse_circuit, TERM + "factor support=0,1", r"line 4: factor support \(0, 1\) exceeds declared_s=1"),
     "circuit-factor-before-term": (parse_circuit, CIRCUIT + "factor support=0\ncoeff 1 ; 0:1", r"line 3: factor before any `term` line"),
     "circuit-coeff-before-term": (parse_circuit, CIRCUIT + "coeff 1 ;", r"line 3: coeff line outside a factor block"),
