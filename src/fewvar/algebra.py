@@ -6,7 +6,9 @@ or a Fraction (an int stays an int), over GF(p) an int in [0, p).
 ``coerce`` is the one lift into that domain.  Ring operations compute on
 the representatives and the constructor reduces every coefficient and drops
 the zeros.  Binary operations check that both tags agree and raise on a
-mismatch.
+mismatch.  ``multiply_out`` is the one product loop, on plain term maps:
+``__mul__``, ``translate_poly`` and circuit expansion all multiply through
+it, and each builds one polynomial from its result.
 
 A monomial is a sorted tuple of ``(variable_index, exponent)`` pairs with all
 exponents positive; the empty tuple is the constant monomial.  A polynomial is
@@ -228,12 +230,9 @@ class SparsePolynomial:
 
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         self._check_compatible(other)
-        out: Dict[Mon, FieldElem] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mon = mon_mul(ma, mb)
-                out[mon] = out.get(mon, 0) + ca * cb
-        return SparsePolynomial(self.num_vars, out, self.field_p)
+        return SparsePolynomial(
+            self.num_vars, multiply_out((self.terms, other.terms), self.field_p),
+            self.field_p)
 
     def scale(self, c) -> "SparsePolynomial":
         cc = coerce(c, self.field_p)
@@ -272,6 +271,29 @@ class SparsePolynomial:
 
 # ---------------------------------------------------------------------------
 # polynomial operations
+
+def multiply_out(term_maps: Iterable[Dict[Mon, FieldElem]],
+                 field_p: Field) -> Dict[Mon, FieldElem]:
+    """The product of polynomials given as term maps (monomial ->
+    coefficient), as a map from monomial to nonzero coefficient, empty when
+    the product vanishes.  The one product loop: from {(): 1}, each factor
+    is multiplied in with ``mon_mul``, reduced mod p over GF(p), and cleared
+    of zeros; an empty product stops early."""
+    prod: Dict[Mon, FieldElem] = {MON_ONE: 1}
+    for terms in term_maps:
+        nxt: Dict[Mon, FieldElem] = {}
+        for ma, ca in prod.items():
+            for mb, cb in terms.items():
+                mon = mon_mul(ma, mb)
+                nxt[mon] = nxt.get(mon, 0) + ca * cb
+        if field_p is None:
+            prod = {m: c for m, c in nxt.items() if c}
+        else:
+            prod = {m: c % field_p for m, c in nxt.items() if c % field_p}
+        if not prod:
+            break
+    return prod
+
 
 def hom_component(P: SparsePolynomial, i: int, mode: str = "eq") -> SparsePolynomial:
     """The homogeneous part of degree i ("eq"), or of degree <= i / >= i.
@@ -322,16 +344,15 @@ def translate_poly(P: SparsePolynomial, a: Sequence) -> SparsePolynomial:
             f"dimension mismatch: shift has {len(a)} values, "
             f"polynomial has {P.num_vars} variables")
     shift = [coerce(v, P.field_p) for v in a]
-    out = SparsePolynomial.zero(P.num_vars, P.field_p)
+    out: Dict[Mon, FieldElem] = {}
     for mon, c in P.terms.items():
-        # expand prod_v (x_v + a_v)^e by the binomial theorem, variable by variable
-        term = SparsePolynomial.const(P.num_vars, c, P.field_p)
-        for v, e in mon:
-            binom = {((v, j),) if j else MON_ONE:
-                     math.comb(e, j) * shift[v] ** (e - j) for j in range(e + 1)}
-            term = term * SparsePolynomial(P.num_vars, binom, P.field_p)
-        out = out + term
-    return out
+        # expand c * prod_v (x_v + a_v)^e by the binomial theorem
+        binoms = [{((v, j),) if j else MON_ONE:
+                   math.comb(e, j) * shift[v] ** (e - j) for j in range(e + 1)}
+                  for v, e in mon]
+        for m, t in multiply_out([{MON_ONE: c}] + binoms, P.field_p).items():
+            out[m] = out.get(m, 0) + t
+    return SparsePolynomial(P.num_vars, out, P.field_p)
 
 
 def derivative_poly(P: SparsePolynomial, var: int, order: int = 1) -> SparsePolynomial:
@@ -379,17 +400,6 @@ def scale_all_vars(P: SparsePolynomial, t) -> SparsePolynomial:
     tv = coerce(t, P.field_p)
     out = {mon: c * tv ** mon_degree(mon) for mon, c in P.terms.items()}
     return SparsePolynomial(P.num_vars, out, P.field_p)
-
-
-def relabel_vars(P: SparsePolynomial, new_num_vars: int,
-                 mapping: Dict[int, int]) -> SparsePolynomial:
-    """Rename variables through an injective index map (used for embedding a
-    local polynomial into a global variable space and back)."""
-    out: Dict[Mon, FieldElem] = {}
-    for mon, c in P.terms.items():
-        new = tuple(sorted((mapping[v], e) for v, e in mon))
-        out[new] = c
-    return SparsePolynomial(new_num_vars, out, P.field_p)
 
 
 def coeffs_in_var(P: SparsePolynomial, var: int) -> List[SparsePolynomial]:

@@ -3,7 +3,9 @@
 A circuit computes  sum_i  scale_i * prod_j Q_ij  where every factor Q_ij is a
 polynomial touching at most ``declared_s`` of the N global variables (of
 arbitrary degree).  The factor stores its support (global indices) and a local
-polynomial over ``len(support)`` variables.
+polynomial over ``len(support)`` variables; ``FactorPoly.global_terms`` is
+the one map of its terms onto the global variables, and expansion multiplies
+those term maps through ``algebra.multiply_out``, the one product loop.
 
 All transforms return new circuits whose expansion equals the corresponding
 polynomial-level operation exactly; the test suite checks this on randomized
@@ -33,7 +35,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .algebra import (
     Field,
     FieldElem,
-    MON_ONE,
     Mon,
     SparsePolynomial,
     coerce,
@@ -41,12 +42,11 @@ from .algebra import (
     esym_all,
     field_name,
     hom_component,
-    mon_mul,
+    multiply_out,
     parse_coeff,
     parse_poly_lines,
     read_fields,
     read_header,
-    relabel_vars,
     scale_all_vars,
     substitute,
     translate_poly,
@@ -75,10 +75,17 @@ class FactorPoly:
                 f"factor polynomial has {self.poly.num_vars} variables but "
                 f"support lists {len(self.support)}")
 
+    def global_terms(self) -> Dict[Mon, FieldElem]:
+        """The factor's terms over the global variables: each local monomial
+        mapped through the support, which is strictly increasing, so the
+        monomial stays sorted.  The one support relabel."""
+        sup = self.support
+        return {tuple([(sup[v], e) for v, e in mon]): c
+                for mon, c in self.poly.terms.items()}
+
     def embed(self, num_vars: int) -> SparsePolynomial:
         """The factor as a polynomial over the full variable set."""
-        mapping = {i: g for i, g in enumerate(self.support)}
-        return relabel_vars(self.poly, num_vars, mapping)
+        return SparsePolynomial(num_vars, self.global_terms(), self.poly.field_p)
 
     def eval_at(self, point: Sequence) -> FieldElem:
         return self.poly.eval_at([point[g] for g in self.support])
@@ -171,26 +178,8 @@ def eval_circuit(C: FewVarCircuit, point: Sequence) -> FieldElem:
 def _multiply_out(factors: Sequence[FactorPoly],
                   field_p: Field) -> Dict[Mon, FieldElem]:
     """The product of the factors over the global variables, as a map from
-    monomial to nonzero coefficient (empty when the product vanishes).
-    Each factor's monomials are relabelled through its support, which is
-    strictly increasing, so they stay sorted."""
-    prod: Dict[Mon, FieldElem] = {MON_ONE: 1}
-    for f in factors:
-        sup = f.support
-        local = [(tuple([(sup[v], e) for v, e in mon]), c)
-                 for mon, c in f.poly.terms.items()]
-        nxt: Dict[Mon, FieldElem] = {}
-        for ma, ca in prod.items():
-            for mb, cb in local:
-                mon = mon_mul(ma, mb)
-                nxt[mon] = nxt.get(mon, 0) + ca * cb
-        if field_p is None:
-            prod = {m: c for m, c in nxt.items() if c}
-        else:
-            prod = {m: c % field_p for m, c in nxt.items() if c % field_p}
-        if not prod:
-            break
-    return prod
+    monomial to nonzero coefficient (empty when the product vanishes)."""
+    return multiply_out((f.global_terms() for f in factors), field_p)
 
 
 def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynomial:
@@ -304,18 +293,29 @@ def _interpolate(C: FewVarCircuit, count: int, at_node,
 def _substitute_factor(gvars: FrozenSet[int], value, f: FactorPoly):
     """Set every global variable in ``gvars`` to one scalar inside a factor,
     as a rewrite step (the factor comes last, for ``partial``): the factor
-    is kept when none is in its support."""
+    is kept when none is in its support.  One pass over the factor's terms
+    substitutes the value and lowers the kept local variables onto the
+    shrunken support."""
     if gvars.isdisjoint(f.support):
         return 1, f
-    sub = f.poly
-    keep: List[int] = []
+    val = coerce(value, f.poly.field_p)
+    lower: Dict[int, int] = {}          # kept local variable -> new index
     for local, g in enumerate(f.support):
-        if g in gvars:
-            sub = substitute(sub, local, value)
-        else:
-            keep.append(local)
-    lowered = relabel_vars(sub, len(keep), {i: j for j, i in enumerate(keep)})
-    return 1, FactorPoly(tuple(f.support[i] for i in keep), lowered)
+        if g not in gvars:
+            lower[local] = len(lower)
+    out: Dict[Mon, FieldElem] = {}
+    for mon, c in f.poly.terms.items():
+        rest = []
+        for v, e in mon:
+            if v in lower:
+                rest.append((lower[v], e))
+            else:
+                c = c * val ** e
+        key = tuple(rest)
+        out[key] = out.get(key, 0) + c
+    support = tuple(g for g in f.support if g not in gvars)
+    return 1, FactorPoly(support, SparsePolynomial(len(support), out,
+                                                   f.poly.field_p))
 
 
 # ---------------------------------------------------------------------------

@@ -77,22 +77,11 @@ def _tf(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _num(v) -> str:
-    """A report value.  An int and the integral Fraction equal to it print
-    the same, so a report does not depend on which of the two a stage
-    returns."""
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _value_line(value, box) -> str:
     """The `value=` report line.  A value of a GF(p) circuit names its
     modulus; a subprocess blackbox's values are rational."""
     p = box.field_p if isinstance(box, FewVarCircuit) else None
-    return f"value={_num(value)}" + ("" if p is None else f" (mod {p})")
+    return f"value={value}" + ("" if p is None else f" (mod {p})")
 
 
 def _emit(lines: List[str], out: Optional[str]):
@@ -198,14 +187,14 @@ def _cmd_nw_params(args) -> int:
     p = derive_nw_params(args.mu, args.n)
     _emit([
         f"seed={args.seed}",
-        f"mu={_num(p.mu)}",
+        f"mu={p.mu}",
         f"n={p.n}",
-        f"delta={_num(p.delta)}",
-        f"gamma={_num(p.gamma)}",
+        f"delta={p.delta}",
+        f"gamma={p.gamma}",
         f"psi={p.psi}",
         f"N={p.N}",
-        f"rho={_num(p.rho)}",
-        f"D_raw={_num(p.D_raw)}",
+        f"rho={p.rho}",
+        f"D_raw={p.D_raw}",
         f"D={p.D}",
     ], args.out)
     return EXIT_OK
@@ -287,7 +276,7 @@ def _cmd_hitset(args) -> int:
         limit = params.stream_size
     lines = _params_lines(params, args.seed)
     for h in hitting_set_stream(params, limit=limit):
-        lines.append("h=" + ",".join(_num(v) for v in h))
+        lines.append("h=" + ",".join(map(str, h)))
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -306,7 +295,7 @@ def _cmd_pit(args) -> int:
     lines.append(f"status={result.status}")
     lines.append(f"tested={result.tested}")
     if result.point is not None:
-        lines.append("witness=" + ",".join(_num(v) for v in result.point))
+        lines.append("witness=" + ",".join(map(str, result.point)))
         lines.append(_value_line(result.value, box))
     if result.class_report is not None:
         lines.append(f"class={_pf(result.class_report.ok)}")
@@ -378,14 +367,14 @@ def _cmd_restrict_experiment(args) -> int:
     _emit([
         f"seed={rep.seed}",
         f"s={args.s}",
-        f"p={_num(rep.p)}",
+        f"p={rep.p}",
         f"trials={rep.trials}",
         f"bad_count={rep.bad_count}",
-        f"expected_survivors={_num(rep.expected_survivors)}",
-        f"mean_survivors={_num(rep.mean_survivors)}",
-        f"stderr_survivors={_num(rep.stderr_survivors)}",
-        f"empirical_rate={_num(rep.empirical_rate)}",
-        f"markov_bound={_num(rep.markov_bound)}",
+        f"expected_survivors={rep.expected_survivors}",
+        f"mean_survivors={rep.mean_survivors}",
+        f"stderr_survivors={rep.stderr_survivors}",
+        f"empirical_rate={rep.empirical_rate}",
+        f"markov_bound={rep.markov_bound}",
     ], args.out)
     return EXIT_OK
 
@@ -395,14 +384,14 @@ def _cmd_ratios(args) -> int:
     _emit([
         f"seed={args.seed}",
         f"n={rep.n}",
-        f"mu={_num(rep.mu)}",
+        f"mu={rep.mu}",
         f"r={rep.r}",
         f"s={rep.s}",
         f"m={rep.m}",
         f"N={rep.N}",
-        f"log_ratio_1={_num(rep.log_ratio_1)}",
-        f"log_ratio_2={_num(rep.log_ratio_2)}",
-        f"closed_form_1={_num(rep.closed_form_1)}",
+        f"log_ratio_1={rep.log_ratio_1}",
+        f"log_ratio_2={rep.log_ratio_2}",
+        f"closed_form_1={rep.closed_form_1}",
         f"exact={_tf(rep.exact)}",
     ], args.out)
     return EXIT_OK
@@ -418,8 +407,8 @@ def _cmd_transform_audit(args) -> int:
         f"circuits={rep.circuits}",
         f"checks={rep.checks}",
         f"failures={len(rep.failures)}",
-        f"max_deriv_fanin_ratio={_num(rep.max_deriv_fanin_ratio)}",
-        f"max_coeff_fanin_ratio={_num(rep.max_coeff_fanin_ratio)}",
+        f"max_deriv_fanin_ratio={rep.max_deriv_fanin_ratio}",
+        f"max_coeff_fanin_ratio={rep.max_coeff_fanin_ratio}",
         f"ok={_pf(rep.ok)}",
     ]
     lines += [f"failure={f}" for f in rep.failures]

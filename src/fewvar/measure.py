@@ -243,7 +243,7 @@ def rank_mod(rows: Iterable[Dict[int, int]], p: int) -> int:
 def _shift_rows(P: SparsePolynomial, params: MeasureParams):
     """Yield the measure's integer row vectors, keyed by an interned column id
     per multilinear monomial (the bitmask of its variables).  Also returns the
-    column table (shared dict) and the number of derivatives.
+    column table (shared dict).
 
     The multilinear survivors of each d_gamma P are scaled once by the lcm of
     their denominators; a row is a nonzero multiple of the projected shifted
@@ -273,7 +273,7 @@ def _shift_rows(P: SparsePolynomial, params: MeasureParams):
                         continue
                     row[col_ids.setdefault(mask | smask, len(col_ids))] = c
                 yield row
-    return rows, col_ids, len(gammas)
+    return rows, col_ids
 
 
 def psd_dimension(P: SparsePolynomial, params: MeasureParams,
@@ -296,7 +296,7 @@ def psd_dimension(P: SparsePolynomial, params: MeasureParams,
         raise ValueError(
             f"row cap exceeded: {gcount} derivatives x {n_shifts} shifts "
             f"> {row_cap}")
-    rows, col_ids, gcount = _shift_rows(P, params)
+    rows, col_ids = _shift_rows(P, params)
     if params.rank_prime is not None:
         phi = rank_mod(rows(), params.rank_prime)
         exact = False

@@ -340,10 +340,8 @@ def _integer_circuit(C: FewVarCircuit) -> Tuple[int, Tuple]:
         polys = []
         for f in factors:
             d = math.lcm(*(c.denominator for c in f.poly.terms.values()))
-            polys.append(tuple(
-                (c.numerator * (d // c.denominator),
-                 tuple((f.support[v], e) for v, e in mon))
-                for mon, c in f.poly.terms.items()))
+            polys.append(tuple((c.numerator * (d // c.denominator), mon)
+                               for mon, c in f.global_terms().items()))
             den *= d
         cleared.append((num, den, tuple(polys)))
     L = math.lcm(*(den for _, den, _ in cleared))

@@ -22,6 +22,7 @@ from fewvar.algebra import (
     is_prime,
     mon_make,
     multilinear_monomials,
+    multiply_out,
     next_prime_at_least,
     parse_poly,
     serialize_poly,
@@ -177,6 +178,39 @@ def test_gf_operations_are_reduction_of_integer_results(p, A, B, var, order,
         assert got.terms == reduce_mod(want, p)
     value = Ap.eval_at(point)
     assert type(value) is int and value == A.eval_at(point) % p
+
+
+# ---------------------------------------------------------------------------
+# products and translation against evaluation, which multiplies no
+# polynomials
+
+@st.composite
+def field_polys(draw, p, num_vars=3):
+    """A polynomial over Q (p None) or GF(p) with rational coefficients of
+    small denominator."""
+    items = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        mon = [(v, draw(exps)) for v in range(num_vars)]
+        c = Fraction(draw(wide_coeffs), draw(st.integers(min_value=1, max_value=6)))
+        items.append((c, [(v, e) for v, e in mon if e]))
+    return SparsePolynomial.from_terms(num_vars, items, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_product_and_translation_agree_with_evaluation(data):
+    p = data.draw(st.sampled_from((None, 7, 97)))
+    A, B = data.draw(field_polys(p)), data.draw(field_polys(p))
+    point, shift = (data.draw(st.lists(wide_coeffs, min_size=3, max_size=3))
+                    for _ in range(2))
+    assert (A * B).eval_at(point) == coerce(A.eval_at(point) * B.eval_at(point), p)
+    # the product comes out reduced, with no zero coefficient
+    prod = multiply_out((A.terms, B.terms), p)
+    assert SparsePolynomial(3, prod, p).terms == prod
+    moved = [u + a for u, a in zip(point, shift)]
+    T = translate_poly(A, shift)
+    assert T.eval_at(point) == A.eval_at(moved)
+    assert T.degree() == A.degree()
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from fewvar.circuit import (
     FactorPoly,
     FewVarCircuit,
     _multiply_out,
+    _substitute_factor,
     class_check,
     coeff_circuits,
     derivative_circuit,
@@ -480,6 +481,28 @@ def test_expand_matches_ring_operations(C, point, y, j):
             C.num_vars, C.terms, C.declared_s, None, P.individual_degree()), y, j)
         assert expand_circuit(dC) == expand_by_ring_ops(dC) == \
             derivative_poly(P, y, j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_substituted_factor_agrees_with_evaluation(data):
+    """A factor with some of its variables set to a value, against
+    evaluating the original factor at the substituted point."""
+    p = data.draw(st.sampled_from((None, 7, 97)))
+    support = sorted(data.draw(st.sets(st.integers(0, 4), max_size=3)))
+    items = [(Fraction(data.draw(small_ints), data.draw(st.integers(1, 6))),
+              [(i, data.draw(st.integers(0, 3))) for i in range(len(support))])
+             for _ in range(data.draw(st.integers(0, 4)))]
+    f = fp(support, *items, p=p)
+    gvars = frozenset(data.draw(st.sets(st.integers(0, 4))))
+    value = data.draw(small_ints)
+    point = data.draw(st.lists(small_ints, min_size=5, max_size=5))
+    at = [value if v in gvars else u for v, u in enumerate(point)]
+    c, g = _substitute_factor(gvars, value, f)
+    assert c == 1
+    assert g.support == tuple(v for v in support if v not in gvars)
+    assert g.eval_at(point) == f.eval_at(at)
+    assert g.embed(5).eval_at(point) == f.eval_at(at)
 
 
 def test_expand_empty_circuit_is_zero():

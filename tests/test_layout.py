@@ -4,6 +4,8 @@ Code that only the tests use belongs in ``tests/``: every top-level function
 and class in ``src/fewvar`` must be named by some other code in
 ``src/fewvar``, as a name, an attribute or an import.  Docstrings and
 comments do not count, and neither does a name inside its own definition.
+The package has one product loop: ``mon_mul`` is named only inside
+``algebra.multiply_out``.
 """
 
 import ast
@@ -51,3 +53,16 @@ def test_every_top_level_definition_is_referenced_in_src():
                 unreferenced.append(f"{module}:{node.name}")
     assert unreferenced == []
     assert set(ALLOWED_UNREFERENCED) <= defined
+
+
+def test_only_multiply_out_multiplies_monomials():
+    """One product loop: ``mon_mul`` is named in the package only inside
+    ``algebra.multiply_out``, so every product of polynomials goes through
+    it."""
+    users = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if referenced_names(node)["mon_mul"]:
+                name = getattr(node, "name", type(node).__name__)
+                users.append(f"{path.stem}.{name}")
+    assert users == ["algebra.multiply_out"]
