@@ -51,7 +51,6 @@ from .algebra import (
     substitute,
     translate_poly,
 )
-from .rng import named_rng
 
 DEFAULT_EXPAND_CAP = 10 ** 6
 RANDOM_CIRCUIT_TRIES = 200     # draws random_circuit makes before giving up
@@ -616,25 +615,24 @@ def random_circuit(rng, num_vars: int, max_terms: int, max_factors: int,
     to the true individual degree of the expansion (recomputed exactly).
     Retries until the individual degree fits max_k."""
     for _ in range(RANDOM_CIRCUIT_TRIES):
-        T = int(rng.integers(1, max_terms + 1))
+        T = rng.integers(1, max_terms + 1)
         terms: List[Term] = []
         for _ in range(T):
-            scale = int(rng.integers(-3, 4)) or 1
-            d = int(rng.integers(1, max_factors + 1))
+            scale = rng.integers(-3, 4) or 1
+            d = rng.integers(1, max_factors + 1)
             factors: List[FactorPoly] = []
             for _ in range(d):
-                ssize = int(rng.integers(1, max_support + 1))
-                support = tuple(sorted(
-                    int(v) for v in rng.choice(num_vars, size=ssize, replace=False)))
-                nterms = int(rng.integers(1, 4))
+                ssize = rng.integers(1, max_support + 1)
+                support = tuple(sorted(rng.choice(num_vars, ssize)))
+                nterms = rng.integers(1, 4)
                 items = []
                 for _ in range(nterms):
                     pairs = []
                     for li in range(ssize):
-                        e = int(rng.integers(0, 3))
+                        e = rng.integers(0, 3)
                         if e:
                             pairs.append((li, e))
-                    c = int(rng.integers(-3, 4))
+                    c = rng.integers(-3, 4)
                     if c:
                         items.append((c, pairs))
                 poly = SparsePolynomial.from_terms(ssize, items, field_p)
@@ -675,6 +673,7 @@ def transform_audit(count: int, seed: int, num_vars: int = 10, max_terms: int = 
     observed top fan-in against the T*(k+1)^2 and T*(k+1) ceilings.
     """
     from .algebra import derivative_poly, coeffs_in_var
+    from .rng import named_rng
 
     rng = named_rng(seed, "transform-audit")
     failures: List[str] = []
@@ -685,8 +684,8 @@ def transform_audit(count: int, seed: int, num_vars: int = 10, max_terms: int = 
         C = random_circuit(rng, num_vars, max_terms, max_factors, max_support, max_k)
         P = expand_circuit(C)
         T, k = C.top_fanin, C.k
-        y = int(rng.integers(0, num_vars))
-        j = int(rng.integers(0, 3))
+        y = rng.integers(0, num_vars)
+        j = rng.integers(0, 3)
 
         dC = derivative_circuit(C, y, j)
         checks += 1
@@ -717,19 +716,19 @@ def transform_audit(count: int, seed: int, num_vars: int = 10, max_terms: int = 
                 worst_c = max(worst_c, ci.top_fanin / bound_c)
 
         deg = P.degree()
-        i_hom = int(rng.integers(0, deg + 2))
+        i_hom = rng.integers(0, deg + 2)
         hC = hom_component_circuit(C, i_hom, deg)
         checks += 1
         if expand_circuit(hC) != hom_component(P, i_hom, "eq"):
             failures.append(f"circuit {idx}: degree-{i_hom} component mismatch")
 
-        shift = [int(rng.integers(-2, 3)) for _ in range(num_vars)]
+        shift = [rng.integers(-2, 3) for _ in range(num_vars)]
         tC = translate_circuit(C, shift)
         checks += 1
         if expand_circuit(tC) != translate_poly(P, shift):
             failures.append(f"circuit {idx}: translation mismatch")
 
-        alive = frozenset(int(v) for v in range(num_vars) if rng.random() < 0.6)
+        alive = frozenset(v for v in range(num_vars) if rng.random() < 0.6)
         rC = restrict_circuit(C, alive)
         Pr = P
         for v in range(num_vars):

@@ -537,14 +537,15 @@ _COMMANDS = {
 def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     """The parser for one command line.  Every subcommand is registered, so
     help, usage and invalid-choice text do not depend on ``argv``, but only
-    the subcommand ``argv`` invokes gets its arguments.  argparse hands the
+    the subcommand ``argv`` invokes gets its arguments and ``-h``: the others
+    are only ever named in that text.  argparse hands the
     rest of the line to the first word that is not an option; when that word
     names a subcommand, it is the first word of ``argv`` that does."""
     parser = _Parser(prog="fewvar", description=__doc__)
     subs = parser.add_subparsers(dest="command", parser_class=_Parser)
     invoked = next((a for a in argv if a in _COMMANDS), None)
     for name, (add_args, handler) in _COMMANDS.items():
-        sp = subs.add_parser(name)
+        sp = subs.add_parser(name, add_help=name == invoked)
         if name == invoked:
             add_args(sp)
             _add_common(sp)

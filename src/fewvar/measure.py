@@ -44,7 +44,6 @@ from .algebra import (
 )
 from .circuit import FewVarCircuit
 from .nw import NWParams, derive_nw_params
-from .rng import named_rng
 
 DEFAULT_ROW_CAP = 200_000
 
@@ -247,7 +246,8 @@ def _shift_rows(P: SparsePolynomial, params: MeasureParams):
 
     The multilinear survivors of each d_gamma P are scaled once by the lcm of
     their denominators; a row is a nonzero multiple of the projected shifted
-    derivative, so the span's dimension is unchanged."""
+    derivative, so the span's dimension is unchanged.  A derivative with no
+    multilinear survivor yields no rows: each of its rows would be empty."""
     N = P.num_vars
     gammas = params.monomials
     if gammas is None:
@@ -265,6 +265,8 @@ def _shift_rows(P: SparsePolynomial, params: MeasureParams):
             base = _integer_row({sum(1 << v for v, _ in m): c
                                  for m, c in D.terms.items()
                                  if mon_is_multilinear(m)}).items()
+            if not base:
+                continue
             for smask in shifts:
                 # distinct survivors stay distinct after the shift: no collisions
                 row: Dict[int, int] = {}
@@ -315,9 +317,10 @@ def sample_restriction(N: int, p: float, seed: int) -> FrozenSet[int]:
     deterministically from the seed (stream "restriction")."""
     if not 0 <= p <= 1:
         raise ValueError(f"probability {p} outside [0, 1]")
+    from .rng import named_rng
     rng = named_rng(seed, "restriction")
     u = rng.random(N)
-    return frozenset(int(i) for i in range(N) if u[i] < p)
+    return frozenset(i for i in range(N) if u[i] < p)
 
 
 @dataclass(frozen=True)

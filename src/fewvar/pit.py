@@ -29,7 +29,6 @@ from .algebra import ceil_real, int_floor_root, is_prime, next_prime_at_least, t
 from .circuit import ClassReport, FewVarCircuit, class_check, eval_circuit
 from .nw import (NWInstance, degree_bound, intersections, nw_eval,
                  univariate_graphs)
-from .rng import named_rng
 
 DEFAULT_STREAM_CAP = 1_000_000
 # stream sizes with more digits are reported as grid_size^l, not in decimal
@@ -457,10 +456,11 @@ def schwartz_zippel(box: Blackbox, trials: int, domain_size: int,
     {0..domain_size-1}^N from the seeded stream "schwartz-zippel"."""
     if trials < 1 or domain_size < 1:
         raise ValueError("need trials >= 1 and domain_size >= 1")
+    from .rng import named_rng
     rng = named_rng(seed, "schwartz-zippel")
-    pts = rng.integers(0, domain_size, size=(trials, box.num_vars))
-    for row in pts:
-        point = tuple(int(x) for x in row)
+    for _ in range(trials):
+        # one point at a time, so the scan draws nothing past a witness
+        point = tuple(rng.integers(0, domain_size, size=box.num_vars))
         v = box.eval_at(point)
         if v:
             return SZResult(status="witness", trials=trials, seed=seed,

@@ -218,8 +218,7 @@ def bounded_support_poly(rng, N: int, c: int, n: int, s: int
         for _ in range(int(rng.integers(1, n + 1))):
             items = []
             for _ in range(int(rng.integers(1, 4))):
-                supp = rng.choice(N, size=int(rng.integers(0, s + 1)),
-                                  replace=False)
+                supp = rng.choice(N, rng.integers(0, s + 1))
                 coeff = int(rng.integers(-2, 3))
                 items.append((Fraction(coeff), [(int(v), 1) for v in supp]))
             Q = SparsePolynomial.from_terms(N, items)

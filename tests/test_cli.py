@@ -499,26 +499,29 @@ def test_help_and_usage_text_golden(monkeypatch):
 
 
 # Runs main() on each argv (a JSON list) in a fresh interpreter, then prints
-# [exit code, the heavy packages loaded so far] after the import and after
+# [exit code, the watched modules loaded so far] after the import and after
 # each call, as the last line of stdout.
 LOAD_PROBE = """\
 import json, sys
 from fewvar.cli import main
 
-def heavy():
-    return sorted({"numpy", "mpmath"} & set(sys.modules))
+watched = set(json.loads(sys.argv[2]))
 
-seen = [[None, heavy()]]
+def loaded():
+    return sorted(watched & set(sys.modules))
+
+seen = [[None, loaded()]]
 for argv in json.loads(sys.argv[1]):
-    seen.append([main(argv), heavy()])
+    seen.append([main(argv), loaded()])
 print(json.dumps(seen))
 """
 
 
-def probe_loads(cwd, *argvs):
+def probe_loads(cwd, *argvs, watch=("numpy", "mpmath")):
     """The stdout reports and the [exit code, loaded] steps of LOAD_PROBE."""
     res = subprocess.run(
-        [sys.executable, "-c", LOAD_PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", LOAD_PROBE, json.dumps(argvs),
+         json.dumps(watch)],
         capture_output=True, text=True, cwd=cwd, env=src_env(), timeout=120)
     assert res.returncode == 0, res.stderr
     *reports, steps = res.stdout.splitlines(keepends=True)
@@ -548,20 +551,33 @@ def test_light_commands_load_neither_numpy_nor_mpmath(probe_dir):
                      [2, []]]
 
 
+def test_rng_is_imported_only_to_draw(probe_dir):
+    """``fewvar.rng`` is imported by the functions that draw from it, so
+    start-up, ``measure`` and ``pit`` never load it; ``sz`` does."""
+    _, steps = probe_loads(
+        probe_dir,
+        ["measure", "--poly", "quad.poly", "--r", "1", "--m", "1"],
+        ["pit", "--circuit", "hom.circuit", "--budget", "20"],
+        ["sz", "--circuit", "gf7.circuit", "--trials", "20", "--domain", "5",
+         "--seed", "9"],
+        watch=["fewvar.rng"])
+    assert steps == [[None, []], [0, []], [2, []], [0, ["fewvar.rng"]]]
+
+
 @pytest.mark.parametrize("argv, loaded, golden", [
     (["nw-params", "--mu", "0", "--n", "2"], ["mpmath"], None),
     (["ratios", "--n", "10000"], ["mpmath"], None),
     (["sz", "--circuit", "gf7.circuit", "--trials", "20", "--domain", "5",
-      "--seed", "9"], ["numpy"], "sz_gf7.txt"),
-    (["transform-audit", "--count", "3", "--seed", "5"], ["numpy"],
+      "--seed", "9"], [], "sz_gf7.txt"),
+    (["transform-audit", "--count", "3", "--seed", "5"], [],
      "transform_audit_3_5.txt"),
     (["restrict-experiment", "--circuit", "hom.circuit", "--s", "1",
-      "--p", "0.3", "--trials", "40", "--seed", "5"], ["numpy"],
+      "--p", "0.3", "--trials", "40", "--seed", "5"], [],
      "restrict_experiment_hom.txt"),
 ])
 def test_commands_load_what_they_use(probe_dir, argv, loaded, golden):
-    """A command that draws random numbers loads numpy, one that rounds a
-    real loads mpmath, and the seeded reports do not change."""
+    """A command that rounds a real loads mpmath, one that draws random
+    numbers loads neither, and the seeded reports do not change."""
     out, steps = probe_loads(probe_dir, argv)
     assert steps == [[None, []], [0, loaded]]
     if golden is not None:

@@ -5,7 +5,8 @@ and class in ``src/fewvar`` must be named by some other code in
 ``src/fewvar``, as a name, an attribute or an import.  Docstrings and
 comments do not count, and neither does a name inside its own definition.
 The package has one product loop: ``mon_mul`` is named only inside
-``algebra.multiply_out``.
+``algebra.multiply_out``.  numpy is a test-only dependency: no module of the
+package imports it.
 """
 
 import ast
@@ -66,3 +67,20 @@ def test_only_multiply_out_multiplies_monomials():
                 name = getattr(node, "name", type(node).__name__)
                 users.append(f"{path.stem}.{name}")
     assert users == ["algebra.multiply_out"]
+
+
+def test_no_module_imports_numpy():
+    """The seeded streams are drawn in the standard library (``fewvar.rng``),
+    so no module imports numpy, at top level or inside a function."""
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                importers.append(f"{path.stem}:{node.lineno}")
+    assert importers == []
