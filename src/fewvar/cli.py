@@ -240,12 +240,22 @@ def _cmd_design(args) -> int:
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
 
+# each flag that shapes a toy stream: its toy_pit_params keyword and its dest
+_TOY_FLAGS = {"--override-grid": ("grid", "override_grid"),
+              "--a-prime": ("a_prime", "a_prime"), "--q": ("q", "q"),
+              "--D": ("D", "D")}
+
+
 def _toy_or_derived_params(args, N: int, k: int):
+    """The toy stream of --override-l, shaped by the toy flags given, else
+    the derived stream; a toy flag without --override-l is refused."""
+    given = {flag: (key, value) for flag, (key, dest) in _TOY_FLAGS.items()
+             if (value := getattr(args, dest)) is not None}
     if args.override_l is not None:
-        grid = args.override_grid
-        return toy_pit_params(N, k, args.override_l, a_prime=args.a_prime,
-                              q=args.q, D=args.D, grid=grid,
-                              mu=float(args.mu), c=args.c)
+        return toy_pit_params(N, k, args.override_l, mu=float(args.mu),
+                              c=args.c, **dict(given.values()))
+    if given:
+        raise ValueError(f"{next(iter(given))} needs --override-l")
     return derive_pit_params(args.mu, args.c, N, k)
 
 
@@ -438,9 +448,9 @@ def _add_override_args(sp):
     sp.add_argument("--override-l", dest="override_l", type=int, default=None)
     sp.add_argument("--override-grid", dest="override_grid", type=_csv_ints,
                     default=None)
-    sp.add_argument("--a-prime", dest="a_prime", type=int, default=1)
-    sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--D", type=int, default=1)
+    sp.add_argument("--a-prime", dest="a_prime", type=int, default=None)
+    sp.add_argument("--q", type=int, default=None)
+    sp.add_argument("--D", type=int, default=None)
 
 
 def _args_nw_params(sp):

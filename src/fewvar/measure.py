@@ -30,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .algebra import (
     Mon,
@@ -46,8 +46,6 @@ from .circuit import FewVarCircuit
 from .nw import NWParams, derive_nw_params
 
 DEFAULT_ROW_CAP = 200_000
-
-Rational = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -88,21 +86,11 @@ class MeasureReport:
 # ---------------------------------------------------------------------------
 # rank computation
 
-def _integer_row(row: Dict[int, Rational]) -> Dict[int, int]:
-    """The row times the lcm of its denominators, zeros dropped: int entries
-    spanning the same line.  A row of ints comes back as a copy."""
-    den = math.lcm(*[c.denominator for c in row.values()])
-    return {j: c.numerator * (den // c.denominator) for j, c in row.items() if c}
-
-
 def _residues(v: Dict[int, int], p: int) -> Dict[int, int]:
     """The symmetric residues of v's entries mod p, in [-p//2, p//2], zeros
     dropped."""
     h = p // 2
     return {j: r - p if r > h else r for j, c in v.items() if (r := c % p)}
-
-
-_INT = frozenset((int,))
 
 
 def _blocks(rows: List[Dict[int, int]]) -> List[List[Dict[int, int]]]:
@@ -134,19 +122,18 @@ def _blocks(rows: List[Dict[int, int]]) -> List[List[Dict[int, int]]]:
     return list(blocks.values())
 
 
-def _rank(rows: Iterable[Dict[int, Rational]], p: Optional[int] = None) -> int:
-    """Rank of sparse rows by fraction-free elimination, block by block:
-    over the rationals when p is None, else over GF(p) for a prime p.
+def _rank(rows: Iterable[Dict[int, int]], p: Optional[int] = None) -> int:
+    """Rank of sparse integer rows by fraction-free elimination, block by
+    block: over the rationals when p is None, else over GF(p) for a prime p.
 
-    The rows are read once.  Int rows without zero entries are taken as
-    they are; any other row is cleared of denominators and zeros first, and
-    empty rows are dropped.  The rows then split into the connected
-    components of their row/column graph (``_blocks``), and the rank is the
-    sum of the block ranks.  Inside a block the rows go sparsest first, and
-    the block stops as soon as its rank equals its number of columns: no
-    later row can add to it.  A block's columns are those of its rows over
-    the integers, which bound its rank mod p too, so both the partition and
-    the early exit hold over GF(p).
+    The rows are read once.  Each row maps column ids to nonzero ints, as
+    ``_shift_rows`` makes them; empty rows are dropped.  The rows then split
+    into the connected components of their row/column graph (``_blocks``),
+    and the rank is the sum of the block ranks.  Inside a block the rows go
+    sparsest first, and the block stops as soon as its rank equals its
+    number of columns: no later row can add to it.  A block's columns are
+    those of its rows over the integers, which bound its rank mod p too, so
+    both the partition and the early exit hold over GF(p).
 
     Each row is copied, then reduced on its largest column index: by a
     basis row b with the same pivot it becomes (b_p/g)*v - (v_p/g)*b,
@@ -163,16 +150,8 @@ def _rank(rows: Iterable[Dict[int, Rational]], p: Optional[int] = None) -> int:
     the pivot sign and b_p/g all have absolute value below p, hence are
     units mod p: the same steps compute the rank over GF(p) with no modular
     inverse."""
-    ints: List[Dict[int, int]] = []
-    for row in rows:
-        vals = row.values()
-        if _INT.issuperset(map(type, vals)) and 0 not in vals:
-            if row:
-                ints.append(row)
-        elif v := _integer_row(row):
-            ints.append(v)
     rank = 0
-    for block in _blocks(ints):
+    for block in _blocks([row for row in rows if row]):
         block.sort(key=len)
         rank += _block_rank(block, len(set().union(*block)), p)
     return rank
@@ -229,13 +208,14 @@ def _block_rank(block: List[Dict[int, int]], width: int,
     return rank
 
 
-def rank_exact(rows: Iterable[Dict[int, Rational]]) -> int:
-    """Exact rank of sparse rational rows."""
+def rank_exact(rows: Iterable[Dict[int, int]]) -> int:
+    """Exact rank of sparse integer rows (nonzero int entries)."""
     return _rank(rows)
 
 
 def rank_mod(rows: Iterable[Dict[int, int]], p: int) -> int:
-    """Rank over GF(p) of sparse integer rows, p prime."""
+    """Rank over GF(p) of sparse integer rows (nonzero int entries), p
+    prime."""
     return _rank(rows, p)
 
 
@@ -245,9 +225,10 @@ def _shift_rows(P: SparsePolynomial, params: MeasureParams):
     column table (shared dict).
 
     The multilinear survivors of each d_gamma P are scaled once by the lcm of
-    their denominators; a row is a nonzero multiple of the projected shifted
-    derivative, so the span's dimension is unchanged.  A derivative with no
-    multilinear survivor yields no rows: each of its rows would be empty."""
+    their denominators, so every entry is a nonzero int; a row is a nonzero
+    multiple of the projected shifted derivative, so the span's dimension is
+    unchanged.  A derivative with no multilinear survivor yields no rows:
+    each of its rows would be empty."""
     N = P.num_vars
     gammas = params.monomials
     if gammas is None:
@@ -262,11 +243,13 @@ def _shift_rows(P: SparsePolynomial, params: MeasureParams):
             for v, _ in gamma:
                 D = derivative_poly(D, v, 1)
             # keep only multilinear survivors once; shifts can only re-check disjointness
-            base = _integer_row({sum(1 << v for v, _ in m): c
-                                 for m, c in D.terms.items()
-                                 if mon_is_multilinear(m)}).items()
-            if not base:
+            survivors = [(sum(1 << v for v, _ in m), c)
+                         for m, c in D.terms.items() if mon_is_multilinear(m)]
+            if not survivors:
                 continue
+            den = math.lcm(*[c.denominator for _, c in survivors])
+            base = [(mask, c.numerator * (den // c.denominator))
+                    for mask, c in survivors]
             for smask in shifts:
                 # distinct survivors stay distinct after the shift: no collisions
                 row: Dict[int, int] = {}

@@ -33,7 +33,6 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 from .algebra import (
     bertrand_prime,
     ceil_real,
-    coerce,
     int_floor_root,
     is_prime,
     to_fraction,
@@ -156,7 +155,8 @@ class NWInstance:
     def columns(self) -> Tuple[Tuple[int, ...], ...]:
         """The compiled column table: per univariate f, in the module's
         enumeration order, the variable indices X[i, f(i)] for i < n.  Built
-        on first use, so check the enumeration cap before asking for it."""
+        on first use, after the enumeration cap check (``check_cap``)."""
+        self.check_cap()
         return tuple(univariate_graphs(self.psi, self.D, self.n))
 
     def check_cap(self, cap: Optional[int] = None) -> None:
@@ -170,20 +170,17 @@ def nw_eval(inst: NWInstance, point: Sequence) -> Union[int, Fraction]:
     """Evaluate over the compiled column table (no monomial search): the sum
     over f of prod_i point[i, f(i)].
 
-    The value is exact.  Values that are not ``int`` are coerced into Q, so
-    an integer point is evaluated in int arithmetic and gives an int, and
-    any other point gives a Fraction or an int."""
+    The values are multiplied as given, so the value is exact on a point of
+    ints and Fractions: an int on an integer point."""
     if len(point) != inst.num_vars:
         raise ValueError(
             f"dimension mismatch: point has {len(point)} values, instance has "
             f"{inst.num_vars} variables")
-    inst.check_cap()
-    vals = [v if type(v) is int else coerce(v, None) for v in point]
     total = 0
     for cols in inst.columns:
         prod = 1
         for v in cols:
-            prod *= vals[v]
+            prod *= point[v]
             if not prod:
                 break
         total += prod
@@ -212,7 +209,6 @@ def nw_check_properties(inst: NWInstance) -> NWReport:
     n distinct variables (a column's monomial is multilinear when no
     variable repeats, and of degree n when it has n entries), and the
     pairwise intersection bound D-1."""
-    inst.check_cap()
     cols = inst.columns
     worst = max((t for _, _, t in intersections(cols)), default=0)
     return NWReport(

@@ -11,9 +11,7 @@ G^l through the N local polynomials, and the driver scans the resulting
 N-tuples in lexicographic order until the blackbox returns a nonzero value
 or the stream is exhausted.
 
-Baselines live here too: seeded Schwartz-Zippel random evaluation, and the
-exhaustive grid {0..d}^N that is guaranteed to expose any nonzero polynomial
-of individual degree at most d.
+The baseline lives here too: seeded Schwartz-Zippel random evaluation.
 """
 
 from __future__ import annotations
@@ -146,7 +144,7 @@ class PitParams:
     D: int
     l: int
     sets: Tuple[Tuple[int, ...], ...]
-    grid: Tuple[int, ...]
+    grid: Tuple[Union[int, Fraction], ...]
 
     def __post_init__(self):
         if self.N < 1 or self.k < 1:
@@ -169,6 +167,9 @@ class PitParams:
                 raise ValueError(f"set {i} is not strictly increasing")
         if len(set(self.grid)) != len(self.grid) or not self.grid:
             raise ValueError("grid values must be distinct and nonempty")
+        for g in self.grid:
+            if not isinstance(g, (int, Fraction)):
+                raise ValueError(f"grid value {g!r} is not an int or a Fraction")
 
     @property
     def set_size(self) -> int:
@@ -349,9 +350,9 @@ def _integer_circuit(C: FewVarCircuit) -> Tuple[int, Tuple]:
 
 def blackbox_from_circuit(C: FewVarCircuit) -> Blackbox:
     """Evaluation access to an open circuit.  A circuit over Q is compiled
-    once into integer form, and an all-int point is evaluated in ints; GF
-    circuits and other points go through ``eval_circuit``, the reference.
-    Both give the same exact value."""
+    once into integer form and evaluated in it at every point of ints and
+    Fractions, in int arithmetic on an all-int point; a GF circuit goes
+    through ``eval_circuit``.  Either way the value is exact."""
     n = C.num_vars
     if C.field_p is not None:
         return Blackbox(fn=lambda pt: eval_circuit(C, pt), num_vars=n, k=C.k,
@@ -359,8 +360,6 @@ def blackbox_from_circuit(C: FewVarCircuit) -> Blackbox:
     L, terms = _integer_circuit(C)
 
     def evaluate(pt):
-        if len(pt) != n or not all(type(v) is int for v in pt):
-            return eval_circuit(C, pt)
         total = 0
         for prod, polys in terms:
             for poly in polys:

@@ -245,6 +245,22 @@ def test_hitset_grid_override(capsys):
     assert lines[-4:] == ["h=0,0", "h=2,2", "h=2,2", "h=4,4"]
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--override-grid", "0,1"), ("--a-prime", "3"), ("--q", "5"), ("--D", "2")])
+def test_toy_stream_flag_needs_override_l(capsys, tmp_path, flag, value):
+    """A flag that shapes the toy stream is refused without --override-l,
+    in place of being dropped in silence."""
+    rc, out, err = run(capsys, "hitset", "--N", "16", "--k", "1",
+                       "--limit", "1", flag, value)
+    assert (rc, out) == (3, "")
+    assert err == f"error: {flag} needs --override-l\n"
+    f = tmp_path / "proj.circuit"
+    f.write_text(PROJ_CIRCUIT)
+    rc, out, err = run(capsys, "pit", "--circuit", str(f), flag, value)
+    assert (rc, out) == (3, "")
+    assert err == f"error: {flag} needs --override-l\n"
+
+
 def test_nw_check_frozen(capsys):
     rc, out, _ = run(capsys, "nw-check", "--psi", "3", "--D", "1", "--n", "2")
     assert rc == 0
@@ -537,7 +553,7 @@ def probe_dir(tmp_path):
 
 
 def test_light_commands_load_neither_numpy_nor_mpmath(probe_dir):
-    """numpy serves only the seeded streams and mpmath only the certified
+    """No command imports numpy, and mpmath serves only the certified
     rounding and the ratio calculators, so neither loads for these."""
     _, steps = probe_loads(
         probe_dir,

@@ -111,8 +111,9 @@ def test_rank_helpers_agree():
     rows = [{0: Fraction(1), 1: Fraction(2)},
             {0: Fraction(2), 1: Fraction(4)},
             {2: Fraction(1)}]
-    assert rank_exact(rows) == 2
     int_rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {2: 1}]
+    assert [scaled_to_integers(row) for row in rows] == int_rows
+    assert rank_exact(int_rows) == 2
     assert rank_mod(int_rows, 97) == 2
 
 
@@ -160,8 +161,10 @@ def sparse_rows(draw):
 
 
 def scaled_to_integers(row):
+    """The row times the lcm of its denominators, zeros dropped: the nonzero
+    int entries the rank kernels take."""
     den = math.lcm(*(c.denominator for c in row.values()))
-    return {j: int(c * den) for j, c in row.items()}
+    return {j: int(c * den) for j, c in row.items() if c}
 
 
 @settings(max_examples=300, deadline=None)
@@ -170,7 +173,6 @@ def test_rank_exact_matches_dense_rank(case):
     n_cols, rows = case
     dense = [[row.get(j, Fraction(0)) for j in range(n_cols)] for row in rows]
     rank = dense_rank(dense)
-    assert rank_exact(rows) == rank
     int_rows = [scaled_to_integers(row) for row in rows]
     assert rank_exact(int_rows) == rank
     assert rank_mod(int_rows, 2 ** 61 - 1) <= rank
@@ -218,9 +220,10 @@ def rows_mod_p(draw):
 def test_rank_mod_matches_dense_rank_mod(case):
     p, n_cols, rows = case
     dense = [[row.get(j, 0) for j in range(n_cols)] for row in rows]
-    rank = rank_mod(rows, p)
+    int_rows = [scaled_to_integers(row) for row in rows]
+    rank = rank_mod(int_rows, p)
     assert rank == dense_rank_mod(dense, p)
-    assert rank <= rank_exact(rows)
+    assert rank <= rank_exact(int_rows)
 
 
 @st.composite
@@ -270,15 +273,14 @@ def block_rows(draw):
 @given(block_rows())
 def test_block_kernel_matches_dense_rank(case):
     n_cols, rows = case
-    before = copy.deepcopy(rows)
     dense = [[row.get(j, 0) for j in range(n_cols)] for row in rows]
-    assert rank_exact(rows) == dense_rank(dense)
     int_rows = [scaled_to_integers(row) for row in rows]
+    before = copy.deepcopy(int_rows)
+    assert rank_exact(int_rows) == dense_rank(dense)
     int_dense = [[row.get(j, 0) for j in range(n_cols)] for row in int_rows]
     for p in RANK_PRIMES:
         assert rank_mod(int_rows, p) == dense_rank_mod(int_dense, p)
-    assert rows == before
-    assert [scaled_to_integers(row) for row in before] == int_rows
+    assert int_rows == before
 
 
 @pytest.mark.parametrize("p", RANK_PRIMES)

@@ -208,3 +208,12 @@ def test_enumeration_cap():
     inst = NWInstance(n=3, psi=5, D=2)
     with pytest.raises(ValueError, match="cap"):
         list(nw_monomials(inst, cap=10))
+
+
+def test_column_table_checks_the_enumeration_cap(monkeypatch):
+    import fewvar.nw as nw
+    monkeypatch.setattr(nw, "DEFAULT_ENUM_CAP", 24)
+    inst = NWInstance(n=3, psi=5, D=2)
+    with pytest.raises(ValueError, match=r"enumeration cap exceeded: psi\^D = 25 > 24"):
+        inst.columns
+    assert len(NWInstance(n=3, psi=5, D=1).columns) == 5

@@ -141,6 +141,13 @@ def test_toy_params_validation():
         toy_pit_params(N=2, k=1, l=4, sets=[(0, 1), (0, 1, 2)])
 
 
+def test_params_refuse_a_grid_value_that_is_not_rational():
+    with pytest.raises(ValueError, match=r"grid value 0\.5 is not an int or a Fraction"):
+        toy_pit_params(N=2, k=1, l=2, grid=(0, 0.5))
+    assert toy_pit_params(N=2, k=1, l=2, grid=(0, Fraction(1, 2))).grid \
+        == (0, Fraction(1, 2))
+
+
 def test_stream_size_text_switches_to_a_power_at_ten_to_the_4000():
     below = toy_pit_params(N=1, k=1, l=3999, grid=range(10))
     assert below.stream_size_text == "1" + "0" * 3999
@@ -283,8 +290,9 @@ def rational_circuits(draw):
 @given(rational_circuits(), st.data())
 def test_circuit_blackbox_matches_eval_circuit(C, data):
     box = blackbox_from_circuit(C)
+    coordinate = st.one_of(st.integers(-5, 5), FRACTIONS)
     for _ in range(4):
-        pt = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=C.num_vars,
+        pt = tuple(data.draw(st.lists(coordinate, min_size=C.num_vars,
                                       max_size=C.num_vars)))
         got = box.eval_at(pt)
         assert type(got) is Fraction
@@ -292,8 +300,8 @@ def test_circuit_blackbox_matches_eval_circuit(C, data):
 
 
 def test_circuit_blackbox_falls_back_to_eval_circuit(monkeypatch):
-    """GF circuits and points that are not all ints go through
-    eval_circuit; an all-int point over Q does not."""
+    """Only a GF circuit goes through eval_circuit; a circuit over Q is
+    evaluated in its integer form at int and Fraction points alike."""
     calls = []
     monkeypatch.setattr(pit_module, "eval_circuit",
                         lambda C, pt: calls.append(pt) or eval_circuit(C, pt))
@@ -305,11 +313,11 @@ def test_circuit_blackbox_falls_back_to_eval_circuit(monkeypatch):
     assert calls == []
     half = (Fraction(1, 2), 2, Fraction(-3))
     assert box.eval_at(half) == eval_circuit(C, half)
-    assert calls == [half]
+    assert calls == []
     G = random_circuit(rng, num_vars=3, max_terms=3, max_factors=2,
                        max_support=2, max_k=2, field_p=7)
     assert blackbox_from_circuit(G).eval_at((1, 2, 3)) == eval_circuit(G, (1, 2, 3))
-    assert calls == [half, (1, 2, 3)]
+    assert calls == [(1, 2, 3)]
 
 
 # ---------------------------------------------------------------------------
