@@ -7,6 +7,9 @@ polynomial over ``len(support)`` variables; ``FactorPoly.global_terms`` is
 the one map of its terms onto the global variables, and expansion multiplies
 those term maps through ``algebra.multiply_out``, the one product loop.
 
+``eval_circuit`` is the one evaluator of a circuit at a point, over Q and
+GF(p) alike, in the circuit's ``integer_form``, compiled once on first use.
+
 All transforms return new circuits whose expansion equals the corresponding
 polynomial-level operation exactly; the test suite checks this on randomized
 suites.  Each is built from two shapes.  ``_rewrite`` rebuilds a circuit
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -85,9 +88,6 @@ class FactorPoly:
     def embed(self, num_vars: int) -> SparsePolynomial:
         """The factor as a polynomial over the full variable set."""
         return SparsePolynomial(num_vars, self.global_terms(), self.poly.field_p)
-
-    def eval_at(self, point: Sequence) -> FieldElem:
-        return self.poly.eval_at([point[g] for g in self.support])
 
 
 def _check_factor(f: FactorPoly, num_vars: int, declared_s: int) -> None:
@@ -151,27 +151,61 @@ class FewVarCircuit:
     def max_support(self) -> int:
         return max((len(f.support) for _, fs in self.terms for f in fs), default=0)
 
+    @cached_property
+    def integer_form(self) -> Tuple[int, Tuple]:
+        """The circuit in ints, for ``eval_circuit``: L and terms (mult,
+        factors), each factor a tuple of (c, ((var, exp), ...)), such that
+        the sum over terms of mult times the product of the factors is L
+        times the circuit.  Each factor is cleared by the lcm of its
+        coefficients' denominators; the term's scale and those lcms fold
+        into mult, and L is the lcm of the terms' denominators (1 over
+        GF(p)).  Terms with scale 0 are dropped.  The cache cannot go
+        stale: nothing reassigns ``terms`` after ``__post_init__``, and
+        ``dataclasses.replace`` builds a new circuit."""
+        cleared = []
+        for scale, factors in self.terms:
+            if not scale:
+                continue
+            num, den = scale.numerator, scale.denominator
+            polys = []
+            for f in factors:
+                d = math.lcm(*(c.denominator for c in f.poly.terms.values()))
+                polys.append(tuple((c.numerator * (d // c.denominator), mon)
+                                   for mon, c in f.global_terms().items()))
+                den *= d
+            cleared.append((num, den, tuple(polys)))
+        L = math.lcm(*(den for _, den, _ in cleared))
+        return L, tuple((num * (L // den), polys) for num, den, polys in cleared)
+
 
 # ---------------------------------------------------------------------------
 # evaluation and expansion
 
 def eval_circuit(C: FewVarCircuit, point: Sequence) -> FieldElem:
-    """Evaluate by summing factor products; agrees with evaluating the
-    expansion."""
+    """The value at a point, equal to the expansion's: a Fraction over Q at
+    int and Fraction coordinates, and an int in [0, p) over GF(p), after
+    coercing each coordinate into the field."""
     if len(point) != C.num_vars:
         raise ValueError(
             f"dimension mismatch: point has {len(point)} values, circuit has "
             f"{C.num_vars} variables")
-    vals = [coerce(v, C.field_p) for v in point]
+    p = C.field_p
+    if p is not None:
+        point = [coerce(v, p) for v in point]
+    L, terms = C.integer_form
     total = 0
-    for scale, factors in C.terms:
-        prod = scale
-        for f in factors:
-            prod *= f.eval_at(vals)
+    for prod, polys in terms:
+        for poly in polys:
+            value = 0
+            for c, mon in poly:
+                for v, e in mon:
+                    c *= point[v] if e == 1 else point[v] ** e
+                value += c
+            prod *= value
             if not prod:
                 break
         total += prod
-    return coerce(total, C.field_p)
+    return Fraction(total, L) if p is None else total % p
 
 
 def _multiply_out(factors: Sequence[FactorPoly],
@@ -672,6 +706,8 @@ def transform_audit(count: int, seed: int, num_vars: int = 10, max_terms: int = 
     same operation applied to the expansion.  Fan-in ratios report the worst
     observed top fan-in against the T*(k+1)^2 and T*(k+1) ceilings.
     """
+    if count < 1:
+        raise ValueError(f"need count >= 1, got {count}")
     from .algebra import derivative_poly, coeffs_in_var
     from .rng import named_rng
 

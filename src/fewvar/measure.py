@@ -366,6 +366,10 @@ def survival_experiment(C: FewVarCircuit, s: int, p: float, trials: int,
     restrictions (trial i uses seed+i), count surviving bad monomials, and
     report the empirical survival rate next to the exact expectation
     |B| * p^s and its first-moment ceiling."""
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    if not 0 <= p <= 1:
+        raise ValueError(f"probability {p} outside [0, 1]")
     bad = bad_support_monomials(C, s)
     counts: List[int] = []
     survived = 0
@@ -376,7 +380,7 @@ def survival_experiment(C: FewVarCircuit, s: int, p: float, trials: int,
         if c:
             survived += 1
     expected = bad.count * p ** s
-    mean = sum(counts) / trials if trials else 0.0
+    mean = sum(counts) / trials
     if trials > 1:
         var = sum((c - mean) ** 2 for c in counts) / (trials - 1)
         stderr = math.sqrt(var / trials)
@@ -386,7 +390,7 @@ def survival_experiment(C: FewVarCircuit, s: int, p: float, trials: int,
         trials=trials, seed=seed, p=p, bad_count=bad.count,
         expected_survivors=expected, mean_survivors=mean,
         stderr_survivors=stderr,
-        empirical_rate=survived / trials if trials else 0.0,
+        empirical_rate=survived / trials,
         markov_bound=min(1.0, expected),
     )
 

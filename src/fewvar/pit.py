@@ -9,7 +9,8 @@ carries a local copy of the hard polynomial family (a' rows by q columns,
 univariate degree bound D).  The generator then maps every point of the grid
 G^l through the N local polynomials, and the driver scans the resulting
 N-tuples in lexicographic order until the blackbox returns a nonzero value
-or the stream is exhausted.
+or the stream is exhausted.  An open circuit, over Q or GF(p), is a
+blackbox through ``circuit.eval_circuit``, the one circuit evaluator.
 
 The baseline lives here too: seeded Schwartz-Zippel random evaluation.
 """
@@ -17,10 +18,10 @@ The baseline lives here too: seeded Schwartz-Zippel random evaluation.
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .algebra import ceil_real, int_floor_root, is_prime, next_prime_at_least, to_fraction
@@ -325,56 +326,12 @@ class Blackbox:
         return self.fn(point)
 
 
-def _integer_circuit(C: FewVarCircuit) -> Tuple[int, Tuple]:
-    """A circuit over Q in ints: L and terms (mult, factors), each factor a
-    tuple of (c, ((var, exp), ...)), such that the sum over terms of mult
-    times the product of the factors is L times the circuit.  Each factor
-    is cleared by the lcm of its coefficients' denominators; the term's
-    scale and those lcms fold into mult, and L is the lcm of the terms'
-    denominators.  Terms with scale 0 are dropped."""
-    cleared = []
-    for scale, factors in C.terms:
-        if not scale:
-            continue
-        num, den = scale.numerator, scale.denominator
-        polys = []
-        for f in factors:
-            d = math.lcm(*(c.denominator for c in f.poly.terms.values()))
-            polys.append(tuple((c.numerator * (d // c.denominator), mon)
-                               for mon, c in f.global_terms().items()))
-            den *= d
-        cleared.append((num, den, tuple(polys)))
-    L = math.lcm(*(den for _, den, _ in cleared))
-    return L, tuple((num * (L // den), polys) for num, den, polys in cleared)
-
-
 def blackbox_from_circuit(C: FewVarCircuit) -> Blackbox:
-    """Evaluation access to an open circuit.  A circuit over Q is compiled
-    once into integer form and evaluated in it at every point of ints and
-    Fractions, in int arithmetic on an all-int point; a GF circuit goes
-    through ``eval_circuit``.  Either way the value is exact."""
-    n = C.num_vars
-    if C.field_p is not None:
-        return Blackbox(fn=lambda pt: eval_circuit(C, pt), num_vars=n, k=C.k,
-                        notes="open circuit")
-    L, terms = _integer_circuit(C)
-
-    def evaluate(pt):
-        total = 0
-        for prod, polys in terms:
-            for poly in polys:
-                value = 0
-                for c, mon in poly:
-                    for v, e in mon:
-                        c *= pt[v] if e == 1 else pt[v] ** e
-                    value += c
-                prod *= value
-                if not prod:
-                    break
-            total += prod
-        return Fraction(total, L)
-
-    return Blackbox(fn=evaluate, num_vars=n, k=C.k, notes="open circuit")
+    """Evaluation access to an open circuit, over Q or GF(p): every point
+    goes through ``eval_circuit``, the one circuit evaluator, so the value
+    is exact."""
+    return Blackbox(fn=partial(eval_circuit, C), num_vars=C.num_vars, k=C.k,
+                    notes="open circuit")
 
 
 @dataclass

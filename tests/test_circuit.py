@@ -82,6 +82,59 @@ def test_eval_matches_expansion(C):
         assert eval_circuit(C, point) == P.eval_at(point)
 
 
+@st.composite
+def field_circuit_points(draw):
+    """A circuit over Q, GF(7) or GF(97) with rational scales and
+    coefficients, scale-0 terms, constant and zero factors, and sometimes
+    no terms at all; and points of ints and Fractions, whose denominators
+    over GF(p) are prime to p."""
+    p = draw(st.sampled_from((None, 7, 97)))
+    num_vars = draw(st.integers(1, 4))
+    dens = st.integers(1, 9).filter(lambda d: p is None or d % p)
+    rationals = st.builds(Fraction, st.integers(-4, 4), dens)
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        factors = []
+        for _ in range(draw(st.integers(0, 3))):
+            support = tuple(sorted(draw(st.sets(
+                st.integers(0, num_vars - 1), max_size=2))))
+            items = [(draw(rationals),
+                      [(v, e) for v in range(len(support))
+                       if (e := draw(st.integers(0, 3)))])
+                     for _ in range(draw(st.integers(0, 3)))]
+            factors.append(fp(support, *items, p=p))
+        terms.append((draw(rationals), tuple(factors)))
+    C = FewVarCircuit(num_vars, tuple(terms), 2, p)
+    coordinate = st.one_of(st.integers(-5, 5), rationals)
+    points = draw(st.lists(st.lists(coordinate, min_size=num_vars,
+                                    max_size=num_vars), min_size=1, max_size=4))
+    return C, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_circuit_points())
+def test_eval_circuit_matches_expansion(case):
+    """The one circuit evaluator against evaluating the expansion."""
+    C, points = case
+    P = expand_circuit(C)
+    for point in points:
+        got = eval_circuit(C, point)
+        if C.field_p is None:
+            assert type(got) is Fraction
+        else:
+            assert type(got) is int and 0 <= got < C.field_p
+        assert got == P.eval_at(point)
+
+
+def test_eval_circuit_refuses_a_denominator_divisible_by_p():
+    C = parse_circuit(GF7_CIRCUIT)
+    for point in ((Fraction(1, 7), 1, 2), (0, 0, Fraction(3, 14))):
+        with pytest.raises(ZeroDivisionError):
+            eval_circuit(C, point)
+    assert eval_circuit(C, (Fraction(1, 2), 1, 2)) == \
+        expand_circuit(C).eval_at((Fraction(1, 2), 1, 2))
+
+
 def test_expand_known_value(C):
     P = expand_circuit(C)
     expected = SparsePolynomial.from_terms(4, [
@@ -501,8 +554,9 @@ def test_substituted_factor_agrees_with_evaluation(data):
     c, g = _substitute_factor(gvars, value, f)
     assert c == 1
     assert g.support == tuple(v for v in support if v not in gvars)
-    assert g.eval_at(point) == f.eval_at(at)
-    assert g.embed(5).eval_at(point) == f.eval_at(at)
+    want = f.poly.eval_at([at[v] for v in f.support])
+    assert g.poly.eval_at([point[v] for v in g.support]) == want
+    assert g.embed(5).eval_at(point) == f.embed(5).eval_at(at) == want
 
 
 def test_expand_empty_circuit_is_zero():

@@ -419,6 +419,30 @@ def test_restrict_experiment_frozen(capsys, tmp_path):
                    "empirical_rate=0.44\nmarkov_bound=0.5\n")
 
 
+@pytest.mark.parametrize("p, trials, message", [
+    ("5", "0", "need trials >= 1, got 0"),
+    ("0.5", "-3", "need trials >= 1, got -3"),
+    ("5", "20", "probability 5.0 outside [0, 1]"),
+    ("-0.1", "20", "probability -0.1 outside [0, 1]"),
+    ("nan", "20", "probability nan outside [0, 1]"),
+])
+def test_restrict_experiment_refuses_nonsense_input(capsys, tmp_path, p,
+                                                    trials, message):
+    f = tmp_path / "hom.circuit"
+    f.write_text(HOM_CIRCUIT)
+    rc, out, err = run(capsys, "restrict-experiment", "--circuit", str(f),
+                       "--s", "2", "--p", p, "--trials", trials)
+    assert rc == 3 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_transform_audit_refuses_a_count_below_one(capsys, count):
+    rc, out, err = run(capsys, "transform-audit", "--count", count)
+    assert rc == 3 and out == ""
+    assert err == f"error: need count >= 1, got {count}\n"
+
+
 def test_ratios_fields(capsys):
     rc, out, _ = run(capsys, "ratios", "--n", "10000")
     assert rc == 0

@@ -5,7 +5,8 @@ and class in ``src/fewvar`` must be named by some other code in
 ``src/fewvar``, as a name, an attribute or an import.  Docstrings and
 comments do not count, and neither does a name inside its own definition.
 The package has one product loop: ``mon_mul`` is named only inside
-``algebra.multiply_out``.  numpy is a test-only dependency: no module of the
+``algebra.multiply_out``; and one circuit evaluator: the compiled
+``integer_form`` is read only by ``circuit.eval_circuit``.  numpy is a test-only dependency: no module of the
 package imports it.
 """
 
@@ -67,6 +68,23 @@ def test_only_multiply_out_multiplies_monomials():
                 name = getattr(node, "name", type(node).__name__)
                 users.append(f"{path.stem}.{name}")
     assert users == ["algebra.multiply_out"]
+
+
+def test_only_eval_circuit_reads_the_compiled_circuit():
+    """One circuit evaluator: ``integer_form`` is named in the package only
+    where ``FewVarCircuit`` defines it and inside ``circuit.eval_circuit``,
+    so every evaluation of a circuit at a point goes through it."""
+    users, definitions = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            name = f"{path.stem}.{getattr(node, 'name', type(node).__name__)}"
+            if referenced_names(node)["integer_form"]:
+                users.append(name)
+            definitions += [name for sub in ast.walk(node)
+                            if isinstance(sub, ast.FunctionDef)
+                            and sub.name == "integer_form"]
+    assert users == ["circuit.eval_circuit"]
+    assert definitions == ["circuit.FewVarCircuit"]
 
 
 def test_no_module_imports_numpy():

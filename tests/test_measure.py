@@ -450,6 +450,18 @@ def test_survival_extremes():
     assert alive.markov_bound == 1.0
 
 
+@pytest.mark.parametrize("p, trials", [
+    (5.0, 0), (0.5, 0), (0.5, -3), (1.5, 20), (-0.1, 20), (float("nan"), 20),
+])
+def test_survival_refuses_nonsense_input(p, trials):
+    """Fewer than one trial, or a probability outside [0, 1], is refused
+    when the experiment is called, before any trial is drawn."""
+    C = fcircuit(4, 2, [(0, 1)], [(2, 3)])
+    match = "trials" if trials < 1 else "outside"
+    with pytest.raises(ValueError, match=match):
+        survival_experiment(C, 1, p, trials, 5)
+
+
 def test_survival_against_exact_expectation():
     C = fcircuit(6, 2, [(0, 1), (2, 3)], [(4, 5)])
     rep = survival_experiment(C, 2, 0.4, 400, 13)

@@ -14,7 +14,6 @@ from fewvar.algebra import SparsePolynomial
 from fewvar.circuit import (
     FactorPoly,
     FewVarCircuit,
-    eval_circuit,
     expand_circuit,
     random_circuit,
 )
@@ -288,36 +287,40 @@ def rational_circuits(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(rational_circuits(), st.data())
-def test_circuit_blackbox_matches_eval_circuit(C, data):
+def test_circuit_blackbox_matches_expansion(C, data):
     box = blackbox_from_circuit(C)
+    P = expand_circuit(C)
     coordinate = st.one_of(st.integers(-5, 5), FRACTIONS)
     for _ in range(4):
         pt = tuple(data.draw(st.lists(coordinate, min_size=C.num_vars,
                                       max_size=C.num_vars)))
         got = box.eval_at(pt)
         assert type(got) is Fraction
-        assert got == eval_circuit(C, pt)
+        assert got == P.eval_at(pt)
 
 
-def test_circuit_blackbox_falls_back_to_eval_circuit(monkeypatch):
-    """Only a GF circuit goes through eval_circuit; a circuit over Q is
-    evaluated in its integer form at int and Fraction points alike."""
+def test_pit_run_evaluates_circuits_through_eval_circuit(monkeypatch):
+    """Over Q and GF(p) alike, pit_run evaluates an open circuit through
+    the binding in fewvar.pit, once per scanned point, plus once more to
+    re-evaluate a witness."""
     calls = []
+    real = pit_module.eval_circuit
     monkeypatch.setattr(pit_module, "eval_circuit",
-                        lambda C, pt: calls.append(pt) or eval_circuit(C, pt))
+                        lambda C, pt: calls.append(tuple(pt)) or real(C, pt))
     rng = named_rng(71, "blackbox-fallback")
-    C = random_circuit(rng, num_vars=3, max_terms=3, max_factors=2,
-                       max_support=2, max_k=2)
-    box = blackbox_from_circuit(C)
-    box.eval_at((1, -2, 3))
-    assert calls == []
-    half = (Fraction(1, 2), 2, Fraction(-3))
-    assert box.eval_at(half) == eval_circuit(C, half)
-    assert calls == []
-    G = random_circuit(rng, num_vars=3, max_terms=3, max_factors=2,
-                       max_support=2, max_k=2, field_p=7)
-    assert blackbox_from_circuit(G).eval_at((1, 2, 3)) == eval_circuit(G, (1, 2, 3))
-    assert calls == [(1, 2, 3)]
+    params = toy_pit_params(N=3, k=2, l=3)
+    for field_p in (None, 7):
+        C = random_circuit(rng, num_vars=3, max_terms=3, max_factors=2,
+                           max_support=2, max_k=2, field_p=field_p)
+        assert not expand_circuit(C).is_zero()
+        for circuit in (FewVarCircuit(3, (), 2, field_p, 2), C):
+            calls.clear()
+            res = pit_run(circuit, params)
+            assert res.status == ("witness" if circuit is C else "zero-on-set")
+            assert len(calls) == res.tested + res.found
+            if res.found:
+                assert calls[-2:] == [res.point, res.point]
+                assert res.value == real(C, res.point) != 0
 
 
 # ---------------------------------------------------------------------------
