@@ -544,36 +544,70 @@ _COMMANDS = {
 }
 
 
+def _fill_command(sp, name: str):
+    """Give the parser ``sp`` subcommand ``name``'s arguments and handler."""
+    add_args, handler = _COMMANDS[name]
+    add_args(sp)
+    _add_common(sp)
+    sp.set_defaults(func=handler, command=name)
+    return sp
+
+
 def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser for one command line.  Every subcommand is registered, so
-    help, usage and invalid-choice text do not depend on ``argv``, but only
-    the subcommand ``argv`` invokes gets its arguments and ``-h``: the others
-    are only ever named in that text.  argparse hands the
-    rest of the line to the first word that is not an option; when that word
-    names a subcommand, it is the first word of ``argv`` that does."""
+    """The full parser tree, for help, usage and error lines only: ``main``
+    parses a valid command line with the invoked subcommand's parser alone
+    (see ``_parse``).  Every subcommand is registered, so help,
+    usage and invalid-choice text do not depend on ``argv``, but only the
+    subcommand ``argv`` invokes gets its arguments and ``-h``: the others
+    are only ever named in that text.  argparse hands the rest of the line
+    to the first word that is not an option; when that word names a
+    subcommand, it is the first word of ``argv`` that does."""
     parser = _Parser(prog="fewvar", description=__doc__)
     subs = parser.add_subparsers(dest="command", parser_class=_Parser)
     invoked = next((a for a in argv if a in _COMMANDS), None)
-    for name, (add_args, handler) in _COMMANDS.items():
+    for name in _COMMANDS:
         sp = subs.add_parser(name, add_help=name == invoked)
         if name == invoked:
-            add_args(sp)
-            _add_common(sp)
-            sp.set_defaults(func=handler)
+            _fill_command(sp, name)
     return parser
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The arguments of one command line, or SystemExit after help, usage
+    or a usage error.
+
+    A line whose first word names a subcommand is parsed by that
+    subcommand's parser alone, built as ``build_parser`` builds it.  That
+    gives what the full tree gives: argparse hands the subparsers
+    positional (``nargs=PARSER``) every word after the command, options
+    included, and parses them with the subcommand parser's own
+    ``parse_known_args`` under the prog "fewvar <name>"; the words it
+    leaves over go back to the top level as "unrecognized arguments".  So
+    when nothing is left over the Namespace is the same, ``command``
+    included, and an error raised inside the subcommand prints the same
+    usage and message.  Every other line (words left over, no words, a
+    first word that is an option or no subcommand) goes to the full tree,
+    which prints the top-level help, usage and error text."""
+    if argv and argv[0] in _COMMANDS:
+        sp = _fill_command(_Parser(prog=f"fewvar {argv[0]}"), argv[0])
+        args, rest = sp.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    parser = build_parser(argv)
+    args = parser.parse_args(argv)
+    if not getattr(args, "func", None):
+        parser.print_usage(sys.stderr)
+        parser.exit(EXIT_ERROR)
+    return args
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_ERROR
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
-        return EXIT_ERROR
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -16,8 +16,11 @@ ints, floats and lists.  The tests hold it to numpy draw for draw.
 
 from __future__ import annotations
 
-import hashlib
 from typing import List, Optional, Tuple
+
+# hashlib's blake2s is this one, but importing hashlib also loads OpenSSL's
+# _hashlib, about 3.6 MB, for one 8-byte digest
+from _blake2 import blake2s
 
 _M32 = (1 << 32) - 1
 _M64 = (1 << 64) - 1
@@ -26,7 +29,7 @@ _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def stream_key(label: str) -> int:
-    digest = hashlib.blake2s(label.encode("utf8"), digest_size=8).digest()
+    digest = blake2s(label.encode("utf8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

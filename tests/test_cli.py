@@ -12,8 +12,10 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fewvar import cli
 from fewvar.cli import _SubprocessBox, main
@@ -538,6 +540,132 @@ def test_help_and_usage_text_golden(monkeypatch):
     assert cli_transcript(HELP_ARGVS) == (GOLDEN / "help_usage.txt").read_text()
 
 
+def parse_outcome(parse, argv) -> tuple:
+    """What ``parse(argv)`` gives: its arguments, or its exit code or
+    exception, with the stdout and stderr it wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("args", vars(parse(argv)))
+        except SystemExit as e:
+            result = ("exit", e.code)
+        except Exception as e:          # noqa: BLE001
+            result = ("raised", repr(e))
+    return result + (out.getvalue(), err.getvalue())
+
+
+def full_tree_parse(argv):
+    return cli.build_parser(argv).parse_args(argv)
+
+
+# option values by type, valid and refused ("1/0" raises in Fraction)
+GOOD_VALUES = {int: ["0", "1", "3", "-1", "12"], float: ["0.3", "1", "25e-2"],
+               cli._rational: ["0", "1/2", "-3/4", "2"],
+               cli._csv_ints: ["1,2", "3", "0,1,5"], None: ["x.poly", "a b"]}
+BAD_VALUES = {int: ["x", "1.5", ""], float: ["x"],
+              cli._rational: ["x", "1/0"], cli._csv_ints: ["a,b"],
+              None: ["-v"]}
+STRAY_WORDS = ["--bogus", "-x", "extra", "--"]
+
+
+def option_chunk(action, clean, options):
+    """One use of ``action`` on a command line: its option string or a
+    prefix of it, with its value as the next word or after ``=``.  Unless
+    ``clean``, the prefix may be ambiguous among ``options`` and the value
+    refused or missing."""
+    opt = action.option_strings[-1]
+    prefixes = [opt[:n] for n in range(3, len(opt))
+                if not clean or [o for o in options if o.startswith(opt[:n])]
+                == [opt]]
+    spelled = st.sampled_from(action.option_strings + prefixes)
+    if action.nargs == 0:
+        return st.tuples(spelled).map(list)
+    values = GOOD_VALUES[action.type] + ([] if clean
+                                         else BAD_VALUES[action.type])
+    forms = ["next", "eq"] + ([] if clean else ["missing"])
+    return st.tuples(spelled, st.sampled_from(forms),
+                     st.sampled_from(values)).map(
+        lambda t: {"next": [t[0], t[2]], "eq": [f"{t[0]}={t[2]}"],
+                   "missing": [t[0]]}[t[1]])
+
+
+@st.composite
+def command_lines(draw, name):
+    """``name`` and options drawn from its parser: most of them once, some
+    repeated, in any order.  Half the lines are clean: every required
+    option, valid values and no stray word."""
+    clean = draw(st.booleans())
+    actions = cli._fill_command(cli._Parser(prog=f"fewvar {name}"),
+                                name)._actions
+    options = [o for a in actions for o in a.option_strings]
+    if clean:
+        actions = [a for a in actions if a.nargs != 0]
+    chunks = [draw(option_chunk(a, clean, options)) for a in actions
+              if a.nargs != 0 and (clean and a.required
+                                   or draw(st.integers(0, 2)))]
+    extra = st.sampled_from(actions).flatmap(
+        lambda a: option_chunk(a, clean, options))
+    if not clean:
+        extra |= st.sampled_from(STRAY_WORDS).map(lambda w: [w])
+    chunks += draw(st.lists(extra, max_size=3))
+    return [name] + [w for c in draw(st.permutations(chunks)) for w in c]
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_invoked_parser_agrees_with_the_full_tree(name, data):
+    """``main`` parses a command line with the invoked subcommand's parser
+    alone; on any line of that subcommand's options it returns what the
+    full tree returns, or exits with the same code and text."""
+    argv = data.draw(command_lines(name))
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        assert parse_outcome(cli._parse, argv) == parse_outcome(
+            full_tree_parse, argv)
+
+
+# one valid invocation of each command, on the files of probe_dir
+VALID_ARGVS = [
+    ["nw-params", "--mu", "0", "--n", "2"],
+    ["nw-check", "--psi", "3", "--D", "1", "--n", "2"],
+    ["design", "--b", "4", "--a", "2"],
+    ["hitset", "--N", "16", "--k", "1", "--limit", "3"],
+    ["pit", "--circuit", "hom.circuit", "--budget", "20"],
+    ["sz", "--circuit", "gf7.circuit", "--trials", "20", "--domain", "5"],
+    ["measure", "--poly", "quad.poly", "--r", "1", "--m", "1"],
+    ["homogenize", "--circuit", "hom.circuit", "--n", "2"],
+    ["restrict-experiment", "--circuit", "hom.circuit", "--s", "1",
+     "--p", "0.3", "--trials", "5"],
+    ["ratios", "--n", "10000"],
+    ["transform-audit", "--count", "1"],
+]
+
+
+def test_a_valid_command_line_builds_one_parser(monkeypatch, capsys,
+                                                probe_dir):
+    """One parser per invocation: a valid command line builds only the
+    invoked subcommand's parser.  A help or error line may build that one
+    and then the full tree, for the top-level text."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    monkeypatch.chdir(probe_dir)
+    assert [argv[0] for argv in VALID_ARGVS] == list(COMMANDS)
+    for argv in VALID_ARGVS:
+        built.clear()
+        assert main(argv) != cli.EXIT_ERROR, capsys.readouterr().err
+        assert built == [f"fewvar {argv[0]}"]
+    for argv in HELP_ARGVS:
+        built.clear()
+        main(list(argv))
+        assert len(built) <= 1 + 1 + len(COMMANDS)
+
+
 # Runs main() on each argv (a JSON list) in a fresh interpreter, then prints
 # [exit code, the watched modules loaded so far] after the import and after
 # each call, as the last line of stdout.
@@ -617,8 +745,10 @@ def test_rng_is_imported_only_to_draw(probe_dir):
 ])
 def test_commands_load_what_they_use(probe_dir, argv, loaded, golden):
     """A command that rounds a real loads mpmath, one that draws random
-    numbers loads neither, and the seeded reports do not change."""
-    out, steps = probe_loads(probe_dir, argv)
+    numbers loads neither, nor OpenSSL's ``_hashlib`` for its stream keys,
+    and the seeded reports do not change."""
+    out, steps = probe_loads(probe_dir, argv,
+                             watch=("numpy", "mpmath", "_hashlib"))
     assert steps == [[None, []], [0, loaded]]
     if golden is not None:
         assert out == (GOLDEN / golden).read_text()

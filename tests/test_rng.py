@@ -7,6 +7,8 @@ mix 32-bit and 64-bit draws so that the buffered high half of a 64-bit word
 crosses from one call into the next.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +96,15 @@ def test_key_and_first_words_on_fixed_seeds():
             int(k) for k in theirs.bit_generator.state["state"]["key"])
         assert ours.integers(0, 2**32, size=3) == plain(
             theirs.integers(0, 2**32, size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(LABELS)
+def test_stream_key_is_hashlibs_blake2s(label):
+    """``stream_key`` takes blake2s from ``_blake2``, not ``hashlib``; the
+    digest is the same."""
+    digest = hashlib.blake2s(label.encode("utf8"), digest_size=8).digest()
+    assert stream_key(label) == int.from_bytes(digest, "big")
 
 
 @settings(max_examples=150, deadline=None)
