@@ -165,12 +165,6 @@ class SparsePolynomial:
         return cls(num_vars, {MON_ONE: value}, field_p)
 
     @classmethod
-    def var(cls, num_vars: int, idx: int, field_p: Field = None) -> "SparsePolynomial":
-        if not 0 <= idx < num_vars:
-            raise ValueError(f"variable index {idx} out of range")
-        return cls(num_vars, {((idx, 1),): 1}, field_p)
-
-    @classmethod
     def from_terms(cls, num_vars: int, items, field_p: Field = None) -> "SparsePolynomial":
         """Build from (coefficient, pairs-of-(var, exp)) items, merging terms."""
         acc: Dict[Mon, FieldElem] = {}

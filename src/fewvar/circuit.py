@@ -19,9 +19,11 @@ restriction (which zeroes every dead variable in one pass over the
 factors) are one rewrite each.  ``_interpolate`` evaluates one rewrite per
 integer node 0..k and recombines the node circuits with Lagrange weights:
 coefficient extraction substitutes the node for a variable, and
-homogeneous-component extraction scales every variable by it.  So fan-in
-growth is bounded: T*(k+1) circuits-worth of terms for one coefficient,
-T*(k+1)^2 for a derivative rebuilt from coefficients.
+homogeneous-component extraction scales every variable by it; a term
+that misses the variable is not interpolated but goes once into the
+constant coefficient, as it is.  So fan-in growth is bounded: T*(k+1)
+circuits-worth of terms for one coefficient, T*(k+1)^2 for a derivative
+rebuilt from coefficients.
 
 ``parse_circuit`` reads the `.circuit` format with the one document reader
 of ``algebra`` (``document_lines``, ``read_fields``, ``read_header``).
@@ -219,11 +221,9 @@ def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynom
     """The exact polynomial the circuit computes.
 
     Refuses when the pre-merge term-count estimate, over every term,
-    exceeds the cap (argument, else 10^6).  Terms whose factors are the very
-    same objects are one product, s1*P + s2*P = (s1 + s2)*P, so each shared
-    product is multiplied out once, with the summed scale, and skipped when
-    that sum is 0.  Every product is added into one accumulator, and the
-    result is validated once, by the one polynomial built at the end.
+    exceeds the cap (argument, else 10^6).  Each term with a nonzero scale
+    is multiplied out and added into one accumulator, and the result is
+    validated once, by the one polynomial built at the end.
     """
     limit = DEFAULT_EXPAND_CAP if cap is None else cap
     est = 0
@@ -234,14 +234,8 @@ def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynom
         est += count
     if est > limit:
         raise ValueError(f"too large to expand: estimated {est} terms > cap {limit}")
-    groups: Dict[Tuple[int, ...], list] = {}     # factor ids -> [scale, factors]
-    for scale, factors in C.terms:
-        group = groups.setdefault(tuple(map(id, factors)), [0, factors])
-        group[0] += scale
     acc: Dict[Mon, FieldElem] = {}
-    for scale, factors in groups.values():
-        if C.field_p is not None:
-            scale %= C.field_p
+    for scale, factors in C.terms:
         if not scale:
             continue
         for mon, c in _multiply_out(factors, C.field_p).items():
@@ -358,17 +352,28 @@ def coeff_circuits(C: FewVarCircuit, y: int) -> List[FewVarCircuit]:
     """Circuits for the coefficients of y^0 .. y^k, viewing the expansion as a
     univariate in y.
 
-    Built by evaluating y at the k+1 nodes 0..k and recombining with the
-    Lagrange coefficient weights, so each output has top fan-in at most
-    T*(k+1).  Requires the declared individual-degree bound k."""
+    A term none of whose factors holds y in its support is its own share of
+    the y^0 coefficient: it enters that circuit once, as it is, ahead of
+    the rest.  The terms that touch y are interpolated, evaluated at the
+    k+1 nodes 0..k and recombined with the Lagrange coefficient weights.
+    So with T_y of the T terms touching y, the y^i circuit has top fan-in
+    at most T_y*(k+1) for i >= 1, and every output at most T*(k+1).
+    Requires the declared individual-degree bound k."""
     if C.k is None:
         raise ValueError("coefficient extraction needs the declared degree bound k")
     if not 0 <= y < C.num_vars:
         raise ValueError(f"variable {y} out of range")
+    touching: List[Term] = []
+    missing: List[Term] = []
+    for term in C.terms:
+        hits = any(y in f.support for f in term[1])
+        (touching if hits else missing).append(term)
     ys = frozenset((y,))
-    return _interpolate(
-        C, C.k + 1, lambda x: partial(_substitute_factor, ys, x),
-        range(C.k + 1))
+    coeffs = _interpolate(
+        replace(C, terms=tuple(touching)), C.k + 1,
+        lambda x: partial(_substitute_factor, ys, x), range(C.k + 1))
+    coeffs[0] = replace(coeffs[0], terms=tuple(missing) + coeffs[0].terms)
+    return coeffs
 
 
 def derivative_circuit(C: FewVarCircuit, y: int, j: int) -> FewVarCircuit:
@@ -616,27 +621,16 @@ def parse_circuit(text: str) -> FewVarCircuit:
         else:
             raise ValueError(f"line {ln}: unrecognized line {body!r}")
 
-    placed: List[Tuple[int, FactorPoly]] = []
     for _, factors in blocks:      # each block becomes its factor, in place
         for i, (fln, sup, coeffs) in enumerate(factors):
             poly = parse_poly_lines(coeffs, len(sup), header.field_p,
                                     where=f"factor at line {fln}: ")
             try:
                 factors[i] = FactorPoly(sup, poly)
+                _check_factor(factors[i], header.num_vars, header.declared_s)
             except ValueError as exc:
                 raise ValueError(f"line {fln}: {exc}") from None
-            placed.append((fln, factors[i]))
-    try:
-        return replace(header, terms=tuple(blocks))
-    except ValueError as exc:
-        # the one construction checks every factor's placement; name the
-        # line of the first factor it refused
-        for fln, f in placed:
-            try:
-                _check_factor(f, header.num_vars, header.declared_s)
-            except ValueError:
-                raise ValueError(f"line {fln}: {exc}") from None
-        raise
+    return replace(header, terms=tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

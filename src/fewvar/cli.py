@@ -92,7 +92,10 @@ def _emit(lines: List[str], out: Optional[str]):
 
 
 def _rational(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:    # argparse reports a ValueError as usage
+        raise ValueError(str(exc)) from None
 
 
 def _csv_ints(text: str) -> List[int]:

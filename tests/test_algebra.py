@@ -37,7 +37,7 @@ def P_of(num_vars, *items, p=None):
 
 
 def x(i, n=4):
-    return SparsePolynomial.var(n, i)
+    return SparsePolynomial(n, {((i, 1),): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def test_substitute_and_coeffs():
     assert len(cs) == 3
     assert cs[0] == SparsePolynomial.const(2, 5)
     assert cs[1] == SparsePolynomial.const(2, 1)
-    assert cs[2] == SparsePolynomial.var(2, 1)
+    assert cs[2] == x(1, n=2)
 
 
 def test_to_fraction_reads_floats_by_their_shortest_repr():

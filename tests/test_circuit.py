@@ -156,10 +156,9 @@ def test_expand_cap_refuses_blowup():
 
 
 
-def test_expand_cap_counts_every_term_before_grouping():
-    # one product of two two-term factors, 4 terms, in 30 terms: expansion
-    # multiplies it out once, but the estimate still counts all 30 copies,
-    # whether their scales add up or cancel
+def test_expand_cap_counts_every_term():
+    # one product of two two-term factors, 4 terms, repeated in 30 terms:
+    # the estimate counts every copy, whether their scales add up or cancel
     fs = (fp((0,), (1, [(0, 1)]), (1, [])), fp((1,), (1, [(0, 1)]), (2, [])))
     for scales in ([1] * 30, [1, -1] * 15):
         C = FewVarCircuit(2, tuple((c, fs) for c in scales), 1)
@@ -206,6 +205,46 @@ def test_coeff_circuits_identity(C):
                 SparsePolynomial.zero(4)
             assert expand_circuit(piece) == want
             assert piece.top_fanin <= C.top_fanin * (C.k + 1)
+
+
+def missing_terms_held_once(C):
+    """For every y: each term of C that misses y is in the y^0 coefficient
+    circuit once, ahead of the rest, as the same scale and factor objects,
+    and in no other coefficient circuit; the y^i circuits for i >= 1 take
+    top fan-in at most (terms touching y)*(k+1).  Every coefficient
+    circuit expands to the coefficient."""
+    P = expand_circuit(C)
+    for y in range(C.num_vars):
+        missing = [t for t in C.terms
+                   if all(y not in f.support for f in t[1])]
+        touching = len(C.terms) - len(missing)
+        cs = coeff_circuits(C, y)
+        for scale, factors in missing:
+            held = [(i, s) for i, ci in enumerate(cs) for s, fs in ci.terms
+                    if len(fs) == len(factors)
+                    and all(f is g for f, g in zip(fs, factors))]
+            assert held == [(0, scale)]
+        assert cs[0].terms[:len(missing)] == tuple(missing)
+        for ci in cs[1:]:
+            assert ci.top_fanin <= touching * (C.k + 1)
+        want = coeffs_in_var(P, y)
+        zero = SparsePolynomial.zero(C.num_vars, C.field_p)
+        for i, ci in enumerate(cs):
+            assert expand_circuit(ci) == (want[i] if i < len(want) else zero)
+
+
+@pytest.mark.parametrize("make", [
+    small_circuit, lambda: parse_circuit(GF7_CIRCUIT),
+    lambda: parse_circuit(MIXED_CIRCUIT)], ids=["small", "gf7", "mixed"])
+def test_coeff_circuits_hold_missing_terms_once(make):
+    missing_terms_held_once(make())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((None, 7)), st.integers(0, 10 ** 6))
+def test_coeff_circuits_hold_missing_terms_once_random(p, seed):
+    rng = named_rng(seed, "coeff-circuits")
+    missing_terms_held_once(random_circuit(rng, 4, 4, 3, 2, 3, field_p=p))
 
 
 def test_derivative_circuit_identity(C):
@@ -491,7 +530,8 @@ def test_gf_transforms_match_polynomial_operations(p, data, y, i, shift, alive):
 def shared_factor_circuit(draw):
     """A circuit over 3 variables, over Q, GF(7) or GF(97), whose terms take
     their factors from a small pool of factor objects: terms repeat the very
-    same factor tuples, sometimes with scales that sum to 0, distinct
+    same factor tuples, sometimes with scales that sum to 0 (expansion
+    multiplies out each copy, and the copies must still cancel), distinct
     factors share supports, a power of one variable overlaps other
     supports (as in a derivative circuit), and some factors are zero."""
     p = draw(st.sampled_from((None, 7, 97)))
@@ -510,7 +550,7 @@ def shared_factor_circuit(draw):
     terms = [(draw(small_ints), tuple(draw(st.sampled_from(shapes))))
              for _ in range(draw(st.integers(1, 6)))]
     if draw(st.booleans()):
-        # one more copy of the first term's product, cancelling its group
+        # one more copy of the first term's product, cancelling its copies
         first = terms[0][1]
         terms.append((-sum(c for c, shape in terms if shape == first), first))
     return FewVarCircuit(3, tuple((c, tuple(pool[i] for i in shape))
@@ -529,7 +569,8 @@ def test_expand_matches_ring_operations(C, point, y, j):
         one = FewVarCircuit(C.num_vars, ((1, factors),), C.declared_s, C.field_p)
         assert _multiply_out(factors, C.field_p) == expand_by_ring_ops(one).terms
     if C.field_p is None:
-        # coefficient circuits repeat a product that misses y once per node
+        # a derivative rebuilt from the coefficient circuits, the y^0 one
+        # holding each term that misses y as it is
         dC = derivative_circuit(FewVarCircuit(
             C.num_vars, C.terms, C.declared_s, None, P.individual_degree()), y, j)
         assert expand_circuit(dC) == expand_by_ring_ops(dC) == \

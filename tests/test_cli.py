@@ -277,8 +277,8 @@ def test_transform_audit_frozen(capsys):
                      "--seed", "11")
     assert rc == 0
     assert out == ("seed=11\ncount=5\ncircuits=5\nchecks=25\nfailures=0\n"
-                   "max_deriv_fanin_ratio=0.7777777777777778\n"
-                   "max_coeff_fanin_ratio=1.0\nok=pass\n")
+                   "max_deriv_fanin_ratio=0.5555555555555556\n"
+                   "max_coeff_fanin_ratio=0.8333333333333334\nok=pass\n")
 
 
 def test_byte_identical_reruns(capsys):
@@ -479,6 +479,20 @@ def test_error_exits(capsys, tmp_path):
     rc, _, err = run(capsys, "pit", "--circuit", str(tmp_path / "missing"),
                      "--override-l", "2")
     assert rc == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["nw-params", "--n", "2"],
+    ["ratios", "--n", "10000"],
+    ["hitset", "--N", "16", "--k", "1", "--limit", "3"],
+    ["pit", "--circuit", "x.circuit", "--budget", "20"],
+])
+def test_zero_denominator_in_mu_is_a_usage_error(capsys, argv):
+    rc, out, err = run(capsys, *argv, "--mu", "1/0")
+    assert (rc, out) == (3, "")
+    assert err.endswith(f"fewvar {argv[0]}: error: argument --mu: "
+                        "invalid _rational value: '1/0'\n")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("old, new, where", [

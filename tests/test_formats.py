@@ -80,6 +80,7 @@ BAD_DOCUMENTS = {
     "circuit-unsorted-support": (parse_circuit, "fewvar-circuit v1\nvars=2 field=Q s=2 k=1\nterm scale=1\nfactor support=1,0", r"line 4: support \(1, 0\) must be strictly increasing"),
     "circuit-support-out-of-range": (parse_circuit, TERM + "factor support=5", r"line 4: factor support \(5,\) out of range for 2 variables"),
     "circuit-later-factor-out-of-range": (parse_circuit, FACTOR + "coeff 1 ;\nterm scale=1\nfactor support=1\nfactor support=7\ncoeff 1 ; 0:1", r"line 8: factor support \(7,\) out of range for 2 variables"),
+    "circuit-earlier-error-wins": (parse_circuit, TERM + "factor support=5\ncoeff 1 ;\nfactor support=1\ncoeff x ; 0:1", r"line 4: factor support \(5,\) out of range for 2 variables"),
     "circuit-support-over-s": (parse_circuit, TERM + "factor support=0,1", r"line 4: factor support \(0, 1\) exceeds declared_s=1"),
     "circuit-factor-before-term": (parse_circuit, CIRCUIT + "factor support=0\ncoeff 1 ; 0:1", r"line 3: factor before any `term` line"),
     "circuit-coeff-before-term": (parse_circuit, CIRCUIT + "coeff 1 ;", r"line 3: coeff line outside a factor block"),
