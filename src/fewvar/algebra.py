@@ -7,8 +7,9 @@ or a Fraction (an int stays an int), over GF(p) an int in [0, p).
 the representatives and the constructor reduces every coefficient and drops
 the zeros.  Binary operations check that both tags agree and raise on a
 mismatch.  ``multiply_out`` is the one product loop, on plain term maps:
-``__mul__``, ``translate_poly`` and circuit expansion all multiply through
-it, and each builds one polynomial from its result.
+``__mul__`` and circuit expansion multiply through it, and each builds one
+polynomial from its result.  ``translate_poly`` is a Taylor shift, one
+variable at a time, and multiplies no polynomials.
 
 A monomial is a sorted tuple of ``(variable_index, exponent)`` pairs with all
 exponents positive; the empty tuple is the constant monomial.  A polynomial is
@@ -60,6 +61,12 @@ def mon_mul(a: Mon, b: Mon) -> Mon:
         return b
     if not b:
         return a
+    # when one monomial's variables all come before the other's, the
+    # product is the concatenation
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
     acc = dict(a)
     for v, e in b:
         acc[v] = acc.get(v, 0) + e
@@ -332,21 +339,40 @@ def esym_all(inputs: Sequence[SparsePolynomial], lmax: int) -> List[SparsePolyno
 
 
 def translate_poly(P: SparsePolynomial, a: Sequence) -> SparsePolynomial:
-    """Return P(X + a).  Degree is preserved; translating back by -a undoes it."""
+    """Return P(X + a).  Degree is preserved; translating back by -a undoes it.
+
+    A Taylor shift, one variable at a time: for each v with a_v != 0, one
+    pass over the terms rewrites x_v^e as sum_j C(e, j) a_v^(e-j) x_v^j,
+    merges equal monomials, reduces mod p over GF(p) and drops zeros."""
     if len(a) != P.num_vars:
         raise ValueError(
             f"dimension mismatch: shift has {len(a)} values, "
             f"polynomial has {P.num_vars} variables")
-    shift = [coerce(v, P.field_p) for v in a]
-    out: Dict[Mon, FieldElem] = {}
-    for mon, c in P.terms.items():
-        # expand c * prod_v (x_v + a_v)^e by the binomial theorem
-        binoms = [{((v, j),) if j else MON_ONE:
-                   math.comb(e, j) * shift[v] ** (e - j) for j in range(e + 1)}
-                  for v, e in mon]
-        for m, t in multiply_out([{MON_ONE: c}] + binoms, P.field_p).items():
-            out[m] = out.get(m, 0) + t
-    return SparsePolynomial(P.num_vars, out, P.field_p)
+    p = P.field_p
+    terms = P.terms
+    for v, s in enumerate(a):
+        s = coerce(s, p)
+        if not s:
+            continue
+        out: Dict[Mon, FieldElem] = {}
+        for mon, c in terms.items():
+            for i, (w, e) in enumerate(mon):
+                if w == v:
+                    break
+            else:
+                out[mon] = out.get(mon, 0) + c
+                continue
+            head, tail = mon[:i], mon[i + 1:]
+            pw = c
+            for j in range(e, -1, -1):
+                m = head + ((v, j),) + tail if j else head + tail
+                out[m] = out.get(m, 0) + math.comb(e, j) * pw
+                pw *= s
+        if p is None:
+            terms = {m: c for m, c in out.items() if c}
+        else:
+            terms = {m: c % p for m, c in out.items() if c % p}
+    return SparsePolynomial(P.num_vars, terms, p)
 
 
 def derivative_poly(P: SparsePolynomial, var: int, order: int = 1) -> SparsePolynomial:
@@ -670,8 +696,8 @@ def read_header(ln: int, line: str, keys: Sequence[str], build: Callable):
 def parse_poly_lines(lines: Sequence[Tuple[int, str]], num_vars: int,
                      field_p: Field, where: str = "") -> SparsePolynomial:
     """Parse `coeff <c> ; v:e v:e ...` lines, as ``document_lines`` gives
-    them, into a polynomial."""
-    items = []
+    them, into a polynomial; a repeated monomial's coefficients add up."""
+    acc: Dict[Mon, FieldElem] = {}
     for ln, body in lines:
         if not body.startswith("coeff "):
             raise ValueError(f"{where}line {ln}: expected a `coeff` line, got {body!r}")
@@ -698,8 +724,8 @@ def parse_poly_lines(lines: Sequence[Tuple[int, str]], num_vars: int,
                                  f"num_vars={num_vars}")
         except ValueError as exc:
             raise ValueError(f"{where}line {ln}: {exc}") from None
-        items.append((c, mon))
-    return SparsePolynomial.from_terms(num_vars, items, field_p)
+        acc[mon] = acc.get(mon, 0) + c
+    return SparsePolynomial(num_vars, acc, field_p)
 
 
 def parse_poly(text: str) -> SparsePolynomial:

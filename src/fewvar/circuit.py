@@ -223,7 +223,9 @@ def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynom
     Refuses when the pre-merge term-count estimate, over every term,
     exceeds the cap (argument, else 10^6).  Each term with a nonzero scale
     is multiplied out and added into one accumulator, and the result is
-    validated once, by the one polynomial built at the end.
+    validated once, by the one polynomial built at the end.  The scales
+    enter as ints, times L, the lcm of their denominators (1 over GF(p)),
+    and each sum is divided by L once.
     """
     limit = DEFAULT_EXPAND_CAP if cap is None else cap
     est = 0
@@ -234,12 +236,15 @@ def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynom
         est += count
     if est > limit:
         raise ValueError(f"too large to expand: estimated {est} terms > cap {limit}")
+    live = [(scale, factors) for scale, factors in C.terms if scale]
+    L = math.lcm(*(scale.denominator for scale, _ in live))
     acc: Dict[Mon, FieldElem] = {}
-    for scale, factors in C.terms:
-        if not scale:
-            continue
+    for scale, factors in live:
+        mult = scale.numerator * (L // scale.denominator)
         for mon, c in _multiply_out(factors, C.field_p).items():
-            acc[mon] = acc.get(mon, 0) + scale * c
+            acc[mon] = acc.get(mon, 0) + mult * c
+    if L > 1:
+        acc = {mon: Fraction(c, L) for mon, c in acc.items()}
     return SparsePolynomial(C.num_vars, acc, C.field_p)
 
 

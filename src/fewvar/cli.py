@@ -283,7 +283,7 @@ def _cmd_hitset(args) -> int:
     params = _toy_or_derived_params(args, args.N, args.k)
     limit = args.limit
     if limit is None:
-        if params.stream_size > DEFAULT_STREAM_CAP:
+        if params.stream_exceeds(DEFAULT_STREAM_CAP):
             raise ValueError(
                 f"stream has {params.stream_size_text} tuples; pass --limit")
         limit = params.stream_size

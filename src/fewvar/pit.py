@@ -180,14 +180,25 @@ class PitParams:
     def stream_size(self) -> int:
         return len(self.grid) ** self.l
 
+    def stream_exceeds(self, bound: int) -> bool:
+        """Whether stream_size > bound.  With b the bit length of the grid
+        size g, 2^((b-1)l) <= g^l <= 2^(bl), which decides the comparison
+        unless the bound's bit length falls between; only then is g^l
+        computed."""
+        g, n = len(self.grid), bound.bit_length()
+        if bound < 1 or (g.bit_length() - 1) * self.l >= n:
+            return True
+        if g.bit_length() * self.l < n:
+            return False
+        return self.stream_size > bound
+
     @property
     def stream_size_text(self) -> str:
         """stream_size in decimal, or as ``<grid_size>^<l>`` from 10^4000 on,
         where the decimal nears Python's int-to-str digit limit."""
-        total = self.stream_size
-        if total < 10 ** DECIMAL_STREAM_DIGITS:
-            return str(total)
-        return f"{len(self.grid)}^{self.l}"
+        if self.stream_exceeds(10 ** DECIMAL_STREAM_DIGITS - 1):
+            return f"{len(self.grid)}^{self.l}"
+        return str(self.stream_size)
 
 
 def derive_pit_params(mu, c, N: int, k: int) -> PitParams:
@@ -367,8 +378,7 @@ def pit_run(box: Union[Blackbox, FewVarCircuit], params: PitParams,
     if box.num_vars != params.N:
         raise ValueError(
             f"box declares {box.num_vars} variables, params expect {params.N}")
-    total = params.stream_size
-    if budget is None and total > DEFAULT_STREAM_CAP:
+    if budget is None and params.stream_exceeds(DEFAULT_STREAM_CAP):
         raise ValueError(
             f"stream has {params.stream_size_text} points; pass a budget for "
             f"a partial scan")
@@ -384,7 +394,7 @@ def pit_run(box: Union[Blackbox, FewVarCircuit], params: PitParams,
                     f"{again} on the second")
             return PitResult(status="witness", tested=tested, point=h,
                              value=again, class_report=report)
-    if tested < total:
+    if params.stream_exceeds(tested):
         return PitResult(status="inconclusive", tested=tested,
                          class_report=report)
     return PitResult(status="zero-on-set", tested=tested, class_report=report)

@@ -116,6 +116,23 @@ def expand_by_ring_ops(C: FewVarCircuit) -> SparsePolynomial:
     return acc
 
 
+def translate_by_ring_ops(P: SparsePolynomial, a: Sequence) -> SparsePolynomial:
+    """P(X + a) as the sum over terms c * prod_v (x_v + a_v)^e, each power
+    multiplied out factor by factor and the terms summed one polynomial at
+    a time, through the ring operations alone.  The oracle for
+    ``translate_poly``."""
+    n, p = P.num_vars, P.field_p
+    acc = SparsePolynomial.zero(n, p)
+    for mon, c in P.terms.items():
+        term = SparsePolynomial.const(n, c, p)
+        for v, e in mon:
+            linear = SparsePolynomial(n, {((v, 1),): 1, (): a[v]}, p)
+            for _ in range(e):
+                term = term * linear
+        acc = acc + term
+    return acc
+
+
 def combnulls_grid(N: int, d: int) -> Iterator[Tuple[int, ...]]:
     """Lexicographic enumeration of {0..d}^N.  Any nonzero polynomial with
     individual degree <= d is nonzero somewhere on this grid, so a full scan

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import is_prime_trial, multilinear_project
+from helpers import is_prime_trial, multilinear_project, translate_by_ring_ops
 from fewvar.algebra import (
     SparsePolynomial,
     bertrand_prime,
@@ -21,6 +21,7 @@ from fewvar.algebra import (
     int_floor_root,
     is_prime,
     mon_make,
+    mon_mul,
     multilinear_monomials,
     multiply_out,
     next_prime_at_least,
@@ -49,6 +50,42 @@ def test_mon_make_canonicalizes():
     assert mon_make([(0, 1), (0, 2)]) == ((0, 3),)
     with pytest.raises(ValueError):
         mon_make([(0, -1)])
+
+
+@st.composite
+def mon_pairs(draw):
+    """Two monomials whose variables are ordered and disjoint (either way
+    round), interleaved, overlapping, or one of them empty."""
+    kind = draw(st.sampled_from(
+        ("before", "after", "interleaved", "overlapping", "empty")))
+    vs = sorted(draw(st.sets(st.integers(0, 12), min_size=3, max_size=8)))
+    cut = draw(st.integers(1, len(vs) - 1))
+    if kind in ("before", "after"):
+        a, b = vs[:cut], vs[cut:]
+    elif kind == "interleaved":
+        a, b = vs[0::2], vs[1::2]
+    elif kind == "overlapping":
+        a, b = vs[:cut + 1], vs[cut:]
+    else:
+        a, b = vs, []
+    if kind == "after" or (kind == "empty" and draw(st.booleans())):
+        a, b = b, a
+    return tuple(tuple((v, draw(st.integers(1, 3))) for v in vs)
+                 for vs in (a, b))
+
+
+def mon_mul_by_merge(a, b):
+    acc = {}
+    for v, e in a + b:
+        acc[v] = acc.get(v, 0) + e
+    return tuple(sorted(acc.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mon_pairs())
+def test_mon_mul_matches_dict_merge(pair):
+    a, b = pair
+    assert mon_mul(a, b) == mon_mul(b, a) == mon_mul_by_merge(a, b)
 
 
 def test_gf_arithmetic_table():
@@ -256,6 +293,32 @@ def test_translate_poly_example():
     assert T == P_of(2, (1, [(0, 1), (1, 1)]), (2, [(0, 1)]),
                      (1, [(1, 1)]), (2, []))
     assert translate_poly(T, [Fraction(-1), Fraction(-2)]) == P
+
+
+shift_values = st.one_of(
+    st.just(0), st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((None, 7, 97)), st.lists(st.tuples(
+           st.integers(-6, 6), st.lists(st.integers(0, 4), min_size=3,
+                                        max_size=3)), max_size=5),
+       st.lists(shift_values, min_size=3, max_size=3),
+       st.sampled_from(("as drawn", "zero", "one variable")))
+def test_translate_poly_matches_ring_operations(p, items, shift, which):
+    P = P_of(3, *[(Fraction(c, 2) if p is None else c, list(enumerate(es)))
+                  for c, es in items], p=p)
+    if which == "zero":
+        shift = [0, 0, 0]
+    elif which == "one variable":
+        shift = [0, shift[1], 0]
+    T = translate_poly(P, shift)
+    assert T == translate_by_ring_ops(P, shift)
+    assert T.degree() == P.degree()
+    assert translate_poly(T, [-v for v in shift]) == P
+    if p is not None:
+        assert all(type(c) is int and 0 < c < p for c in T.terms.values())
 
 
 def test_derivative_poly_orders():

@@ -577,6 +577,34 @@ def test_expand_matches_ring_operations(C, point, y, j):
             derivative_poly(P, y, j)
 
 
+def test_expand_with_fraction_scales_and_coefficients():
+    # (1/3) * (x0/2 + 1) * (2/3 x1)  -  (5/6) * x0/2 * (2/3 x1)
+    #   = (1/9 - 5/18) x0 x1 + 2/9 x1  =  -1/6 x0 x1 + 2/9 x1
+    half = fp((0,), (Fraction(1, 2), [(0, 1)]), (1, []))
+    third = fp((1,), (Fraction(2, 3), [(0, 1)]))
+    C = FewVarCircuit(2, ((Fraction(1, 3), (half, third)),
+                          (Fraction(-5, 6), (fp((0,), (Fraction(1, 2), [(0, 1)])),
+                                             third))), 1)
+    want = SparsePolynomial(2, {((0, 1), (1, 1)): Fraction(-1, 6),
+                                ((1, 1),): Fraction(2, 9)})
+    assert expand_circuit(C) == expand_by_ring_ops(C) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 5), st.integers(0, 8))
+def test_expand_lagrange_circuits_matches_ring_operations(seed, y, i):
+    # normalized constants give factors Fraction coefficients, and the
+    # Lagrange weights of coefficient and homogeneous-component circuits
+    # give terms Fraction scales
+    rng = named_rng(seed, "expand-lagrange-test")
+    C = normalize_constants(random_circuit(rng, num_vars=6, max_terms=3,
+                                           max_factors=3, max_support=2,
+                                           max_k=2))
+    D = expand_circuit(C).degree()
+    for circ in coeff_circuits(C, y) + [hom_component_circuit(C, i, D)]:
+        assert expand_circuit(circ) == expand_by_ring_ops(circ)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_substituted_factor_agrees_with_evaluation(data):

@@ -281,6 +281,21 @@ def test_transform_audit_frozen(capsys):
                    "max_coeff_fanin_ratio=0.8333333333333334\nok=pass\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--count", "5", "--seed", "11"],
+    ["--count", "1", "--seed", "3", "--vars", "12", "--terms", "6",
+     "--factors", "4", "--support", "4", "--max-k", "3"]])
+def test_transform_audit_byte_identical_under_python_O(tmp_path, argv):
+    # no invariant of the fast kernels may hide behind an assert
+    outs = [subprocess.run(
+        [sys.executable, *flags, "-m", "fewvar", "transform-audit", *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=src_env(),
+        timeout=120) for flags in ([], ["-O"])]
+    assert [res.returncode for res in outs] == [0, 0]
+    assert outs[1].stdout == outs[0].stdout
+    assert "ok=pass" in outs[0].stdout.splitlines()
+
+
 def test_byte_identical_reruns(capsys):
     _, out1, _ = run(capsys, "ratios", "--n", "10000")
     _, out2, _ = run(capsys, "ratios", "--n", "10000")

@@ -155,6 +155,27 @@ def test_stream_size_text_switches_to_a_power_at_ten_to_the_4000():
     assert toy_pit_params(N=2, k=1, l=2).stream_size_text == "9"
 
 
+@pytest.mark.parametrize("g,l", [
+    (10, 3999), (10, 4000), (2, 13287), (2, 13288), (9, 4191), (9, 4192),
+    (11, 3841), (11, 3842), (513, 1475), (513, 1476)])
+def test_stream_size_text_at_the_boundary_matches_the_full_power(g, l):
+    # the pairs straddle 10^4000: g^l just below it, then just above it
+    total = g ** l
+    old = str(total) if total < 10 ** 4000 else f"{g}^{l}"
+    params = toy_pit_params(N=1, k=1, l=l, grid=range(g))
+    assert params.stream_size_text == old
+    assert params.stream_exceeds(10 ** 4000 - 1) == (total >= 10 ** 4000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 600), st.integers(2, 60), st.integers(-3, 3),
+       st.integers(-5, 10 ** 40), st.booleans())
+def test_stream_exceeds_matches_the_full_power(g, l, delta, far, near):
+    params = toy_pit_params(N=1, k=1, l=l, grid=range(g))
+    bound = g ** l + delta if near else far
+    assert params.stream_exceeds(bound) == (g ** l > bound)
+
+
 # ---------------------------------------------------------------------------
 # the stream
 
