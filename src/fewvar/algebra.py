@@ -4,9 +4,12 @@ A polynomial carries a field tag, ``field_p``: None for Q, a prime p for
 GF(p).  Coefficients are plain Python numbers under that tag: over Q an int
 or a Fraction (an int stays an int), over GF(p) an int in [0, p).
 ``coerce`` is the one lift into that domain.  Ring operations compute on
-the representatives and the constructor reduces every coefficient and drops
-the zeros.  Binary operations check that both tags agree and raise on a
-mismatch.  ``multiply_out`` is the one product loop, on plain term maps:
+the representatives.  The public constructor checks its input and then
+normalizes: it reduces every coefficient and drops the zeros.  The private
+``_poly`` only normalizes; the ring operations, the transforms below and
+the reader build through it from parts that are already checked.  Binary
+operations check that both tags agree and raise on a mismatch.
+``multiply_out`` is the one product loop, on plain term maps:
 ``__mul__`` and circuit expansion multiply through it, and each builds one
 polynomial from its result.  ``translate_poly`` is a Taylor shift, one
 variable at a time, and multiplies no polynomials.
@@ -144,22 +147,19 @@ class SparsePolynomial:
     field_p: Field = None
 
     def __post_init__(self):
+        """The checks, then the normalization of ``_poly``."""
         if self.num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
         if self.field_p is not None and not is_prime(self.field_p):
             raise ValueError(f"modulus {self.field_p} is not prime")
-        clean: Dict[Mon, FieldElem] = {}
-        for mon, c in self.terms.items():
+        for mon in self.terms:
             for v, e in mon:
                 if v >= self.num_vars:
                     raise ValueError(
                         f"variable {v} out of range for num_vars={self.num_vars}")
                 if e <= 0:
                     raise ValueError(f"nonpositive exponent on variable {v}")
-            cc = coerce(c, self.field_p)
-            if cc:
-                clean[mon] = cc
-        self.terms = clean
+        self.terms = _poly(self.num_vars, self.terms, self.field_p).terms
 
     # -- constructors -------------------------------------------------------
 
@@ -220,10 +220,10 @@ class SparsePolynomial:
         out = dict(self.terms)
         for mon, c in other.terms.items():
             out[mon] = out.get(mon, 0) + c
-        return SparsePolynomial(self.num_vars, out, self.field_p)
+        return _poly(self.num_vars, out, self.field_p)
 
     def __neg__(self) -> "SparsePolynomial":
-        return SparsePolynomial(
+        return _poly(
             self.num_vars, {m: -c for m, c in self.terms.items()}, self.field_p)
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
@@ -231,13 +231,13 @@ class SparsePolynomial:
 
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         self._check_compatible(other)
-        return SparsePolynomial(
+        return _poly(
             self.num_vars, multiply_out((self.terms, other.terms), self.field_p),
             self.field_p)
 
     def scale(self, c) -> "SparsePolynomial":
         cc = coerce(c, self.field_p)
-        return SparsePolynomial(
+        return _poly(
             self.num_vars, {m: v * cc for m, v in self.terms.items()}, self.field_p)
 
     def eval_at(self, point: Sequence) -> FieldElem:
@@ -268,6 +268,19 @@ class SparsePolynomial:
             body = "*".join(f"x{v}" + (f"^{e}" if e > 1 else "") for v, e in mon)
             parts.append(f"{c}" + (f"*{body}" if body else ""))
         return " + ".join(parts)
+
+
+def _poly(num_vars: int, terms: Dict[Mon, FieldElem],
+          field_p: Field) -> SparsePolynomial:
+    """The private constructor: the normalization alone, every coefficient
+    lifted into the field and the zeros dropped, with none of the public
+    constructor's checks.  Only for builders whose monomials, variable
+    count and field come from checked polynomials or checked lines;
+    tests/test_layout.py lists them."""
+    P = object.__new__(SparsePolynomial)
+    P.num_vars, P.field_p = num_vars, field_p
+    P.terms = {m: cc for m, c in terms.items() if (cc := coerce(c, field_p))}
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +326,7 @@ def hom_component(P: SparsePolynomial, i: int, mode: str = "eq") -> SparsePolyno
     else:
         raise ValueError(f"unknown mode {mode!r}")
     out = {m: c for m, c in P.terms.items() if keep(mon_degree(m))}
-    return SparsePolynomial(P.num_vars, out, P.field_p)
+    return _poly(P.num_vars, out, P.field_p)
 
 
 def esym_all(inputs: Sequence[SparsePolynomial], lmax: int) -> List[SparsePolynomial]:
@@ -372,7 +385,7 @@ def translate_poly(P: SparsePolynomial, a: Sequence) -> SparsePolynomial:
             terms = {m: c for m, c in out.items() if c}
         else:
             terms = {m: c % p for m, c in out.items() if c % p}
-    return SparsePolynomial(P.num_vars, terms, p)
+    return _poly(P.num_vars, terms, p)
 
 
 def derivative_poly(P: SparsePolynomial, var: int, order: int = 1) -> SparsePolynomial:
@@ -398,7 +411,7 @@ def derivative_poly(P: SparsePolynomial, var: int, order: int = 1) -> SparsePoly
         if e > order:
             new = tuple(sorted(new + ((var, e - order),)))
         out[new] = c * fall
-    return SparsePolynomial(P.num_vars, out, P.field_p)
+    return _poly(P.num_vars, out, P.field_p)
 
 
 def substitute(P: SparsePolynomial, var: int, value) -> SparsePolynomial:
@@ -411,7 +424,7 @@ def substitute(P: SparsePolynomial, var: int, value) -> SparsePolynomial:
             c = c * val ** e
             mon = tuple((v, x) for v, x in mon if v != var)
         out[mon] = out.get(mon, 0) + c
-    return SparsePolynomial(P.num_vars, out, P.field_p)
+    return _poly(P.num_vars, out, P.field_p)
 
 
 def scale_all_vars(P: SparsePolynomial, t) -> SparsePolynomial:
@@ -419,7 +432,7 @@ def scale_all_vars(P: SparsePolynomial, t) -> SparsePolynomial:
     picks up a factor t^d."""
     tv = coerce(t, P.field_p)
     out = {mon: c * tv ** mon_degree(mon) for mon, c in P.terms.items()}
-    return SparsePolynomial(P.num_vars, out, P.field_p)
+    return _poly(P.num_vars, out, P.field_p)
 
 
 def coeffs_in_var(P: SparsePolynomial, var: int) -> List[SparsePolynomial]:
@@ -432,7 +445,7 @@ def coeffs_in_var(P: SparsePolynomial, var: int) -> List[SparsePolynomial]:
         e = dict(mon).get(var, 0)
         rest = tuple((v, x) for v, x in mon if v != var)
         outs[e][rest] = c
-    return [SparsePolynomial(P.num_vars, o, P.field_p) for o in outs]
+    return [_poly(P.num_vars, o, P.field_p) for o in outs]
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +738,7 @@ def parse_poly_lines(lines: Sequence[Tuple[int, str]], num_vars: int,
         except ValueError as exc:
             raise ValueError(f"{where}line {ln}: {exc}") from None
         acc[mon] = acc.get(mon, 0) + c
-    return SparsePolynomial(num_vars, acc, field_p)
+    return _poly(num_vars, acc, field_p)
 
 
 def parse_poly(text: str) -> SparsePolynomial:

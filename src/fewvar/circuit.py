@@ -10,6 +10,12 @@ those term maps through ``algebra.multiply_out``, the one product loop.
 ``eval_circuit`` is the one evaluator of a circuit at a point, over Q and
 GF(p) alike, in the circuit's ``integer_form``, compiled once on first use.
 
+The public constructors of ``FactorPoly`` and ``FewVarCircuit`` check
+their input and normalize it (each scale lifted into the field).  The
+private ``_factor`` and ``_circuit`` only normalize; the transforms,
+expansion and the reader's final assembly build through them from parts
+that are already checked.
+
 All transforms return new circuits whose expansion equals the corresponding
 polynomial-level operation exactly; the test suite checks this on randomized
 suites.  Each is built from two shapes.  ``_rewrite`` rebuilds a circuit
@@ -32,7 +38,7 @@ of ``algebra`` (``document_lines``, ``read_fields``, ``read_header``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -42,6 +48,7 @@ from .algebra import (
     FieldElem,
     Mon,
     SparsePolynomial,
+    _poly,
     coerce,
     document_lines,
     esym_all,
@@ -92,6 +99,16 @@ class FactorPoly:
         return SparsePolynomial(num_vars, self.global_terms(), self.poly.field_p)
 
 
+def _factor(support: Tuple[int, ...], poly: SparsePolynomial) -> FactorPoly:
+    """The private constructor of a factor, without the public one's
+    checks: only for a polynomial over ``len(support)`` variables and a
+    strictly increasing support that fits the circuit the factor goes
+    into (the callers are listed in tests/test_layout.py)."""
+    f = object.__new__(FactorPoly)
+    vars(f).update(support=support, poly=poly)
+    return f
+
+
 def _check_factor(f: FactorPoly, num_vars: int, declared_s: int) -> None:
     """Raise unless the factor's support fits a circuit of ``num_vars``
     variables and support bound ``declared_s``."""
@@ -123,22 +140,22 @@ class FewVarCircuit:
     k: Optional[int] = None
 
     def __post_init__(self):
+        """Check the sizes, normalize as ``_circuit`` does (so the terms and
+        factor lists are tuples when they are read), then check every
+        factor."""
         for name in ("num_vars", "declared_s", "k"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
-        terms = []
-        for scale, factors in self.terms:
-            scale = coerce(scale, self.field_p)
-            factors = tuple(factors)
+        self.terms = _circuit(self.num_vars, self.terms, self.declared_s,
+                              self.field_p, self.k).terms
+        for _, factors in self.terms:
             for f in factors:
                 _check_factor(f, self.num_vars, self.declared_s)
                 if f.poly.field_p != self.field_p:
                     raise ValueError(
                         f"factor over {field_name(f.poly.field_p)} in a "
                         f"{field_name(self.field_p)} circuit")
-            terms.append((scale, factors))
-        self.terms = tuple(terms)
 
     @property
     def top_fanin(self) -> int:
@@ -162,7 +179,7 @@ class FewVarCircuit:
         coefficients' denominators; the term's scale and those lcms fold
         into mult, and L is the lcm of the terms' denominators (1 over
         GF(p)).  Terms with scale 0 are dropped.  The cache cannot go
-        stale: nothing reassigns ``terms`` after ``__post_init__``, and
+        stale: nothing reassigns ``terms`` once a constructor returns, and
         ``dataclasses.replace`` builds a new circuit."""
         cleared = []
         for scale, factors in self.terms:
@@ -178,6 +195,20 @@ class FewVarCircuit:
             cleared.append((num, den, tuple(polys)))
         L = math.lcm(*(den for _, den, _ in cleared))
         return L, tuple((num * (L // den), polys) for num, den, polys in cleared)
+
+
+def _circuit(num_vars: int, terms, declared_s: int, field_p: Field,
+             k: Optional[int]) -> FewVarCircuit:
+    """The private constructor of a circuit: the normalization alone, each
+    scale lifted into the field and the terms and factor lists made tuples,
+    with none of the public constructor's checks.  Only for terms whose
+    factors are checked for this circuit's variables, support bound and
+    field (the callers are listed in tests/test_layout.py)."""
+    C = object.__new__(FewVarCircuit)
+    C.num_vars, C.declared_s, C.field_p, C.k = num_vars, declared_s, field_p, k
+    C.terms = tuple((coerce(scale, field_p), tuple(factors))
+                    for scale, factors in terms)
+    return C
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +253,8 @@ def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynom
 
     Refuses when the pre-merge term-count estimate, over every term,
     exceeds the cap (argument, else 10^6).  Each term with a nonzero scale
-    is multiplied out and added into one accumulator, and the result is
-    validated once, by the one polynomial built at the end.  The scales
+    is multiplied out and added into one accumulator, and the one
+    polynomial built at the end only normalizes it.  The scales
     enter as ints, times L, the lcm of their denominators (1 over GF(p)),
     and each sum is divided by L once.
     """
@@ -245,7 +276,7 @@ def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynom
             acc[mon] = acc.get(mon, 0) + mult * c
     if L > 1:
         acc = {mon: Fraction(c, L) for mon, c in acc.items()}
-    return SparsePolynomial(C.num_vars, acc, C.field_p)
+    return _poly(C.num_vars, acc, C.field_p)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +302,7 @@ def _rewrite(C: FewVarCircuit, step) -> FewVarCircuit:
                 kept.append(g)
         if scale:
             terms.append((scale, tuple(kept)))
-    return FewVarCircuit(C.num_vars, tuple(terms), C.declared_s, C.field_p, C.k)
+    return _circuit(C.num_vars, terms, C.declared_s, C.field_p, C.k)
 
 
 def _lagrange_coeff_matrix(count: int, field_p: Field):
@@ -318,7 +349,7 @@ def _interpolate(C: FewVarCircuit, count: int, at_node,
         for terms, w in zip(outs, weights):
             if w:
                 terms.extend([(scale * w, factors) for scale, factors in node])
-    return [FewVarCircuit(C.num_vars, tuple(terms), C.declared_s, C.field_p, C.k)
+    return [_circuit(C.num_vars, terms, C.declared_s, C.field_p, C.k)
             for terms in outs]
 
 
@@ -346,8 +377,7 @@ def _substitute_factor(gvars: FrozenSet[int], value, f: FactorPoly):
         key = tuple(rest)
         out[key] = out.get(key, 0) + c
     support = tuple(g for g in f.support if g not in gvars)
-    return 1, FactorPoly(support, SparsePolynomial(len(support), out,
-                                                   f.poly.field_p))
+    return 1, _factor(support, _poly(len(support), out, f.poly.field_p))
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +405,10 @@ def coeff_circuits(C: FewVarCircuit, y: int) -> List[FewVarCircuit]:
         (touching if hits else missing).append(term)
     ys = frozenset((y,))
     coeffs = _interpolate(
-        replace(C, terms=tuple(touching)), C.k + 1,
+        _circuit(C.num_vars, touching, C.declared_s, C.field_p, C.k), C.k + 1,
         lambda x: partial(_substitute_factor, ys, x), range(C.k + 1))
-    coeffs[0] = replace(coeffs[0], terms=tuple(missing) + coeffs[0].terms)
+    coeffs[0] = _circuit(C.num_vars, tuple(missing) + coeffs[0].terms,
+                         C.declared_s, C.field_p, C.k)
     return coeffs
 
 
@@ -398,12 +429,10 @@ def derivative_circuit(C: FewVarCircuit, y: int, j: int) -> FewVarCircuit:
         fall = math.perm(i, j)
         power: Optional[FactorPoly] = None
         if i > j:
-            ypoly = SparsePolynomial(1, {((0, i - j),): 1}, C.field_p)
-            power = FactorPoly((y,), ypoly)
+            power = _factor((y,), _poly(1, {((0, i - j),): 1}, C.field_p))
         for scale, factors in coeffs[i].terms:
             terms.append((scale * fall, factors + (power,) if power else factors))
-    return FewVarCircuit(C.num_vars, tuple(terms), max(C.declared_s, 1),
-                         C.field_p, C.k)
+    return _circuit(C.num_vars, terms, max(C.declared_s, 1), C.field_p, C.k)
 
 
 def hom_component_circuit(C: FewVarCircuit, i: int,
@@ -419,9 +448,9 @@ def hom_component_circuit(C: FewVarCircuit, i: int,
     if D < 0:
         raise ValueError("total degree bound must be nonnegative")
     if i > D:
-        return FewVarCircuit(C.num_vars, (), C.declared_s, C.field_p, C.k)
+        return _circuit(C.num_vars, (), C.declared_s, C.field_p, C.k)
     def scaled(t):
-        return lambda f: (1, FactorPoly(f.support, scale_all_vars(f.poly, t)))
+        return lambda f: (1, _factor(f.support, scale_all_vars(f.poly, t)))
     return _interpolate(C, D + 1, scaled, [i])[0]
 
 
@@ -432,7 +461,7 @@ def translate_circuit(C: FewVarCircuit, a: Sequence) -> FewVarCircuit:
         raise ValueError(
             f"dimension mismatch: shift has {len(a)} values, circuit has "
             f"{C.num_vars} variables")
-    return _rewrite(C, lambda f: (1, FactorPoly(
+    return _rewrite(C, lambda f: (1, _factor(
         f.support, translate_poly(f.poly, [a[g] for g in f.support]))))
 
 
@@ -452,7 +481,7 @@ def normalize_constants(C: FewVarCircuit) -> FewVarCircuit:
         if f.poly.degree() == 0:
             return c0, None
         if c0 and c0 != 1:
-            return c0, FactorPoly(
+            return c0, _factor(
                 f.support, f.poly.scale(coerce(Fraction(1, c0), C.field_p)))
         return 1, f
     return _rewrite(C, step)
@@ -635,7 +664,8 @@ def parse_circuit(text: str) -> FewVarCircuit:
                 _check_factor(factors[i], header.num_vars, header.declared_s)
             except ValueError as exc:
                 raise ValueError(f"line {fln}: {exc}") from None
-    return replace(header, terms=tuple(blocks))
+    return _circuit(header.num_vars, blocks, header.declared_s,
+                    header.field_p, header.k)
 
 
 # ---------------------------------------------------------------------------
@@ -705,8 +735,13 @@ def transform_audit(count: int, seed: int, num_vars: int = 10, max_terms: int = 
     same operation applied to the expansion.  Fan-in ratios report the worst
     observed top fan-in against the T*(k+1)^2 and T*(k+1) ceilings.
     """
-    if count < 1:
-        raise ValueError(f"need count >= 1, got {count}")
+    for name, value, least in (("count", count, 1), ("num_vars", num_vars, 1),
+                               ("max_terms", max_terms, 1),
+                               ("max_factors", max_factors, 1),
+                               ("max_support", max_support, 1),
+                               ("max_k", max_k, 0)):
+        if value < least:
+            raise ValueError(f"need {name} >= {least}, got {value}")
     from .algebra import derivative_poly, coeffs_in_var
     from .rng import named_rng
 

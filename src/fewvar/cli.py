@@ -176,6 +176,8 @@ def _load_box(args):
         return
     if args.N is None:
         raise ValueError("--blackbox mode needs --N")
+    if args.N < 0:
+        raise ValueError(f"need --N >= 0, got {args.N}")
     sub = _SubprocessBox(args.blackbox)
     try:
         yield Blackbox(fn=sub, num_vars=args.N, k=args.k, notes="subprocess")
@@ -280,8 +282,10 @@ def _params_lines(params, seed) -> List[str]:
 
 def _cmd_hitset(args) -> int:
     from .pit import DEFAULT_STREAM_CAP, hitting_set_stream
-    params = _toy_or_derived_params(args, args.N, args.k)
     limit = args.limit
+    if limit is not None and limit < 0:
+        raise ValueError(f"need --limit >= 0, got {limit}")
+    params = _toy_or_derived_params(args, args.N, args.k)
     if limit is None:
         if params.stream_exceeds(DEFAULT_STREAM_CAP):
             raise ValueError(
@@ -295,6 +299,8 @@ def _cmd_hitset(args) -> int:
 
 
 def _cmd_pit(args) -> int:
+    if args.budget is not None and args.budget < 0:
+        raise ValueError(f"need --budget >= 0, got {args.budget}")
     with _load_box(args) as box:
         if box.k is None:
             raise ValueError(
@@ -354,6 +360,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_homogenize(args) -> int:
+    if args.expand_cap is not None and args.expand_cap < 0:
+        raise ValueError(f"need --expand-cap >= 0, got {args.expand_cap}")
     C = parse_circuit(Path(args.circuit).read_text())
     dec = homogenize(normalize_constants(C), args.n)
     value = dec.value()

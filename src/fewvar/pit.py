@@ -331,9 +331,9 @@ class Blackbox:
     notes: str = ""
 
     def eval_at(self, point: Sequence):
-        if len(point) != self.num_vars:
-            raise ValueError(
-                f"point has {len(point)} values, box declares {self.num_vars}")
+        """The value at a point of ``num_vars`` values, as ``pit_run`` and
+        ``schwartz_zippel`` build them; ``eval_circuit`` checks the length
+        of a point given to an open circuit."""
         return self.fn(point)
 
 

@@ -45,6 +45,51 @@ def degree_raw_at_most(sigma: Fraction, gamma: Fraction, n: int, N: int,
     return t > 0 and N ** t.denominator <= n ** t.numerator
 
 
+def rebuilt(obj):
+    """``obj`` built again through its public constructor, which checks
+    every invariant: a SparsePolynomial, a FactorPoly (its polynomial
+    rebuilt too) or a FewVarCircuit (every factor rebuilt too)."""
+    if isinstance(obj, SparsePolynomial):
+        return SparsePolynomial(obj.num_vars, dict(obj.terms), obj.field_p)
+    if isinstance(obj, FactorPoly):
+        return FactorPoly(obj.support, rebuilt(obj.poly))
+    return FewVarCircuit(
+        obj.num_vars,
+        tuple((scale, tuple(rebuilt(f) for f in factors))
+              for scale, factors in obj.terms),
+        obj.declared_s, obj.field_p, obj.k)
+
+
+def normalized(obj) -> bool:
+    """Whether every coefficient and scale of ``obj`` is in its field's
+    normal form, an int or a Fraction over Q and an int in [0, p) over
+    GF(p), and no polynomial keeps a zero coefficient.  Decided here on its
+    own, not by the constructors' shared normalization."""
+    def normal(c, p):
+        return type(c) in (int, Fraction) if p is None else \
+            type(c) is int and 0 <= c < p
+
+    if isinstance(obj, SparsePolynomial):
+        return all(c and normal(c, obj.field_p) for c in obj.terms.values())
+    if isinstance(obj, FactorPoly):
+        return normalized(obj.poly)
+    return type(obj.terms) is tuple and all(
+        normal(scale, obj.field_p) and type(factors) is tuple
+        and all(map(normalized, factors)) for scale, factors in obj.terms)
+
+
+def checked(obj):
+    """``obj``, or each item of a list of them, after requiring that it is
+    normalized, passes its public constructor's checks and equals its
+    rebuilt self.  The ring operations, transforms and readers build
+    through the private constructors, which only normalize; the tests
+    check what those builds guarantee by running this on their outputs."""
+    for item in obj if isinstance(obj, list) else [obj]:
+        assert normalized(item), item
+        assert rebuilt(item) == item, item
+    return obj
+
+
 def multilinear_project(P: SparsePolynomial) -> SparsePolynomial:
     """Drop every monomial containing an exponent >= 2."""
     out = {m: c for m, c in P.terms.items() if all(e == 1 for _, e in m)}

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import is_prime_trial, multilinear_project, translate_by_ring_ops
+from helpers import (checked, is_prime_trial, multilinear_project,
+                     translate_by_ring_ops)
 from fewvar.algebra import (
     SparsePolynomial,
     bertrand_prime,
@@ -26,6 +27,7 @@ from fewvar.algebra import (
     multiply_out,
     next_prime_at_least,
     parse_poly,
+    scale_all_vars,
     serialize_poly,
     substitute,
     to_fraction,
@@ -139,19 +141,22 @@ def polys(draw, num_vars=3):
 @settings(max_examples=60, deadline=None)
 @given(polys(), polys(), polys())
 def test_ring_laws(a, b, c):
-    assert a + b == b + a
-    assert a * b == b * a
+    assert checked(a + b) == b + a
+    assert checked(a * b) == b * a
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    assert checked(a * (b + c)) == checked(a * b + a * c)
     assert a + SparsePolynomial.zero(3) == a
-    assert a - a == SparsePolynomial.zero(3)
+    assert checked(a - a) == SparsePolynomial.zero(3)
+    assert checked(a.scale(Fraction(-2, 3))) == a * SparsePolynomial.const(
+        3, Fraction(-2, 3))
 
 
 @settings(max_examples=40, deadline=None)
 @given(polys(), st.integers(min_value=0, max_value=6))
 def test_hom_split_reassembles(a, i):
-    assert hom_component(a, i, "le") + hom_component(a, i + 1, "ge") == a
+    assert checked(hom_component(a, i, "le")) + \
+        checked(hom_component(a, i + 1, "ge")) == a
 
 
 def test_hom_component_examples():
@@ -208,8 +213,11 @@ def test_gf_operations_are_reduction_of_integer_results(p, A, B, var, order,
         (derivative_poly(Ap, var, order), derivative_poly(A, var, order)),
         (substitute(Ap, var, point[0]), substitute(A, var, point[0])),
         (translate_poly(Ap, point), translate_poly(A, point)),
+        (scale_all_vars(Ap, point[1]), scale_all_vars(A, point[1])),
     ]
     for got, want in pairs:
+        checked(got)
+        checked(want)
         assert got.field_p == p
         assert_gf_coeffs(got, p)
         assert got.terms == reduce_mod(want, p)
@@ -240,12 +248,13 @@ def test_product_and_translation_agree_with_evaluation(data):
     A, B = data.draw(field_polys(p)), data.draw(field_polys(p))
     point, shift = (data.draw(st.lists(wide_coeffs, min_size=3, max_size=3))
                     for _ in range(2))
-    assert (A * B).eval_at(point) == coerce(A.eval_at(point) * B.eval_at(point), p)
+    assert checked(A * B).eval_at(point) == \
+        coerce(A.eval_at(point) * B.eval_at(point), p)
     # the product comes out reduced, with no zero coefficient
     prod = multiply_out((A.terms, B.terms), p)
     assert SparsePolynomial(3, prod, p).terms == prod
     moved = [u + a for u, a in zip(point, shift)]
-    T = translate_poly(A, shift)
+    T = checked(translate_poly(A, shift))
     assert T.eval_at(point) == A.eval_at(moved)
     assert T.degree() == A.degree()
 
@@ -274,7 +283,7 @@ def test_esym_matches_subset_enumeration():
     inputs = [x(0) + x(1), x(1) * x(2), x(2) - SparsePolynomial.const(4, 2),
               x(3) * x(3), x(0)]
     for l in range(len(inputs) + 2):
-        assert esym_all(inputs, l)[l] == brute_esym(inputs, l, 4)
+        assert checked(esym_all(inputs, l))[l] == brute_esym(inputs, l, 4)
 
 
 def test_esym_all_prefix_consistency():
@@ -313,18 +322,19 @@ def test_translate_poly_matches_ring_operations(p, items, shift, which):
         shift = [0, 0, 0]
     elif which == "one variable":
         shift = [0, shift[1], 0]
-    T = translate_poly(P, shift)
+    T = checked(translate_poly(P, shift))
     assert T == translate_by_ring_ops(P, shift)
     assert T.degree() == P.degree()
-    assert translate_poly(T, [-v for v in shift]) == P
+    assert checked(translate_poly(T, [-v for v in shift])) == P
     if p is not None:
         assert all(type(c) is int and 0 < c < p for c in T.terms.values())
 
 
 def test_derivative_poly_orders():
     P = P_of(2, (1, [(0, 3), (1, 1)]), (2, [(0, 1)]))
-    assert derivative_poly(P, 0) == P_of(2, (3, [(0, 2), (1, 1)]), (2, []))
-    assert derivative_poly(P, 0, 2) == P_of(2, (6, [(0, 1), (1, 1)]))
+    assert checked(derivative_poly(P, 0)) == \
+        P_of(2, (3, [(0, 2), (1, 1)]), (2, []))
+    assert checked(derivative_poly(P, 0, 2)) == P_of(2, (6, [(0, 1), (1, 1)]))
     assert derivative_poly(P, 1, 2).is_zero()
 
 
@@ -350,8 +360,9 @@ def test_multilinear_project_linear(a, b):
 
 def test_substitute_and_coeffs():
     P = P_of(2, (1, [(0, 2), (1, 1)]), (1, [(0, 1)]), (5, []))
-    assert substitute(P, 0, Fraction(2)) == P_of(2, (4, [(1, 1)]), (7, []))
-    cs = coeffs_in_var(P, 0)
+    assert checked(substitute(P, 0, Fraction(2))) == \
+        P_of(2, (4, [(1, 1)]), (7, []))
+    cs = checked(coeffs_in_var(P, 0))
     assert len(cs) == 3
     assert cs[0] == SparsePolynomial.const(2, 5)
     assert cs[1] == SparsePolynomial.const(2, 1)
@@ -435,13 +446,13 @@ def test_ceil_real_refuses_an_integer_value():
 
 def test_poly_round_trip():
     P = P_of(3, (Fraction(-3, 7), [(0, 1), (2, 4)]), (2, [(1, 1)]), (1, []))
-    assert parse_poly(serialize_poly(P)) == P
+    assert checked(parse_poly(serialize_poly(P))) == P
 
 
 def test_poly_round_trip_gf():
     P = SparsePolynomial.from_terms(
         2, [(4, [(0, 2)]), (1, [])], 11)
-    assert parse_poly(serialize_poly(P)) == P
+    assert checked(parse_poly(serialize_poly(P))) == P
 
 
 def test_parse_poly_accepts_comments_and_merges():
@@ -452,7 +463,7 @@ def test_parse_poly_accepts_comments_and_merges():
         "coeff 1/2 ; 0:1",
         "coeff 3 ;",
     ])
-    assert parse_poly(text) == P_of(2, (1, [(0, 1)]), (3, []))
+    assert checked(parse_poly(text)) == P_of(2, (1, [(0, 1)]), (3, []))
 
 
 def test_parse_poly_error_carries_line_number():

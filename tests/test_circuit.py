@@ -35,7 +35,7 @@ from fewvar.circuit import (
     translate_circuit,
 )
 from fewvar.rng import named_rng
-from helpers import GF7_CIRCUIT, expand_by_ring_ops, serialize_circuit
+from helpers import GF7_CIRCUIT, checked, expand_by_ring_ops, serialize_circuit
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -76,8 +76,35 @@ def test_declared_s_enforced():
         ], declared_s=2)
 
 
+def test_checked_catches_a_skipped_check_or_normalization():
+    """The rebuild helper fails on what a private constructor must never
+    build: a variable or factor out of range, a factor polynomial over the
+    wrong number of variables, a zero coefficient kept, or a coefficient
+    or scale left unreduced mod p."""
+    def raw(cls, **fields):
+        obj = object.__new__(cls)
+        vars(obj).update(fields)
+        return obj
+
+    with pytest.raises(ValueError, match="out of range"):
+        checked(raw(SparsePolynomial, num_vars=1, terms={((1, 1),): 1},
+                    field_p=None))
+    for terms, p in (({((0, 1),): 0}, None), ({(): 9}, 7)):
+        with pytest.raises(AssertionError):
+            checked(raw(SparsePolynomial, num_vars=1, terms=terms, field_p=p))
+    with pytest.raises(ValueError, match="factor polynomial has"):
+        checked(raw(FactorPoly, support=(0, 1), poly=SparsePolynomial.zero(1)))
+    f = fp((0, 1), (1, [(0, 1)]), p=7)
+    with pytest.raises(ValueError, match="exceeds declared_s"):
+        checked(raw(FewVarCircuit, num_vars=2, terms=((1, (f,)),),
+                    declared_s=1, field_p=7, k=None))
+    with pytest.raises(AssertionError):
+        checked(raw(FewVarCircuit, num_vars=2, terms=((9, (f,)),),
+                    declared_s=2, field_p=7, k=None))
+
+
 def test_eval_matches_expansion(C):
-    P = expand_circuit(C)
+    P = checked(expand_circuit(C))
     for point in ([0, 0, 0, 0], [1, 2, 3, 4], [Fraction(1, 2), 1, -1, 2]):
         assert eval_circuit(C, point) == P.eval_at(point)
 
@@ -116,7 +143,7 @@ def field_circuit_points(draw):
 def test_eval_circuit_matches_expansion(case):
     """The one circuit evaluator against evaluating the expansion."""
     C, points = case
-    P = expand_circuit(C)
+    P = checked(expand_circuit(C))
     for point in points:
         got = eval_circuit(C, point)
         if C.field_p is None:
@@ -136,7 +163,7 @@ def test_eval_circuit_refuses_a_denominator_divisible_by_p():
 
 
 def test_expand_known_value(C):
-    P = expand_circuit(C)
+    P = checked(expand_circuit(C))
     expected = SparsePolynomial.from_terms(4, [
         (1, [(0, 1), (1, 1), (2, 1)]),
         (1, [(2, 1)]),
@@ -174,7 +201,7 @@ def test_normalize_constants():
                        fp((1,), (1, [(0, 1)])))),
         (Fraction(5), (fp((0,), (0, [])),)),      # zero factor kills the term
     ], declared_s=1)
-    N = normalize_constants(C)
+    N = checked(normalize_constants(C))
     assert len(N.terms) == 1
     scale, factors = N.terms[0]
     assert scale == Fraction(3)
@@ -186,7 +213,7 @@ def test_normalize_absorbs_constant_factor():
     C = FewVarCircuit(num_vars=2, terms=[
         (Fraction(2), (fp((0,), (7, [])), fp((1,), (1, [(0, 1)])))),
     ], declared_s=1)
-    N = normalize_constants(C)
+    N = checked(normalize_constants(C))
     assert expand_circuit(N) == expand_circuit(C)
     assert all(not f.poly.is_zero() for _, fs in N.terms for f in fs)
 
@@ -197,7 +224,7 @@ def test_normalize_absorbs_constant_factor():
 def test_coeff_circuits_identity(C):
     P = expand_circuit(C)
     for y in range(4):
-        pieces = coeff_circuits(C, y)
+        pieces = checked(coeff_circuits(C, y))
         assert len(pieces) == C.k + 1
         expected = coeffs_in_var(P, y)
         for i, piece in enumerate(pieces):
@@ -218,7 +245,7 @@ def missing_terms_held_once(C):
         missing = [t for t in C.terms
                    if all(y not in f.support for f in t[1])]
         touching = len(C.terms) - len(missing)
-        cs = coeff_circuits(C, y)
+        cs = checked(coeff_circuits(C, y))
         for scale, factors in missing:
             held = [(i, s) for i, ci in enumerate(cs) for s, fs in ci.terms
                     if len(fs) == len(factors)
@@ -251,8 +278,8 @@ def test_derivative_circuit_identity(C):
     P = expand_circuit(C)
     for y in range(4):
         for j in range(3):
-            D = derivative_circuit(C, y, j)
-            assert expand_circuit(D) == derivative_poly(P, y, j)
+            D = checked(derivative_circuit(C, y, j))
+            assert checked(expand_circuit(D)) == derivative_poly(P, y, j)
             assert D.top_fanin <= C.top_fanin * (C.k + 1) ** 2
 
 
@@ -260,15 +287,15 @@ def test_hom_component_circuit_identity(C):
     P = expand_circuit(C)
     D_tot = P.degree()
     for i in range(D_tot + 2):
-        H = hom_component_circuit(C, i, D_tot)
-        assert expand_circuit(H) == hom_component(P, i, "eq")
+        H = checked(hom_component_circuit(C, i, D_tot))
+        assert checked(expand_circuit(H)) == hom_component(P, i, "eq")
 
 
 def test_translate_circuit_identity(C):
     P = expand_circuit(C)
     shift = [Fraction(1), Fraction(-1), Fraction(2), Fraction(0)]
-    T = translate_circuit(C, shift)
-    assert expand_circuit(T) == translate_poly(P, shift)
+    T = checked(translate_circuit(C, shift))
+    assert checked(expand_circuit(T)) == translate_poly(P, shift)
     # supports never grow
     for (_, fs), (_, gs) in zip(C.terms, T.terms):
         for f, g in zip(fs, gs):
@@ -277,7 +304,7 @@ def test_translate_circuit_identity(C):
 
 def test_restrict_circuit_identity(C):
     P = expand_circuit(C)
-    R = restrict_circuit(C, frozenset([0, 2]))
+    R = checked(restrict_circuit(C, frozenset([0, 2])))
     want = P
     for v in (1, 3):
         want = substitute(want, v, Fraction(0))
@@ -321,7 +348,7 @@ def transforms_text(name, C, derivatives=True):
     blocks = []
 
     def emit(label, out):
-        blocks.append(f"== {name} {label}\n" + serialize_circuit(out))
+        blocks.append(f"== {name} {label}\n" + serialize_circuit(checked(out)))
 
     for y in range(C.num_vars):
         for i, ci in enumerate(coeff_circuits(C, y)):
@@ -402,7 +429,7 @@ def test_homogenize_identity_on_random_circuits():
     for _ in range(40):
         C = random_circuit(rng, num_vars=6, max_terms=3, max_factors=3,
                            max_support=2, max_k=2)
-        C = normalize_constants(C)
+        C = checked(normalize_constants(C))
         P = expand_circuit(C)
         for n in range(4):
             dec = homogenize(C, n)
@@ -487,7 +514,7 @@ def test_gf_transforms_match_polynomial_operations(p, data, y, i, shift, alive):
 
     if C.k + 1 <= p:
         ref = coeffs_in_var(P, y)
-        for e, ce in enumerate(coeff_circuits(C, y)):
+        for e, ce in enumerate(checked(coeff_circuits(C, y))):
             assert_gf_circuit(ce, p)
             want = ref[e] if e < len(ref) else SparsePolynomial.zero(4, p)
             assert expand_circuit(ce) == want
@@ -497,23 +524,23 @@ def test_gf_transforms_match_polynomial_operations(p, data, y, i, shift, alive):
 
     D = P.degree()
     if D + 1 <= p:
-        hC = hom_component_circuit(C, i, D)
+        hC = checked(hom_component_circuit(C, i, D))
         assert_gf_circuit(hC, p)
         assert expand_circuit(hC) == hom_component(P, i, "eq")
     elif i <= D:
         with pytest.raises(ValueError, match="distinct nodes"):
             hom_component_circuit(C, i, D)
 
-    nC = normalize_constants(C)
+    nC = checked(normalize_constants(C))
     assert_gf_circuit(nC, p)
     assert expand_circuit(nC) == P
     assert homogenize(nC, i).value() == hom_component(P, i, "eq")
 
-    tC = translate_circuit(C, shift)
+    tC = checked(translate_circuit(C, shift))
     assert_gf_circuit(tC, p)
-    assert expand_circuit(tC) == translate_poly(P, shift)
+    assert checked(expand_circuit(tC)) == translate_poly(P, shift)
 
-    rC = restrict_circuit(C, frozenset(alive))
+    rC = checked(restrict_circuit(C, frozenset(alive)))
     assert_gf_circuit(rC, p)
     want = P
     for v in range(4):
@@ -561,7 +588,7 @@ def shared_factor_circuit(draw):
 @given(shared_factor_circuit(), st.lists(small_ints, min_size=3, max_size=3),
        st.integers(0, 2), st.integers(0, 2))
 def test_expand_matches_ring_operations(C, point, y, j):
-    P = expand_circuit(C)
+    P = checked(expand_circuit(C))
     assert P == expand_by_ring_ops(C)
     assert eval_circuit(C, point) == P.eval_at(point)
     for _, factors in C.terms:
@@ -571,8 +598,8 @@ def test_expand_matches_ring_operations(C, point, y, j):
     if C.field_p is None:
         # a derivative rebuilt from the coefficient circuits, the y^0 one
         # holding each term that misses y as it is
-        dC = derivative_circuit(FewVarCircuit(
-            C.num_vars, C.terms, C.declared_s, None, P.individual_degree()), y, j)
+        dC = checked(derivative_circuit(FewVarCircuit(
+            C.num_vars, C.terms, C.declared_s, None, P.individual_degree()), y, j))
         assert expand_circuit(dC) == expand_by_ring_ops(dC) == \
             derivative_poly(P, y, j)
 
@@ -601,8 +628,8 @@ def test_expand_lagrange_circuits_matches_ring_operations(seed, y, i):
                                            max_factors=3, max_support=2,
                                            max_k=2))
     D = expand_circuit(C).degree()
-    for circ in coeff_circuits(C, y) + [hom_component_circuit(C, i, D)]:
-        assert expand_circuit(circ) == expand_by_ring_ops(circ)
+    for circ in checked(coeff_circuits(C, y) + [hom_component_circuit(C, i, D)]):
+        assert checked(expand_circuit(circ)) == expand_by_ring_ops(circ)
 
 
 @settings(max_examples=100, deadline=None)
@@ -621,6 +648,7 @@ def test_substituted_factor_agrees_with_evaluation(data):
     point = data.draw(st.lists(small_ints, min_size=5, max_size=5))
     at = [value if v in gvars else u for v, u in enumerate(point)]
     c, g = _substitute_factor(gvars, value, f)
+    checked(g)
     assert c == 1
     assert g.support == tuple(v for v in support if v not in gvars)
     want = f.poly.eval_at([at[v] for v in f.support])
@@ -640,7 +668,7 @@ def test_expand_empty_circuit_is_zero():
 
 def test_circuit_round_trip(C):
     text = serialize_circuit(C)
-    D = parse_circuit(text)
+    D = checked(parse_circuit(text))
     assert D.num_vars == C.num_vars
     assert D.declared_s == C.declared_s
     assert D.k == C.k

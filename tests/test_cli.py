@@ -460,6 +460,51 @@ def test_transform_audit_refuses_a_count_below_one(capsys, count):
     assert err == f"error: need count >= 1, got {count}\n"
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--vars", "0", "need num_vars >= 1, got 0"),
+    ("--terms", "0", "need max_terms >= 1, got 0"),
+    ("--factors", "0", "need max_factors >= 1, got 0"),
+    ("--support", "0", "need max_support >= 1, got 0"),
+    ("--max-k", "-1", "need max_k >= 0, got -1"),
+])
+def test_transform_audit_refuses_a_shape_it_cannot_draw(capsys, flag, value,
+                                                        message):
+    rc, out, err = run(capsys, "transform-audit", "--count", "1", flag, value)
+    assert rc == 3 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hitset", "--N", "16", "--k", "1", "--limit", "-3"],
+     "need --limit >= 0, got -3"),
+    (["pit", "--circuit", "{f}", "--budget", "-2"], "need --budget >= 0, got -2"),
+    (["homogenize", "--circuit", "{f}", "--n", "2", "--expand-cap", "-5"],
+     "need --expand-cap >= 0, got -5"),
+    (["sz", "--blackbox", "true", "--N", "-1"], "need --N >= 0, got -1"),
+])
+def test_negative_counts_are_refused(capsys, tmp_path, argv, message):
+    f = tmp_path / "hom.circuit"
+    f.write_text(HOM_CIRCUIT)
+    rc, out, err = run(capsys, *[a.format(f=f) for a in argv])
+    assert rc == 3 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["hitset", "--N", "16", "--k", "1", "--limit", "0"], 0, "grid_size=17"),
+    (["pit", "--circuit", "{f}", "--budget", "0", "--override-l", "2"], 2,
+     "tested=0"),
+    (["homogenize", "--circuit", "{f}", "--n", "2", "--expand-cap", "0"], 0,
+     "identity=skipped"),
+])
+def test_zero_counts_stay_valid(capsys, tmp_path, argv, code, line):
+    f = tmp_path / "hom.circuit"
+    f.write_text(HOM_CIRCUIT)
+    rc, out, _ = run(capsys, *[a.format(f=f) for a in argv])
+    assert rc == code and line in out.splitlines()
+    assert not any(text.startswith("h=") for text in out.splitlines())
+
+
 def test_ratios_fields(capsys):
     rc, out, _ = run(capsys, "ratios", "--n", "10000")
     assert rc == 0

@@ -7,8 +7,12 @@ comments do not count, and neither does a name inside its own definition.
 The package has one product loop: ``mon_mul`` is named only inside
 ``algebra.multiply_out``; and one circuit evaluator: the compiled
 ``integer_form`` is read only by ``circuit.eval_circuit``.  numpy is a test-only dependency: no module of the
-package imports it.
+package imports it.  Each private constructor, which skips the public
+constructor's checks, is called only by the builders listed for it, whose
+inputs are already checked.
 """
+
+import pytest
 
 import ast
 from collections import Counter
@@ -85,6 +89,69 @@ def test_only_eval_circuit_reads_the_compiled_circuit():
                             and sub.name == "integer_form"]
     assert users == ["circuit.eval_circuit"]
     assert definitions == ["circuit.FewVarCircuit"]
+
+
+# private constructor -> the functions and methods that may call it
+PRIVATE_CONSTRUCTOR_CALLERS = {
+    "_poly": [
+        "algebra.SparsePolynomial.__post_init__",
+        "algebra.SparsePolynomial.__add__",
+        "algebra.SparsePolynomial.__neg__",
+        "algebra.SparsePolynomial.__mul__",
+        "algebra.SparsePolynomial.scale",
+        "algebra.hom_component",
+        "algebra.translate_poly",
+        "algebra.derivative_poly",
+        "algebra.substitute",
+        "algebra.scale_all_vars",
+        "algebra.coeffs_in_var",
+        "algebra.parse_poly_lines",
+        "circuit.expand_circuit",
+        "circuit._substitute_factor",
+        "circuit.derivative_circuit",
+    ],
+    "_factor": [
+        "circuit._substitute_factor",
+        "circuit.derivative_circuit",
+        "circuit.hom_component_circuit",
+        "circuit.translate_circuit",
+        "circuit.normalize_constants",
+    ],
+    "_circuit": [
+        "circuit.FewVarCircuit.__post_init__",
+        "circuit._rewrite",
+        "circuit._interpolate",
+        "circuit.coeff_circuits",
+        "circuit.derivative_circuit",
+        "circuit.hom_component_circuit",
+        "circuit.parse_circuit",
+    ],
+}
+
+
+def code_units(path):
+    """Each top-level function, each method of a top-level class, and each
+    other statement of a module or class body, by qualified name; imports
+    are left out, since they call nothing."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                name = sub.name if isinstance(sub, ast.FunctionDef) \
+                    else type(sub).__name__
+                yield f"{path.stem}.{node.name}.{name}", sub
+        elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield f"{path.stem}.{getattr(node, 'name', type(node).__name__)}", node
+
+
+@pytest.mark.parametrize("constructor", sorted(PRIVATE_CONSTRUCTOR_CALLERS))
+def test_only_listed_builders_call_a_private_constructor(constructor):
+    """A private constructor only normalizes, so only builders whose inputs
+    are already checked call it; any other caller goes through the public
+    constructor and its checks."""
+    users = [name for path in sorted(SRC.glob("*.py"))
+             for name, node in code_units(path)
+             if referenced_names(node)[constructor]]
+    assert sorted(users) == sorted(PRIVATE_CONSTRUCTOR_CALLERS[constructor])
 
 
 def test_no_module_imports_numpy():

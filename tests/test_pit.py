@@ -14,7 +14,9 @@ from fewvar.algebra import SparsePolynomial
 from fewvar.circuit import (
     FactorPoly,
     FewVarCircuit,
+    eval_circuit,
     expand_circuit,
+    parse_circuit,
     random_circuit,
 )
 from fewvar.pit import (
@@ -30,7 +32,8 @@ from fewvar.pit import (
     verify_design,
 )
 from fewvar.rng import named_rng
-from helpers import combnulls_grid, is_prime_trial, naive_stream, src_env
+from helpers import (GF7_CIRCUIT, combnulls_grid, is_prime_trial, naive_stream,
+                     src_env)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +394,30 @@ def test_pit_circuit_soundness_suite():
 def test_pit_dimension_mismatch():
     params = toy_pit_params(N=3, k=1, l=3)
     box = Blackbox(fn=lambda pt: Fraction(0), num_vars=4, k=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="box declares 4 variables, params "
+                                         "expect 3"):
         pit_run(box, params)
+    C = parse_circuit(GF7_CIRCUIT)
+    for N in (2, 4):
+        with pytest.raises(ValueError, match=f"circuit has 3 variables, "
+                                             f"params expect {N}"):
+            pit_run(C, toy_pit_params(N=N, k=1, l=3))
+        with pytest.raises(ValueError, match=f"box declares 3 variables, "
+                                             f"params expect {N}"):
+            pit_run(blackbox_from_circuit(C), toy_pit_params(N=N, k=1, l=3))
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_a_point_of_the_wrong_length_is_refused(length):
+    """A point one value short or one value long: the one length check is
+    ``eval_circuit``'s, and an open circuit's box reaches it."""
+    C = parse_circuit(GF7_CIRCUIT)
+    point = [1] * length
+    message = f"point has {length} values, circuit has 3 variables"
+    with pytest.raises(ValueError, match=f"dimension mismatch: {message}"):
+        eval_circuit(C, point)
+    with pytest.raises(ValueError, match=f"point has {length} values"):
+        blackbox_from_circuit(C).eval_at(point)
 
 
 def test_pit_refusal_names_a_stream_past_the_digit_limit():
