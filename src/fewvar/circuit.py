@@ -707,7 +707,7 @@ def random_circuit(rng, num_vars: int, max_terms: int, max_factors: int,
         P = expand_circuit(C)
         k = P.individual_degree()
         if k <= max_k:
-            return FewVarCircuit(num_vars, C.terms, max_support, field_p, k)
+            return _circuit(num_vars, C.terms, max_support, field_p, k)
     raise RuntimeError("could not generate a circuit within the degree bound")
 
 

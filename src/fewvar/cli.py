@@ -239,7 +239,7 @@ def _cmd_design(args) -> int:
         f"verify={_pf(rep.ok)}",
         f"max_intersection={rep.max_intersection}",
     ]
-    lines += [f"set={','.join(str(v) for v in S)}" for S in d.sets]
+    lines += [f"set={','.join(str(v) for v in S)}" for S in d]
     lines += [f"violation={v}" for v in rep.violations]
     _emit(lines, args.out)
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED

@@ -8,10 +8,10 @@ whose supports pairwise share at most D-1 rows: two distinct univariates of
 degree < D agree on fewer than D points.
 
 The support of f's monomial is its graph {(i, f(i)) : i < n}, as indices
-i*psi + f(i).  ``univariate_graphs`` builds these graphs for the family and
-for the hitting set's design, in the one enumeration order: univariate #k
-has the base-psi digits of k as its coefficients, constant coefficient least
-significant.
+i*psi + f(i).  ``univariate_graph`` builds graph #k from k alone, for the
+family's column table and for each set of the hitting set's design, in the
+one enumeration order: univariate #k has the base-psi digits of k as its
+coefficients, constant coefficient least significant.
 
 Parameter derivation follows the fixed schedule: delta = (1-mu)/2, gamma =
 (2(mu+delta)+1)/(1-mu-delta), psi the smallest prime strictly above
@@ -41,21 +41,22 @@ from .algebra import (
 DEFAULT_ENUM_CAP = 10 ** 6
 
 
-def univariate_graphs(q: int, D: int, rows: int) -> Iterator[Tuple[int, ...]]:
-    """For each univariate f of degree < D over F_q, the graph
-    {(x, f(x)) : x < rows} as the tuple of indices x*q + f(x), x ascending,
-    so each tuple is strictly increasing.  Univariate #k has the base-q
-    digits of k as its coefficients, constant coefficient least significant,
-    and comes k-th; f(x) is evaluated by Horner's rule."""
-    # product's first entry varies slowest, so it is the top coefficient
-    for coeffs in itertools.product(range(q), repeat=D):
-        graph = []
-        for x in range(rows):
-            y = 0
-            for c in coeffs:
-                y = (y * x + c) % q
-            graph.append(x * q + y)
-        yield tuple(graph)
+def univariate_graph(q: int, rows: int, k: int) -> Tuple[int, ...]:
+    """The graph {(x, f(x)) : x < rows} of univariate #k over F_q, whose
+    coefficients are the base-q digits of k, constant coefficient least
+    significant: the tuple of indices x*q + f(x), x ascending, so strictly
+    increasing.  f(x) is evaluated by Horner's rule."""
+    coeffs = []                  # top coefficient first
+    while k:
+        k, c = divmod(k, q)
+        coeffs.insert(0, c)
+    graph = []
+    for x in range(rows):
+        y = 0
+        for c in coeffs:
+            y = (y * x + c) % q
+        graph.append(x * q + y)
+    return tuple(graph)
 
 
 def intersections(sets: Sequence[Sequence[int]]) -> Iterator[Tuple[int, int, int]]:
@@ -157,7 +158,8 @@ class NWInstance:
         enumeration order, the variable indices X[i, f(i)] for i < n.  Built
         on first use, after the enumeration cap check (``check_cap``)."""
         self.check_cap()
-        return tuple(univariate_graphs(self.psi, self.D, self.n))
+        return tuple(univariate_graph(self.psi, self.n, k)
+                     for k in range(self.monomial_count))
 
     def check_cap(self, cap: Optional[int] = None) -> None:
         limit = DEFAULT_ENUM_CAP if cap is None else cap

@@ -2,15 +2,15 @@
 
 The hitting set is built in three stages.  A Reed-Solomon combinatorial
 design supplies N subsets of a small universe with pairwise intersections
-bounded by the univariate degree cap: the graphs of low-degree univariates
-from ``nw.univariate_graphs``, the generator of the family's column table,
-in its enumeration order.  Each set, trimmed to a' * q elements,
-carries a local copy of the hard polynomial family (a' rows by q columns,
-univariate degree bound D).  The generator then maps every point of the grid
-G^l through the N local polynomials, and the driver scans the resulting
-N-tuples in lexicographic order until the blackbox returns a nonzero value
-or the stream is exhausted.  An open circuit, over Q or GF(p), is a
-blackbox through ``circuit.eval_circuit``, the one circuit evaluator.
+bounded by the univariate degree cap: set i is the graph of univariate #i
+from ``nw.univariate_graph``, as in the family's column table, computed from
+i when it is read.  Each set, trimmed to a' * q elements, carries a local
+copy of the hard polynomial family (a' rows by q columns, univariate degree
+bound D).  The generator then maps every point of the grid G^l through the
+N local polynomials, and the driver scans the resulting N-tuples in
+lexicographic order until the blackbox returns a nonzero value or the
+stream is exhausted.  An open circuit, over Q or GF(p), is a blackbox
+through ``circuit.eval_circuit``, the one circuit evaluator.
 
 The baseline lives here too: seeded Schwartz-Zippel random evaluation.
 """
@@ -27,7 +27,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 from .algebra import ceil_real, int_floor_root, is_prime, next_prime_at_least, to_fraction
 from .circuit import ClassReport, FewVarCircuit, class_check, eval_circuit
 from .nw import (NWInstance, degree_bound, intersections, nw_eval,
-                 univariate_graphs)
+                 univariate_graph)
 
 DEFAULT_STREAM_CAP = 1_000_000
 # stream sizes with more digits are reported as grid_size^l, not in decimal
@@ -38,16 +38,25 @@ DECIMAL_STREAM_DIGITS = 4000
 # combinatorial designs
 
 @dataclass(frozen=True)
-class Design:
-    """b subsets of {0..l-1}, each of size a, with pairwise intersections at
-    most c0 (the univariate degree cap of the construction)."""
+class Design(Sequence[Tuple[int, ...]]):
+    """b subsets of {0..l-1}, l = q0^2, each of size a, with pairwise
+    intersections at most c0 (the univariate degree cap), held as that
+    description: set i, read as ``d[i]``, is computed from i."""
 
-    l: int
-    a: int
     b: int
-    sets: Tuple[Tuple[int, ...], ...]
+    a: int
     q0: int
     c0: int
+
+    @property
+    def l(self) -> int:
+        return self.q0 * self.q0
+
+    def __len__(self) -> int:
+        return self.b
+
+    def __getitem__(self, i: int) -> Tuple[int, ...]:
+        return univariate_graph(self.q0, self.a, range(self.b)[i])
 
 
 def rs_design(b: int, a: int, intersection_cap: Optional[int] = None,
@@ -58,8 +67,8 @@ def rs_design(b: int, a: int, intersection_cap: Optional[int] = None,
     The universe is the q0 x q0 grid, index (x, y) -> x*q0 + y.  A ``size``
     below a keeps only x < size, so every set has that many elements.
 
-    The sets are ``nw.univariate_graphs``, in its order, so the design over
-    F_psi with b = psi^D and size n is the column table of the NW instance
+    Set i is ``nw.univariate_graph``'s graph #i, so the design over F_psi
+    with b = psi^D and size n is the column table of the NW instance
     (n, psi, D).
     """
     if b < 1 or a < 1:
@@ -76,9 +85,7 @@ def rs_design(b: int, a: int, intersection_cap: Optional[int] = None,
         raise ValueError(
             f"degree cap {c0} needed for {b} sets exceeds requested "
             f"intersection cap {intersection_cap}")
-    size = a if size is None else size
-    sets = tuple(itertools.islice(univariate_graphs(q0, c0 + 1, size), b))
-    return Design(l=q0 * q0, a=size, b=b, sets=sets, q0=q0, c0=c0)
+    return Design(b=b, a=a if size is None else size, q0=q0, c0=c0)
 
 
 @dataclass(frozen=True)
@@ -104,9 +111,9 @@ def verify_design(d: Design, cap: Optional[int] = None) -> DesignReport:
     if cap is None:
         cap = (d.b - 1).bit_length()
     violations: List[str] = []
-    sizes_ok = True
-    range_ok = True
-    for i, S in enumerate(d.sets):
+    sizes_ok = range_ok = True
+    sets = list(d)
+    for i, S in enumerate(sets):
         if len(S) != d.a or len(set(S)) != d.a:
             sizes_ok = False
             violations.append(f"set {i} has size {len(set(S))}, expected {d.a}")
@@ -116,7 +123,7 @@ def verify_design(d: Design, cap: Optional[int] = None) -> DesignReport:
             violations.append(f"set {i} leaves the universe: {bad}")
     max_int = 0
     over: List[str] = []
-    for i, j, t in intersections(d.sets):
+    for i, j, t in intersections(sets):
         max_int = max(max_int, t)
         if t > cap:
             over.append(f"|S_{i} & S_{j}| = {t} > {cap}")
@@ -132,8 +139,10 @@ def verify_design(d: Design, cap: Optional[int] = None) -> DesignReport:
 
 @dataclass(frozen=True)
 class PitParams:
-    """Everything the generator needs: the trimmed variable sets, the local
-    family shape (a' rows, q columns, degree bound D), and the value grid."""
+    """Everything the generator needs: the N trimmed variable sets, each a
+    strictly increasing tuple of a'q elements of range(l) (a ``Design``, or
+    a tuple for toy parameters), the local family shape (a' rows, q columns,
+    degree bound D), and the value grid."""
 
     mu: float
     c: float
@@ -144,7 +153,7 @@ class PitParams:
     q: int
     D: int
     l: int
-    sets: Tuple[Tuple[int, ...], ...]
+    sets: Sequence[Tuple[int, ...]]
     grid: Tuple[Union[int, Fraction], ...]
 
     def __post_init__(self):
@@ -157,15 +166,6 @@ class PitParams:
             raise ValueError(f"a'q = {size} exceeds a = {self.a}")
         if not 1 <= self.D <= self.q:
             raise ValueError(f"D = {self.D} outside [1, q = {self.q}]")
-        if len(self.sets) != self.N:
-            raise ValueError(f"{len(self.sets)} sets for N = {self.N}")
-        for i, S in enumerate(self.sets):
-            if len(S) != size:
-                raise ValueError(f"set {i} has size {len(S)}, expected {size}")
-            if any(not 0 <= v < self.l for v in S):
-                raise ValueError(f"set {i} leaves the universe of size {self.l}")
-            if tuple(sorted(set(S))) != tuple(S):
-                raise ValueError(f"set {i} is not strictly increasing")
         if len(set(self.grid)) != len(self.grid) or not self.grid:
             raise ValueError("grid values must be distinct and nonempty")
         for g in self.grid:
@@ -246,24 +246,20 @@ def derive_pit_params(mu, c, N: int, k: int) -> PitParams:
     grid = tuple(range(N * k * a_prime + 1))
     return PitParams(
         mu=float(mu), c=float(c), N=N, k=k, a=a, a_prime=a_prime, q=q, D=D,
-        l=design.l, sets=design.sets, grid=grid)
+        l=design.l, sets=design, grid=grid)
 
 
 def toy_pit_params(N: int, k: int, l: int, a_prime: int = 1, q: int = 2,
                    D: int = 1, grid: Optional[Sequence[int]] = None,
-                   sets: Optional[Sequence[Sequence[int]]] = None,
                    mu: float = 0.0, c: float = 3.0) -> PitParams:
-    """Small hand-set parameters for desk runs.  Sets default to size-a'q
+    """Small hand-set parameters for desk runs.  The sets are the size-a'q
     subsets of the universe cycled from the combination enumeration; the
     grid defaults to {0..Nka'}."""
     size = a_prime * q
-    if sets is None:
-        if size > l:
-            raise ValueError(f"set size a'q = {size} exceeds universe l = {l}")
-        pool = itertools.cycle(itertools.combinations(range(l), size))
-        sets = tuple(next(pool) for _ in range(N))
-    else:
-        sets = tuple(tuple(S) for S in sets)
+    if size > l:
+        raise ValueError(f"set size a'q = {size} exceeds universe l = {l}")
+    pool = itertools.cycle(itertools.combinations(range(l), size))
+    sets = tuple(next(pool) for _ in range(N))
     if grid is None:
         grid = range(N * k * a_prime + 1)
     return PitParams(
@@ -280,18 +276,18 @@ def hitting_set_stream(params: PitParams,
     over G^l in lexicographic order; full length |G|^l, or the first
     ``limit`` tuples.
 
-    Values are exact, and ints on an integer grid.  The points come from an
-    odometer: a step that changes coordinates j..l-1 re-evaluates only the
-    distinct sets whose largest element is at least j.  A set listed more
-    than once is evaluated once and its value shared."""
+    Values are exact, and ints on an integer grid.  Each set is built when
+    the stream starts.  The points come from an odometer: a step changing
+    coordinates j..l-1 re-evaluates only the distinct sets whose largest
+    element is at least j, and a repeated set is evaluated once."""
     inst = NWInstance(n=params.a_prime, psi=params.q, D=params.D)
     if limit is not None and limit <= 0:
         return
-    grid, l = params.grid, params.l
+    grid, l, sets = params.grid, params.l, tuple(params.sets)
     # distinct sets by largest element, so a step re-evaluates a suffix
-    distinct = sorted(set(params.sets), key=lambda S: S[-1])
+    distinct = sorted(set(sets), key=lambda S: S[-1])
     slot = {S: i for i, S in enumerate(distinct)}
-    where = [slot[S] for S in params.sets]
+    where = [slot[S] for S in sets]
     tops = [S[-1] for S in distinct]
     digits = [0] * l
     point = [grid[0]] * l

@@ -18,6 +18,7 @@ from fewvar.algebra import (
 from fewvar.circuit import FactorPoly, FewVarCircuit
 from fewvar.measure import MeasureParams, psd_dimension
 from fewvar.nw import NWInstance
+from fewvar.pit import Design
 
 
 def is_prime_trial(n: int) -> bool:
@@ -317,17 +318,14 @@ def subadditivity_check(P: SparsePolynomial, Q: SparsePolynomial,
     return phi_c <= phi_p + phi_q
 
 
-def univariate_graphs_oracle(q: int, D: int, rows: int) -> List[Tuple[int, ...]]:
-    """The graphs {(x, f(x)) : x < rows} as indices x*q + f(x), for f = #0,
-    #1, ..., #q^D - 1, where f = #i has the base-q digits c_0, c_1, ... of i
-    (c_0 least significant) and f(x) = sum_t c_t x^t mod q."""
-    out = []
-    for i in range(q ** D):
-        digits = [i // q ** t % q for t in range(D)]
-        out.append(tuple(
-            x * q + sum(c * x ** t for t, c in enumerate(digits)) % q
-            for x in range(rows)))
-    return out
+def naive_graphs(q: int, D: int, rows: int) -> List[Tuple[int, ...]]:
+    """The graphs {(x, f(x)) : x < rows} as indices x*q + f(x), one per
+    coefficient tuple (c_{D-1}, ..., c_1, c_0) from itertools.product, so
+    the k-th has the base-q digits of k as its coefficients; f(x) is the
+    explicit sum of c_t x^t mod q."""
+    return [tuple(x * q + sum(c * x ** t for t, c in enumerate(top[::-1])) % q
+                  for x in range(rows))
+            for top in itertools.product(range(q), repeat=D)]
 
 
 def naive_nw_value(values: Sequence, rows: int, q: int, D: int) -> Fraction:
@@ -335,13 +333,31 @@ def naive_nw_value(values: Sequence, rows: int, q: int, D: int) -> Fraction:
     row-major order, summed over every univariate f of degree < D over F_q
     straight from its coefficients: sum_f prod_i values[i*q + f(i)]."""
     total = Fraction(0)
-    for coeffs in itertools.product(range(q), repeat=D):
+    for graph in naive_graphs(q, D, rows):
         prod = Fraction(1)
-        for i in range(rows):
-            col = sum(c * i ** t for t, c in enumerate(coeffs)) % q
-            prod *= Fraction(values[i * q + col])
+        for v in graph:
+            prod *= Fraction(values[v])
         total += prod
     return total
+
+
+def checked_sets(obj):
+    """``obj``, a ``PitParams`` or a ``Design``, after asserting what its
+    builders guarantee and no constructor checks: N sets (b for a design),
+    each a strictly increasing tuple of a'q elements (a for a design) of
+    range(l)."""
+    if isinstance(obj, Design):
+        sets, count, size = list(obj), obj.b, obj.a
+    else:
+        sets, count, size = list(obj.sets), obj.N, obj.set_size
+    assert len(sets) == count, f"{len(sets)} sets, expected {count}"
+    for i, S in enumerate(sets):
+        assert len(S) == size, f"set {i} has size {len(S)}, expected {size}"
+        assert all(0 <= v < obj.l for v in S), \
+            f"set {i} leaves the universe of size {obj.l}"
+        assert all(u < v for u, v in zip(S, S[1:])), \
+            f"set {i} is not strictly increasing"
+    return obj
 
 
 def naive_stream(params, limit: Optional[int] = None) -> List[Tuple[Fraction, ...]]:

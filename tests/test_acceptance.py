@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (bounded_support_poly, combnulls_grid, fcircuit, make_mon,
-                     nw_monomials, random_poly, subadditivity_check)
+from helpers import (bounded_support_poly, checked_sets, combnulls_grid,
+                     fcircuit, make_mon, nw_monomials, random_poly,
+                     subadditivity_check)
 from fewvar.algebra import SparsePolynomial, hom_component
 from fewvar.circuit import (
     expand_circuit,
@@ -126,7 +127,7 @@ def test_criterion_5_parameter_reproduction(capsys):
     ok = (p.psi, p.N, p.D) == (37, 74, 2)
     for N in (16, 64, 256):
         for k in (1, 2):
-            pp = derive_pit_params(0, 3.0, N, k)
+            pp = checked_sets(derive_pit_params(0, 3.0, N, k))
             size = pp.a_prime * pp.q
             ok = ok and 2 * size >= pp.a and size <= pp.a
             ok = ok and len(pp.grid) == N * k * pp.a_prime + 1
@@ -138,7 +139,8 @@ def test_criterion_6_design_suite(capsys):
     t0 = time.perf_counter()
     ok = True
     for b, a in ((4, 2), (9, 3), (16, 4)):
-        rep = verify_design(rs_design(b, a), cap=math.ceil(math.log2(b)))
+        rep = verify_design(checked_sets(rs_design(b, a)),
+                            cap=math.ceil(math.log2(b)))
         ok = ok and rep.ok
     elapsed = time.perf_counter() - t0
     verdict(capsys, 6, "design suite", ok and elapsed < 5)
@@ -202,13 +204,13 @@ def test_criterion_8_restriction_statistics(capsys):
 
 
 def test_criterion_9_pit_soundness_and_desk_completeness(capsys):
-    params = toy_pit_params(N=3, k=1, l=3)
+    params = checked_sets(toy_pit_params(N=3, k=1, l=3))
     zero = Blackbox(fn=lambda pt: Fraction(0), num_vars=3, k=1)
     res = pit_run(zero, params)
     ok = res.status == "zero-on-set" and res.tested == params.stream_size
 
     rng = named_rng(110, "acc-pit")
-    params5 = toy_pit_params(N=5, k=2, l=4, q=2)
+    params5 = checked_sets(toy_pit_params(N=5, k=2, l=4, q=2))
     tested = 0
     while tested < 100:
         C = random_circuit(rng, num_vars=5, max_terms=3, max_factors=2,

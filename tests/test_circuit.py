@@ -15,6 +15,7 @@ from fewvar.algebra import (
     substitute,
     translate_poly,
 )
+import fewvar.circuit as circuit_module
 from fewvar.circuit import (
     FactorPoly,
     FewVarCircuit,
@@ -722,3 +723,26 @@ def test_random_circuit_respects_bounds():
         assert C.top_fanin <= 3
         assert C.max_support() <= 2
         assert expand_circuit(C).individual_degree() <= 2
+
+
+def test_random_circuit_checks_each_factor_once(monkeypatch):
+    """Each drawn circuit is built once through the public constructor, one
+    ``_check_factor`` call per factor; the accepted one keeps those checked
+    terms and takes the measured k."""
+    checks, drawn = [], []
+    real_check, real_expand = circuit_module._check_factor, expand_circuit
+    monkeypatch.setattr(circuit_module, "_check_factor",
+                        lambda *args: checks.append(args) or real_check(*args))
+    monkeypatch.setattr(circuit_module, "expand_circuit",
+                        lambda C: drawn.append(C) or real_expand(C))
+    rng = named_rng(5, "random-circuit-checks")
+    for p in (None, 7):
+        for _ in range(10):
+            checks.clear(), drawn.clear()
+            C = random_circuit(rng, num_vars=6, max_terms=3, max_factors=3,
+                               max_support=2, max_k=2, field_p=p)
+            assert len(checks) == sum(len(fs) for D in drawn
+                                      for _, fs in D.terms)
+            assert C.terms == checked(drawn[-1]).terms
+            checked(C)
+            assert C.k == real_expand(C).individual_degree() <= 2

@@ -6,8 +6,10 @@ and class in ``src/fewvar`` must be named by some other code in
 comments do not count, and neither does a name inside its own definition.
 The package has one product loop: ``mon_mul`` is named only inside
 ``algebra.multiply_out``; and one circuit evaluator: the compiled
-``integer_form`` is read only by ``circuit.eval_circuit``.  numpy is a test-only dependency: no module of the
-package imports it.  Each private constructor, which skips the public
+``integer_form`` is read only by ``circuit.eval_circuit``; and one graph
+construction: ``univariate_graph`` is named only by the NW column table and
+the design's set accessor.  numpy is a test-only dependency: no module of
+the package imports it.  Each private constructor, which skips the public
 constructor's checks, is called only by the builders listed for it, whose
 inputs are already checked.
 """
@@ -125,6 +127,7 @@ PRIVATE_CONSTRUCTOR_CALLERS = {
         "circuit.derivative_circuit",
         "circuit.hom_component_circuit",
         "circuit.parse_circuit",
+        "circuit.random_circuit",
     ],
 }
 
@@ -152,6 +155,16 @@ def test_only_listed_builders_call_a_private_constructor(constructor):
              for name, node in code_units(path)
              if referenced_names(node)[constructor]]
     assert sorted(users) == sorted(PRIVATE_CONSTRUCTOR_CALLERS[constructor])
+
+
+def test_only_the_column_table_and_the_design_build_graphs():
+    """One graph construction: ``univariate_graph`` is named in the package
+    only by ``NWInstance.columns`` and the design's set accessor, so the NW
+    family and the hitting set's design read the same graphs."""
+    users = [name for path in sorted(SRC.glob("*.py"))
+             for name, node in code_units(path)
+             if referenced_names(node)["univariate_graph"]]
+    assert users == ["nw.NWInstance.columns", "pit.Design.__getitem__"]
 
 
 def test_no_module_imports_numpy():

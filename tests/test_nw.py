@@ -4,10 +4,9 @@ evaluation, and exhaustive property checks."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from helpers import (degree_raw_at_most, is_prime_trial, nw_expand,
-                     nw_monomials, univariate_graphs_oracle)
+from helpers import (checked_sets, degree_raw_at_most, is_prime_trial,
+                     naive_graphs, nw_expand, nw_monomials)
 from fewvar.algebra import mon_degree, mon_is_multilinear
 from fewvar.nw import (
     NWInstance,
@@ -16,7 +15,7 @@ from fewvar.nw import (
     intersections,
     nw_check_properties,
     nw_eval,
-    univariate_graphs,
+    univariate_graph,
 )
 from fewvar.pit import rs_design
 from fewvar.rng import named_rng
@@ -124,22 +123,24 @@ def test_monomials_enumeration_order_is_coefficient_lex():
     ]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_univariate_graphs_match_digit_oracle(data):
-    q = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
-    D = data.draw(st.integers(1, 3))
-    rows = data.draw(st.integers(0, q))
-    assert list(univariate_graphs(q, D, rows)) == \
-        univariate_graphs_oracle(q, D, rows)
+def test_univariate_graphs_match_digit_oracle():
+    """Graph #k, for every k < q^D and every rows <= q, is the graph of the
+    k-th coefficient tuple of itertools.product, whose digits are k's in
+    base q, evaluated as an explicit sum of powers."""
+    for q in (2, 3, 5, 7, 11):
+        for D in (1, 2, 3):
+            for rows in range(q + 1):
+                assert [univariate_graph(q, rows, k) for k in range(q ** D)] \
+                    == naive_graphs(q, D, rows)
+    assert univariate_graph(5, 1, 0) == (0,)
 
 
 @pytest.mark.parametrize("psi,D,n", [(2, 1, 1), (3, 2, 3), (5, 2, 3),
                                      (5, 3, 4), (7, 2, 5), (7, 3, 7)])
 def test_design_is_the_column_table(psi, D, n):
-    d = rs_design(psi ** D, psi, size=n)
+    d = checked_sets(rs_design(psi ** D, psi, size=n))
     assert (d.q0, d.c0) == (psi, D - 1)
-    assert d.sets == NWInstance(n, psi, D).columns
+    assert tuple(d) == NWInstance(n, psi, D).columns
 
 
 def test_intersections_scan_every_pair_once():

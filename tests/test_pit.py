@@ -4,6 +4,7 @@ driver, and the baselines."""
 import itertools
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,33 +33,36 @@ from fewvar.pit import (
     verify_design,
 )
 from fewvar.rng import named_rng
-from helpers import (GF7_CIRCUIT, combnulls_grid, is_prime_trial, naive_stream,
-                     src_env)
+from fewvar.cli import main
+from helpers import (GF7_CIRCUIT, checked_sets, combnulls_grid, is_prime_trial,
+                     naive_stream, src_env)
 
 
 # ---------------------------------------------------------------------------
 # designs
 
 def test_rs_design_four_two():
-    d = rs_design(4, 2, intersection_cap=1)
+    d = checked_sets(rs_design(4, 2, intersection_cap=1))
     assert d.q0 == 2 and d.c0 == 1 and d.l == 4
     # the graphs of f = 0, 1, z, 1+z over F_2, as (x, f(x)) -> x*2 + f(x)
-    assert d.sets == ((0, 2), (1, 3), (0, 3), (1, 2))
+    assert tuple(d) == ((0, 2), (1, 3), (0, 3), (1, 2))
+    assert d[-1] == d[3] == (1, 2)
+    with pytest.raises(IndexError):
+        d[4]
     assert verify_design(d, cap=1).ok
 
 
 @pytest.mark.parametrize("b,a", [(4, 2), (9, 3), (16, 4), (1, 5)])
 def test_rs_design_verifies(b, a):
-    d = rs_design(b, a)
+    d = checked_sets(rs_design(b, a))
     rep = verify_design(d)
     assert rep.ok, rep.violations
-    assert len(d.sets) == b
-    assert all(len(S) == a for S in d.sets)
+    assert (len(d), d.a) == (b, a)
 
 
 def test_rs_design_intersections_within_degree_cap():
-    d = rs_design(9, 3)
-    for S, T in itertools.combinations(d.sets, 2):
+    d = checked_sets(rs_design(9, 3))
+    for S, T in itertools.combinations(d, 2):
         assert len(set(S) & set(T)) <= d.c0 == 1
 
 
@@ -69,17 +73,27 @@ def test_rs_design_cap_too_tight():
 
 
 def test_verify_design_flags_tampering():
-    d = rs_design(4, 2)
-    bad = Design(l=d.l, a=d.a, b=d.b,
-                 sets=(d.sets[0], d.sets[0], d.sets[2], d.sets[3]),
-                 q0=d.q0, c0=d.c0)
+    d = checked_sets(rs_design(4, 2))
+
+    class Tampered(Design):
+        """The design with set 1 read as set 0."""
+        def __getitem__(self, i):
+            return super().__getitem__(0 if i == 1 else i)
+
+    bad = Tampered(b=d.b, a=d.a, q0=d.q0, c0=d.c0)
+    assert list(bad) == [d[0], d[0], d[2], d[3]]
     rep = verify_design(bad, cap=1)
     assert not rep.ok
     assert any("S_0 & S_1" in v for v in rep.violations)
+    # graphs over more rows than q0 leave the q0 x q0 universe
+    wide = Design(b=4, a=3, q0=2, c0=1)
+    assert not verify_design(wide).range_ok
+    with pytest.raises(AssertionError, match="set 0 leaves the universe"):
+        checked_sets(wide)
 
 
 def test_verify_design_single_set_vacuous():
-    assert verify_design(rs_design(1, 3)).ok
+    assert verify_design(checked_sets(rs_design(1, 3))).ok
 
 
 # ---------------------------------------------------------------------------
@@ -98,25 +112,24 @@ FROZEN_CHAIN = {
 
 @pytest.mark.parametrize("N,k", sorted(FROZEN_CHAIN))
 def test_derive_pit_params_frozen_chain(N, k):
-    p = derive_pit_params(0, 3.0, N, k)
+    p = checked_sets(derive_pit_params(0, 3.0, N, k))
     assert (p.a, p.a_prime, p.q, p.D, len(p.grid)) == FROZEN_CHAIN[(N, k)]
     assert p.a <= 2 * p.a_prime * p.q          # a/2 <= a'q
     assert p.a_prime * p.q <= p.a              # a'q <= a
     assert is_prime_trial(p.q)
     assert p.grid == tuple(range(N * k * p.a_prime + 1))
-    assert all(len(S) == p.set_size for S in p.sets)
 
 
 def test_derive_pit_params_mu_zero_a_formula():
     import math
     for N in (16, 64, 256):
-        p = derive_pit_params(0, 3.0, N, 1)
+        p = checked_sets(derive_pit_params(0, 3.0, N, 1))
         assert p.a == math.ceil(math.log2(N) ** 2)
 
 
 def test_derive_pit_params_exact_a_at_an_integer():
     # mu = 1/6, N = 16: a = 16^(1/4) * 4^(3/2) is exactly 16
-    assert derive_pit_params(Fraction(1, 6), 3.0, 16, 1).a == 16
+    assert checked_sets(derive_pit_params(Fraction(1, 6), 3.0, 16, 1)).a == 16
 
 
 def test_derive_pit_params_rejects_bad_mu():
@@ -127,11 +140,11 @@ def test_derive_pit_params_rejects_bad_mu():
 
 
 def test_toy_params_shapes():
-    p = toy_pit_params(N=2, k=1, l=2)
+    p = checked_sets(toy_pit_params(N=2, k=1, l=2))
     assert p.stream_size == 9
     assert p.sets == ((0, 1), (0, 1))
-    q = toy_pit_params(N=3, k=1, l=4, q=3)
-    assert all(len(S) == 3 for S in q.sets)
+    q = checked_sets(toy_pit_params(N=3, k=1, l=4, q=3))
+    assert q.sets == ((0, 1, 2), (0, 1, 3), (0, 2, 3))
 
 
 def test_toy_params_validation():
@@ -139,23 +152,36 @@ def test_toy_params_validation():
         toy_pit_params(N=2, k=1, l=2, q=4)          # composite q
     with pytest.raises(ValueError):
         toy_pit_params(N=2, k=1, l=1)               # set cannot fit
-    with pytest.raises(ValueError, match="set 1 has size 3, expected 2"):
-        toy_pit_params(N=2, k=1, l=4, sets=[(0, 1), (0, 1, 2)])
+
+
+@pytest.mark.parametrize("sets, message", [
+    (((0, 1),), "1 sets, expected 2"),
+    (((0, 1), (0, 1, 2)), "set 1 has size 3, expected 2"),
+    (((0, 1), (0, 4)), "set 1 leaves the universe of size 4"),
+    (((0, 1), (2, 1)), "set 1 is not strictly increasing"),
+    (((1, 1), (0, 1)), "set 0 is not strictly increasing"),
+])
+def test_checked_sets_refuses_a_family_no_builder_makes(sets, message):
+    """The set checks no constructor makes: the count, each set's size,
+    universe and strict order."""
+    params = replace(checked_sets(toy_pit_params(N=2, k=1, l=4)), sets=sets)
+    with pytest.raises(AssertionError, match=message):
+        checked_sets(params)
 
 
 def test_params_refuse_a_grid_value_that_is_not_rational():
     with pytest.raises(ValueError, match=r"grid value 0\.5 is not an int or a Fraction"):
         toy_pit_params(N=2, k=1, l=2, grid=(0, 0.5))
-    assert toy_pit_params(N=2, k=1, l=2, grid=(0, Fraction(1, 2))).grid \
-        == (0, Fraction(1, 2))
+    assert checked_sets(toy_pit_params(N=2, k=1, l=2, grid=(0, Fraction(1, 2)))
+                        ).grid == (0, Fraction(1, 2))
 
 
 def test_stream_size_text_switches_to_a_power_at_ten_to_the_4000():
-    below = toy_pit_params(N=1, k=1, l=3999, grid=range(10))
+    below = checked_sets(toy_pit_params(N=1, k=1, l=3999, grid=range(10)))
     assert below.stream_size_text == "1" + "0" * 3999
-    assert toy_pit_params(N=1, k=1, l=4000, grid=range(10)).stream_size_text \
-        == "10^4000"
-    assert toy_pit_params(N=2, k=1, l=2).stream_size_text == "9"
+    above = checked_sets(toy_pit_params(N=1, k=1, l=4000, grid=range(10)))
+    assert above.stream_size_text == "10^4000"
+    assert checked_sets(toy_pit_params(N=2, k=1, l=2)).stream_size_text == "9"
 
 
 @pytest.mark.parametrize("g,l", [
@@ -165,7 +191,7 @@ def test_stream_size_text_at_the_boundary_matches_the_full_power(g, l):
     # the pairs straddle 10^4000: g^l just below it, then just above it
     total = g ** l
     old = str(total) if total < 10 ** 4000 else f"{g}^{l}"
-    params = toy_pit_params(N=1, k=1, l=l, grid=range(g))
+    params = checked_sets(toy_pit_params(N=1, k=1, l=l, grid=range(g)))
     assert params.stream_size_text == old
     assert params.stream_exceeds(10 ** 4000 - 1) == (total >= 10 ** 4000)
 
@@ -174,7 +200,7 @@ def test_stream_size_text_at_the_boundary_matches_the_full_power(g, l):
 @given(st.integers(1, 600), st.integers(2, 60), st.integers(-3, 3),
        st.integers(-5, 10 ** 40), st.booleans())
 def test_stream_exceeds_matches_the_full_power(g, l, delta, far, near):
-    params = toy_pit_params(N=1, k=1, l=l, grid=range(g))
+    params = checked_sets(toy_pit_params(N=1, k=1, l=l, grid=range(g)))
     bound = g ** l + delta if near else far
     assert params.stream_exceeds(bound) == (g ** l > bound)
 
@@ -183,14 +209,14 @@ def test_stream_exceeds_matches_the_full_power(g, l, delta, far, near):
 # the stream
 
 def test_stream_count_and_zero_point():
-    params = toy_pit_params(N=2, k=1, l=2)
+    params = checked_sets(toy_pit_params(N=2, k=1, l=2))
     tuples = list(hitting_set_stream(params))
     assert len(tuples) == 9
     assert tuples[0] == (Fraction(0), Fraction(0))
 
 
 def test_stream_lex_order_prefix():
-    params = toy_pit_params(N=2, k=1, l=2)
+    params = checked_sets(toy_pit_params(N=2, k=1, l=2))
     # grid point (0, 1) is the second tuple: NW(S_i) = X_a + X_b
     tuples = list(hitting_set_stream(params))
     assert tuples[1] == (Fraction(1), Fraction(1))
@@ -198,7 +224,7 @@ def test_stream_lex_order_prefix():
 
 
 def test_stream_limit():
-    params = toy_pit_params(N=2, k=1, l=2)
+    params = checked_sets(toy_pit_params(N=2, k=1, l=2))
     assert len(list(hitting_set_stream(params, limit=4))) == 4
 
 
@@ -215,13 +241,13 @@ def toy_streams(draw):
     l_max = {1: 6, 2: 5, 3: 4}[len(grid)]
     l = draw(st.integers(size, max(size, l_max)))
     N = draw(st.integers(1, 6))
-    if draw(st.booleans()):
-        sets = None                  # the cycled combination enumeration
-    else:
-        pool = list(itertools.combinations(range(l), size))
-        sets = [draw(st.sampled_from(pool)) for _ in range(N)]
     params = toy_pit_params(N=N, k=1, l=l, a_prime=a_prime, q=q,
-                            D=draw(st.integers(1, q)), grid=grid, sets=sets)
+                            D=draw(st.integers(1, q)), grid=grid)
+    if draw(st.booleans()):          # else the cycled combination enumeration
+        pool = list(itertools.combinations(range(l), size))
+        params = replace(params, sets=tuple(
+            draw(st.sampled_from(pool)) for _ in range(N)))
+    checked_sets(params)
     limit = draw(st.one_of(st.none(), st.integers(0, params.stream_size + 2)))
     return params, limit
 
@@ -250,7 +276,14 @@ def test_stream_matches_the_naive_stream(case):
     (dict(N=3, k=1, l=3, grid=(Fraction(1, 2), -2, Fraction(-5, 3))), None),
 ])
 def test_stream_matches_the_naive_stream_on_fixed_cases(kwargs, limit):
+    """Toy parameters, with the hand-made ``sets`` of a case in place of
+    the cycled ones."""
+    kwargs = dict(kwargs)
+    sets = kwargs.pop("sets", None)
     params = toy_pit_params(**kwargs)
+    if sets is not None:
+        params = replace(params, sets=sets)
+    checked_sets(params)
     got = list(hitting_set_stream(params, limit=limit))
     assert got == naive_stream(params, limit)
     if limit == 0:
@@ -267,16 +300,35 @@ def test_stream_evaluates_distinct_sets_and_changed_suffixes(monkeypatch):
     real = pit_module.nw_eval
     monkeypatch.setattr(pit_module, "nw_eval",
                         lambda inst, pt: calls.append(tuple(pt)) or real(inst, pt))
-    full6 = toy_pit_params(N=6, k=2, l=6, a_prime=2, q=3, D=2, grid=range(4))
+    full6 = checked_sets(toy_pit_params(N=6, k=2, l=6, a_prime=2, q=3, D=2,
+                                        grid=range(4)))
     assert len(set(full6.sets)) == 1
     assert len(list(hitting_set_stream(full6, limit=300))) == 300
     assert len(calls) == 300
     calls.clear()
-    derived = derive_pit_params(0, 3.0, 16, 1)
+    derived = checked_sets(derive_pit_params(0, 3.0, 16, 1))
     top = max(S[-1] for S in derived.sets)
     assert top < derived.l - 1
     assert len(list(hitting_set_stream(derived, limit=15))) == 15
     assert len(calls) == len(set(derived.sets))
+
+
+def test_parameters_build_no_set_and_the_stream_builds_each_once(
+        monkeypatch, capsys):
+    """Sets are built through the graph binding in fewvar.pit: none for the
+    parameters or a report of them, each set once when a stream starts."""
+    calls = []
+    real = pit_module.univariate_graph
+    monkeypatch.setattr(pit_module, "univariate_graph",
+                        lambda *args: calls.append(args) or real(*args))
+    assert derive_pit_params(0, 3, 65536, 1).N == 65536
+    assert main(["hitset", "--N", "65536", "--k", "1", "--limit", "0"]) == 0
+    assert "stream_size=" in capsys.readouterr().out
+    assert calls == []
+    derived = derive_pit_params(0, 3, 16, 1)
+    assert len(list(hitting_set_stream(derived, limit=15))) == 15
+    assert sorted(k for _, _, k in calls) == list(range(16))
+    checked_sets(derived)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +384,7 @@ def test_pit_run_evaluates_circuits_through_eval_circuit(monkeypatch):
     monkeypatch.setattr(pit_module, "eval_circuit",
                         lambda C, pt: calls.append(tuple(pt)) or real(C, pt))
     rng = named_rng(71, "blackbox-fallback")
-    params = toy_pit_params(N=3, k=2, l=3)
+    params = checked_sets(toy_pit_params(N=3, k=2, l=3))
     for field_p in (None, 7):
         C = random_circuit(rng, num_vars=3, max_terms=3, max_factors=2,
                            max_support=2, max_k=2, field_p=field_p)
@@ -351,7 +403,7 @@ def test_pit_run_evaluates_circuits_through_eval_circuit(monkeypatch):
 # the driver
 
 def test_pit_zero_blackbox():
-    params = toy_pit_params(N=3, k=1, l=3)
+    params = checked_sets(toy_pit_params(N=3, k=1, l=3))
     box = Blackbox(fn=lambda pt: Fraction(0), num_vars=3, k=1)
     res = pit_run(box, params)
     assert res.status == "zero-on-set"
@@ -359,7 +411,7 @@ def test_pit_zero_blackbox():
 
 
 def test_pit_projection_witness():
-    params = toy_pit_params(N=3, k=1, l=3)
+    params = checked_sets(toy_pit_params(N=3, k=1, l=3))
     box = Blackbox(fn=lambda pt: pt[0], num_vars=3, k=1)
     res = pit_run(box, params)
     assert res.status == "witness"
@@ -367,7 +419,7 @@ def test_pit_projection_witness():
 
 
 def test_pit_budget_inconclusive():
-    params = toy_pit_params(N=2, k=1, l=2)
+    params = checked_sets(toy_pit_params(N=2, k=1, l=2))
     box = Blackbox(fn=lambda pt: Fraction(0), num_vars=2, k=1)
     res = pit_run(box, params, budget=5)
     assert res.status == "inconclusive"
@@ -376,7 +428,7 @@ def test_pit_budget_inconclusive():
 
 def test_pit_circuit_soundness_suite():
     rng = named_rng(53, "pit-suite")
-    params = toy_pit_params(N=5, k=2, l=4, q=2)
+    params = checked_sets(toy_pit_params(N=5, k=2, l=4, q=2))
     found = 0
     for _ in range(100):
         C = random_circuit(rng, num_vars=5, max_terms=3, max_factors=2,
@@ -392,7 +444,7 @@ def test_pit_circuit_soundness_suite():
 
 
 def test_pit_dimension_mismatch():
-    params = toy_pit_params(N=3, k=1, l=3)
+    params = checked_sets(toy_pit_params(N=3, k=1, l=3))
     box = Blackbox(fn=lambda pt: Fraction(0), num_vars=4, k=1)
     with pytest.raises(ValueError, match="box declares 4 variables, params "
                                          "expect 3"):
@@ -401,10 +453,11 @@ def test_pit_dimension_mismatch():
     for N in (2, 4):
         with pytest.raises(ValueError, match=f"circuit has 3 variables, "
                                              f"params expect {N}"):
-            pit_run(C, toy_pit_params(N=N, k=1, l=3))
+            pit_run(C, checked_sets(toy_pit_params(N=N, k=1, l=3)))
         with pytest.raises(ValueError, match=f"box declares 3 variables, "
                                              f"params expect {N}"):
-            pit_run(blackbox_from_circuit(C), toy_pit_params(N=N, k=1, l=3))
+            pit_run(blackbox_from_circuit(C),
+                    checked_sets(toy_pit_params(N=N, k=1, l=3)))
 
 
 @pytest.mark.parametrize("length", [2, 4])
@@ -421,7 +474,7 @@ def test_a_point_of_the_wrong_length_is_refused(length):
 
 
 def test_pit_refusal_names_a_stream_past_the_digit_limit():
-    params = derive_pit_params(0, 3.0, 256, 1)    # 257^4489 points
+    params = checked_sets(derive_pit_params(0, 3.0, 256, 1))  # 257^4489 points
     box = Blackbox(fn=lambda pt: Fraction(0), num_vars=256, k=1)
     with pytest.raises(ValueError, match=r"stream has 257\^4489 points"):
         pit_run(box, params)
@@ -501,7 +554,7 @@ def test_runtime_checks_survive_python_dash_o(tmp_path):
 
 
 def test_pit_refuses_unbounded_scan():
-    params = derive_pit_params(0, 3.0, 16, 1)     # 17^289 points
+    params = checked_sets(derive_pit_params(0, 3.0, 16, 1))   # 17^289 points
     box = Blackbox(fn=lambda pt: Fraction(0), num_vars=16, k=1)
     with pytest.raises(ValueError, match="budget"):
         pit_run(box, params)
@@ -552,7 +605,7 @@ def test_completeness_shadow_of_schwartz_zippel():
     # at toy scale the generator may miss; log the discrepancy rate instead
     # of asserting the asymptotic guarantee
     rng = named_rng(61, "completeness")
-    params = toy_pit_params(N=4, k=2, l=4, q=2)
+    params = checked_sets(toy_pit_params(N=4, k=2, l=4, q=2))
     missed = 0
     checked = 0
     for _ in range(40):
