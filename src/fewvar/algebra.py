@@ -309,23 +309,11 @@ def multiply_out(term_maps: Iterable[Dict[Mon, FieldElem]],
     return prod
 
 
-def hom_component(P: SparsePolynomial, i: int, mode: str = "eq") -> SparsePolynomial:
-    """The homogeneous part of degree i ("eq"), or of degree <= i / >= i.
-
-    For every P and i the low and high parts add back to P:
-    hom_component(P, i, "le") + hom_component(P, i + 1, "ge") == P.
-    """
+def hom_component(P: SparsePolynomial, i: int) -> SparsePolynomial:
+    """The homogeneous part of degree i."""
     if i < 0:
         raise ValueError("degree must be nonnegative")
-    if mode == "eq":
-        keep = lambda d: d == i
-    elif mode == "le":
-        keep = lambda d: d <= i
-    elif mode == "ge":
-        keep = lambda d: d >= i
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    out = {m: c for m, c in P.terms.items() if keep(mon_degree(m))}
+    out = {m: c for m, c in P.terms.items() if mon_degree(m) == i}
     return _poly(P.num_vars, out, P.field_p)
 
 

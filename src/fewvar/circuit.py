@@ -94,10 +94,6 @@ class FactorPoly:
         return {tuple([(sup[v], e) for v, e in mon]): c
                 for mon, c in self.poly.terms.items()}
 
-    def embed(self, num_vars: int) -> SparsePolynomial:
-        """The factor as a polynomial over the full variable set."""
-        return SparsePolynomial(num_vars, self.global_terms(), self.poly.field_p)
-
 
 def _factor(support: Tuple[int, ...], poly: SparsePolynomial) -> FactorPoly:
     """The private constructor of a factor, without the public one's
@@ -535,7 +531,7 @@ class HomogDecomposition:
             total_esym = SparsePolynomial.zero(self.num_vars, self.field_p)
             for l in range(min(piece.l_max, len(esums) - 1) + 1):
                 total_esym = total_esym + esums[l]
-            part = hom_component(prod * total_esym, n, "eq")
+            part = hom_component(prod * total_esym, n)
             acc = acc + part.scale(piece.scale)
         return acc
 
@@ -558,8 +554,8 @@ def homogenize(C: FewVarCircuit, n: int) -> HomogDecomposition:
             if not c0:
                 plain.append(f)
             elif c0 == 1:
-                pos = hom_component(f.embed(C.num_vars), 1, "ge")
-                args.append(pos)
+                pos = {m: c for m, c in f.global_terms().items() if m}
+                args.append(_poly(C.num_vars, pos, f.poly.field_p))
             else:
                 raise ValueError(
                     f"factor constant term {c0} is neither 0 nor 1; "
@@ -576,10 +572,6 @@ def homogenize(C: FewVarCircuit, n: int) -> HomogDecomposition:
 
 @dataclass(frozen=True)
 class ClassReport:
-    top_fanin: int
-    max_individual_degree: Optional[int]
-    max_product_fanin: int
-    max_support: int
     t_ok: bool
     k_ok: bool
     d_ok: bool
@@ -596,19 +588,12 @@ def class_check(C: FewVarCircuit, c: float, mu: float) -> ClassReport:
     N = C.num_vars
     log_n = math.log2(N) if N > 1 else 0.0
     t_limit = log_n ** c
-    T = C.top_fanin
     k = C.k
-    d = C.max_product_fanin
-    sup = C.max_support()
     return ClassReport(
-        top_fanin=T,
-        max_individual_degree=k,
-        max_product_fanin=d,
-        max_support=sup,
-        t_ok=T < t_limit,
+        t_ok=C.top_fanin < t_limit,
         k_ok=(k is not None and k < t_limit),
-        d_ok=d < N ** c,
-        support_ok=sup <= N ** mu,
+        d_ok=C.max_product_fanin < N ** c,
+        support_ok=C.max_support() <= N ** mu,
     )
 
 
@@ -789,7 +774,7 @@ def transform_audit(count: int, seed: int, num_vars: int = 10, max_terms: int = 
         i_hom = rng.integers(0, deg + 2)
         hC = hom_component_circuit(C, i_hom, deg)
         checks += 1
-        if expand_circuit(hC) != hom_component(P, i_hom, "eq"):
+        if expand_circuit(hC) != hom_component(P, i_hom):
             failures.append(f"circuit {idx}: degree-{i_hom} component mismatch")
 
         shift = [rng.integers(-2, 3) for _ in range(num_vars)]

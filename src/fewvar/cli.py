@@ -366,8 +366,7 @@ def _cmd_homogenize(args) -> int:
     dec = homogenize(normalize_constants(C), args.n)
     value = dec.value()
     try:
-        expected = hom_component(expand_circuit(C, cap=args.expand_cap),
-                                 args.n, "eq")
+        expected = hom_component(expand_circuit(C, cap=args.expand_cap), args.n)
         identity = "pass" if value == expected else "fail"
     except ValueError:
         identity = "skipped"
@@ -564,22 +563,14 @@ def _fill_command(sp, name: str):
     return sp
 
 
-def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The full parser tree, for help, usage and error lines only: ``main``
-    parses a valid command line with the invoked subcommand's parser alone
-    (see ``_parse``).  Every subcommand is registered, so help,
-    usage and invalid-choice text do not depend on ``argv``, but only the
-    subcommand ``argv`` invokes gets its arguments and ``-h``: the others
-    are only ever named in that text.  argparse hands the rest of the line
-    to the first word that is not an option; when that word names a
-    subcommand, it is the first word of ``argv`` that does."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser tree, every subcommand with its arguments, for help,
+    usage and error lines only: ``main`` parses a valid command line with
+    the invoked subcommand's parser alone (see ``_parse``)."""
     parser = _Parser(prog="fewvar", description=__doc__)
     subs = parser.add_subparsers(dest="command", parser_class=_Parser)
-    invoked = next((a for a in argv if a in _COMMANDS), None)
     for name in _COMMANDS:
-        sp = subs.add_parser(name, add_help=name == invoked)
-        if name == invoked:
-            _fill_command(sp, name)
+        _fill_command(subs.add_parser(name), name)
     return parser
 
 
@@ -604,7 +595,7 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
         args, rest = sp.parse_known_args(argv[1:])
         if not rest:
             return args
-    parser = build_parser(argv)
+    parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)

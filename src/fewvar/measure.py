@@ -46,6 +46,8 @@ from .circuit import FewVarCircuit
 from .nw import NWParams, derive_nw_params
 
 DEFAULT_ROW_CAP = 200_000
+# distinct support sets bad_support_monomials collects before refusing
+BAD_MONOMIAL_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,6 @@ class MeasureReport:
     phi: int
     rows: int
     cols: int
-    params: MeasureParams
     exact: bool
 
     def __post_init__(self):
@@ -289,7 +290,7 @@ def psd_dimension(P: SparsePolynomial, params: MeasureParams,
         phi = rank_exact(rows())
         exact = True
     return MeasureReport(phi=phi, rows=gcount * n_shifts, cols=len(col_ids),
-                         params=params, exact=exact)
+                         exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +314,6 @@ class BadMonomialReport:
 
     count: int
     bound: int
-    s: int
     supports: Tuple[FrozenSet[int], ...]
 
     @property
@@ -321,8 +321,7 @@ class BadMonomialReport:
         return self.count <= self.bound
 
 
-def bad_support_monomials(C: FewVarCircuit, s: int,
-                          cap: int = 1_000_000) -> BadMonomialReport:
+def bad_support_monomials(C: FewVarCircuit, s: int) -> BadMonomialReport:
     if s < 0:
         raise ValueError("support bound must be nonnegative")
     seen = set()
@@ -335,10 +334,11 @@ def bad_support_monomials(C: FewVarCircuit, s: int,
                 continue
             for combo in itertools.combinations(f.support, s):
                 seen.add(frozenset(combo))
-                if len(seen) > cap:
-                    raise ValueError(f"enumeration cap {cap} exceeded")
+                if len(seen) > BAD_MONOMIAL_CAP:
+                    raise ValueError(
+                        f"enumeration cap {BAD_MONOMIAL_CAP} exceeded")
     bound = T * d * math.comb(smax, s) if s <= smax else 0
-    report = BadMonomialReport(count=len(seen), bound=bound, s=s,
+    report = BadMonomialReport(count=len(seen), bound=bound,
                                supports=tuple(sorted(seen, key=sorted)))
     if not report.ok:
         raise RuntimeError(
@@ -422,8 +422,6 @@ class DerivedMeasure:
     s: int
     m: int
     log_p: float                   # ln p, p = N^-(mu+delta): stable at any scale
-    eps1: float
-    eps2: float
 
 
 # eps1 * eps2 in the derivative/shift schedule
@@ -447,14 +445,13 @@ def derive_measure_params(mu, n: int, eps1: Optional[float] = None,
     if nw is None:
         nw = derive_nw_params(mu, n)
     if eps1 is None and eps2 is None:
-        eps1 = eps2 = math.sqrt(EPS_PRODUCT)
         sq1 = sq2 = EPS_PRODUCT
     else:
         e1 = EPS_PRODUCT / to_fraction(eps2) if eps1 is None else to_fraction(eps1)
         e2 = EPS_PRODUCT / e1 if eps2 is None else to_fraction(eps2)
         if e1 < 0 or e2 < 0:
             raise ValueError(f"eps1={e1} and eps2={e2} must be nonnegative")
-        eps1, eps2, sq1, sq2 = float(e1), float(e2), e1 * e1, e2 * e2
+        sq1, sq2 = e1 * e1, e2 * e2
     r = math.isqrt(math.floor(sq1 * n))
     s = math.isqrt(math.floor(sq2 * n))
     if r * math.log(n) > n:
@@ -467,8 +464,7 @@ def derive_measure_params(mu, n: int, eps1: Optional[float] = None,
     exponent = float(to_fraction(mu) + nw.delta)
     with mpmath.workdps(40 + len(str(nw.N))):
         log_p = float(-exponent * mpmath.log(nw.N))
-    return DerivedMeasure(nw=nw, r=r, s=s, m=m, log_p=log_p,
-                          eps1=eps1, eps2=eps2)
+    return DerivedMeasure(nw=nw, r=r, s=s, m=m, log_p=log_p)
 
 
 EXACT_BINOMIAL_LIMIT = 10 ** 6

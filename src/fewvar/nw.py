@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, Sequence, Tuple, Union
 
 from .algebra import (
     bertrand_prime,
@@ -156,16 +156,13 @@ class NWInstance:
     def columns(self) -> Tuple[Tuple[int, ...], ...]:
         """The compiled column table: per univariate f, in the module's
         enumeration order, the variable indices X[i, f(i)] for i < n.  Built
-        on first use, after the enumeration cap check (``check_cap``)."""
-        self.check_cap()
+        on first use, after checking psi^D against ``DEFAULT_ENUM_CAP``."""
+        if self.monomial_count > DEFAULT_ENUM_CAP:
+            raise ValueError(
+                f"enumeration cap exceeded: psi^D = {self.monomial_count} > "
+                f"{DEFAULT_ENUM_CAP}")
         return tuple(univariate_graph(self.psi, self.n, k)
                      for k in range(self.monomial_count))
-
-    def check_cap(self, cap: Optional[int] = None) -> None:
-        limit = DEFAULT_ENUM_CAP if cap is None else cap
-        if self.monomial_count > limit:
-            raise ValueError(
-                f"enumeration cap exceeded: psi^D = {self.monomial_count} > {limit}")
 
 
 def nw_eval(inst: NWInstance, point: Sequence) -> Union[int, Fraction]:

@@ -90,10 +90,6 @@ def rs_design(b: int, a: int, intersection_cap: Optional[int] = None,
 
 @dataclass(frozen=True)
 class DesignReport:
-    b: int
-    a: int
-    l: int
-    cap: int
     sizes_ok: bool
     range_ok: bool
     max_intersection: int
@@ -128,9 +124,8 @@ def verify_design(d: Design, cap: Optional[int] = None) -> DesignReport:
         if t > cap:
             over.append(f"|S_{i} & S_{j}| = {t} > {cap}")
     violations += over
-    return DesignReport(b=d.b, a=d.a, l=d.l, cap=cap, sizes_ok=sizes_ok,
-                        range_ok=range_ok, max_intersection=max_int,
-                        intersections_ok=not over,
+    return DesignReport(sizes_ok=sizes_ok, range_ok=range_ok,
+                        max_intersection=max_int, intersections_ok=not over,
                         violations=tuple(violations))
 
 
@@ -142,7 +137,10 @@ class PitParams:
     """Everything the generator needs: the N trimmed variable sets, each a
     strictly increasing tuple of a'q elements of range(l) (a ``Design``, or
     a tuple for toy parameters), the local family shape (a' rows, q columns,
-    degree bound D), and the value grid."""
+    degree bound D), and the value grid.  Its builders guarantee N, k >= 1,
+    q prime, 1 <= D <= q and a nonempty grid of distinct ints and
+    Fractions: ``derive_pit_params`` by construction, ``toy_pit_params``
+    by checking its arguments."""
 
     mu: float
     c: float
@@ -155,22 +153,6 @@ class PitParams:
     l: int
     sets: Sequence[Tuple[int, ...]]
     grid: Tuple[Union[int, Fraction], ...]
-
-    def __post_init__(self):
-        if self.N < 1 or self.k < 1:
-            raise ValueError("need N >= 1 and k >= 1")
-        if not is_prime(self.q):
-            raise ValueError(f"q = {self.q} is not prime")
-        size = self.a_prime * self.q
-        if not size <= self.a:
-            raise ValueError(f"a'q = {size} exceeds a = {self.a}")
-        if not 1 <= self.D <= self.q:
-            raise ValueError(f"D = {self.D} outside [1, q = {self.q}]")
-        if len(set(self.grid)) != len(self.grid) or not self.grid:
-            raise ValueError("grid values must be distinct and nonempty")
-        for g in self.grid:
-            if not isinstance(g, (int, Fraction)):
-                raise ValueError(f"grid value {g!r} is not an int or a Fraction")
 
     @property
     def set_size(self) -> int:
@@ -254,17 +236,28 @@ def toy_pit_params(N: int, k: int, l: int, a_prime: int = 1, q: int = 2,
                    mu: float = 0.0, c: float = 3.0) -> PitParams:
     """Small hand-set parameters for desk runs.  The sets are the size-a'q
     subsets of the universe cycled from the combination enumeration; the
-    grid defaults to {0..Nka'}."""
+    grid defaults to {0..Nka'}.  The other arguments are checked after the
+    sets are drawn, so a negative a' is refused by the combinations."""
     size = a_prime * q
     if size > l:
         raise ValueError(f"set size a'q = {size} exceeds universe l = {l}")
     pool = itertools.cycle(itertools.combinations(range(l), size))
     sets = tuple(next(pool) for _ in range(N))
-    if grid is None:
-        grid = range(N * k * a_prime + 1)
+    grid = tuple(range(N * k * a_prime + 1) if grid is None else grid)
+    if N < 1 or k < 1:
+        raise ValueError("need N >= 1 and k >= 1")
+    if not is_prime(q):
+        raise ValueError(f"q = {q} is not prime")
+    if not 1 <= D <= q:
+        raise ValueError(f"D = {D} outside [1, q = {q}]")
+    if len(set(grid)) != len(grid) or not grid:
+        raise ValueError("grid values must be distinct and nonempty")
+    for g in grid:
+        if not isinstance(g, (int, Fraction)):
+            raise ValueError(f"grid value {g!r} is not an int or a Fraction")
     return PitParams(
         mu=mu, c=c, N=N, k=k, a=size, a_prime=a_prime, q=q, D=D, l=l,
-        sets=sets, grid=tuple(grid))
+        sets=sets, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +341,6 @@ class PitResult:
     point: Optional[Tuple] = None  # exact values, ints on an integer grid
     value: Optional[object] = None
     class_report: Optional[ClassReport] = None
-
-    @property
-    def found(self) -> bool:
-        return self.status == "witness"
 
 
 def pit_run(box: Union[Blackbox, FewVarCircuit], params: PitParams,

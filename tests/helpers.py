@@ -147,6 +147,14 @@ def serialize_circuit(C: FewVarCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def embed(f: FactorPoly, num_vars: int) -> SparsePolynomial:
+    """The factor as a polynomial over ``num_vars`` variables, each local
+    variable v renamed to ``f.support[v]``."""
+    terms = {mon_make((f.support[v], e) for v, e in mon): c
+             for mon, c in f.poly.terms.items()}
+    return SparsePolynomial(num_vars, terms, f.poly.field_p)
+
+
 def expand_by_ring_ops(C: FewVarCircuit) -> SparsePolynomial:
     """The circuit's expansion through the ring operations alone: each term
     multiplied out factor by factor on the embedded factors, and the terms
@@ -155,7 +163,7 @@ def expand_by_ring_ops(C: FewVarCircuit) -> SparsePolynomial:
     for scale, factors in C.terms:
         prod = SparsePolynomial.const(C.num_vars, scale, C.field_p)
         for f in factors:
-            prod = prod * f.embed(C.num_vars)
+            prod = prod * embed(f, C.num_vars)
             if prod.is_zero():
                 break
         acc = acc + prod
@@ -292,17 +300,16 @@ def bounded_support_poly(rng, N: int, c: int, n: int, s: int
     return total, c, n
 
 
-def nw_monomials(inst: NWInstance, cap: Optional[int] = None) -> Iterator[Mon]:
+def nw_monomials(inst: NWInstance) -> Iterator[Mon]:
     """One multilinear degree-n monomial per univariate, in the column
-    table's enumeration order, after the instance's enumeration cap check."""
-    inst.check_cap(cap)
+    table's enumeration order."""
     for cols in inst.columns:
         yield tuple((v, 1) for v in cols)
 
 
-def nw_expand(inst: NWInstance, cap: Optional[int] = None) -> SparsePolynomial:
+def nw_expand(inst: NWInstance) -> SparsePolynomial:
     """The instance as an explicit polynomial, one monomial per column."""
-    terms = {mon: Fraction(1) for mon in nw_monomials(inst, cap)}
+    terms = {mon: Fraction(1) for mon in nw_monomials(inst)}
     return SparsePolynomial(inst.num_vars, terms, None)
 
 
@@ -345,11 +352,19 @@ def checked_sets(obj):
     """``obj``, a ``PitParams`` or a ``Design``, after asserting what its
     builders guarantee and no constructor checks: N sets (b for a design),
     each a strictly increasing tuple of a'q elements (a for a design) of
-    range(l)."""
+    range(l); for parameters also N, k >= 1, q prime, 1 <= D <= q, and a
+    nonempty grid of distinct ints and Fractions."""
     if isinstance(obj, Design):
         sets, count, size = list(obj), obj.b, obj.a
     else:
         sets, count, size = list(obj.sets), obj.N, obj.set_size
+        assert obj.N >= 1 and obj.k >= 1, f"N = {obj.N}, k = {obj.k}"
+        assert is_prime_trial(obj.q), f"q = {obj.q} is not prime"
+        assert 1 <= obj.D <= obj.q, f"D = {obj.D} outside [1, q = {obj.q}]"
+        assert obj.grid and len(set(obj.grid)) == len(obj.grid), \
+            "grid values must be distinct and nonempty"
+        assert all(isinstance(g, (int, Fraction)) for g in obj.grid), \
+            "grid holds a value that is not an int or a Fraction"
     assert len(sets) == count, f"{len(sets)} sets, expected {count}"
     for i, S in enumerate(sets):
         assert len(S) == size, f"set {i} has size {len(S)}, expected {size}"

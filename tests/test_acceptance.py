@@ -95,7 +95,7 @@ def test_criterion_3_homogenization_identity(capsys):
             max_k=2))
         P = expand_circuit(C)
         n = i % 5
-        if homogenize(C, n).value() != hom_component(P, n, "eq"):
+        if homogenize(C, n).value() != hom_component(P, n):
             bad += 1
     verdict(capsys, 3, "homogenization identity", bad == 0)
     assert bad == 0
@@ -219,7 +219,7 @@ def test_criterion_9_pit_soundness_and_desk_completeness(capsys):
             continue
         tested += 1
         r = pit_run(C, params5)
-        if r.found:
+        if r.status == "witness":
             ok = ok and blackbox_from_circuit(C).eval_at(r.point) != 0
 
     rng = named_rng(111, "acc-combnulls")

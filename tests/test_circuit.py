@@ -36,7 +36,8 @@ from fewvar.circuit import (
     translate_circuit,
 )
 from fewvar.rng import named_rng
-from helpers import GF7_CIRCUIT, checked, expand_by_ring_ops, serialize_circuit
+from helpers import (GF7_CIRCUIT, checked, embed, expand_by_ring_ops,
+                     serialize_circuit)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -289,7 +290,7 @@ def test_hom_component_circuit_identity(C):
     D_tot = P.degree()
     for i in range(D_tot + 2):
         H = checked(hom_component_circuit(C, i, D_tot))
-        assert checked(expand_circuit(H)) == hom_component(P, i, "eq")
+        assert checked(expand_circuit(H)) == hom_component(P, i)
 
 
 def test_translate_circuit_identity(C):
@@ -434,7 +435,7 @@ def test_homogenize_identity_on_random_circuits():
         P = expand_circuit(C)
         for n in range(4):
             dec = homogenize(C, n)
-            assert dec.value() == hom_component(P, n, "eq")
+            assert dec.value() == hom_component(P, n)
             hits += 1
     assert hits == 160
 
@@ -446,10 +447,14 @@ def test_class_check_regime():
     C = FewVarCircuit(num_vars=16, terms=[
         (Fraction(1), (fp((0,), (1, [(0, 1)])), fp((5,), (1, [(0, 1)])))),
     ], declared_s=1, k=1)
+    assert C.top_fanin == 1 and C.max_product_fanin == 2
     rep = class_check(C, c=2.0, mu=0.5)
+    assert (rep.t_ok, rep.k_ok, rep.d_ok, rep.support_ok) == (True,) * 4
     assert rep.ok
-    assert rep.top_fanin == 1 and rep.max_product_fanin == 2
+    # log2(16)^0 = 16^0 = 1: T = k = 1 and d = 2 miss it; support 1 fits
     tight = class_check(C, c=0.0, mu=0.0)
+    assert (tight.t_ok, tight.k_ok, tight.d_ok, tight.support_ok) == \
+        (False, False, False, True)
     assert not tight.ok
 
 
@@ -527,7 +532,7 @@ def test_gf_transforms_match_polynomial_operations(p, data, y, i, shift, alive):
     if D + 1 <= p:
         hC = checked(hom_component_circuit(C, i, D))
         assert_gf_circuit(hC, p)
-        assert expand_circuit(hC) == hom_component(P, i, "eq")
+        assert expand_circuit(hC) == hom_component(P, i)
     elif i <= D:
         with pytest.raises(ValueError, match="distinct nodes"):
             hom_component_circuit(C, i, D)
@@ -535,7 +540,7 @@ def test_gf_transforms_match_polynomial_operations(p, data, y, i, shift, alive):
     nC = checked(normalize_constants(C))
     assert_gf_circuit(nC, p)
     assert expand_circuit(nC) == P
-    assert homogenize(nC, i).value() == hom_component(P, i, "eq")
+    assert homogenize(nC, i).value() == hom_component(P, i)
 
     tC = checked(translate_circuit(C, shift))
     assert_gf_circuit(tC, p)
@@ -654,7 +659,7 @@ def test_substituted_factor_agrees_with_evaluation(data):
     assert g.support == tuple(v for v in support if v not in gvars)
     want = f.poly.eval_at([at[v] for v in f.support])
     assert g.poly.eval_at([point[v] for v in g.support]) == want
-    assert g.embed(5).eval_at(point) == f.embed(5).eval_at(at) == want
+    assert embed(g, 5).eval_at(point) == embed(f, 5).eval_at(at) == want
 
 
 def test_expand_empty_circuit_is_zero():

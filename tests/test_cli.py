@@ -263,6 +263,12 @@ def test_toy_stream_flag_needs_override_l(capsys, tmp_path, flag, value):
     assert err == f"error: {flag} needs --override-l\n"
 
 
+def test_toy_stream_refuses_a_composite_q(capsys):
+    rc, out, err = run(capsys, "hitset", "--N", "2", "--k", "1",
+                       "--override-l", "4", "--q", "4")
+    assert (rc, out, err) == (3, "", "error: q = 4 is not prime\n")
+
+
 def test_nw_check_frozen(capsys):
     rc, out, _ = run(capsys, "nw-check", "--psi", "3", "--D", "1", "--n", "2")
     assert rc == 0
@@ -629,7 +635,7 @@ def parse_outcome(parse, argv) -> tuple:
 
 
 def full_tree_parse(argv):
-    return cli.build_parser(argv).parse_args(argv)
+    return cli.build_parser().parse_args(argv)
 
 
 # option values by type, valid and refused ("1/0" raises in Fraction)

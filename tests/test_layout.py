@@ -4,6 +4,7 @@ Code that only the tests use belongs in ``tests/``: every top-level function
 and class in ``src/fewvar`` must be named by some other code in
 ``src/fewvar``, as a name, an attribute or an import.  Docstrings and
 comments do not count, and neither does a name inside its own definition.
+Likewise every dataclass field is read as an attribute in the package.
 The package has one product loop: ``mon_mul`` is named only inside
 ``algebra.multiply_out``; and one circuit evaluator: the compiled
 ``integer_form`` is read only by ``circuit.eval_circuit``; and one graph
@@ -63,6 +64,43 @@ def test_every_top_level_definition_is_referenced_in_src():
     assert set(ALLOWED_UNREFERENCED) <= defined
 
 
+# dataclass field -> why it stays although nothing in the package reads it
+ALLOWED_UNREAD_FIELDS = {
+    "Blackbox.notes": "perfbench/spans.py names the box's span by it",
+}
+
+
+def dataclass_fields(tree):
+    """``Class.field`` for each annotated field of each top-level class that
+    ``@dataclass`` decorates, bare or called."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass"
+                   for d in decorators):
+            continue
+        for sub in node.body:
+            if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                yield f"{node.name}.{sub.target.id}"
+
+
+def test_every_dataclass_field_is_read_in_src():
+    """A field that nothing reads is a report line or a setting that
+    nothing uses: every field of a dataclass in the package is read as an
+    attribute somewhere in the package, matched by name alone, or is
+    listed with a reason."""
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    read = {sub.attr for tree in trees for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    fields = [f for tree in trees for f in dataclass_fields(tree)]
+    unread = [f for f in fields if f.split(".")[1] not in read
+              and f not in ALLOWED_UNREAD_FIELDS]
+    assert unread == []
+    assert set(ALLOWED_UNREAD_FIELDS) <= set(fields)
+
+
 def test_only_multiply_out_multiplies_monomials():
     """One product loop: ``mon_mul`` is named in the package only inside
     ``algebra.multiply_out``, so every product of polynomials goes through
@@ -111,6 +149,7 @@ PRIVATE_CONSTRUCTOR_CALLERS = {
         "circuit.expand_circuit",
         "circuit._substitute_factor",
         "circuit.derivative_circuit",
+        "circuit.homogenize",
     ],
     "_factor": [
         "circuit._substitute_factor",

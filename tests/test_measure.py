@@ -508,8 +508,10 @@ def test_derive_measure_params_regime():
 
 def test_derive_measure_params_epsilon_overrides():
     d = derive_measure_params(0, 100, eps1=0.1)
-    assert d.eps2 == pytest.approx(0.01)
     assert d.r == 1 and d.s == 0
+    # eps2 = (1/1000) / eps1 = 1/100, so s = floor(sqrt(n) / 100)
+    d = derive_measure_params(0, 10 ** 6, eps1=0.1, nw=derive_nw_params(0, 2))
+    assert (d.r, d.s) == (100, 10)
 
 
 def test_derive_measure_params_exact_floor_at_perfect_squares():
@@ -544,8 +546,7 @@ def test_ratios_positive_at_desk_scale():
 def fake_derived(N, n, r, s, m, p=0.5):
     nw = NWParams(mu=Fraction(0), n=n, delta=Fraction(1, 2), gamma=Fraction(4),
                   psi=max(n, 3), N=N, rho=1.0, D_raw=1.0, D=1)
-    return DerivedMeasure(nw=nw, r=r, s=s, m=m, log_p=math.log(p),
-                          eps1=0.0, eps2=0.0)
+    return DerivedMeasure(nw=nw, r=r, s=s, m=m, log_p=math.log(p))
 
 
 def test_ratios_degenerate_r0():

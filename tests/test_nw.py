@@ -205,12 +205,6 @@ def test_eval_point_length_checked():
         nw_eval(inst, [1, 2, 3])
 
 
-def test_enumeration_cap():
-    inst = NWInstance(n=3, psi=5, D=2)
-    with pytest.raises(ValueError, match="cap"):
-        list(nw_monomials(inst, cap=10))
-
-
 def test_column_table_checks_the_enumeration_cap(monkeypatch):
     import fewvar.nw as nw
     monkeypatch.setattr(nw, "DEFAULT_ENUM_CAP", 24)

@@ -148,10 +148,26 @@ def test_toy_params_shapes():
 
 
 def test_toy_params_validation():
-    with pytest.raises(ValueError):
-        toy_pit_params(N=2, k=1, l=2, q=4)          # composite q
-    with pytest.raises(ValueError):
-        toy_pit_params(N=2, k=1, l=1)               # set cannot fit
+    """Each refusal of the toy builder, the one that takes outside input;
+    the set size is checked first, before N."""
+    cases = [
+        (dict(N=0, k=1, l=2), "need N >= 1 and k >= 1"),
+        (dict(N=2, k=0, l=2), "need N >= 1 and k >= 1"),
+        (dict(N=2, k=1, l=4, q=4), "q = 4 is not prime"),
+        (dict(N=2, k=1, l=2, D=0), r"D = 0 outside \[1, q = 2\]"),
+        (dict(N=2, k=1, l=2, D=3), r"D = 3 outside \[1, q = 2\]"),
+        (dict(N=2, k=1, l=2, grid=(1, 1)),
+         "grid values must be distinct and nonempty"),
+        (dict(N=2, k=1, l=2, grid=()),
+         "grid values must be distinct and nonempty"),
+        (dict(N=2, k=1, l=2, grid=(0, 0.5)),
+         r"grid value 0\.5 is not an int or a Fraction"),
+        (dict(N=2, k=1, l=1), "set size a'q = 2 exceeds universe l = 1"),
+        (dict(N=0, k=1, l=1), "set size a'q = 2 exceeds universe l = 1"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            toy_pit_params(**kwargs)
 
 
 @pytest.mark.parametrize("sets, message", [
@@ -393,8 +409,9 @@ def test_pit_run_evaluates_circuits_through_eval_circuit(monkeypatch):
             calls.clear()
             res = pit_run(circuit, params)
             assert res.status == ("witness" if circuit is C else "zero-on-set")
-            assert len(calls) == res.tested + res.found
-            if res.found:
+            found = res.status == "witness"
+            assert len(calls) == res.tested + found
+            if found:
                 assert calls[-2:] == [res.point, res.point]
                 assert res.value == real(C, res.point) != 0
 
@@ -616,7 +633,7 @@ def test_completeness_shadow_of_schwartz_zippel():
         checked += 1
         sz = schwartz_zippel(blackbox_from_circuit(C), 50, 11, 67)
         hs = pit_run(C, params)
-        if sz.found and not hs.found:
+        if sz.found and hs.status != "witness":
             missed += 1
     assert checked > 0
     print(f"toy completeness: {checked - missed}/{checked} "
