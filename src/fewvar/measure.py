@@ -11,7 +11,14 @@ integer rows: the multilinear survivors of each d_gamma P are multiplied once
 by the lcm of their denominators, which leaves the span's dimension alone.
 One fraction-free elimination kernel ranks them, exactly over the integers or
 over GF(p) for a prime p; the rank mod p can only undercount (reported as a
-lower bound unless cross-checked).  The kernel works block by block: the
+lower bound unless cross-checked).
+
+A variable that P does not use is interchangeable with every other such
+variable, so the rows split into blocks by the absent variables their shift
+holds, and blocks with the same number k of them are copies of one matrix.
+``psd_dimension`` builds and ranks one block per k and weights it by the
+number of its copies, for every input: with no absent variable that is the
+one block of all rows.  The kernel works block by block too: the
 rank is the sum of the ranks of the connected components of the row/column
 graph, in which two rows meet when they share a column.  Each block is
 eliminated sparsest row first and stops once its rank equals its number of
@@ -30,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .algebra import (
     Mon,
@@ -220,46 +227,45 @@ def rank_mod(rows: Iterable[Dict[int, int]], p: int) -> int:
     return _rank(rows, p)
 
 
-def _shift_rows(P: SparsePolynomial, params: MeasureParams):
-    """Yield the measure's integer row vectors, keyed by an interned column id
-    per multilinear monomial (the bitmask of its variables).  Also returns the
-    column table (shared dict).
-
-    The multilinear survivors of each d_gamma P are scaled once by the lcm of
-    their denominators, so every entry is a nonzero int; a row is a nonzero
-    multiple of the projected shifted derivative, so the span's dimension is
-    unchanged.  A derivative with no multilinear survivor yields no rows:
-    each of its rows would be empty."""
-    N = P.num_vars
-    gammas = params.monomials
-    if gammas is None:
-        gammas = tuple(multilinear_monomials(N, params.r))
-    col_ids: Dict[int, int] = {}
-    shifts = [sum(1 << v for v in S)
-              for S in itertools.combinations(range(N), params.m)]
-
-    def rows():
-        for gamma in gammas:
-            D = P
-            for v, _ in gamma:
-                D = derivative_poly(D, v, 1)
-            # keep only multilinear survivors once; shifts can only re-check disjointness
-            survivors = [(sum(1 << v for v, _ in m), c)
-                         for m, c in D.terms.items() if mon_is_multilinear(m)]
-            if not survivors:
-                continue
+def _survivor_bases(P: SparsePolynomial,
+                    gammas: Iterable[Mon]) -> List[List[Tuple[int, int]]]:
+    """Per derivative monomial gamma, the multilinear survivors of d_gamma P
+    as (bitmask of the monomial's variables, int coefficient) pairs: scaled
+    once by the lcm of their denominators, so every entry is a nonzero int
+    and each row built from them is a nonzero multiple of the projected
+    shifted derivative, which leaves the span's dimension alone.  A
+    derivative with no multilinear survivor (d_gamma P = 0 when gamma holds
+    a variable P does not use) would give only empty rows: it gets no
+    base."""
+    bases = []
+    for gamma in gammas:
+        D = P
+        for v, _ in gamma:
+            D = derivative_poly(D, v, 1)
+        survivors = [(sum(1 << v for v, _ in m), c)
+                     for m, c in D.terms.items() if mon_is_multilinear(m)]
+        if survivors:
             den = math.lcm(*[c.denominator for _, c in survivors])
-            base = [(mask, c.numerator * (den // c.denominator))
-                    for mask, c in survivors]
-            for smask in shifts:
-                # distinct survivors stay distinct after the shift: no collisions
-                row: Dict[int, int] = {}
-                for mask, c in base:
-                    if mask & smask:
-                        continue
-                    row[col_ids.setdefault(mask | smask, len(col_ids))] = c
-                yield row
-    return rows, col_ids
+            bases.append([(mask, c.numerator * (den // c.denominator))
+                          for mask, c in survivors])
+    return bases
+
+
+def _shift_rows(bases: List[List[Tuple[int, int]]], shifts: List[int],
+                col_ids: Dict[int, int]) -> Iterator[Dict[int, int]]:
+    """Yield one integer row per base and shift (both bitmasks), keyed by an
+    interned column id per multilinear monomial, which ``col_ids`` maps from
+    the monomial's bitmask.  A survivor that meets the shift is projected
+    away; distinct survivors stay distinct after the shift, so no two
+    collide."""
+    for base in bases:
+        for smask in shifts:
+            row: Dict[int, int] = {}
+            for mask, c in base:
+                if mask & smask:
+                    continue
+                row[col_ids.setdefault(mask | smask, len(col_ids))] = c
+            yield row
 
 
 def psd_dimension(P: SparsePolynomial, params: MeasureParams,
@@ -271,26 +277,56 @@ def psd_dimension(P: SparsePolynomial, params: MeasureParams,
     fraction-free elimination over the integers by default.  With
     ``rank_prime`` set the same rows are ranked modulo that prime (a lower
     bound on the true rank, flagged exact=False).
+
+    How it is computed: let A be the variables P's monomials use and Z the
+    other z.  Only a gamma inside A gives rows, and every column of the row
+    (gamma, S) meets Z exactly in S's part S_Z there, so the matrix is
+    block-diagonal by S_Z.  A permutation of Z fixes P and every such gamma,
+    so all blocks with |S_Z| = k are one matrix up to a relabelling of its
+    columns, over Q and over GF(p) alike: the rows (gamma, S_A) over the
+    (m-k)-subsets S_A of A, with S_Z added to every column.  So each k <=
+    min(z, m) with m - k <= |A| builds and ranks that matrix once, without
+    S_Z, from survivors computed once for all k:
+
+        phi = sum_k C(z, k) * rank_k,    cols = sum_k C(z, k) * cols_k.
+
+    ``rows`` still counts every (gamma, S) pair, C(N, r) * C(N, m) by
+    default, and the row cap refuses on that count.
     """
     if P.field_p is not None:
         raise ValueError("the measure is defined over the rationals")
-    N = P.num_vars
-    n_shifts = math.comb(N, params.m)
+    N, m = P.num_vars, params.m
+    n_shifts = math.comb(N, m)
     gcount = (math.comb(N, params.r) if params.monomials is None
               else len(params.monomials))
     if gcount * n_shifts > row_cap:
         raise ValueError(
             f"row cap exceeded: {gcount} derivatives x {n_shifts} shifts "
             f"> {row_cap}")
-    rows, col_ids = _shift_rows(P, params)
-    if params.rank_prime is not None:
-        phi = rank_mod(rows(), params.rank_prime)
-        exact = False
-    else:
-        phi = rank_exact(rows())
-        exact = True
-    return MeasureReport(phi=phi, rows=gcount * n_shifts, cols=len(col_ids),
-                         exact=exact)
+    used = 0
+    for mon in P.terms:
+        for v, _ in mon:
+            used |= 1 << v
+    A = [v for v in range(N) if used >> v & 1]
+    z = N - len(A)
+    gammas = params.monomials
+    if gammas is None:
+        gammas = multilinear_monomials(N, params.r)
+    bases = _survivor_bases(P, gammas)
+    phi = cols = 0
+    for k in range(max(0, m - len(A)), min(z, m) + 1):
+        shifts = [sum(1 << v for v in S)
+                  for S in itertools.combinations(A, m - k)]
+        col_ids: Dict[int, int] = {}
+        rows = _shift_rows(bases, shifts, col_ids)
+        if params.rank_prime is None:
+            rank = rank_exact(rows)
+        else:
+            rank = rank_mod(rows, params.rank_prime)
+        phi += math.comb(z, k) * rank
+        cols += math.comb(z, k) * len(col_ids)
+    return MeasureReport(phi=phi, rows=gcount * n_shifts, cols=cols,
+                         exact=params.rank_prime is None)
 
 
 # ---------------------------------------------------------------------------

@@ -392,7 +392,6 @@ def pit_run(box: Union[Blackbox, FewVarCircuit], params: PitParams,
 class SZResult:
     status: str                    # "witness" | "probably-zero"
     trials: int
-    seed: int
     point: Optional[Tuple[int, ...]] = None
     value: Optional[object] = None
 
@@ -414,6 +413,6 @@ def schwartz_zippel(box: Blackbox, trials: int, domain_size: int,
         point = tuple(rng.integers(0, domain_size, size=box.num_vars))
         v = box.eval_at(point)
         if v:
-            return SZResult(status="witness", trials=trials, seed=seed,
-                            point=point, value=v)
-    return SZResult(status="probably-zero", trials=trials, seed=seed)
+            return SZResult(status="witness", trials=trials, point=point,
+                            value=v)
+    return SZResult(status="probably-zero", trials=trials)

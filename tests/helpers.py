@@ -241,11 +241,11 @@ def dense_rank_mod(rows: List[List[int]], p: int) -> int:
     return rank
 
 
-def brute_phi(P: SparsePolynomial, r: int, m: int,
-              monomials: Optional[Sequence[Mon]] = None) -> int:
-    """The measure by explicit polynomial arithmetic and dense elimination:
-    assemble sigma(X_S * d_gamma P) via multiplication and projection, then
-    row-reduce over the rationals."""
+def brute_shifted_derivatives(P: SparsePolynomial, r: int, m: int,
+                              monomials: Optional[Sequence[Mon]] = None
+                              ) -> List[SparsePolynomial]:
+    """sigma(X_S * d_gamma P) for every gamma and every S of size m over all
+    N variables, by explicit polynomial multiplication and projection."""
     N = P.num_vars
     gammas = list(monomials) if monomials is not None else \
         list(multilinear_monomials(N, r))
@@ -258,6 +258,15 @@ def brute_phi(P: SparsePolynomial, r: int, m: int,
         for S in shift_mons:
             shift = SparsePolynomial(N, {S: Fraction(1)}, None)
             polys.append(multilinear_project(D * shift))
+    return polys
+
+
+def brute_phi(P: SparsePolynomial, r: int, m: int,
+              monomials: Optional[Sequence[Mon]] = None) -> int:
+    """The measure by explicit polynomial arithmetic and dense elimination:
+    assemble sigma(X_S * d_gamma P) via multiplication and projection, then
+    row-reduce over the rationals."""
+    polys = brute_shifted_derivatives(P, r, m, monomials)
     basis = sorted({mon for q in polys for mon in q.terms})
     index = {mon: i for i, mon in enumerate(basis)}
     rows = []
@@ -267,6 +276,14 @@ def brute_phi(P: SparsePolynomial, r: int, m: int,
             row[index[mon]] = c
         rows.append(row)
     return dense_rank(rows)
+
+
+def brute_cols(P: SparsePolynomial, r: int, m: int,
+               monomials: Optional[Sequence[Mon]] = None) -> int:
+    """The measure's column count: the distinct monomials of all the
+    projected shifted derivatives."""
+    return len({mon for q in brute_shifted_derivatives(P, r, m, monomials)
+                for mon in q.terms})
 
 
 def random_poly(rng, num_vars: int, max_terms: int, max_exp: int = 2,

@@ -6,11 +6,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import (fcircuit, bounded_support_poly, brute_phi, dense_rank,
-                     dense_rank_mod, make_mon, nw_expand, random_poly,
-                     subadditivity_check)
+from helpers import (fcircuit, bounded_support_poly, brute_cols, brute_phi,
+                     dense_rank, dense_rank_mod, make_mon, nw_expand,
+                     nw_monomials, random_poly, subadditivity_check)
 from fewvar.algebra import SparsePolynomial
 from fewvar.measure import (
     DerivedMeasure,
@@ -391,6 +391,124 @@ def test_rank_kernels_receive_integer_rows(monkeypatch, rank_prime):
     assert rep.phi == brute_phi(P, 1, 1)
     assert len(seen) == rep.rows
     assert all(type(c) is int and c for row in seen for c in row.values())
+
+
+# phi and cols of NW(3,5,2) with every variable outside ``alive`` set to
+# zero, as one kernel call over all C(15, m) shifts computed them before
+# the shifts were grouped by the absent variables they hold
+@pytest.mark.parametrize("rank_prime", [None, (1 << 61) - 1])
+@pytest.mark.parametrize("alive, m, phi, cols", [
+    ((0, 1, 2, 4, 5, 7, 8, 10, 11, 13, 14), 2, 855, 1108),
+    ((0, 1, 2, 4, 5, 7, 8, 10, 11, 13, 14), 3, 2502, 2794),
+    ((0, 2, 3, 5, 6, 8, 9, 11, 12, 14), 2, 738, 898),
+    ((0, 2, 3, 5, 6, 8, 9, 11, 12, 14), 3, 2252, 2492),
+    ((1, 2, 3, 4, 6, 7, 9, 10, 11, 12, 13, 14), 2, 914, 1191),
+    ((1, 2, 3, 4, 6, 7, 9, 10, 11, 12, 13, 14), 3, 2621, 2888),
+    ((0, 1, 3, 5, 6, 9, 12, 13), 2, 516, 635),
+    ((0, 1, 3, 5, 6, 9, 12, 13), 3, 1652, 1897),
+])
+def test_restricted_nw_measure_pins(alive, m, phi, cols, rank_prime):
+    inst = NWInstance(n=3, psi=5, D=2)
+    P = SparsePolynomial(15, {mon: Fraction(1) for mon in nw_monomials(inst)
+                              if all(v in alive for v, _ in mon)}, None)
+    rep = psd_dimension(P, MeasureParams(r=1, m=m, rank_prime=rank_prime))
+    assert (rep.phi, rep.cols, rep.rows) == (phi, cols, 15 * math.comb(15, m))
+    assert rep.exact == (rank_prime is None)
+
+
+@pytest.mark.parametrize("rank_prime", [None, (1 << 61) - 1])
+@pytest.mark.parametrize("m", [2, 3])
+def test_rank_kernels_receive_one_block_per_absent_count(monkeypatch, m,
+                                                         rank_prime):
+    # P uses A = {x0..x3} of six variables, so z = 2 are absent; d/dx0
+    # leaves no multilinear survivor and d/dx4, d/dx5 give zero, so three
+    # derivatives have rows.  The kernel ranks one block per k = |S & Z|,
+    # one row per such derivative and (m-k)-subset of A.
+    import fewvar.measure as measure
+    name = "rank_exact" if rank_prime is None else "rank_mod"
+    kernel = getattr(measure, name)
+    calls = []
+
+    def spy(rows, *args):
+        rows = list(rows)
+        calls.append(rows)
+        return kernel(rows, *args)
+    monkeypatch.setattr(measure, name, spy)
+    P = SparsePolynomial.from_terms(
+        6, [(1, [(0, 3)]), (Fraction(1, 2), [(1, 1), (2, 1)]),
+            (Fraction(-2, 3), [(2, 1), (3, 1)])])
+    rep = psd_dimension(P, MeasureParams(r=1, m=m, rank_prime=rank_prime))
+    assert rep.phi == brute_phi(P, 1, m)
+    assert rep.cols == brute_cols(P, 1, m)
+    assert rep.rows == 6 * math.comb(6, m)
+    z = 2
+    assert len(calls) == min(z, m) + 1
+    assert [len(rows) for rows in calls] == [
+        3 * math.comb(4, m - k) for k in range(min(z, m) + 1)]
+    assert all(type(c) is int and c for rows in calls for row in rows
+               for c in row.values())
+
+
+@st.composite
+def absent_variable_cases(draw):
+    """A polynomial over 5 or 6 variables whose monomials use at most 4 of
+    them, r in {0, 1, 2}, m in {0..3}, and either all derivative monomials
+    or an explicit list of them, drawn over every variable, absent ones
+    included."""
+    N = draw(st.sampled_from((5, 6)))
+    used = draw(st.lists(st.integers(0, N - 1), max_size=4, unique=True))
+    items = []
+    for _ in range(draw(st.integers(0, 4))):
+        c = draw(ENTRIES.filter(bool))
+        exps = draw(st.lists(st.integers(0, 2), min_size=len(used),
+                             max_size=len(used)))
+        items.append((c, [(v, e) for v, e in zip(used, exps) if e]))
+    P = SparsePolynomial.from_terms(N, items)
+    r = draw(st.integers(0, 2))
+    m = draw(st.integers(0, 3))
+    monomials = None
+    if draw(st.booleans()):
+        supports = draw(st.lists(
+            st.lists(st.integers(0, N - 1), min_size=r, max_size=r,
+                     unique=True), max_size=4))
+        monomials = tuple(make_mon(*((v, 1) for v in sorted(supp)))
+                          for supp in supports)
+    return P, r, m, monomials
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=absent_variable_cases(),
+       rank_prime=st.sampled_from((None, (1 << 61) - 1)))
+# z >= m and m > |A|: A = {x0, x1}, z = 4
+@example(case=(ml(6, (0, 1)), 1, 3, None), rank_prime=None)
+@example(case=(ml(6, (0, 1)), 1, 3, None), rank_prime=(1 << 61) - 1)
+# the zero polynomial
+@example(case=(SparsePolynomial.zero(5), 1, 2, None), rank_prime=None)
+@example(case=(SparsePolynomial.zero(6), 0, 3, None), rank_prime=(1 << 61) - 1)
+# a nonzero constant at r = 0: one row per shift, all independent
+@example(case=(SparsePolynomial.from_terms(6, [(3, [])]), 0, 3, None),
+         rank_prime=None)
+@example(case=(SparsePolynomial.from_terms(5, [(Fraction(-2, 7), [])]), 0, 2,
+               None), rank_prime=(1 << 61) - 1)
+# explicit derivative monomials, among them absent variables
+@example(case=(ml(5, (0,), (1, 2)), 1, 2,
+               (make_mon((1, 1)), make_mon((3, 1)), make_mon((4, 1)))),
+         rank_prime=None)
+@example(case=(ml(6, (0, 2), (1, 2)), 2, 1,
+               (make_mon((0, 1), (2, 1)), make_mon((2, 1), (5, 1)),
+                make_mon((0, 1), (4, 1)))),
+         rank_prime=(1 << 61) - 1)
+def test_phi_with_absent_variables_matches_brute_force(case, rank_prime):
+    P, r, m, monomials = case
+    N = P.num_vars
+    rep = psd_dimension(P, MeasureParams(r=r, m=m, monomials=monomials,
+                                         rank_prime=rank_prime))
+    assert rep.phi == brute_phi(P, r, m, monomials)
+    assert rep.cols == brute_cols(P, r, m, monomials)
+    gcount = math.comb(N, r) if monomials is None else len(monomials)
+    assert rep.rows == gcount * math.comb(N, m)
+    if r == 0 and monomials is None and set(P.terms) == {()}:
+        assert rep.phi == rep.cols == math.comb(N, m)
 
 
 # ---------------------------------------------------------------------------
