@@ -27,12 +27,11 @@ token without '=' and a missing, repeated or unknown key.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
-                    Optional, Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Sequence, Tuple, Union)
 
 if TYPE_CHECKING:
     from mpmath.ctx_iv import MPIntervalContext
@@ -738,11 +737,3 @@ def parse_poly(text: str) -> SparsePolynomial:
                                     lambda fields, n, p: (n, p))
     return parse_poly_lines(lines[1:], num_vars, field_p)
 
-
-# ---------------------------------------------------------------------------
-# enumeration helpers shared by the measure and circuit modules
-
-def multilinear_monomials(num_vars: int, degree: int) -> Iterator[Mon]:
-    """All multilinear monomials of the given degree, lexicographically."""
-    for combo in itertools.combinations(range(num_vars), degree):
-        yield tuple((v, 1) for v in combo)

@@ -7,11 +7,12 @@ a shift degree m, the measure is the dimension of the span of
 
 where project drops every monomial with an exponent >= 2 and the shifts range
 over ALL N variables (also when P arose from a restriction).  The rows are
-integer rows: the multilinear survivors of each d_gamma P are multiplied once
-by the lcm of their denominators, which leaves the span's dimension alone.
-One fraction-free elimination kernel ranks them, exactly over the integers or
-over GF(p) for a prime p; the rank mod p can only undercount (reported as a
-lower bound unless cross-checked).
+integer rows: the multilinear survivors of each d_gamma P, all read off in
+one pass over P's terms, are multiplied once by the lcm of their
+denominators, which leaves the span's dimension alone.  One fraction-free
+elimination kernel ranks them, exactly over the integers or over GF(p) for a
+prime p; the rank mod p can only undercount (reported as a lower bound
+unless cross-checked).
 
 A variable that P does not use is interchangeable with every other such
 variable, so the rows split into blocks by the absent variables their shift
@@ -20,9 +21,10 @@ holds, and blocks with the same number k of them are copies of one matrix.
 number of its copies, for every input: with no absent variable that is the
 one block of all rows.  The kernel works block by block too: the
 rank is the sum of the ranks of the connected components of the row/column
-graph, in which two rows meet when they share a column.  Each block is
-eliminated sparsest row first and stops once its rank equals its number of
-columns.
+graph, in which two rows meet when they share a column, found as the rows
+are read, each row once.  Each block is eliminated sparsest row first and
+stops once its rank equals its number of columns; a row is copied only
+before its first reduction step, and a block of one row skips elimination.
 
 The module also houses random restrictions (keep each variable alive
 independently with probability p), the count of "bad" small-support monomials
@@ -37,16 +39,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from .algebra import (
+    FieldElem,
     Mon,
     SparsePolynomial,
     ceil_real,
-    derivative_poly,
+    derivative_poly,  # not called here; perfbench/spans.py patches the name
     is_prime,
     mon_is_multilinear,
-    multilinear_monomials,
     to_fraction,
 )
 from .circuit import FewVarCircuit
@@ -101,33 +104,44 @@ def _residues(v: Dict[int, int], p: int) -> Dict[int, int]:
     return {j: r - p if r > h else r for j, c in v.items() if (r := c % p)}
 
 
-def _blocks(rows: List[Dict[int, int]]) -> List[List[Dict[int, int]]]:
-    """The rows grouped into the connected components of the graph that
-    joins two columns when a row holds both: union-find over column ids,
-    with path halving.  No row of one block shares a column with another
-    block, so the matrix is block-diagonal after a permutation."""
-    parent: Dict[int, Optional[int]] = dict.fromkeys(
-        itertools.chain.from_iterable(rows))
-
-    def find(j):
-        while (q := parent[j]) is not None:
-            g = parent[q]
-            if g is None:
-                return q
-            parent[j] = j = g
-        return j
-
-    for v in rows:
-        cols = iter(v)
-        root = find(next(cols))
-        for j in cols:
-            r = find(j)
-            if r != root:
-                parent[r] = root
-    blocks: Dict[int, List[Dict[int, int]]] = {}
-    for v in rows:
-        blocks.setdefault(find(next(iter(v))), []).append(v)
-    return list(blocks.values())
+def _blocks(rows: Iterable[Dict[int, int]]
+            ) -> List[Tuple[List[Dict[int, int]], int]]:
+    """The nonempty rows grouped into the connected components of the graph
+    that joins two columns when a row holds both, each with its number of
+    columns.  One pass: a row joins the block that owns its columns, takes
+    its new columns into it, and when it meets several blocks the smaller
+    are merged into the largest.  No row of one block shares a column with
+    another block, so the matrix is block-diagonal after a permutation."""
+    owner: Dict[int, Tuple[List[Dict[int, int]], List[int]]] = {}
+    blocks: Dict[int, Tuple[List[Dict[int, int]], List[int]]] = {}
+    for row in rows:
+        block = None
+        fresh = []
+        for j in row:
+            b = owner.get(j)
+            if b is None:
+                fresh.append(j)
+            elif b is not block:
+                if block is None:
+                    block = b
+                    continue
+                if len(b[1]) > len(block[1]):
+                    block, b = b, block
+                block[0].extend(b[0])
+                block[1].extend(b[1])
+                for k in b[1]:
+                    owner[k] = block
+                del blocks[id(b)]
+        if block is None:
+            if not fresh:
+                continue
+            block = ([], [])
+            blocks[id(block)] = block
+        block[0].append(row)
+        block[1].extend(fresh)
+        for j in fresh:
+            owner[j] = block
+    return [(block_rows, len(cols)) for block_rows, cols in blocks.values()]
 
 
 def _rank(rows: Iterable[Dict[int, int]], p: Optional[int] = None) -> int:
@@ -141,13 +155,16 @@ def _rank(rows: Iterable[Dict[int, int]], p: Optional[int] = None) -> int:
     sparsest first, and the block stops as soon as its rank equals its
     number of columns: no later row can add to it.  A block's columns are
     those of its rows over the integers, which bound its rank mod p too, so
-    both the partition and the early exit hold over GF(p).
+    both the partition and the early exit hold over GF(p).  A block of one
+    row has rank 1, over GF(p) when some entry is nonzero mod p.
 
-    Each row is copied, then reduced on its largest column index: by a
-    basis row b with the same pivot it becomes (b_p/g)*v - (v_p/g)*b,
-    g = gcd(b_p, v_p), divided by its content.  Basis rows are kept
-    primitive with a positive pivot, so entries stay small and no Fraction
-    is ever built.
+    A row is reduced on its largest column index: by a basis row b with the
+    same pivot it becomes (b_p/g)*v - (v_p/g)*b, g = gcd(b_p, v_p), divided
+    by its content.  The caller's row is copied before its first reduction
+    step, and a row that enters the basis untouched is stored as it is:
+    basis rows are never changed, so the caller's rows are left alone.
+    Basis rows are kept primitive with a positive pivot, so entries stay
+    small and no Fraction is ever built.
 
     Modulo p every stored entry stays in [-p//2, p//2].  A row is taken to
     symmetric residues only when an entry may have left that range: when it
@@ -159,15 +176,17 @@ def _rank(rows: Iterable[Dict[int, int]], p: Optional[int] = None) -> int:
     units mod p: the same steps compute the rank over GF(p) with no modular
     inverse."""
     rank = 0
-    for block in _blocks([row for row in rows if row]):
+    for block, width in _blocks(rows):
         block.sort(key=len)
-        rank += _block_rank(block, len(set().union(*block)), p)
+        rank += _block_rank(block, width, p)
     return rank
 
 
 def _block_rank(block: List[Dict[int, int]], width: int,
                 p: Optional[int]) -> int:
     """The rank of one block of ``width`` columns (the loop of ``_rank``)."""
+    if len(block) == 1:
+        return 1 if p is None or any(c % p for c in block[0].values()) else 0
     h = p // 2 if p is not None else 0
     basis: Dict[int, Dict[int, int]] = {}
     tops: Dict[int, int] = {}
@@ -175,7 +194,7 @@ def _block_rank(block: List[Dict[int, int]], width: int,
     for row in block:
         if rank == width:
             break
-        v = dict(row)
+        v = row
         top = 0
         if p is not None:
             top = max(map(abs, v.values()))
@@ -198,6 +217,8 @@ def _block_rank(block: List[Dict[int, int]], width: int,
             s, f = bp // g, vp // g
             if s != 1:
                 v = {j: s * c for j, c in v.items()}
+            elif v is row:
+                v = dict(row)
             for j, bj in b.items():
                 nv = v.get(j, 0) - f * bj
                 if nv:
@@ -227,27 +248,57 @@ def rank_mod(rows: Iterable[Dict[int, int]], p: int) -> int:
     return _rank(rows, p)
 
 
-def _survivor_bases(P: SparsePolynomial,
-                    gammas: Iterable[Mon]) -> List[List[Tuple[int, int]]]:
+def _survivor_bases(P: SparsePolynomial, r: int,
+                    monomials: Optional[Sequence[Mon]] = None
+                    ) -> List[List[Tuple[int, int]]]:
     """Per derivative monomial gamma, the multilinear survivors of d_gamma P
-    as (bitmask of the monomial's variables, int coefficient) pairs: scaled
-    once by the lcm of their denominators, so every entry is a nonzero int
-    and each row built from them is a nonzero multiple of the projected
+    as (bitmask of the monomial's variables, int coefficient) pairs, for
+    gamma over ``monomials``, in their order, or when that is None over
+    every multilinear degree-r monomial, lexicographically.  Each base is
+    scaled once by the lcm of its denominators, so every entry is a nonzero
+    int and each row built from it is a nonzero multiple of the projected
     shifted derivative, which leaves the span's dimension alone.  A
     derivative with no multilinear survivor (d_gamma P = 0 when gamma holds
     a variable P does not use) would give only empty rows: it gets no
-    base."""
+    base.
+
+    One pass over P's terms: a term c * x^e survives d_gamma only when
+    every exponent is at most 2, gamma lies in its support and holds every
+    squared variable.  Its survivor is then the ones outside gamma and the
+    twos, with coefficient c * 2^(number of twos).  Distinct terms keep
+    distinct survivors under one gamma, so nothing merges."""
+    survivors: Dict[Tuple[int, ...], List[Tuple[int, FieldElem]]] = {}
+    for mon, c in P.terms.items():
+        ones: List[int] = []
+        twos: List[int] = []
+        for v, e in mon:
+            if e == 1:
+                ones.append(v)
+            elif e == 2:
+                twos.append(v)
+            else:
+                break
+        else:
+            if len(twos) > r:
+                continue
+            ones_mask = sum(1 << v for v in ones)
+            twos_mask = sum(1 << v for v in twos)
+            c = c * (1 << len(twos))
+            for combo in itertools.combinations(ones, r - len(twos)):
+                gamma = tuple(sorted(twos + list(combo))) if twos else combo
+                mask = ones_mask - sum(1 << v for v in combo) | twos_mask
+                survivors.setdefault(gamma, []).append((mask, c))
+    if monomials is None:
+        gammas: Iterable[Tuple[int, ...]] = sorted(survivors)
+    else:
+        gammas = [tuple(v for v, _ in g) for g in monomials]
     bases = []
     for gamma in gammas:
-        D = P
-        for v, _ in gamma:
-            D = derivative_poly(D, v, 1)
-        survivors = [(sum(1 << v for v, _ in m), c)
-                     for m, c in D.terms.items() if mon_is_multilinear(m)]
-        if survivors:
-            den = math.lcm(*[c.denominator for _, c in survivors])
+        base = survivors.get(gamma)
+        if base:
+            den = math.lcm(*[c.denominator for _, c in base])
             bases.append([(mask, c.numerator * (den // c.denominator))
-                          for mask, c in survivors])
+                          for mask, c in base])
     return bases
 
 
@@ -309,10 +360,7 @@ def psd_dimension(P: SparsePolynomial, params: MeasureParams,
             used |= 1 << v
     A = [v for v in range(N) if used >> v & 1]
     z = N - len(A)
-    gammas = params.monomials
-    if gammas is None:
-        gammas = multilinear_monomials(N, params.r)
-    bases = _survivor_bases(P, gammas)
+    bases = _survivor_bases(P, params.r, params.monomials)
     phi = cols = 0
     for k in range(max(0, m - len(A)), min(z, m) + 1):
         shifts = [sum(1 << v for v in S)

@@ -1,6 +1,7 @@
 """Shared test utilities: independent brute-force oracles and generators."""
 
 import itertools
+import math
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,6 @@ from fewvar.algebra import (
     derivative_poly,
     field_name,
     mon_make,
-    multilinear_monomials,
     serialize_poly,
 )
 from fewvar.circuit import FactorPoly, FewVarCircuit
@@ -239,6 +239,32 @@ def dense_rank_mod(rows: List[List[int]], p: int) -> int:
                 mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
+
+
+def multilinear_monomials(num_vars: int, degree: int) -> Iterator[Mon]:
+    """All multilinear monomials of the given degree, lexicographically."""
+    for combo in itertools.combinations(range(num_vars), degree):
+        yield tuple((v, 1) for v in combo)
+
+
+def survivor_bases(P: SparsePolynomial, gammas: Sequence[Mon]
+                   ) -> List[List[Tuple[int, int]]]:
+    """The oracle for ``measure._survivor_bases``, one derivative at a time:
+    per gamma, d_gamma P by repeated ``derivative_poly``, its multilinear
+    terms as (variable bitmask, coefficient) pairs, scaled by the lcm of
+    their denominators; a gamma with no multilinear term gets no base."""
+    bases = []
+    for gamma in gammas:
+        D = P
+        for v, _ in gamma:
+            D = derivative_poly(D, v, 1)
+        survivors = [(sum(1 << v for v, _ in m), c)
+                     for m, c in D.terms.items() if all(e == 1 for _, e in m)]
+        if survivors:
+            den = math.lcm(*[c.denominator for _, c in survivors])
+            bases.append([(mask, c.numerator * (den // c.denominator))
+                          for mask, c in survivors])
+    return bases
 
 
 def brute_shifted_derivatives(P: SparsePolynomial, r: int, m: int,

@@ -23,7 +23,6 @@ from fewvar.algebra import (
     is_prime,
     mon_make,
     mon_mul,
-    multilinear_monomials,
     multiply_out,
     next_prime_at_least,
     parse_poly,
@@ -478,10 +477,3 @@ def test_serialize_poly_is_graded_lex_descending():
     P = P_of(2, (1, []), (1, [(0, 1), (1, 1)]), (1, [(1, 1)]))
     lines = serialize_poly(P).splitlines()
     assert lines[1:] == ["coeff 1 ; 0:1 1:1", "coeff 1 ; 1:1", "coeff 1 ;"]
-
-
-def test_multilinear_monomials_count():
-    mons = list(multilinear_monomials(5, 2))
-    assert len(mons) == 10
-    assert all(len(m) == 2 for m in mons)
-    assert len(set(mons)) == 10

@@ -2,8 +2,11 @@
 
 Code that only the tests use belongs in ``tests/``: every top-level function
 and class in ``src/fewvar`` must be named by some other code in
-``src/fewvar``, as a name, an attribute or an import.  Docstrings and
-comments do not count, and neither does a name inside its own definition.
+``src/fewvar``, as a name or an attribute.  Docstrings and comments do not
+count, and neither does a name inside its own definition.  An import from
+the package counts only where the importing module uses the name or lists
+it in ``__all__``, so a stale import keeps no dead function alive; every
+other import from the package is listed with a reason.
 Likewise every dataclass field is read as an attribute in the package.
 The package has one product loop: ``mon_mul`` is named only inside
 ``algebra.multiply_out``; and one circuit evaluator: the compiled
@@ -30,24 +33,63 @@ ALLOWED_UNREFERENCED = {
 }
 
 
+# module.name -> why the module imports a name from the package it does not use
+ALLOWED_UNUSED_IMPORTS = {
+    "measure.derivative_poly": "perfbench/spans.py times derivatives by "
+                               "patching this name, and "
+                               "test_tracer_restores_every_function installs "
+                               "that patch; ROADMAP item 8 drops the span",
+}
+
+
 def referenced_names(node):
-    """Every name, attribute and imported name under ``node``, counted."""
+    """Every name and attribute under ``node``, counted."""
     out = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             out[sub.attr] += 1
-        elif isinstance(sub, ast.alias):
-            out[sub.name] += 1
     return out
+
+
+def package_imports(module, tree):
+    """``(module.bound_name, imported_name, used)`` for each name ``module``
+    imports from the package, by a relative import or one from ``fewvar``;
+    ``used`` when the module names it or lists it in ``__all__``."""
+    names = Counter(sub.id for sub in ast.walk(tree)
+                    if isinstance(sub, ast.Name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            names.update(ast.literal_eval(node.value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "fewvar"):
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                yield f"{module}.{bound}", alias.name, bool(names[bound])
+
+
+def test_every_package_import_is_used():
+    """A name imported from the package that the module never uses is a
+    stale import, which would keep a dead definition referenced."""
+    unused = [bound for path in sorted(SRC.glob("*.py"))
+              for bound, _, used in package_imports(path.stem,
+                                                    ast.parse(path.read_text()))
+              if not used]
+    assert sorted(unused) == sorted(ALLOWED_UNUSED_IMPORTS)
 
 
 def test_every_top_level_definition_is_referenced_in_src():
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     everywhere = Counter()
-    for tree in trees.values():
+    for module, tree in trees.items():
         everywhere += referenced_names(tree)
+        for bound, name, used in package_imports(Path(module).stem, tree):
+            if used or bound in ALLOWED_UNUSED_IMPORTS:
+                everywhere[name] += 1
     unreferenced = []
     defined = set()
     for module, tree in trees.items():

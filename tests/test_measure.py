@@ -9,12 +9,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (fcircuit, bounded_support_poly, brute_cols, brute_phi,
-                     dense_rank, dense_rank_mod, make_mon, nw_expand,
-                     nw_monomials, random_poly, subadditivity_check)
+                     dense_rank, dense_rank_mod, make_mon,
+                     multilinear_monomials, nw_expand, nw_monomials,
+                     random_poly, subadditivity_check, survivor_bases)
 from fewvar.algebra import SparsePolynomial
 from fewvar.measure import (
     DerivedMeasure,
     MeasureParams,
+    _blocks,
+    _survivor_bases,
     appendix_ratios,
     approx_check,
     bad_support_monomials,
@@ -73,7 +76,6 @@ def test_phi_matches_brute_force_on_random_polys():
 def test_phi_monotone_under_monomial_subsets():
     rng = named_rng(29, "phi-monotone")
     P = random_poly(rng, 5, max_terms=6, max_exp=2)
-    from fewvar.algebra import multilinear_monomials
     all_mons = tuple(multilinear_monomials(5, 1))
     full = psd_dimension(P, MeasureParams(r=1, m=1, monomials=all_mons)).phi
     for i in range(len(all_mons)):
@@ -174,8 +176,10 @@ def test_rank_exact_matches_dense_rank(case):
     dense = [[row.get(j, Fraction(0)) for j in range(n_cols)] for row in rows]
     rank = dense_rank(dense)
     int_rows = [scaled_to_integers(row) for row in rows]
+    before = copy.deepcopy(int_rows)
     assert rank_exact(int_rows) == rank
     assert rank_mod(int_rows, 2 ** 61 - 1) <= rank
+    assert int_rows == before
 
 
 RANK_PRIMES = (2, 3, 5, 7, 97, 2 ** 61 - 1)
@@ -221,9 +225,11 @@ def test_rank_mod_matches_dense_rank_mod(case):
     p, n_cols, rows = case
     dense = [[row.get(j, 0) for j in range(n_cols)] for row in rows]
     int_rows = [scaled_to_integers(row) for row in rows]
+    before = copy.deepcopy(int_rows)
     rank = rank_mod(int_rows, p)
     assert rank == dense_rank_mod(dense, p)
     assert rank <= rank_exact(int_rows)
+    assert int_rows == before
 
 
 @st.composite
@@ -309,8 +315,43 @@ def test_rank_mod_residue_cases(p):
     ]
     for rows, want in cases:
         dense = [[row.get(j, 0) for j in range(4)] for row in rows]
+        before = copy.deepcopy(rows)
         assert dense_rank_mod(dense, p) == want
         assert rank_mod(rows, p) == want
+        assert rows == before
+
+
+def test_single_row_blocks():
+    # a block of one row skips elimination: rank 1 over Q, and over GF(p)
+    # only when an entry is nonzero mod p
+    assert rank_exact([{0: 7}]) == 1
+    assert rank_mod([{0: 7}], 7) == 0
+    assert rank_mod([{0: 7}, {1: 3}], 7) == 1
+    assert rank_mod([{0: 7, 1: 14, 2: 5}], 7) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 15),
+                                st.integers(-3, 3).filter(bool), max_size=4),
+                max_size=14))
+def test_blocks_are_the_connected_components(rows):
+    # read from a one-shot iterator, as the kernels receive their rows
+    blocks = _blocks(iter(rows))
+    assert sorted(id(row) for block, _ in blocks for row in block) == \
+        sorted(id(row) for row in rows if row)
+    columns = [set().union(*block) for block, _ in blocks]
+    assert [width for _, width in blocks] == [len(cols) for cols in columns]
+    assert sum(map(len, columns)) == len(set().union(*columns))
+    for block, _ in blocks:
+        reached = set(block[0])
+        grew = True
+        while grew:
+            grew = False
+            for row in block:
+                if reached & row.keys() and not row.keys() <= reached:
+                    reached |= row.keys()
+                    grew = True
+        assert reached == set().union(*block)
 
 
 def test_rank_prime_must_be_prime():
@@ -339,6 +380,50 @@ def test_phi_is_scale_invariant_and_matches_brute_force(P, rm):
     phi = psd_dimension(P, params).phi
     assert psd_dimension(P.scale(Fraction(7, 3)), params).phi == phi
     assert phi == brute_phi(P, r, m)
+
+
+def test_multilinear_monomials_count():
+    mons = list(multilinear_monomials(5, 2))
+    assert len(mons) == 10
+    assert all(len(m) == 2 for m in mons)
+    assert len(set(mons)) == 10
+
+
+@st.composite
+def survivor_cases(draw):
+    """A polynomial over 1-5 variables with exponents 0-3, mostly 0 and 1 so
+    that most terms survive some derivative, and rational coefficients, r in
+    0..3, and either all derivative monomials or an explicit list of them,
+    repeats allowed."""
+    N = draw(st.integers(1, 5))
+    items = []
+    for _ in range(draw(st.integers(0, 6))):
+        c = draw(ENTRIES.filter(bool))
+        exps = draw(st.lists(st.sampled_from((0, 0, 1, 1, 2, 3)),
+                            min_size=N, max_size=N))
+        items.append((c, [(v, e) for v, e in enumerate(exps) if e]))
+    P = SparsePolynomial.from_terms(N, items)
+    r = draw(st.integers(0, min(3, N)))
+    monomials = None
+    if draw(st.booleans()):
+        monomials = tuple(draw(st.lists(
+            st.sampled_from(list(multilinear_monomials(N, r))), max_size=5)))
+    return P, r, monomials
+
+
+@settings(max_examples=200, deadline=None)
+@given(survivor_cases())
+@example((SparsePolynomial.from_terms(
+    3, [(Fraction(1, 2), [(0, 2), (1, 1)]), (Fraction(-2, 3), [(1, 1), (2, 1)]),
+        (5, [(0, 3)])]), 1, None))
+# the terms meet the derivatives out of order: x0 x2 before x1
+@example((SparsePolynomial.from_terms(3, [(1, [(0, 1), (2, 1)]), (1, [(1, 1)])]),
+          1, None))
+def test_survivor_bases_match_repeated_derivatives(case):
+    P, r, monomials = case
+    gammas = monomials if monomials is not None else \
+        list(multilinear_monomials(P.num_vars, r))
+    assert _survivor_bases(P, r, monomials) == survivor_bases(P, gammas)
 
 
 def test_phi_of_a_product_of_rational_linear_forms():
