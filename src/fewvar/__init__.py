@@ -3,8 +3,9 @@
 The package is organized as:
 
   algebra  -- sparse multivariate polynomials with plain-number coefficients
-              over Q or GF(p), and the scalar utilities (primes, integer
-              roots).
+              over Q or GF(p), the scalar utilities (primes, integer
+              roots), and ``Value``, the base of the classes that are
+              more than records.
   circuit  -- the circuit model (weighted sums of products of polynomials that
               each touch few variables) and its transforms.
   nw       -- the combinatorial hard-polynomial family built from low-degree

@@ -19,6 +19,12 @@ exponents positive; the empty tuple is the constant monomial.  A polynomial is
 a dict from monomials to nonzero coefficients, so the zero polynomial has an
 empty term map and equality is plain term-map equality.
 
+``Value`` and ``FrozenValue`` give the package's classes that are more
+than records (the polynomial here, factors, circuits, the measure's
+parameters and report, NW instances and designs) equality and repr by
+their fields, and the frozen ones hashing and read-only attributes; the
+plain records are ``typing.NamedTuple``s.
+
 One reader serves both text formats, `.poly` here and `.circuit` in ``circuit``:
 ``document_lines`` drops comments and blank lines in one pass, and
 ``read_fields``/``read_header`` read every `key=value` token, refusing a
@@ -28,13 +34,53 @@ token without '=' and a missing, repeated or unknown key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
                     Sequence, Tuple, Union)
 
 if TYPE_CHECKING:
     from mpmath.ctx_iv import MPIntervalContext
+
+# ---------------------------------------------------------------------------
+# value classes
+
+class Value:
+    """Equality and repr by the attributes that ``_fields`` names, for the
+    classes that are more than records: a constructor that checks or
+    normalizes, a cached property or a base of their own (the plain records
+    are ``typing.NamedTuple``s).  Instances are equal when their classes
+    are the same and those attributes are equal; they are not hashable."""
+
+    _fields: Tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
+class FrozenValue(Value):
+    """A ``Value`` that hashes by its fields and refuses attribute
+    assignment and deletion.  A subclass's constructor stores the fields
+    through ``vars(self)``, where ``functools.cached_property`` stores
+    too."""
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
 
 # ---------------------------------------------------------------------------
 # monomials
@@ -133,20 +179,27 @@ def to_fraction(x) -> Fraction:
 # ---------------------------------------------------------------------------
 # sparse polynomials
 
-@dataclass
-class SparsePolynomial:
+class SparsePolynomial(Value):
     """A multivariate polynomial as a map monomial -> nonzero coefficient.
 
     Values are treated as immutable after construction; all operations return
-    new polynomials.  ``field`` is None for rationals or a prime modulus.
+    new polynomials.  ``field_p`` is None for rationals or a prime modulus.
     """
 
-    num_vars: int
-    terms: Dict[Mon, FieldElem] = field(default_factory=dict)
-    field_p: Field = None
+    _fields = ("num_vars", "terms", "field_p")
+
+    def __init__(self, num_vars: int,
+                 terms: Optional[Dict[Mon, FieldElem]] = None,
+                 field_p: Field = None):
+        self.num_vars = num_vars
+        self.terms = {} if terms is None else terms
+        self.field_p = field_p
+        self.__post_init__()
 
     def __post_init__(self):
-        """The checks, then the normalization of ``_poly``."""
+        """The checks, then the normalization of ``_poly``.  A method of its
+        own, under this name, because perfbench/spans.py times every
+        public construction by wrapping it."""
         if self.num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
         if self.field_p is not None and not is_prime(self.field_p):

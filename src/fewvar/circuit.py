@@ -38,16 +38,17 @@ of ``algebra`` (``document_lines``, ``read_fields``, ``read_header``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import (
     Field,
     FieldElem,
+    FrozenValue,
     Mon,
     SparsePolynomial,
+    Value,
     _poly,
     coerce,
     document_lines,
@@ -71,20 +72,19 @@ RANDOM_CIRCUIT_TRIES = 200     # draws random_circuit makes before giving up
 # ---------------------------------------------------------------------------
 # data types
 
-@dataclass(frozen=True)
-class FactorPoly:
+class FactorPoly(FrozenValue):
     """One factor: a polynomial over a small ordered set of global variables."""
 
-    support: Tuple[int, ...]
-    poly: SparsePolynomial
+    _fields = ("support", "poly")
 
-    def __post_init__(self):
-        if list(self.support) != sorted(set(self.support)):
-            raise ValueError(f"support {self.support} must be strictly increasing")
-        if self.poly.num_vars != len(self.support):
+    def __init__(self, support: Tuple[int, ...], poly: SparsePolynomial):
+        if list(support) != sorted(set(support)):
+            raise ValueError(f"support {support} must be strictly increasing")
+        if poly.num_vars != len(support):
             raise ValueError(
-                f"factor polynomial has {self.poly.num_vars} variables but "
-                f"support lists {len(self.support)}")
+                f"factor polynomial has {poly.num_vars} variables but "
+                f"support lists {len(support)}")
+        vars(self).update(support=support, poly=poly)
 
     def global_terms(self) -> Dict[Mon, FieldElem]:
         """The factor's terms over the global variables: each local monomial
@@ -119,8 +119,7 @@ def _check_factor(f: FactorPoly, num_vars: int, declared_s: int) -> None:
 Term = Tuple[FieldElem, Tuple[FactorPoly, ...]]
 
 
-@dataclass
-class FewVarCircuit:
+class FewVarCircuit(Value):
     """A weighted sum of products of few-variable factor polynomials.
 
     ``k`` is a caller-declared bound on the individual degree of the expanded
@@ -129,22 +128,20 @@ class FewVarCircuit:
     require the expansion the blackbox setting forbids.
     """
 
-    num_vars: int
-    terms: Tuple[Term, ...]
-    declared_s: int
-    field_p: Field = None
-    k: Optional[int] = None
+    _fields = ("num_vars", "terms", "declared_s", "field_p", "k")
 
-    def __post_init__(self):
+    def __init__(self, num_vars: int, terms: Sequence[Term], declared_s: int,
+                 field_p: Field = None, k: Optional[int] = None):
         """Check the sizes, normalize as ``_circuit`` does (so the terms and
         factor lists are tuples when they are read), then check every
         factor."""
-        for name in ("num_vars", "declared_s", "k"):
-            value = getattr(self, name)
+        for name, value in (("num_vars", num_vars), ("declared_s", declared_s),
+                            ("k", k)):
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
-        self.terms = _circuit(self.num_vars, self.terms, self.declared_s,
-                              self.field_p, self.k).terms
+        self.num_vars, self.declared_s, self.field_p, self.k = \
+            num_vars, declared_s, field_p, k
+        self.terms = _circuit(num_vars, terms, declared_s, field_p, k).terms
         for _, factors in self.terms:
             for f in factors:
                 _check_factor(f, self.num_vars, self.declared_s)
@@ -176,7 +173,7 @@ class FewVarCircuit:
         into mult, and L is the lcm of the terms' denominators (1 over
         GF(p)).  Terms with scale 0 are dropped.  The cache cannot go
         stale: nothing reassigns ``terms`` once a constructor returns, and
-        ``dataclasses.replace`` builds a new circuit."""
+        a circuit with another ``k`` is a new circuit."""
         cleared = []
         for scale, factors in self.terms:
             if not scale:
@@ -486,8 +483,7 @@ def normalize_constants(C: FewVarCircuit) -> FewVarCircuit:
 # ---------------------------------------------------------------------------
 # homogenization
 
-@dataclass(frozen=True)
-class HomogPiece:
+class HomogPiece(NamedTuple):
     """One term of the decomposition: the factors without a constant term,
     and the positive-degree parts of the factors whose constant term is 1
     (these feed the elementary symmetric sum)."""
@@ -498,8 +494,7 @@ class HomogPiece:
     l_max: int
 
 
-@dataclass(frozen=True)
-class HomogDecomposition:
+class HomogDecomposition(NamedTuple):
     """Structured form of the degree-n component of a normalized circuit.
 
     Splitting each term's factors by constant term (0 or 1) and expanding the
@@ -570,8 +565,7 @@ def homogenize(C: FewVarCircuit, n: int) -> HomogDecomposition:
 # ---------------------------------------------------------------------------
 # class membership report
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     t_ok: bool
     k_ok: bool
     d_ok: bool
@@ -657,11 +651,11 @@ def parse_circuit(text: str) -> FewVarCircuit:
 # random circuits and the transform audit
 
 def random_circuit(rng, num_vars: int, max_terms: int, max_factors: int,
-                   max_support: int, max_k: int,
-                   field_p: Field = None) -> FewVarCircuit:
-    """A random circuit within the given size bounds, with the declared k set
-    to the true individual degree of the expansion (recomputed exactly).
-    Retries until the individual degree fits max_k."""
+                   max_support: int, max_k: int) -> FewVarCircuit:
+    """A random circuit over Q within the given size bounds, with the
+    declared k set to the true individual degree of the expansion
+    (recomputed exactly).  Retries until the individual degree fits
+    max_k."""
     for _ in range(RANDOM_CIRCUIT_TRIES):
         T = rng.integers(1, max_terms + 1)
         terms: List[Term] = []
@@ -683,21 +677,20 @@ def random_circuit(rng, num_vars: int, max_terms: int, max_factors: int,
                     c = rng.integers(-3, 4)
                     if c:
                         items.append((c, pairs))
-                poly = SparsePolynomial.from_terms(ssize, items, field_p)
+                poly = SparsePolynomial.from_terms(ssize, items)
                 if poly.is_zero():
-                    poly = SparsePolynomial.const(ssize, 1, field_p)
+                    poly = SparsePolynomial.const(ssize, 1)
                 factors.append(FactorPoly(support, poly))
             terms.append((scale, tuple(factors)))
-        C = FewVarCircuit(num_vars, tuple(terms), max_support, field_p, None)
+        C = FewVarCircuit(num_vars, tuple(terms), max_support)
         P = expand_circuit(C)
         k = P.individual_degree()
         if k <= max_k:
-            return _circuit(num_vars, C.terms, max_support, field_p, k)
+            return _circuit(num_vars, C.terms, max_support, None, k)
     raise RuntimeError("could not generate a circuit within the degree bound")
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     circuits: int
     checks: int
     failures: List[str]

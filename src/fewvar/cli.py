@@ -12,11 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import os
-import selectors
-import shlex
-import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -110,9 +106,13 @@ class _SubprocessBox:
     rational back.  The child is started once and fed one line per call.
     An int and the integral Fraction equal to it are written the same.
     Each reply must arrive within REPLY_TIMEOUT_S seconds; a late or
-    unparsable reply, or a closed pipe, raises RuntimeError."""
+    unparsable reply, or a closed pipe, raises RuntimeError.  Its modules,
+    subprocess, selectors and shlex, are imported here, on first use, so
+    that no other command loads them."""
 
     def __init__(self, command: str):
+        import shlex
+        import subprocess
         self.proc = subprocess.Popen(
             shlex.split(command), stdin=subprocess.PIPE,
             stdout=subprocess.PIPE)
@@ -138,6 +138,7 @@ class _SubprocessBox:
         """The next line of the child's stdout.  The pipe is read with
         os.read, past the file object's buffer, so that a wait on it sees
         every byte not yet taken and can end at the deadline."""
+        import selectors
         deadline = time.monotonic() + REPLY_TIMEOUT_S
         fd = self.proc.stdout.fileno()
         with selectors.DefaultSelector() as sel:
@@ -157,6 +158,7 @@ class _SubprocessBox:
     def close(self):
         """Close the child's stdin and wait for it to exit, killing and
         reaping it after five seconds."""
+        import subprocess
         try:
             self.proc.communicate(timeout=5)
         except subprocess.TimeoutExpired:
@@ -171,7 +173,8 @@ def _load_box(args):
     if args.circuit:
         C = parse_circuit(Path(args.circuit).read_text())
         if C.k is None and args.k is not None:
-            C = dataclasses.replace(C, k=args.k)
+            C = FewVarCircuit(C.num_vars, C.terms, C.declared_s, C.field_p,
+                              args.k)
         yield C
         return
     if args.N is None:

@@ -37,15 +37,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from .algebra import (
     FieldElem,
+    FrozenValue,
     Mon,
     SparsePolynomial,
+    Value,
     ceil_real,
     derivative_poly,  # not called here; perfbench/spans.py patches the name
     is_prime,
@@ -60,38 +61,34 @@ DEFAULT_ROW_CAP = 200_000
 BAD_MONOMIAL_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class MeasureParams:
+class MeasureParams(FrozenValue):
     """Parameters of one measure evaluation.  ``monomials`` of None means all
     multilinear degree-r monomials over the polynomial's variables."""
 
-    r: int
-    m: int
-    monomials: Optional[Tuple[Mon, ...]] = None
-    rank_prime: Optional[int] = None
+    _fields = ("r", "m", "monomials", "rank_prime")
 
-    def __post_init__(self):
-        if self.r < 0 or self.m < 0:
+    def __init__(self, r: int, m: int,
+                 monomials: Optional[Tuple[Mon, ...]] = None,
+                 rank_prime: Optional[int] = None):
+        if r < 0 or m < 0:
             raise ValueError("r and m must be nonnegative")
-        if self.rank_prime is not None and not is_prime(self.rank_prime):
-            raise ValueError(f"rank prime {self.rank_prime} is not a prime")
-        if self.monomials is not None:
-            for g in self.monomials:
-                if not mon_is_multilinear(g) or len(g) != self.r:
+        if rank_prime is not None and not is_prime(rank_prime):
+            raise ValueError(f"rank prime {rank_prime} is not a prime")
+        if monomials is not None:
+            for g in monomials:
+                if not mon_is_multilinear(g) or len(g) != r:
                     raise ValueError(
-                        f"derivative monomial {g} is not multilinear of degree {self.r}")
+                        f"derivative monomial {g} is not multilinear of degree {r}")
+        vars(self).update(r=r, m=m, monomials=monomials, rank_prime=rank_prime)
 
 
-@dataclass
-class MeasureReport:
-    phi: int
-    rows: int
-    cols: int
-    exact: bool
+class MeasureReport(Value):
+    _fields = ("phi", "rows", "cols", "exact")
 
-    def __post_init__(self):
-        if not 0 <= self.phi <= min(self.rows, self.cols) and self.rows:
+    def __init__(self, phi: int, rows: int, cols: int, exact: bool):
+        if not 0 <= phi <= min(rows, cols) and rows:
             raise ValueError("rank outside matrix dimensions")
+        self.phi, self.rows, self.cols, self.exact = phi, rows, cols, exact
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +246,9 @@ def rank_mod(rows: Iterable[Dict[int, int]], p: int) -> int:
 
 
 def _survivor_bases(P: SparsePolynomial, r: int,
-                    monomials: Optional[Sequence[Mon]] = None
-                    ) -> List[List[Tuple[int, int]]]:
+                    monomials: Optional[Sequence[Mon]] = None,
+                    budget: Optional[int] = None
+                    ) -> Optional[List[List[Tuple[int, int]]]]:
     """Per derivative monomial gamma, the multilinear survivors of d_gamma P
     as (bitmask of the monomial's variables, int coefficient) pairs, for
     gamma over ``monomials``, in their order, or when that is None over
@@ -266,7 +264,10 @@ def _survivor_bases(P: SparsePolynomial, r: int,
     every exponent is at most 2, gamma lies in its support and holds every
     squared variable.  Its survivor is then the ones outside gamma and the
     twos, with coefficient c * 2^(number of twos).  Distinct terms keep
-    distinct survivors under one gamma, so nothing merges."""
+    distinct survivors under one gamma, so nothing merges.
+
+    With a ``budget``, the result is None once the survivors of every
+    gamma would number more than that, before any of them are listed."""
     survivors: Dict[Tuple[int, ...], List[Tuple[int, FieldElem]]] = {}
     for mon, c in P.terms.items():
         ones: List[int] = []
@@ -281,6 +282,10 @@ def _survivor_bases(P: SparsePolynomial, r: int,
         else:
             if len(twos) > r:
                 continue
+            if budget is not None:
+                budget -= math.comb(len(ones), r - len(twos))
+                if budget < 0:
+                    return None
             ones_mask = sum(1 << v for v in ones)
             twos_mask = sum(1 << v for v in twos)
             c = c * (1 << len(twos))
@@ -342,7 +347,8 @@ def psd_dimension(P: SparsePolynomial, params: MeasureParams,
         phi = sum_k C(z, k) * rank_k,    cols = sum_k C(z, k) * cols_k.
 
     ``rows`` still counts every (gamma, S) pair, C(N, r) * C(N, m) by
-    default, and the row cap refuses on that count.
+    default.  The row cap refuses on the rows built, one per base and per
+    shift of every block ranked: len(bases) * sum_k C(|A|, m-k).
     """
     if P.field_p is not None:
         raise ValueError("the measure is defined over the rationals")
@@ -350,19 +356,29 @@ def psd_dimension(P: SparsePolynomial, params: MeasureParams,
     n_shifts = math.comb(N, m)
     gcount = (math.comb(N, params.r) if params.monomials is None
               else len(params.monomials))
-    if gcount * n_shifts > row_cap:
-        raise ValueError(
-            f"row cap exceeded: {gcount} derivatives x {n_shifts} shifts "
-            f"> {row_cap}")
     used = 0
     for mon in P.terms:
         for v, _ in mon:
             used |= 1 << v
     A = [v for v in range(N) if used >> v & 1]
     z = N - len(A)
-    bases = _survivor_bases(P, params.r, params.monomials)
+    ks = range(max(0, m - len(A)), min(z, m) + 1)
+    per_base = sum(math.comb(len(A), m - k) for k in ks)
+    # With every gamma, each survivor is in a base, and a base holds at most
+    # one survivor per term: past len(P.terms) * row_cap survivors there are
+    # more bases than the cap allows rows, so they are not listed.
+    budget = len(P.terms) * row_cap if params.monomials is None and per_base \
+        else None
+    bases = _survivor_bases(P, params.r, params.monomials, budget)
+    built = None if bases is None else len(bases) * per_base
+    if built is None or built > row_cap:
+        count = (f"more than {row_cap}" if built is None
+                 else f"{built} > {row_cap}")
+        raise ValueError(
+            f"row cap exceeded: {count} rows to build, of {gcount} derivatives "
+            f"x {n_shifts} shifts = {gcount * n_shifts} rows")
     phi = cols = 0
-    for k in range(max(0, m - len(A)), min(z, m) + 1):
+    for k in ks:
         shifts = [sum(1 << v for v in S)
                   for S in itertools.combinations(A, m - k)]
         col_ids: Dict[int, int] = {}
@@ -391,8 +407,7 @@ def sample_restriction(N: int, p: float, seed: int) -> FrozenSet[int]:
     return frozenset(i for i in range(N) if u[i] < p)
 
 
-@dataclass(frozen=True)
-class BadMonomialReport:
+class BadMonomialReport(NamedTuple):
     """Multilinear support-s monomials that fit inside a single factor's
     variable set, with the closed-form ceiling T*d*C(max_support, s)."""
 
@@ -431,8 +446,7 @@ def bad_support_monomials(C: FewVarCircuit, s: int) -> BadMonomialReport:
     return report
 
 
-@dataclass
-class SurvivalReport:
+class SurvivalReport(NamedTuple):
     trials: int
     seed: int
     p: float
@@ -499,8 +513,7 @@ def depth4_upper_bound(top_fanin: int, n: int, r: int, s: int,
 # ---------------------------------------------------------------------------
 # parameter derivation and the ratio calculators
 
-@dataclass(frozen=True)
-class DerivedMeasure:
+class DerivedMeasure(NamedTuple):
     nw: NWParams
     r: int
     s: int
@@ -513,8 +526,7 @@ EPS_PRODUCT = Fraction(1, 1000)
 
 
 def derive_measure_params(mu, n: int, eps1: Optional[float] = None,
-                          eps2: Optional[float] = None,
-                          nw: Optional[NWParams] = None) -> DerivedMeasure:
+                          eps2: Optional[float] = None) -> DerivedMeasure:
     """The derivative/shift schedule: r and s are floors of eps*sqrt(n) with
     eps1*eps2 = 1/1000 (both sqrt(1/1000) unless one is given), m is the
     floor of (N/2)(1 - r ln n / n), and p = N^-(mu+delta).
@@ -526,8 +538,7 @@ def derive_measure_params(mu, n: int, eps1: Optional[float] = None,
     """
     import mpmath
 
-    if nw is None:
-        nw = derive_nw_params(mu, n)
+    nw = derive_nw_params(mu, n)
     if eps1 is None and eps2 is None:
         sq1 = sq2 = EPS_PRODUCT
     else:
@@ -554,8 +565,7 @@ def derive_measure_params(mu, n: int, eps1: Optional[float] = None,
 EXACT_BINOMIAL_LIMIT = 10 ** 6
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(NamedTuple):
     n: int
     mu: float
     r: int
@@ -583,6 +593,11 @@ def appendix_ratios(n: int, mu, eps1: Optional[float] = None,
 
     Exact big-integer binomials when N <= 10^6, log-gamma with enough working
     precision otherwise (relative tolerance 1e-6 is guaranteed with margin).
+
+    ``derived`` replaces the derivation; only the tests pass it.  They need
+    parameter sets that no (n, mu, eps) derives: the schedule gives r*s <=
+    n/1000 and m <= N/2, so the out-of-regime refusal below is reachable
+    only through it, and so is r = 0 with m + n <= N/2 on the exact path.
     """
     import mpmath
 

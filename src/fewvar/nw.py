@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence, Tuple, Union
+from typing import Iterator, NamedTuple, Sequence, Tuple, Union
 
 from .algebra import (
+    FrozenValue,
     bertrand_prime,
     ceil_real,
     int_floor_root,
@@ -67,8 +67,7 @@ def intersections(sets: Sequence[Sequence[int]]) -> Iterator[Tuple[int, int, int
         yield i, j, len(S & T)
 
 
-@dataclass(frozen=True)
-class NWParams:
+class NWParams(NamedTuple):
     mu: Fraction
     n: int
     delta: Fraction
@@ -125,24 +124,22 @@ def derive_nw_params(mu, n: int) -> NWParams:
                     rho=rho, D_raw=D_raw, D=D)
 
 
-@dataclass(frozen=True)
-class NWInstance:
+class NWInstance(FrozenValue):
     """An evaluable family instance: n rows, psi columns, univariate degree
     bound D (coefficient vectors live in the psi-element field).  Row i is
     read off at field point i, so rows beyond psi would repeat points; the
     constructor requires n <= psi."""
 
-    n: int
-    psi: int
-    D: int
+    _fields = ("n", "psi", "D")
 
-    def __post_init__(self):
-        if not is_prime(self.psi):
-            raise ValueError(f"psi={self.psi} is not prime")
-        if not 1 <= self.D <= self.psi:
-            raise ValueError(f"D={self.D} outside [1, psi={self.psi}]")
-        if not 1 <= self.n <= self.psi:
-            raise ValueError(f"n={self.n} outside [1, psi={self.psi}]")
+    def __init__(self, n: int, psi: int, D: int):
+        if not is_prime(psi):
+            raise ValueError(f"psi={psi} is not prime")
+        if not 1 <= D <= psi:
+            raise ValueError(f"D={D} outside [1, psi={psi}]")
+        if not 1 <= n <= psi:
+            raise ValueError(f"n={n} outside [1, psi={psi}]")
+        vars(self).update(n=n, psi=psi, D=D)
 
     @property
     def num_vars(self) -> int:
@@ -186,8 +183,7 @@ def nw_eval(inst: NWInstance, point: Sequence) -> Union[int, Fraction]:
     return total
 
 
-@dataclass(frozen=True)
-class NWReport:
+class NWReport(NamedTuple):
     monomial_count: int
     expected_count: int
     count_ok: bool

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
-from .algebra import ceil_real, int_floor_root, is_prime, next_prime_at_least, to_fraction
+from .algebra import (FrozenValue, ceil_real, int_floor_root, is_prime,
+                      next_prime_at_least, to_fraction)
 from .circuit import ClassReport, FewVarCircuit, class_check, eval_circuit
 from .nw import (NWInstance, degree_bound, intersections, nw_eval,
                  univariate_graph)
@@ -37,16 +38,15 @@ DECIMAL_STREAM_DIGITS = 4000
 # ---------------------------------------------------------------------------
 # combinatorial designs
 
-@dataclass(frozen=True)
-class Design(Sequence[Tuple[int, ...]]):
+class Design(FrozenValue, Sequence[Tuple[int, ...]]):
     """b subsets of {0..l-1}, l = q0^2, each of size a, with pairwise
     intersections at most c0 (the univariate degree cap), held as that
     description: set i, read as ``d[i]``, is computed from i."""
 
-    b: int
-    a: int
-    q0: int
-    c0: int
+    _fields = ("b", "a", "q0", "c0")
+
+    def __init__(self, b: int, a: int, q0: int, c0: int):
+        vars(self).update(b=b, a=a, q0=q0, c0=c0)
 
     @property
     def l(self) -> int:
@@ -88,8 +88,7 @@ def rs_design(b: int, a: int, intersection_cap: Optional[int] = None,
     return Design(b=b, a=a if size is None else size, q0=q0, c0=c0)
 
 
-@dataclass(frozen=True)
-class DesignReport:
+class DesignReport(NamedTuple):
     sizes_ok: bool
     range_ok: bool
     max_intersection: int
@@ -132,8 +131,7 @@ def verify_design(d: Design, cap: Optional[int] = None) -> DesignReport:
 # ---------------------------------------------------------------------------
 # parameter derivation
 
-@dataclass(frozen=True)
-class PitParams:
+class PitParams(NamedTuple):
     """Everything the generator needs: the N trimmed variable sets, each a
     strictly increasing tuple of a'q elements of range(l) (a ``Design``, or
     a tuple for toy parameters), the local family shape (a' rows, q columns,
@@ -309,8 +307,7 @@ def hitting_set_stream(params: PitParams,
             h = tuple(values[i] for i in where)
 
 
-@dataclass(frozen=True)
-class Blackbox:
+class Blackbox(NamedTuple):
     """Evaluation access only: a callback from an N-point to a field value,
     plus the declared class data the caller vouches for."""
 
@@ -334,8 +331,7 @@ def blackbox_from_circuit(C: FewVarCircuit) -> Blackbox:
                     notes="open circuit")
 
 
-@dataclass
-class PitResult:
+class PitResult(NamedTuple):
     status: str                    # "witness" | "zero-on-set" | "inconclusive"
     tested: int
     point: Optional[Tuple] = None  # exact values, ints on an integer grid
@@ -388,8 +384,7 @@ def pit_run(box: Union[Blackbox, FewVarCircuit], params: PitParams,
 # ---------------------------------------------------------------------------
 # baselines
 
-@dataclass
-class SZResult:
+class SZResult(NamedTuple):
     status: str                    # "witness" | "probably-zero"
     trials: int
     point: Optional[Tuple[int, ...]] = None

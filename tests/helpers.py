@@ -61,6 +61,19 @@ def rebuilt(obj):
         obj.declared_s, obj.field_p, obj.k)
 
 
+def over_field(C: FewVarCircuit, p) -> FewVarCircuit:
+    """``C``, a circuit over Q with integer scales and coefficients, rebuilt
+    over GF(p) through the public constructors, which reduce every number
+    mod p; ``C`` itself when p is None.  Its declared k stays a bound on the
+    individual degree, since the reduction drops terms and adds none."""
+    if p is None:
+        return C
+    return FewVarCircuit(C.num_vars, [
+        (scale, tuple(FactorPoly(f.support, SparsePolynomial(
+            f.poly.num_vars, dict(f.poly.terms), p)) for f in factors))
+        for scale, factors in C.terms], C.declared_s, p, C.k)
+
+
 def normalized(obj) -> bool:
     """Whether every coefficient and scale of ``obj`` is in its field's
     normal form, an int or a Fraction over Q and an int in [0, p) over

@@ -799,6 +799,34 @@ def test_light_commands_load_neither_numpy_nor_mpmath(probe_dir):
                      [2, []]]
 
 
+def test_start_up_generates_no_code_and_starts_no_child(probe_dir):
+    """The package defines its classes without ``dataclasses``, which
+    compiles methods at import and loads ``inspect``, and only a
+    ``--blackbox`` run loads ``subprocess``: neither the import nor any
+    other command loads these modules, and the blackbox run, last, does."""
+    child = probe_dir / "box.py"
+    child.write_text("import sys\n"
+                     "for line in sys.stdin:\n"
+                     "    print(1, flush=True)\n")
+    _, steps = probe_loads(
+        probe_dir,
+        ["measure", "--poly", "quad.poly", "--r", "1", "--m", "1"],
+        ["nw-check", "--psi", "3", "--D", "1", "--n", "2"],
+        ["design", "--b", "4", "--a", "2"],
+        ["homogenize", "--circuit", "hom.circuit", "--n", "2"],
+        ["hitset", "--N", "16", "--k", "1", "--limit", "3"],
+        ["pit", "--circuit", "hom.circuit", "--budget", "20"],
+        ["sz", "--circuit", "gf7.circuit", "--trials", "20", "--domain", "5"],
+        ["transform-audit", "--count", "2", "--seed", "5"],
+        ["restrict-experiment", "--circuit", "hom.circuit", "--s", "1",
+         "--p", "0.3", "--trials", "5"],
+        ["pit", "--blackbox", f"{sys.executable} {child}", "--N", "3",
+         "--k", "1", "--override-l", "3"],
+        watch=("dataclasses", "inspect", "subprocess"))
+    assert steps == [[None, []], [0, []], [0, []], [0, []], [0, []], [0, []],
+                     [2, []], [0, []], [0, []], [0, []], [0, ["subprocess"]]]
+
+
 def test_rng_is_imported_only_to_draw(probe_dir):
     """``fewvar.rng`` is imported by the functions that draw from it, so
     start-up, ``measure`` and ``pit`` never load it; ``sz`` does."""

@@ -7,13 +7,15 @@ count, and neither does a name inside its own definition.  An import from
 the package counts only where the importing module uses the name or lists
 it in ``__all__``, so a stale import keeps no dead function alive; every
 other import from the package is listed with a reason.
-Likewise every dataclass field is read as an attribute in the package.
+Likewise every field of a record or value class is read as an attribute
+in the package.
 The package has one product loop: ``mon_mul`` is named only inside
 ``algebra.multiply_out``; and one circuit evaluator: the compiled
 ``integer_form`` is read only by ``circuit.eval_circuit``; and one graph
 construction: ``univariate_graph`` is named only by the NW column table and
 the design's set accessor.  numpy is a test-only dependency: no module of
-the package imports it.  Each private constructor, which skips the public
+the package imports it; nor does any import ``dataclasses``, which compiles
+methods when the CLI starts.  Each private constructor, which skips the public
 constructor's checks, is called only by the builders listed for it, whose
 inputs are already checked.
 """
@@ -21,6 +23,7 @@ inputs are already checked.
 import pytest
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -106,37 +109,34 @@ def test_every_top_level_definition_is_referenced_in_src():
     assert set(ALLOWED_UNREFERENCED) <= defined
 
 
-# dataclass field -> why it stays although nothing in the package reads it
+# record or value field -> why it stays though nothing in the package reads it
 ALLOWED_UNREAD_FIELDS = {
     "Blackbox.notes": "perfbench/spans.py names the box's span by it",
 }
 
 
-def dataclass_fields(tree):
-    """``Class.field`` for each annotated field of each top-level class that
-    ``@dataclass`` decorates, bare or called."""
-    for node in tree.body:
-        if not isinstance(node, ast.ClassDef):
-            continue
-        decorators = [d.func if isinstance(d, ast.Call) else d
-                      for d in node.decorator_list]
-        if not any(isinstance(d, ast.Name) and d.id == "dataclass"
-                   for d in decorators):
-            continue
-        for sub in node.body:
-            if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
-                yield f"{node.name}.{sub.target.id}"
+def class_fields():
+    """``Class.field`` for each name in the ``_fields`` of each class the
+    package defines: a ``typing.NamedTuple`` record's fields, or the
+    fields that a class built on ``algebra.Value`` compares by.  The
+    package modules are imported, all but ``__init__`` and ``__main__``,
+    which define no class."""
+    for path in sorted(SRC.glob("[!_]*.py")):
+        module = importlib.import_module(f"fewvar.{path.stem}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                yield from (f"{name}.{f}" for f in getattr(obj, "_fields", ()))
 
 
-def test_every_dataclass_field_is_read_in_src():
+def test_every_record_field_is_read_in_src():
     """A field that nothing reads is a report line or a setting that
-    nothing uses: every field of a dataclass in the package is read as an
-    attribute somewhere in the package, matched by name alone, or is
-    listed with a reason."""
+    nothing uses: every field of a record or value class in the package
+    is read as an attribute somewhere in the package, matched by name
+    alone, or is listed with a reason."""
     trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
     read = {sub.attr for tree in trees for sub in ast.walk(tree)
             if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
-    fields = [f for tree in trees for f in dataclass_fields(tree)]
+    fields = list(class_fields())
     unread = [f for f in fields if f.split(".")[1] not in read
               and f not in ALLOWED_UNREAD_FIELDS]
     assert unread == []
@@ -201,7 +201,7 @@ PRIVATE_CONSTRUCTOR_CALLERS = {
         "circuit.normalize_constants",
     ],
     "_circuit": [
-        "circuit.FewVarCircuit.__post_init__",
+        "circuit.FewVarCircuit.__init__",
         "circuit._rewrite",
         "circuit._interpolate",
         "circuit.coeff_circuits",
@@ -248,10 +248,10 @@ def test_only_the_column_table_and_the_design_build_graphs():
     assert users == ["nw.NWInstance.columns", "pit.Design.__getitem__"]
 
 
-def test_no_module_imports_numpy():
-    """The seeded streams are drawn in the standard library (``fewvar.rng``),
-    so no module imports numpy, at top level or inside a function."""
-    importers = []
+def importers(top):
+    """``module:line`` of each import of ``top`` or its submodules in the
+    package, at top level or inside a function."""
+    found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -260,6 +260,19 @@ def test_no_module_imports_numpy():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m.split(".")[0] == "numpy" for m in modules):
-                importers.append(f"{path.stem}:{node.lineno}")
-    assert importers == []
+            if any(m.split(".")[0] == top for m in modules):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_module_imports_numpy():
+    """The seeded streams are drawn in the standard library (``fewvar.rng``),
+    so no module imports numpy, at top level or inside a function."""
+    assert importers("numpy") == []
+
+
+def test_no_module_imports_dataclasses():
+    """``dataclasses`` compiles each class's methods when the module loads
+    and imports ``inspect``, a fixed cost of every CLI run; the package's
+    records are ``typing.NamedTuple``s and its other classes are plain."""
+    assert importers("dataclasses") == []

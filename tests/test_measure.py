@@ -14,6 +14,7 @@ from helpers import (fcircuit, bounded_support_poly, brute_cols, brute_phi,
                      random_poly, subadditivity_check, survivor_bases)
 from fewvar.algebra import SparsePolynomial
 from fewvar.measure import (
+    DEFAULT_ROW_CAP,
     DerivedMeasure,
     MeasureParams,
     _blocks,
@@ -30,7 +31,7 @@ from fewvar.measure import (
     sample_restriction,
     survival_experiment,
 )
-from fewvar.nw import NWInstance, NWParams, derive_nw_params
+from fewvar.nw import NWInstance, NWParams
 from fewvar.rng import named_rng
 
 
@@ -85,9 +86,70 @@ def test_phi_monotone_under_monomial_subsets():
 
 
 def test_phi_row_cap():
+    # x0*x1 over 6 variables builds 2 bases x (1 + 2 + 1) shifts of
+    # {x0, x1} = 8 rows, of the 6 * C(6, 2) = 90 that ``rows`` counts
     P = ml(6, (0, 1))
-    with pytest.raises(ValueError, match="cap"):
-        psd_dimension(P, MeasureParams(r=1, m=2), row_cap=10)
+    assert psd_dimension(P, MeasureParams(r=1, m=2), row_cap=8).rows == 90
+    with pytest.raises(ValueError, match="cap exceeded: 8 > 7 rows to build"):
+        psd_dimension(P, MeasureParams(r=1, m=2), row_cap=7)
+
+
+def restricted_nw(inst, alive):
+    """The NW polynomial with every variable outside ``alive`` set to zero."""
+    return SparsePolynomial(inst.num_vars, {
+        mon: Fraction(1) for mon in nw_monomials(inst)
+        if all(v in alive for v, _ in mon)}, None)
+
+
+@pytest.mark.parametrize("m, built", [(3, 252), (4, 336)])
+def test_row_cap_counts_the_rows_built(m, built):
+    """The cap refuses on the rows the blocks are built from: NW(3,3,2)
+    restricted to x0x3x6, x0x4x8 and x2x4x6 has 6 derivatives with
+    survivors and sum_k C(6, m-k) shifts of the six variables it uses, so
+    it builds 6 * 42 = 252 rows at m = 3 and 6 * 56 = 336 at m = 4, of
+    the 756 and 1134 that ``rows`` counts; phi is the brute oracle's."""
+    P = restricted_nw(NWInstance(n=3, psi=3, D=2), {0, 2, 3, 4, 6, 8})
+    assert len(P.terms) == 3
+    rep = psd_dimension(P, MeasureParams(r=1, m=m), row_cap=built)
+    assert rep.rows == 9 * math.comb(9, m)
+    assert rep.phi == brute_phi(P, 1, m)
+    message = (f"row cap exceeded: {built} > {built - 1} rows to build, of 9 "
+               f"derivatives x {math.comb(9, m)} shifts = {rep.rows} rows$")
+    with pytest.raises(ValueError, match=message):
+        psd_dimension(P, MeasureParams(r=1, m=m), row_cap=built - 1)
+
+
+def test_restricted_psi7_nw_runs_far_past_its_row_count():
+    """NW(3,7,2) restricted to ten alive variables keeps x1x8x15, x6x7x15
+    and x1x11x14, and builds 896 rows at m = 10 under the default cap,
+    though ``rows`` counts 21 * C(21, 10)."""
+    P = restricted_nw(NWInstance(n=3, psi=7, D=2),
+                      {1, 3, 4, 5, 6, 7, 8, 11, 14, 15})
+    assert len(P.terms) == 3
+    rep = psd_dimension(P, MeasureParams(r=1, m=10))
+    assert (rep.phi, rep.cols, rep.rows) == (269269, 271271, 7407036)
+
+
+@pytest.mark.parametrize("m", range(5, 11))
+def test_unrestricted_nw_is_refused_where_it_was(m):
+    """NW uses every variable and each derivative has survivors, so the
+    rows built are all the rows: NW(3,7,2) is refused from m = 5 on, as when
+    the cap counted every (gamma, S) pair."""
+    P = nw_expand(NWInstance(n=3, psi=7, D=2))
+    rows = 21 * math.comb(21, m)
+    message = (f"row cap exceeded: {rows} > {DEFAULT_ROW_CAP} rows to build, "
+               f"of 21 derivatives x {math.comb(21, m)} shifts = {rows} rows$")
+    with pytest.raises(ValueError, match=message):
+        psd_dimension(P, MeasureParams(r=1, m=m))
+
+
+def test_row_cap_refuses_before_listing_too_many_survivors():
+    """One term of degree 40 has C(40, 20) survivors at r = 20; the budget
+    refuses before listing them."""
+    P = SparsePolynomial(40, {tuple((v, 1) for v in range(40)): 1}, None)
+    with pytest.raises(ValueError,
+                       match=f"more than {DEFAULT_ROW_CAP} rows to build"):
+        psd_dimension(P, MeasureParams(r=20, m=1))
 
 
 def test_phi_rejects_prime_field_input():
@@ -493,9 +555,7 @@ def test_rank_kernels_receive_integer_rows(monkeypatch, rank_prime):
     ((0, 1, 3, 5, 6, 9, 12, 13), 3, 1652, 1897),
 ])
 def test_restricted_nw_measure_pins(alive, m, phi, cols, rank_prime):
-    inst = NWInstance(n=3, psi=5, D=2)
-    P = SparsePolynomial(15, {mon: Fraction(1) for mon in nw_monomials(inst)
-                              if all(v in alive for v, _ in mon)}, None)
+    P = restricted_nw(NWInstance(n=3, psi=5, D=2), alive)
     rep = psd_dimension(P, MeasureParams(r=1, m=m, rank_prime=rank_prime))
     assert (rep.phi, rep.cols, rep.rows) == (phi, cols, 15 * math.comb(15, m))
     assert rep.exact == (rank_prime is None)
@@ -713,18 +773,17 @@ def test_derive_measure_params_epsilon_overrides():
     d = derive_measure_params(0, 100, eps1=0.1)
     assert d.r == 1 and d.s == 0
     # eps2 = (1/1000) / eps1 = 1/100, so s = floor(sqrt(n) / 100)
-    d = derive_measure_params(0, 10 ** 6, eps1=0.1, nw=derive_nw_params(0, 2))
+    d = derive_measure_params(0, 10 ** 6, eps1=0.1)
     assert (d.r, d.s) == (100, 10)
 
 
 def test_derive_measure_params_exact_floor_at_perfect_squares():
     # sqrt(n/1000) = k exactly, where float eps*sqrt(n) often lands just
     # below k
-    nw = derive_nw_params(0, 2)          # r, s do not depend on it
     for k in range(1, 200):
-        d = derive_measure_params(0, 1000 * k * k, nw=nw)
+        d = derive_measure_params(0, 1000 * k * k)
         assert d.r == d.s == k
-        d = derive_measure_params(0, 1000 * k * k - 1, nw=nw)
+        d = derive_measure_params(0, 1000 * k * k - 1)
         assert d.r == d.s == k - 1
 
 

@@ -4,7 +4,6 @@ driver, and the baselines."""
 import itertools
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -35,7 +34,7 @@ from fewvar.pit import (
 from fewvar.rng import named_rng
 from fewvar.cli import main
 from helpers import (GF7_CIRCUIT, checked_sets, combnulls_grid, is_prime_trial,
-                     naive_stream, src_env)
+                     naive_stream, over_field, src_env)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +179,7 @@ def test_toy_params_validation():
 def test_checked_sets_refuses_a_family_no_builder_makes(sets, message):
     """The set checks no constructor makes: the count, each set's size,
     universe and strict order."""
-    params = replace(checked_sets(toy_pit_params(N=2, k=1, l=4)), sets=sets)
+    params = checked_sets(toy_pit_params(N=2, k=1, l=4))._replace(sets=sets)
     with pytest.raises(AssertionError, match=message):
         checked_sets(params)
 
@@ -261,7 +260,7 @@ def toy_streams(draw):
                             D=draw(st.integers(1, q)), grid=grid)
     if draw(st.booleans()):          # else the cycled combination enumeration
         pool = list(itertools.combinations(range(l), size))
-        params = replace(params, sets=tuple(
+        params = params._replace(sets=tuple(
             draw(st.sampled_from(pool)) for _ in range(N)))
     checked_sets(params)
     limit = draw(st.one_of(st.none(), st.integers(0, params.stream_size + 2)))
@@ -298,7 +297,7 @@ def test_stream_matches_the_naive_stream_on_fixed_cases(kwargs, limit):
     sets = kwargs.pop("sets", None)
     params = toy_pit_params(**kwargs)
     if sets is not None:
-        params = replace(params, sets=sets)
+        params = params._replace(sets=sets)
     checked_sets(params)
     got = list(hitting_set_stream(params, limit=limit))
     assert got == naive_stream(params, limit)
@@ -402,8 +401,9 @@ def test_pit_run_evaluates_circuits_through_eval_circuit(monkeypatch):
     rng = named_rng(71, "blackbox-fallback")
     params = checked_sets(toy_pit_params(N=3, k=2, l=3))
     for field_p in (None, 7):
-        C = random_circuit(rng, num_vars=3, max_terms=3, max_factors=2,
-                           max_support=2, max_k=2, field_p=field_p)
+        C = over_field(random_circuit(rng, num_vars=3, max_terms=3,
+                                      max_factors=2, max_support=2, max_k=2),
+                       field_p)
         assert not expand_circuit(C).is_zero()
         for circuit in (FewVarCircuit(3, (), 2, field_p, 2), C):
             calls.clear()
