@@ -491,11 +491,10 @@ def coeffs_in_var(P: SparsePolynomial, var: int) -> List[SparsePolynomial]:
 # ---------------------------------------------------------------------------
 # primes
 
-# Deterministic Miller-Rabin witness set, proven complete below this bound.
+# Deterministic Miller-Rabin witness set, proven complete below this bound;
+# is_prime also tries these primes as trial divisors first.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PROVEN_BOUND = 3317044064679887385961981
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _miller_rabin(n: int, bases: Iterable[int]) -> bool:
@@ -591,7 +590,7 @@ def is_prime(n: int) -> bool:
     is known).  Cross-checked against trial division in the test suite."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _MR_WITNESSES:
         if n == p:
             return True
         if n % p == 0:
@@ -614,18 +613,16 @@ def bertrand_prime(lo: int, hi: int) -> int:
     """Smallest prime p with lo < p <= hi.
 
     The precondition hi >= 2 * lo (with lo >= 1) guarantees one exists; the
-    search still verifies and raises if the window is somehow empty.
+    result is still checked against hi, and a prime past it raises.
     """
     if lo < 1:
         raise ValueError("lo must be at least 1")
     if hi < 2 * lo:
         raise ValueError(f"window ({lo}, {hi}] too narrow: need hi >= 2*lo")
-    c = lo + 1
-    while c <= hi:
-        if is_prime(c):
-            return c
-        c += 1
-    raise ArithmeticError(f"no prime in ({lo}, {hi}]")
+    p = next_prime_at_least(lo + 1)
+    if p > hi:
+        raise ArithmeticError(f"no prime in ({lo}, {hi}]")
+    return p
 
 
 def int_floor_root(x: int, k: int) -> int:

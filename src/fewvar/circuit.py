@@ -234,13 +234,6 @@ def eval_circuit(C: FewVarCircuit, point: Sequence) -> FieldElem:
     return Fraction(total, L) if p is None else total % p
 
 
-def _multiply_out(factors: Sequence[FactorPoly],
-                  field_p: Field) -> Dict[Mon, FieldElem]:
-    """The product of the factors over the global variables, as a map from
-    monomial to nonzero coefficient (empty when the product vanishes)."""
-    return multiply_out((f.global_terms() for f in factors), field_p)
-
-
 def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynomial:
     """The exact polynomial the circuit computes.
 
@@ -265,7 +258,8 @@ def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynom
     acc: Dict[Mon, FieldElem] = {}
     for scale, factors in live:
         mult = scale.numerator * (L // scale.denominator)
-        for mon, c in _multiply_out(factors, C.field_p).items():
+        for mon, c in multiply_out((f.global_terms() for f in factors),
+                                   C.field_p).items():
             acc[mon] = acc.get(mon, 0) + mult * c
     if L > 1:
         acc = {mon: Fraction(c, L) for mon, c in acc.items()}
@@ -518,13 +512,13 @@ class HomogDecomposition(NamedTuple):
         n = self.target_degree
         acc = SparsePolynomial.zero(self.num_vars, self.field_p)
         for piece in self.pieces:
-            prod = SparsePolynomial(
-                self.num_vars, _multiply_out(piece.plain_factors, self.field_p),
+            prod = SparsePolynomial(self.num_vars, multiply_out(
+                (f.global_terms() for f in piece.plain_factors), self.field_p),
                 self.field_p)
             esums = esym_all(list(piece.esym_args), piece.l_max) if piece.esym_args \
                 else [SparsePolynomial.const(self.num_vars, 1, self.field_p)]
             total_esym = SparsePolynomial.zero(self.num_vars, self.field_p)
-            for l in range(min(piece.l_max, len(esums) - 1) + 1):
+            for l in range(piece.l_max + 1):
                 total_esym = total_esym + esums[l]
             part = hom_component(prod * total_esym, n)
             acc = acc + part.scale(piece.scale)

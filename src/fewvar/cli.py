@@ -17,7 +17,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Sequence, Tuple
 
 from .algebra import parse_poly, serialize_poly
 from .circuit import (
@@ -78,13 +78,6 @@ def _value_line(value, box) -> str:
     modulus; a subprocess blackbox's values are rational."""
     p = box.field_p if isinstance(box, FewVarCircuit) else None
     return f"value={value}" + ("" if p is None else f" (mod {p})")
-
-
-def _emit(lines: List[str], out: Optional[str]):
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if out:
-        Path(out).write_text(text)
 
 
 def _rational(text: str) -> Fraction:
@@ -189,12 +182,12 @@ def _load_box(args):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report's lines, after the seed line that
+# ``main`` writes first, and its exit code
 
-def _cmd_nw_params(args) -> int:
+def _cmd_nw_params(args) -> Tuple[List[str], int]:
     p = derive_nw_params(args.mu, args.n)
-    _emit([
-        f"seed={args.seed}",
+    return [
         f"mu={p.mu}",
         f"n={p.n}",
         f"delta={p.delta}",
@@ -204,15 +197,13 @@ def _cmd_nw_params(args) -> int:
         f"rho={p.rho}",
         f"D_raw={p.D_raw}",
         f"D={p.D}",
-    ], args.out)
-    return EXIT_OK
+    ], EXIT_OK
 
 
-def _cmd_nw_check(args) -> int:
+def _cmd_nw_check(args) -> Tuple[List[str], int]:
     inst = NWInstance(n=args.n, psi=args.psi, D=args.D)
     r = nw_check_properties(inst)
-    _emit([
-        f"seed={args.seed}",
+    return [
         f"psi={args.psi}",
         f"D={args.D}",
         f"n={args.n}",
@@ -225,15 +216,13 @@ def _cmd_nw_check(args) -> int:
         f"intersection_bound={r.intersection_bound}",
         f"intersections={_pf(r.intersection_ok)}",
         f"ok={_pf(r.ok)}",
-    ], args.out)
-    return EXIT_OK if r.ok else EXIT_CHECK_FAILED
+    ], EXIT_OK if r.ok else EXIT_CHECK_FAILED
 
 
-def _cmd_design(args) -> int:
+def _cmd_design(args) -> Tuple[List[str], int]:
     d = rs_design(args.b, args.a, intersection_cap=args.cap)
     rep = verify_design(d, cap=args.cap)
     lines = [
-        f"seed={args.seed}",
         f"b={d.b}",
         f"a={d.a}",
         f"q0={d.q0}",
@@ -244,8 +233,7 @@ def _cmd_design(args) -> int:
     ]
     lines += [f"set={','.join(str(v) for v in S)}" for S in d]
     lines += [f"violation={v}" for v in rep.violations]
-    _emit(lines, args.out)
-    return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
+    return lines, EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
 
 # each flag that shapes a toy stream: its toy_pit_params keyword and its dest
@@ -267,9 +255,8 @@ def _toy_or_derived_params(args, N: int, k: int):
     return derive_pit_params(args.mu, args.c, N, k)
 
 
-def _params_lines(params, seed) -> List[str]:
+def _params_lines(params) -> List[str]:
     return [
-        f"seed={seed}",
         f"N={params.N}",
         f"k={params.k}",
         f"l={params.l}",
@@ -283,7 +270,7 @@ def _params_lines(params, seed) -> List[str]:
     ]
 
 
-def _cmd_hitset(args) -> int:
+def _cmd_hitset(args) -> Tuple[List[str], int]:
     from .pit import DEFAULT_STREAM_CAP, hitting_set_stream
     limit = args.limit
     if limit is not None and limit < 0:
@@ -294,14 +281,13 @@ def _cmd_hitset(args) -> int:
             raise ValueError(
                 f"stream has {params.stream_size_text} tuples; pass --limit")
         limit = params.stream_size
-    lines = _params_lines(params, args.seed)
+    lines = _params_lines(params)
     for h in hitting_set_stream(params, limit=limit):
         lines.append("h=" + ",".join(map(str, h)))
-    _emit(lines, args.out)
-    return EXIT_OK
+    return lines, EXIT_OK
 
 
-def _cmd_pit(args) -> int:
+def _cmd_pit(args) -> Tuple[List[str], int]:
     if args.budget is not None and args.budget < 0:
         raise ValueError(f"need --budget >= 0, got {args.budget}")
     with _load_box(args) as box:
@@ -311,7 +297,7 @@ def _cmd_pit(args) -> int:
                 "pass --k")
         params = _toy_or_derived_params(args, box.num_vars, box.k)
         result = pit_run(box, params, budget=args.budget)
-    lines = _params_lines(params, args.seed)
+    lines = _params_lines(params)
     if args.budget is not None:
         lines.append(f"budget={args.budget}")
     lines.append(f"status={result.status}")
@@ -321,20 +307,18 @@ def _cmd_pit(args) -> int:
         lines.append(_value_line(result.value, box))
     if result.class_report is not None:
         lines.append(f"class={_pf(result.class_report.ok)}")
-    _emit(lines, args.out)
     if result.status == "witness":
-        return EXIT_OK
+        return lines, EXIT_OK
     if result.status == "zero-on-set":
-        return EXIT_CHECK_FAILED
-    return EXIT_INCONCLUSIVE
+        return lines, EXIT_CHECK_FAILED
+    return lines, EXIT_INCONCLUSIVE
 
 
-def _cmd_sz(args) -> int:
+def _cmd_sz(args) -> Tuple[List[str], int]:
     with _load_box(args) as box:
         bb = box if isinstance(box, Blackbox) else blackbox_from_circuit(box)
         result = schwartz_zippel(bb, args.trials, args.domain, args.seed)
     lines = [
-        f"seed={args.seed}",
         f"trials={result.trials}",
         f"domain={args.domain}",
         f"status={result.status}",
@@ -342,27 +326,24 @@ def _cmd_sz(args) -> int:
     if result.point is not None:
         lines.append("witness=" + ",".join(str(v) for v in result.point))
         lines.append(_value_line(result.value, box))
-    _emit(lines, args.out)
-    return EXIT_OK if result.found else EXIT_CHECK_FAILED
+    return lines, EXIT_OK if result.found else EXIT_CHECK_FAILED
 
 
-def _cmd_measure(args) -> int:
+def _cmd_measure(args) -> Tuple[List[str], int]:
     P = parse_poly(Path(args.poly).read_text())
     params = MeasureParams(r=args.r, m=args.m, rank_prime=args.rank_prime)
     rep = psd_dimension(P, params, row_cap=args.row_cap)
-    _emit([
-        f"seed={args.seed}",
+    return [
         f"r={args.r}",
         f"m={args.m}",
         f"phi={rep.phi}",
         f"rows={rep.rows}",
         f"cols={rep.cols}",
         f"exact={_tf(rep.exact)}",
-    ], args.out)
-    return EXIT_OK
+    ], EXIT_OK
 
 
-def _cmd_homogenize(args) -> int:
+def _cmd_homogenize(args) -> Tuple[List[str], int]:
     if args.expand_cap is not None and args.expand_cap < 0:
         raise ValueError(f"need --expand-cap >= 0, got {args.expand_cap}")
     C = parse_circuit(Path(args.circuit).read_text())
@@ -374,21 +355,18 @@ def _cmd_homogenize(args) -> int:
     except ValueError:
         identity = "skipped"
     lines = [
-        f"seed={args.seed}",
         f"n={args.n}",
         f"pieces={len(dec.pieces)}",
         f"identity={identity}",
     ]
     lines += serialize_poly(value).splitlines()
-    _emit(lines, args.out)
-    return EXIT_CHECK_FAILED if identity == "fail" else EXIT_OK
+    return lines, EXIT_CHECK_FAILED if identity == "fail" else EXIT_OK
 
 
-def _cmd_restrict_experiment(args) -> int:
+def _cmd_restrict_experiment(args) -> Tuple[List[str], int]:
     C = parse_circuit(Path(args.circuit).read_text())
     rep = survival_experiment(C, args.s, args.p, args.trials, args.seed)
-    _emit([
-        f"seed={rep.seed}",
+    return [
         f"s={args.s}",
         f"p={rep.p}",
         f"trials={rep.trials}",
@@ -398,14 +376,12 @@ def _cmd_restrict_experiment(args) -> int:
         f"stderr_survivors={rep.stderr_survivors}",
         f"empirical_rate={rep.empirical_rate}",
         f"markov_bound={rep.markov_bound}",
-    ], args.out)
-    return EXIT_OK
+    ], EXIT_OK
 
 
-def _cmd_ratios(args) -> int:
+def _cmd_ratios(args) -> Tuple[List[str], int]:
     rep = appendix_ratios(args.n, args.mu, eps1=args.eps1, eps2=args.eps2)
-    _emit([
-        f"seed={args.seed}",
+    return [
         f"n={rep.n}",
         f"mu={rep.mu}",
         f"r={rep.r}",
@@ -416,16 +392,14 @@ def _cmd_ratios(args) -> int:
         f"log_ratio_2={rep.log_ratio_2}",
         f"closed_form_1={rep.closed_form_1}",
         f"exact={_tf(rep.exact)}",
-    ], args.out)
-    return EXIT_OK
+    ], EXIT_OK
 
 
-def _cmd_transform_audit(args) -> int:
+def _cmd_transform_audit(args) -> Tuple[List[str], int]:
     rep = transform_audit(args.count, args.seed, num_vars=args.vars,
                           max_terms=args.terms, max_factors=args.factors,
                           max_support=args.support, max_k=args.max_k)
     lines = [
-        f"seed={args.seed}",
         f"count={args.count}",
         f"circuits={rep.circuits}",
         f"checks={rep.checks}",
@@ -435,8 +409,7 @@ def _cmd_transform_audit(args) -> int:
         f"ok={_pf(rep.ok)}",
     ]
     lines += [f"failure={f}" for f in rep.failures]
-    _emit(lines, args.out)
-    return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
+    return lines, EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +587,12 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_ERROR
     try:
-        return args.func(args)
+        lines, code = args.func(args)
+        text = "\n".join([f"seed={args.seed}", *lines]) + "\n"
+        sys.stdout.write(text)
+        if args.out:
+            Path(args.out).write_text(text)
+        return code
     except BrokenPipeError:
         return EXIT_ERROR
     except Exception as e:          # noqa: BLE001  (single reporting point)

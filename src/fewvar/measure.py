@@ -264,10 +264,16 @@ def _survivor_bases(P: SparsePolynomial, r: int,
     every exponent is at most 2, gamma lies in its support and holds every
     squared variable.  Its survivor is then the ones outside gamma and the
     twos, with coefficient c * 2^(number of twos).  Distinct terms keep
-    distinct survivors under one gamma, so nothing merges.
+    distinct survivors under one gamma, so nothing merges.  With
+    ``monomials`` given, each term is tested against each listed gamma
+    only, so no other gamma is enumerated.
 
     With a ``budget``, the result is None once the survivors of every
     gamma would number more than that, before any of them are listed."""
+    listed = None if monomials is None else [
+        tuple(v for v, _ in g) for g in monomials]
+    # each distinct listed gamma, by the bitmask of its variables
+    by_mask = {sum(1 << v for v in g): g for g in listed or ()}
     survivors: Dict[Tuple[int, ...], List[Tuple[int, FieldElem]]] = {}
     for mon, c in P.terms.items():
         ones: List[int] = []
@@ -289,16 +295,20 @@ def _survivor_bases(P: SparsePolynomial, r: int,
             ones_mask = sum(1 << v for v in ones)
             twos_mask = sum(1 << v for v in twos)
             c = c * (1 << len(twos))
+            if listed is not None:
+                # gamma fits when it holds the twos and its rest are ones
+                for gmask, gamma in by_mask.items():
+                    if gmask & twos_mask == twos_mask \
+                            and not gmask & ~(ones_mask | twos_mask):
+                        survivors.setdefault(gamma, []).append(
+                            (ones_mask & ~gmask | twos_mask, c))
+                continue
             for combo in itertools.combinations(ones, r - len(twos)):
                 gamma = tuple(sorted(twos + list(combo))) if twos else combo
                 mask = ones_mask - sum(1 << v for v in combo) | twos_mask
                 survivors.setdefault(gamma, []).append((mask, c))
-    if monomials is None:
-        gammas: Iterable[Tuple[int, ...]] = sorted(survivors)
-    else:
-        gammas = [tuple(v for v, _ in g) for g in monomials]
     bases = []
-    for gamma in gammas:
+    for gamma in sorted(survivors) if listed is None else listed:
         base = survivors.get(gamma)
         if base:
             den = math.lcm(*[c.denominator for _, c in base])
@@ -448,7 +458,6 @@ def bad_support_monomials(C: FewVarCircuit, s: int) -> BadMonomialReport:
 
 class SurvivalReport(NamedTuple):
     trials: int
-    seed: int
     p: float
     bad_count: int
     expected_survivors: float      # |B| * p^s, exact expectation
@@ -485,7 +494,7 @@ def survival_experiment(C: FewVarCircuit, s: int, p: float, trials: int,
     else:
         stderr = 0.0
     return SurvivalReport(
-        trials=trials, seed=seed, p=p, bad_count=bad.count,
+        trials=trials, p=p, bad_count=bad.count,
         expected_survivors=expected, mean_survivors=mean,
         stderr_survivors=stderr,
         empirical_rate=survived / trials,

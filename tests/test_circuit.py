@@ -12,6 +12,7 @@ from fewvar.algebra import (
     coeffs_in_var,
     derivative_poly,
     hom_component,
+    multiply_out,
     substitute,
     translate_poly,
 )
@@ -19,7 +20,6 @@ import fewvar.circuit as circuit_module
 from fewvar.circuit import (
     FactorPoly,
     FewVarCircuit,
-    _multiply_out,
     _substitute_factor,
     class_check,
     coeff_circuits,
@@ -600,7 +600,8 @@ def test_expand_matches_ring_operations(C, point, y, j):
     for _, factors in C.terms:
         # each product comes out reduced, with no zero coefficient
         one = FewVarCircuit(C.num_vars, ((1, factors),), C.declared_s, C.field_p)
-        assert _multiply_out(factors, C.field_p) == expand_by_ring_ops(one).terms
+        assert multiply_out((f.global_terms() for f in factors),
+                            C.field_p) == expand_by_ring_ops(one).terms
     if C.field_p is None:
         # a derivative rebuilt from the coefficient circuits, the y^0 one
         # holding each term that misses y as it is

@@ -534,6 +534,58 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert dest.read_text() == out == DESIGN_4_2
 
 
+# one minimal valid line per subcommand; {poly} and {circuit} name input files
+MINIMAL_LINES = {
+    "nw-params": ["--mu", "0", "--n", "2"],
+    "nw-check": ["--psi", "3", "--D", "1", "--n", "2"],
+    "design": ["--b", "4", "--a", "2"],
+    "hitset": ["--N", "2", "--k", "1", "--override-l", "2"],
+    "pit": ["--circuit", "{circuit}", "--override-l", "2"],
+    "sz": ["--circuit", "{circuit}", "--trials", "3"],
+    "measure": ["--poly", "{poly}", "--r", "1", "--m", "1"],
+    "homogenize": ["--circuit", "{circuit}", "--n", "2"],
+    "restrict-experiment": ["--circuit", "{circuit}", "--s", "1", "--p", "0.5",
+                            "--trials", "3"],
+    "ratios": ["--n", "10000"],
+    "transform-audit": ["--count", "1"],
+}
+
+
+def test_every_command_has_a_minimal_line():
+    assert list(MINIMAL_LINES) == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_every_report_starts_with_the_seed_and_goes_to_out(capsys, tmp_path,
+                                                          command):
+    poly, circuit = tmp_path / "quad.poly", tmp_path / "hom.circuit"
+    poly.write_text(QUAD_POLY)
+    circuit.write_text(HOM_CIRCUIT)
+    dest = tmp_path / "report.txt"
+    argv = [a.format(poly=poly, circuit=circuit) for a in MINIMAL_LINES[command]]
+    rc, out, err = run(capsys, command, *argv, "--seed", "7", "--out", str(dest))
+    assert rc != cli.EXIT_ERROR and err == ""
+    assert out.startswith("seed=7\n") and out.count("seed=") == 1
+    assert dest.read_bytes() == out.encode()
+
+
+def test_unwritable_out_exits_three_after_stdout(capsys, tmp_path):
+    rc, out, err = run(capsys, "design", "--b", "4", "--a", "2",
+                       "--out", str(tmp_path))
+    assert rc == 3 and out == DESIGN_4_2
+    assert err.startswith("error: ")
+
+
+def test_broken_stdout_exits_three(monkeypatch, tmp_path):
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError
+    monkeypatch.setattr(sys, "stdout", Closed())
+    dest = tmp_path / "report.txt"
+    assert main(["design", "--b", "4", "--a", "2", "--out", str(dest)]) == 3
+    assert not dest.exists()
+
+
 def test_error_exits(capsys, tmp_path):
     assert run(capsys, "no-such-command")[0] == 3
     assert run(capsys)[0] == 3

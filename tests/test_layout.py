@@ -15,9 +15,10 @@ The package has one product loop: ``mon_mul`` is named only inside
 construction: ``univariate_graph`` is named only by the NW column table and
 the design's set accessor.  numpy is a test-only dependency: no module of
 the package imports it; nor does any import ``dataclasses``, which compiles
-methods when the CLI starts.  Each private constructor, which skips the public
-constructor's checks, is called only by the builders listed for it, whose
-inputs are already checked.
+methods when the CLI starts.  The CLI has one report path: only ``cli.main``
+names ``sys.stdout``, the ``--out`` destination or the ``seed=`` line.  Each
+private constructor, which skips the public constructor's checks, is called
+only by the builders listed for it, whose inputs are already checked.
 """
 
 import pytest
@@ -246,6 +247,31 @@ def test_only_the_column_table_and_the_design_build_graphs():
              for name, node in code_units(path)
              if referenced_names(node)["univariate_graph"]]
     assert users == ["nw.NWInstance.columns", "pit.Design.__getitem__"]
+
+
+def report_writers():
+    """``(unit, what)`` for each code unit of the package that names
+    ``sys.stdout``, an ``out`` attribute or a string holding ``seed=``."""
+    for path in sorted(SRC.glob("*.py")):
+        for name, node in code_units(path):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and sub.attr == "out":
+                    yield name, "out"
+                elif isinstance(sub, ast.Attribute) and sub.attr == "stdout" \
+                        and isinstance(sub.value, ast.Name) \
+                        and sub.value.id == "sys":
+                    yield name, "sys.stdout"
+                elif isinstance(sub, ast.Constant) \
+                        and isinstance(sub.value, str) and "seed=" in sub.value:
+                    yield name, "seed="
+
+
+def test_only_main_writes_the_report():
+    """One report path: each subcommand returns its lines and exit code, and
+    ``cli.main`` alone puts the seed line first and writes the report to
+    stdout and to ``--out``."""
+    assert sorted(set(report_writers())) == [
+        ("cli.main", "out"), ("cli.main", "seed="), ("cli.main", "sys.stdout")]
 
 
 def importers(top):

@@ -3,6 +3,8 @@ large-parameter ratio calculators."""
 
 import copy
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (fcircuit, bounded_support_poly, brute_cols, brute_phi,
                      dense_rank, dense_rank_mod, make_mon,
                      multilinear_monomials, nw_expand, nw_monomials,
-                     random_poly, subadditivity_check, survivor_bases)
+                     random_poly, src_env, subadditivity_check,
+                     survivor_bases)
 from fewvar.algebra import SparsePolynomial
 from fewvar.measure import (
     DEFAULT_ROW_CAP,
@@ -486,6 +489,30 @@ def test_survivor_bases_match_repeated_derivatives(case):
     gammas = monomials if monomials is not None else \
         list(multilinear_monomials(P.num_vars, r))
     assert _survivor_bases(P, r, monomials) == survivor_bases(P, gammas)
+
+
+# x0...x39 at r = 20 with one listed gamma: testing every degree-20 gamma of
+# the term would take C(40, 20) ~ 1.4e11 steps
+ONE_LISTED_GAMMA_SCRIPT = """
+from fewvar.algebra import SparsePolynomial, mon_make
+from fewvar.measure import MeasureParams, psd_dimension
+P = SparsePolynomial.from_terms(40, [(1, [(v, 1) for v in range(40)])])
+gamma = mon_make((v, 1) for v in range(0, 40, 2))
+rep = psd_dimension(P, MeasureParams(r=20, m=0, monomials=(gamma,)))
+print(rep.phi, rep.cols, rep.rows)
+"""
+
+
+def test_listed_gamma_tests_only_the_listed_derivatives():
+    """With explicit derivative monomials, each term is tested against the
+    listed ones, not against every gamma of its degree.  The run is a
+    child process with a timeout, so a regression fails instead of
+    hanging."""
+    res = subprocess.run([sys.executable, "-c", ONE_LISTED_GAMMA_SCRIPT],
+                         capture_output=True, text=True, env=src_env(),
+                         timeout=30)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["1", "1", "1"]
 
 
 def test_phi_of_a_product_of_rational_linear_forms():

@@ -53,7 +53,7 @@ CASES = {
                       False),
     "BadMonomialReport": (lambda i: BadMonomialReport(1 + i, 2, (frozenset({0}),)),
                           "count", True, True),
-    "SurvivalReport": (lambda i: SurvivalReport(10 + i, 0, 0.5, 1, 0.5, 0.4, 0.1,
+    "SurvivalReport": (lambda i: SurvivalReport(10 + i, 0.5, 1, 0.5, 0.4, 0.1,
                                                 0.3, 0.5), "trials", False, None),
     "DerivedMeasure": (lambda i: DerivedMeasure(nw_params(i), 1, 1, 30, -2.5),
                        "nw", True, True),
