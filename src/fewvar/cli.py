@@ -330,6 +330,8 @@ def _cmd_sz(args) -> Tuple[List[str], int]:
 
 
 def _cmd_measure(args) -> Tuple[List[str], int]:
+    if args.row_cap < 0:
+        raise ValueError(f"need --row-cap >= 0, got {args.row_cap}")
     P = parse_poly(Path(args.poly).read_text())
     params = MeasureParams(r=args.r, m=args.m, rank_prime=args.rank_prime)
     rep = psd_dimension(P, params, row_cap=args.row_cap)

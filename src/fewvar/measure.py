@@ -24,7 +24,7 @@ rank is the sum of the ranks of the connected components of the row/column
 graph, in which two rows meet when they share a column, found as the rows
 are read, each row once.  Each block is eliminated sparsest row first and
 stops once its rank equals its number of columns; a row is copied only
-before its first reduction step, and a block of one row skips elimination.
+before it is first changed, and a block of one row skips elimination.
 
 The module also houses random restrictions (keep each variable alive
 independently with probability p), the count of "bad" small-support monomials
@@ -94,13 +94,6 @@ class MeasureReport(Value):
 # ---------------------------------------------------------------------------
 # rank computation
 
-def _residues(v: Dict[int, int], p: int) -> Dict[int, int]:
-    """The symmetric residues of v's entries mod p, in [-p//2, p//2], zeros
-    dropped."""
-    h = p // 2
-    return {j: r - p if r > h else r for j, c in v.items() if (r := c % p)}
-
-
 def _blocks(rows: Iterable[Dict[int, int]]
             ) -> List[Tuple[List[Dict[int, int]], int]]:
     """The nonempty rows grouped into the connected components of the graph
@@ -157,21 +150,18 @@ def _rank(rows: Iterable[Dict[int, int]], p: Optional[int] = None) -> int:
 
     A row is reduced on its largest column index: by a basis row b with the
     same pivot it becomes (b_p/g)*v - (v_p/g)*b, g = gcd(b_p, v_p), divided
-    by its content.  The caller's row is copied before its first reduction
-    step, and a row that enters the basis untouched is stored as it is:
+    by its content.  The caller's row is copied before it is first changed,
+    and a row that enters the basis untouched is stored as it is:
     basis rows are never changed, so the caller's rows are left alone.
     Basis rows are kept primitive with a positive pivot, so entries stay
     small and no Fraction is ever built.
 
-    Modulo p every stored entry stays in [-p//2, p//2].  A row is taken to
-    symmetric residues only when an entry may have left that range: when it
-    enters elimination, and after a reduction step before its content is
-    divided out, judged by ``top``, a bound on the row's largest |entry|
-    carried through the step's scalars (each basis row keeps its own in
-    ``tops``).  So an entry is 0 mod p exactly when it is 0, and the gcds,
-    the pivot sign and b_p/g all have absolute value below p, hence are
-    units mod p: the same steps compute the rank over GF(p) with no modular
-    inverse."""
+    Over GF(p) the same integer steps run with two guards.  A pivot that
+    is 0 mod p is dropped from the row (a copy) and the next largest column
+    tried, so every pivot is a unit mod p.  A reduced row whose content p
+    divides is 0 mod p and adds nothing, so it stops there.  Then b_p/g
+    divides a unit, so each step is an invertible row operation mod p, and
+    every content divided out is a unit: no modular inverse is needed."""
     rank = 0
     for block, width in _blocks(rows):
         block.sort(key=len)
@@ -184,28 +174,25 @@ def _block_rank(block: List[Dict[int, int]], width: int,
     """The rank of one block of ``width`` columns (the loop of ``_rank``)."""
     if len(block) == 1:
         return 1 if p is None or any(c % p for c in block[0].values()) else 0
-    h = p // 2 if p is not None else 0
     basis: Dict[int, Dict[int, int]] = {}
-    tops: Dict[int, int] = {}
     rank = 0
     for row in block:
         if rank == width:
             break
         v = row
-        top = 0
-        if p is not None:
-            top = max(map(abs, v.values()))
-            if top > h:
-                v, top = _residues(v, p), h
         while v:
             pivot = max(v)
+            if p is not None and not v[pivot] % p:
+                if v is row:
+                    v = dict(row)
+                del v[pivot]
+                continue
             b = basis.get(pivot)
             if b is None:
                 g = math.gcd(*v.values())
                 if v[pivot] < 0:
                     g = -g
                 basis[pivot] = v if g == 1 else {j: c // g for j, c in v.items()}
-                tops[pivot] = top // abs(g)
                 rank += 1
                 break
             bp = b[pivot]
@@ -222,15 +209,12 @@ def _block_rank(block: List[Dict[int, int]], width: int,
                     v[j] = nv
                 else:
                     del v[j]
-            if p is not None:
-                top = abs(s) * top + abs(f) * tops[pivot]
-                if top > h:
-                    v, top = _residues(v, p), h
             if v:
                 g = math.gcd(*v.values())
+                if p is not None and not g % p:
+                    break
                 if g != 1:
                     v = {j: c // g for j, c in v.items()}
-                    top //= g
     return rank
 
 

@@ -487,6 +487,8 @@ def test_transform_audit_refuses_a_shape_it_cannot_draw(capsys, flag, value,
     (["homogenize", "--circuit", "{f}", "--n", "2", "--expand-cap", "-5"],
      "need --expand-cap >= 0, got -5"),
     (["sz", "--blackbox", "true", "--N", "-1"], "need --N >= 0, got -1"),
+    (["measure", "--poly", "{f}", "--r", "1", "--m", "1", "--row-cap", "-1"],
+     "need --row-cap >= 0, got -1"),
 ])
 def test_negative_counts_are_refused(capsys, tmp_path, argv, message):
     f = tmp_path / "hom.circuit"

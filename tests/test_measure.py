@@ -377,6 +377,8 @@ def test_rank_mod_residue_cases(p):
         ([{1: k, 0: -1}, {1: 1, 0: a}], 1),
         # the same after a content of 3 is divided out of the reduced row
         ([{1: k7, 0: -1}, {2: 1, 0: -a7, 1: -1}, {2: 1, 0: 2 * a7, 1: 2}], 2),
+        # a reduction step leaves a nonzero row whose content p divides
+        ([{1: 1, 0: 1}, {1: 1, 0: 1 + p}], 1),
     ]
     for rows, want in cases:
         dense = [[row.get(j, 0) for j in range(4)] for row in rows]
