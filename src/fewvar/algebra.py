@@ -491,22 +491,20 @@ def coeffs_in_var(P: SparsePolynomial, var: int) -> List[SparsePolynomial]:
 # ---------------------------------------------------------------------------
 # primes
 
-# Deterministic Miller-Rabin witness set, proven complete below this bound;
-# is_prime also tries these primes as trial divisors first.
+# The first twelve primes: Miller-Rabin to all of them is a proof of
+# primality below psi_12 = 318665857834031151167461, the least strong
+# pseudoprime to every one (Jiang & Deng 2014).  is_prime also tries them as
+# trial divisors first, so each is a unit mod the n it tests.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_PROVEN_BOUND = 3317044064679887385961981
 
 
-def _miller_rabin(n: int, bases: Iterable[int]) -> bool:
+def _miller_rabin(n: int) -> bool:
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in bases:
-        a %= n
-        if a == 0:
-            continue
+    for a in _MR_WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -584,10 +582,12 @@ def _strong_lucas(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for n below the proven Miller-Rabin witness
-    bound (about 3.3e24); beyond that, Miller-Rabin over the same witness set
-    combined with a strong Lucas test (no counterexample to the combination
-    is known).  Cross-checked against trial division in the test suite."""
+    """Primality by one path for every n: trial division by the twelve
+    witnesses, Miller-Rabin to the same twelve, then a strong Lucas test.
+    Below psi_12 (about 3.2e23) the Miller-Rabin stage alone is a proof;
+    above it the pair is a Baillie-PSW-strength check, with no known
+    counterexample.  Cross-checked against trial division in the test
+    suite."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -595,11 +595,7 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if not _miller_rabin(n, _MR_WITNESSES):
-        return False
-    if n < _MR_PROVEN_BOUND:
-        return True
-    return _strong_lucas(n)
+    return _miller_rabin(n) and _strong_lucas(n)
 
 
 def next_prime_at_least(n: int) -> int:

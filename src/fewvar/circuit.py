@@ -737,8 +737,7 @@ def transform_audit(count: int, seed: int, num_vars: int = 10, max_terms: int = 
         if dC.top_fanin > bound_d:
             failures.append(
                 f"circuit {idx}: derivative fan-in {dC.top_fanin} > {bound_d}")
-        if bound_d:
-            worst_d = max(worst_d, dC.top_fanin / bound_d)
+        worst_d = max(worst_d, dC.top_fanin / bound_d)
 
         cs = coeff_circuits(C, y)
         ref = coeffs_in_var(P, y)
@@ -754,8 +753,7 @@ def transform_audit(count: int, seed: int, num_vars: int = 10, max_terms: int = 
             if ci.top_fanin > bound_c:
                 failures.append(
                     f"circuit {idx}: coefficient fan-in {ci.top_fanin} > {bound_c}")
-            if bound_c:
-                worst_c = max(worst_c, ci.top_fanin / bound_c)
+            worst_c = max(worst_c, ci.top_fanin / bound_c)
 
         deg = P.degree()
         i_hom = rng.integers(0, deg + 2)

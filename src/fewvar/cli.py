@@ -276,11 +276,9 @@ def _cmd_hitset(args) -> Tuple[List[str], int]:
     if limit is not None and limit < 0:
         raise ValueError(f"need --limit >= 0, got {limit}")
     params = _toy_or_derived_params(args, args.N, args.k)
-    if limit is None:
-        if params.stream_exceeds(DEFAULT_STREAM_CAP):
-            raise ValueError(
-                f"stream has {params.stream_size_text} tuples; pass --limit")
-        limit = params.stream_size
+    if limit is None and params.stream_exceeds(DEFAULT_STREAM_CAP):
+        raise ValueError(
+            f"stream has {params.stream_size_text} tuples; pass --limit")
     lines = _params_lines(params)
     for h in hitting_set_stream(params, limit=limit):
         lines.append("h=" + ",".join(map(str, h)))

@@ -347,6 +347,10 @@ def psd_dimension(P: SparsePolynomial, params: MeasureParams,
     if P.field_p is not None:
         raise ValueError("the measure is defined over the rationals")
     N, m = P.num_vars, params.m
+    if m > N:
+        # no m-subset of N variables: no shift, so no row
+        return MeasureReport(phi=0, rows=0, cols=0,
+                             exact=params.rank_prime is None)
     n_shifts = math.comb(N, m)
     gcount = (math.comb(N, params.r) if params.monomials is None
               else len(params.monomials))
@@ -361,8 +365,7 @@ def psd_dimension(P: SparsePolynomial, params: MeasureParams,
     # With every gamma, each survivor is in a base, and a base holds at most
     # one survivor per term: past len(P.terms) * row_cap survivors there are
     # more bases than the cap allows rows, so they are not listed.
-    budget = len(P.terms) * row_cap if params.monomials is None and per_base \
-        else None
+    budget = len(P.terms) * row_cap if params.monomials is None else None
     bases = _survivor_bases(P, params.r, params.monomials, budget)
     built = None if bases is None else len(bases) * per_base
     if built is None or built > row_cap:

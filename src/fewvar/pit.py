@@ -136,9 +136,9 @@ class PitParams(NamedTuple):
     strictly increasing tuple of a'q elements of range(l) (a ``Design``, or
     a tuple for toy parameters), the local family shape (a' rows, q columns,
     degree bound D), and the value grid.  Its builders guarantee N, k >= 1,
-    q prime, 1 <= D <= q and a nonempty grid of distinct ints and
-    Fractions: ``derive_pit_params`` by construction, ``toy_pit_params``
-    by checking its arguments."""
+    q prime, 1 <= D <= q, 1 <= a' <= q and a nonempty grid of distinct
+    ints and Fractions: ``derive_pit_params`` by construction,
+    ``toy_pit_params`` by checking its arguments."""
 
     mu: float
     c: float
@@ -248,6 +248,8 @@ def toy_pit_params(N: int, k: int, l: int, a_prime: int = 1, q: int = 2,
         raise ValueError(f"q = {q} is not prime")
     if not 1 <= D <= q:
         raise ValueError(f"D = {D} outside [1, q = {q}]")
+    if not 1 <= a_prime <= q:
+        raise ValueError(f"a' = {a_prime} outside [1, q = {q}]")
     if len(set(grid)) != len(grid) or not grid:
         raise ValueError("grid values must be distinct and nonempty")
     for g in grid:

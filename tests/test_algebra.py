@@ -382,6 +382,14 @@ def test_is_prime_large_known_values():
     assert not is_prime(2 ** 67 - 1)          # 193707721 * 761838257287
     assert is_prime(10 ** 30 + 57)
     assert not is_prime(10 ** 30 + 27)
+    # psi_12 and psi_13: the least strong pseudoprimes to the first twelve
+    # and thirteen prime bases, so Miller-Rabin to the twelve witnesses
+    # passes both and only the strong Lucas test finds them composite
+    psi12, psi13 = 318665857834031151167461, 3317044064679887385961981
+    assert psi12 == 399165290221 * 798330580441
+    assert psi13 == 1287836182261 * 2575672364521
+    assert not is_prime(psi12)
+    assert not is_prime(psi13)
 
 
 def test_bertrand_prime_examples():

@@ -18,8 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fewvar import cli
+from fewvar.algebra import serialize_poly, substitute
 from fewvar.cli import _SubprocessBox, main
-from helpers import GF7_CIRCUIT, src_env
+from fewvar.nw import NWInstance
+from helpers import GF7_CIRCUIT, nw_expand, src_env
 
 PROJ_CIRCUIT = """\
 fewvar-circuit v1
@@ -222,6 +224,31 @@ def test_gf7_reports_golden(capsys, tmp_path, argv, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("dead, golden", [
+    ((), "measure_nw_3_3_2.txt"),
+    ((0, 4), "measure_nw_3_3_2_restricted.txt"),
+])
+def test_measure_reports_golden(capsys, tmp_path, dead, golden):
+    """The NW(3,3,2) polynomial on N = 9 variables, and its restriction
+    x0 = x4 = 0, which leaves variables unused: r=1 at m=2 and m=3, exact
+    and modulo 2^61 - 1, then m=10 > N.  The reports follow each other in
+    that order."""
+    P = nw_expand(NWInstance(n=3, psi=3, D=2))
+    for v in dead:
+        P = substitute(P, v, 0)
+    f = tmp_path / "nw.poly"
+    f.write_text(serialize_poly(P))
+    mod = ("--rank-prime", str((1 << 61) - 1))
+    out = ""
+    for m, rank_prime in [("2", ()), ("2", mod), ("3", ()), ("3", mod),
+                          ("10", ())]:
+        rc, report, err = run(capsys, "measure", "--poly", str(f), "--r", "1",
+                              "--m", m, *rank_prime)
+        assert rc == 0, err
+        out += report
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_hitset_derived_n256_reports_stream_size_as_power(capsys):
     # 257^4489 has over 10^4 digits, past the int-to-str limit
     rc, out, err = run(capsys, "hitset", "--N", "256", "--k", "1",
@@ -393,9 +420,10 @@ def test_measure_modular_flag(capsys, tmp_path):
     assert "phi=6" in out.splitlines()
 
 
-@pytest.mark.parametrize("rank_prime", ["4", "1"])
+@pytest.mark.parametrize("rank_prime", ["4", "1", "318665857834031151167461"])
 def test_measure_rejects_non_prime_rank_prime(tmp_path, rank_prime):
-    # a rank modulo a composite or modulo 1 is no rank over a field
+    # a rank modulo a composite or modulo 1 is no rank over a field; the
+    # third is psi_12, a strong pseudoprime to the bases 2, 3, ..., 37
     f = tmp_path / "quad.poly"
     f.write_text(QUAD_POLY)
     res = subprocess.run(

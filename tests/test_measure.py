@@ -517,6 +517,30 @@ def test_listed_gamma_tests_only_the_listed_derivatives():
     assert res.stdout.split() == ["1", "1", "1"]
 
 
+# x0...x39 at r = 20 and m = 41: C(40, 41) = 0 shifts, while listing the
+# survivors of every degree-20 gamma would take C(40, 20) ~ 1.4e11 steps
+NO_SHIFT_SCRIPT = """
+from fewvar.algebra import SparsePolynomial
+from fewvar.measure import MeasureParams, psd_dimension
+P = SparsePolynomial.from_terms(40, [(1, [(v, 1) for v in range(40)])])
+for rank_prime in (None, 2):
+    rep = psd_dimension(P, MeasureParams(r=20, m=41, rank_prime=rank_prime))
+    print(rep.phi, rep.rows, rep.cols, rep.exact)
+"""
+
+
+def test_more_shift_variables_than_variables_answers_at_once():
+    """With m > N there is no shift set, so the measure is 0 over no rows
+    and no columns, found without listing any derivative's survivors.  The
+    run is a child process with a timeout, so a regression fails instead
+    of hanging."""
+    res = subprocess.run([sys.executable, "-c", NO_SHIFT_SCRIPT],
+                         capture_output=True, text=True, env=src_env(),
+                         timeout=30)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split("\n") == ["0 0 0 True", "0 0 0 False", ""]
+
+
 def test_phi_of_a_product_of_rational_linear_forms():
     # (x0/2 + x1/3)(x2 + 6 x3): each first derivative is a multiple of one
     # of the two forms, so phi at m=0 is 2 only if every derivative's

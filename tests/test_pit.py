@@ -148,13 +148,17 @@ def test_toy_params_shapes():
 
 def test_toy_params_validation():
     """Each refusal of the toy builder, the one that takes outside input;
-    the set size is checked first, before N."""
+    the set size is checked first, before N, and a negative a' is refused
+    by the draw of the sets, before a' is checked against q."""
     cases = [
         (dict(N=0, k=1, l=2), "need N >= 1 and k >= 1"),
         (dict(N=2, k=0, l=2), "need N >= 1 and k >= 1"),
         (dict(N=2, k=1, l=4, q=4), "q = 4 is not prime"),
         (dict(N=2, k=1, l=2, D=0), r"D = 0 outside \[1, q = 2\]"),
         (dict(N=2, k=1, l=2, D=3), r"D = 3 outside \[1, q = 2\]"),
+        (dict(N=4, k=1, l=10, a_prime=5), r"a' = 5 outside \[1, q = 2\]"),
+        (dict(N=2, k=1, l=2, a_prime=0), r"a' = 0 outside \[1, q = 2\]"),
+        (dict(N=2, k=1, l=2, a_prime=-1), "r must be non-negative"),
         (dict(N=2, k=1, l=2, grid=(1, 1)),
          "grid values must be distinct and nonempty"),
         (dict(N=2, k=1, l=2, grid=()),
