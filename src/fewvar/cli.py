@@ -17,7 +17,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import parse_poly, serialize_poly
 from .circuit import (
@@ -413,136 +413,96 @@ def _cmd_transform_audit(args) -> Tuple[List[str], int]:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# option declarations and their two readers
 
-def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
+class _Opt(NamedTuple):
+    """One option of a subcommand: its flag, the function that converts its
+    value (None keeps the word), its default, whether it is required, and
+    whether it is in the command's one required mutually exclusive group."""
 
+    flag: str
+    convert: Optional[Callable[[str], object]] = None
+    default: object = None
+    required: bool = False
+    one_of: bool = False
 
-def _add_box_args(sp):
-    src = sp.add_mutually_exclusive_group(required=True)
-    src.add_argument("--circuit", default=None)
-    src.add_argument("--blackbox", default=None)
-    sp.add_argument("--N", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-
-
-def _add_override_args(sp):
-    sp.add_argument("--mu", type=_rational, default=Fraction(0))
-    sp.add_argument("--c", type=float, default=3.0)
-    sp.add_argument("--override-l", dest="override_l", type=int, default=None)
-    sp.add_argument("--override-grid", dest="override_grid", type=_csv_ints,
-                    default=None)
-    sp.add_argument("--a-prime", dest="a_prime", type=int, default=None)
-    sp.add_argument("--q", type=int, default=None)
-    sp.add_argument("--D", type=int, default=None)
+    @property
+    def dest(self) -> str:
+        """The flag without its dashes, "-" read as "_", as argparse
+        derives it."""
+        return self.flag[2:].replace("-", "_")
 
 
-def _args_nw_params(sp):
-    sp.add_argument("--mu", type=_rational, required=True)
-    sp.add_argument("--n", type=int, required=True)
+# the box of pit and sz: a circuit file or a blackbox command
+_BOX_OPTS = (_Opt("--circuit", one_of=True), _Opt("--blackbox", one_of=True),
+             _Opt("--N", int), _Opt("--k", int))
 
+# the class exponents and the toy stream shape of hitset and pit
+_OVERRIDE_OPTS = (
+    _Opt("--mu", _rational, Fraction(0)), _Opt("--c", float, 3.0),
+    _Opt("--override-l", int), _Opt("--override-grid", _csv_ints),
+    _Opt("--a-prime", int), _Opt("--q", int), _Opt("--D", int))
 
-def _args_nw_check(sp):
-    sp.add_argument("--psi", type=int, required=True)
-    sp.add_argument("--D", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
+# every command's options end with these
+_COMMON_OPTS = (_Opt("--seed", int, 0), _Opt("--out"))
 
-
-def _args_design(sp):
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--cap", type=int, default=None)
-
-
-def _args_hitset(sp):
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--limit", type=int, default=None)
-    _add_override_args(sp)
-
-
-def _args_pit(sp):
-    _add_box_args(sp)
-    sp.add_argument("--budget", type=int, default=None)
-    _add_override_args(sp)
-
-
-def _args_sz(sp):
-    _add_box_args(sp)
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--domain", type=int, default=10)
-
-
-def _args_measure(sp):
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--rank-prime", dest="rank_prime", type=int, default=None)
-    sp.add_argument("--row-cap", dest="row_cap", type=int,
-                    default=DEFAULT_ROW_CAP)
-
-
-def _args_homogenize(sp):
-    sp.add_argument("--circuit", required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--expand-cap", dest="expand_cap", type=int, default=None)
-
-
-def _args_restrict_experiment(sp):
-    sp.add_argument("--circuit", required=True)
-    sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--trials", type=int, default=100)
-
-
-def _args_ratios(sp):
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--mu", type=_rational, default=Fraction(0))
-    sp.add_argument("--eps1", type=float, default=None)
-    sp.add_argument("--eps2", type=float, default=None)
-
-
-def _args_transform_audit(sp):
-    sp.add_argument("--count", type=int, default=25)
-    sp.add_argument("--vars", type=int, default=10)
-    sp.add_argument("--terms", type=int, default=4)
-    sp.add_argument("--factors", type=int, default=4)
-    sp.add_argument("--support", type=int, default=3)
-    sp.add_argument("--max-k", dest="max_k", type=int, default=3)
-
-
-# name -> (argument adder, handler), in the order help lists them
+# name -> (handler, options), in the order help lists them
 _COMMANDS = {
-    "nw-params": (_args_nw_params, _cmd_nw_params),
-    "nw-check": (_args_nw_check, _cmd_nw_check),
-    "design": (_args_design, _cmd_design),
-    "hitset": (_args_hitset, _cmd_hitset),
-    "pit": (_args_pit, _cmd_pit),
-    "sz": (_args_sz, _cmd_sz),
-    "measure": (_args_measure, _cmd_measure),
-    "homogenize": (_args_homogenize, _cmd_homogenize),
-    "restrict-experiment": (_args_restrict_experiment,
-                            _cmd_restrict_experiment),
-    "ratios": (_args_ratios, _cmd_ratios),
-    "transform-audit": (_args_transform_audit, _cmd_transform_audit),
+    "nw-params": (_cmd_nw_params, (_Opt("--mu", _rational, required=True),
+                                   _Opt("--n", int, required=True))),
+    "nw-check": (_cmd_nw_check, (_Opt("--psi", int, required=True),
+                                 _Opt("--D", int, required=True),
+                                 _Opt("--n", int, required=True))),
+    "design": (_cmd_design, (_Opt("--b", int, required=True),
+                             _Opt("--a", int, required=True),
+                             _Opt("--cap", int))),
+    "hitset": (_cmd_hitset, (_Opt("--N", int, required=True),
+                             _Opt("--k", int, required=True),
+                             _Opt("--limit", int), *_OVERRIDE_OPTS)),
+    "pit": (_cmd_pit, (*_BOX_OPTS, _Opt("--budget", int), *_OVERRIDE_OPTS)),
+    "sz": (_cmd_sz, (*_BOX_OPTS, _Opt("--trials", int, 100),
+                     _Opt("--domain", int, 10))),
+    "measure": (_cmd_measure, (_Opt("--poly", required=True),
+                               _Opt("--r", int, required=True),
+                               _Opt("--m", int, required=True),
+                               _Opt("--rank-prime", int),
+                               _Opt("--row-cap", int, DEFAULT_ROW_CAP))),
+    "homogenize": (_cmd_homogenize, (_Opt("--circuit", required=True),
+                                     _Opt("--n", int, required=True),
+                                     _Opt("--expand-cap", int))),
+    "restrict-experiment": (_cmd_restrict_experiment, (
+        _Opt("--circuit", required=True), _Opt("--s", int, required=True),
+        _Opt("--p", float, required=True), _Opt("--trials", int, 100))),
+    "ratios": (_cmd_ratios, (_Opt("--n", int, required=True),
+                             _Opt("--mu", _rational, Fraction(0)),
+                             _Opt("--eps1", float), _Opt("--eps2", float))),
+    "transform-audit": (_cmd_transform_audit, (
+        _Opt("--count", int, 25), _Opt("--vars", int, 10),
+        _Opt("--terms", int, 4), _Opt("--factors", int, 4),
+        _Opt("--support", int, 3), _Opt("--max-k", int, 3))),
 }
 
 
 def _fill_command(sp, name: str):
-    """Give the parser ``sp`` subcommand ``name``'s arguments and handler."""
-    add_args, handler = _COMMANDS[name]
-    add_args(sp)
-    _add_common(sp)
+    """Give the parser ``sp`` subcommand ``name``'s options and handler."""
+    handler, opts = _COMMANDS[name]
+    group = None
+    for o in opts + _COMMON_OPTS:
+        if o.one_of:
+            group = group or sp.add_mutually_exclusive_group(required=True)
+            group.add_argument(o.flag, dest=o.dest, type=o.convert,
+                               default=o.default)
+        else:
+            sp.add_argument(o.flag, dest=o.dest, type=o.convert,
+                            default=o.default, required=o.required)
     sp.set_defaults(func=handler, command=name)
     return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The full parser tree, every subcommand with its arguments, for help,
-    usage and error lines only: ``main`` parses a valid command line with
-    the invoked subcommand's parser alone (see ``_parse``)."""
+    usage and error lines only: ``main`` reads a valid command line without
+    it (see ``_parse``)."""
     parser = _Parser(prog="fewvar", description=__doc__)
     subs = parser.add_subparsers(dest="command", parser_class=_Parser)
     for name in _COMMANDS:
@@ -550,23 +510,68 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_plain(name: str, words: Sequence[str]):
+    """The Namespace of subcommand ``name`` on ``words``, read straight
+    from its declarations, or None unless ``words`` is a plain valid line
+    (see ``_parse``)."""
+    handler, opts = _COMMANDS[name]
+    opts += _COMMON_OPTS
+    by_flag = {o.flag: o for o in opts}
+    if len(words) % 2:
+        return None
+    given = {}
+    for flag, word in zip(words[::2], words[1::2]):
+        o = by_flag.get(flag)
+        if o is None or flag in given or word.startswith("-"):
+            return None
+        try:
+            given[flag] = word if o.convert is None else o.convert(word)
+        except Exception:           # noqa: BLE001  (argparse reports it)
+            return None
+    if any(o.required and o.flag not in given for o in opts):
+        return None
+    one_of = [o.flag in given for o in opts if o.one_of]
+    if one_of and sum(one_of) != 1:
+        return None
+    return argparse.Namespace(
+        **{o.dest: given.get(o.flag, o.default) for o in opts},
+        func=handler, command=name)
+
+
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
     """The arguments of one command line, or SystemExit after help, usage
     or a usage error.
 
-    A line whose first word names a subcommand is parsed by that
+    A plain valid line is read from the declarations alone, with no parser
+    built (``_read_plain``): a subcommand, then ``OPTION VALUE`` pairs, each
+    OPTION one of its option strings exactly (no prefix, no ``=`` form, no
+    repeat), no VALUE starting with "-", every required option given,
+    exactly one of a required exclusive group's, and every type conversion
+    succeeding.  The full tree gives the same Namespace on such a line.
+    Its top level hands the subparsers positional every word after the
+    command, and the subcommand's parser reads them.  There every OPTION is
+    an exact option string and every VALUE, not starting with "-", is an
+    argument word, so each pair is one option with its converted value.
+    No check can fail: argparse checks the required options, the group,
+    and conflicts only between options given.  Each dest not given keeps
+    its default, never a string that argparse would convert, and
+    set_defaults adds ``func`` and ``command``, which the subparsers action
+    also sets to the name.
+
+    Any other line whose first word names a subcommand is parsed by that
     subcommand's parser alone, built as ``build_parser`` builds it.  That
-    gives what the full tree gives: argparse hands the subparsers
-    positional (``nargs=PARSER``) every word after the command, options
-    included, and parses them with the subcommand parser's own
-    ``parse_known_args`` under the prog "fewvar <name>"; the words it
-    leaves over go back to the top level as "unrecognized arguments".  So
-    when nothing is left over the Namespace is the same, ``command``
-    included, and an error raised inside the subcommand prints the same
+    also gives what the full tree gives: the subcommand parser's own
+    ``parse_known_args`` reads the words under the prog "fewvar <name>",
+    and the words it leaves over go back to the top level as
+    "unrecognized arguments".  So when nothing is left over the Namespace
+    is the same, and an error raised inside the subcommand prints the same
     usage and message.  Every other line (words left over, no words, a
     first word that is an option or no subcommand) goes to the full tree,
     which prints the top-level help, usage and error text."""
     if argv and argv[0] in _COMMANDS:
+        args = _read_plain(argv[0], argv[1:])
+        if args is not None:
+            return args
         sp = _fill_command(_Parser(prog=f"fewvar {argv[0]}"), argv[0])
         args, rest = sp.parse_known_args(argv[1:])
         if not rest:

@@ -18,6 +18,7 @@ The baseline lives here too: seeded Schwartz-Zippel random evaluation.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
@@ -138,7 +139,8 @@ class PitParams(NamedTuple):
     degree bound D), and the value grid.  Its builders guarantee N, k >= 1,
     q prime, 1 <= D <= q, 1 <= a' <= q and a nonempty grid of distinct
     ints and Fractions: ``derive_pit_params`` by construction,
-    ``toy_pit_params`` by checking its arguments."""
+    ``toy_pit_params`` by checking its arguments.  Both refuse a c that is
+    not finite."""
 
     mu: float
     c: float
@@ -181,6 +183,16 @@ class PitParams(NamedTuple):
         return str(self.stream_size)
 
 
+def _class_exponent(c) -> float:
+    """The class exponent c as a float, refused unless finite: with c = inf
+    every circuit passes ``class_check`` and with c = nan every one fails,
+    whatever the circuit."""
+    c = float(c)
+    if not math.isfinite(c):
+        raise ValueError(f"c = {c} is not finite")
+    return c
+
+
 def derive_pit_params(mu, c, N: int, k: int) -> PitParams:
     """The full parameter chain for declared class exponents (mu, c) and a
     blackbox on N variables with individual degree k.
@@ -195,6 +207,7 @@ def derive_pit_params(mu, c, N: int, k: int) -> PitParams:
     q; each set keeps its first a'q elements; G = {0..Nka'}.  Each rounding
     is exact, by integer roots or ``ceil_real``.
     """
+    c = _class_exponent(c)
     mu = to_fraction(mu)
     if not 0 <= mu < Fraction(1, 2):
         raise ValueError(f"mu = {mu} outside [0, 1/2)")
@@ -225,7 +238,7 @@ def derive_pit_params(mu, c, N: int, k: int) -> PitParams:
                        size=a_prime * q)
     grid = tuple(range(N * k * a_prime + 1))
     return PitParams(
-        mu=float(mu), c=float(c), N=N, k=k, a=a, a_prime=a_prime, q=q, D=D,
+        mu=float(mu), c=c, N=N, k=k, a=a, a_prime=a_prime, q=q, D=D,
         l=design.l, sets=design, grid=grid)
 
 
@@ -234,8 +247,10 @@ def toy_pit_params(N: int, k: int, l: int, a_prime: int = 1, q: int = 2,
                    mu: float = 0.0, c: float = 3.0) -> PitParams:
     """Small hand-set parameters for desk runs.  The sets are the size-a'q
     subsets of the universe cycled from the combination enumeration; the
-    grid defaults to {0..Nka'}.  The other arguments are checked after the
-    sets are drawn, so a negative a' is refused by the combinations."""
+    grid defaults to {0..Nka'}.  c is checked first and the other arguments
+    after the sets are drawn, so a negative a' is refused by the
+    combinations."""
+    c = _class_exponent(c)
     size = a_prime * q
     if size > l:
         raise ValueError(f"set size a'q = {size} exceeds universe l = {l}")

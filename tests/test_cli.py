@@ -296,6 +296,31 @@ def test_toy_stream_refuses_a_composite_q(capsys):
     assert (rc, out, err) == (3, "", "error: q = 4 is not prime\n")
 
 
+# a derived and a toy stream line of each command that takes --c
+C_LINES = [
+    ["hitset", "--N", "16", "--k", "1", "--limit", "3"],
+    ["hitset", "--N", "2", "--k", "1", "--override-l", "2"],
+    ["pit", "--circuit", "{circuit}", "--budget", "3"],
+    ["pit", "--circuit", "{circuit}", "--override-l", "3"],
+]
+
+
+@pytest.mark.parametrize("value, shown", [
+    ("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("1e999", "inf")])
+@pytest.mark.parametrize("line", C_LINES)
+def test_a_non_finite_c_is_refused(capsys, tmp_path, line, value, shown):
+    """With c = inf every circuit would pass the class check, and with
+    c = nan every one would fail it; both streams refuse such a c."""
+    f = tmp_path / "hom.circuit"
+    f.write_text(HOM_CIRCUIT)
+    argv = [w.format(circuit=f) for w in line]
+    assert run(capsys, *argv, "--c", "2.5")[0] != cli.EXIT_ERROR
+    # "--c -inf" is a usage error: argparse reads -inf as an option
+    c_words = [f"--c={value}"] if value.startswith("-") else ["--c", value]
+    rc, out, err = run(capsys, *argv, *c_words)
+    assert (rc, out, err) == (3, "", f"error: c = {shown} is not finite\n")
+
+
 def test_nw_check_frozen(capsys):
     rc, out, _ = run(capsys, "nw-check", "--psi", "3", "--D", "1", "--n", "2")
     assert rc == 0
@@ -786,6 +811,39 @@ def test_invoked_parser_agrees_with_the_full_tree(name, data):
             full_tree_parse, argv)
 
 
+@st.composite
+def plain_lines(draw, name):
+    """``name`` and a line of its options that ``cli._read_plain`` takes:
+    each option string exact and used once, its value the next word, a good
+    value with no leading "-", every required option, exactly one option of
+    each required exclusive group, in any order."""
+    sp = cli._fill_command(cli._Parser(prog=f"fewvar {name}"), name)
+    groups = sp._mutually_exclusive_groups
+    grouped = [a for g in groups for a in g._group_actions]
+    assert all(g.required for g in groups)
+    actions = [a for a in sp._actions if a.nargs != 0 and a not in grouped
+               and (a.required or draw(st.booleans()))]
+    actions += [draw(st.sampled_from(g._group_actions)) for g in groups]
+    chunks = [[a.option_strings[0], draw(st.sampled_from(
+        [v for v in GOOD_VALUES[a.type] if not v.startswith("-")]))]
+        for a in actions]
+    return [name] + [w for c in draw(st.permutations(chunks)) for w in c]
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_a_plain_line_is_read_without_a_parser(name, data):
+    """On a plain valid line ``_parse`` builds no parser and returns the
+    Namespace the full tree returns, printing nothing."""
+    argv = data.draw(plain_lines(name))
+    with mock.patch.object(cli, "_Parser", wraps=cli._Parser) as spy:
+        outcome = parse_outcome(cli._parse, argv)
+    assert spy.call_count == 0
+    assert outcome[0] == "args"
+    assert outcome == parse_outcome(full_tree_parse, argv)
+
+
 # one valid invocation of each command, on the files of probe_dir
 VALID_ARGVS = [
     ["nw-params", "--mu", "0", "--n", "2"],
@@ -803,11 +861,12 @@ VALID_ARGVS = [
 ]
 
 
-def test_a_valid_command_line_builds_one_parser(monkeypatch, capsys,
-                                                probe_dir):
-    """One parser per invocation: a valid command line builds only the
-    invoked subcommand's parser.  A help or error line may build that one
-    and then the full tree, for the top-level text."""
+def test_a_valid_command_line_builds_no_parser(monkeypatch, capsys,
+                                               probe_dir):
+    """A valid command line is read from the option declarations alone, so
+    it builds no argparse parser.  A help or error line may build the
+    invoked subcommand's parser and then the full tree, for the top-level
+    text."""
     built = []
     init = cli._Parser.__init__
 
@@ -821,7 +880,7 @@ def test_a_valid_command_line_builds_one_parser(monkeypatch, capsys,
     for argv in VALID_ARGVS:
         built.clear()
         assert main(argv) != cli.EXIT_ERROR, capsys.readouterr().err
-        assert built == [f"fewvar {argv[0]}"]
+        assert built == []
     for argv in HELP_ARGVS:
         built.clear()
         main(list(argv))

@@ -302,3 +302,17 @@ def test_no_module_imports_dataclasses():
     and imports ``inspect``, a fixed cost of every CLI run; the package's
     records are ``typing.NamedTuple``s and its other classes are plain."""
     assert importers("dataclasses") == []
+
+
+def test_only_fill_command_declares_arguments_to_argparse():
+    """One declaration of the options: ``add_argument`` and
+    ``add_mutually_exclusive_group`` are called in the package only by
+    ``cli._fill_command``, which builds a subcommand's parser from
+    ``cli._COMMANDS``, so the parser and the quick reader of a plain line
+    read the same declarations."""
+    callers = sorted({
+        name for path in sorted(SRC.glob("*.py"))
+        for name, node in code_units(path) for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+        and sub.func.attr in ("add_argument", "add_mutually_exclusive_group")})
+    assert callers == ["cli._fill_command"]

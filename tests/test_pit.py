@@ -138,6 +138,16 @@ def test_derive_pit_params_rejects_bad_mu():
         derive_pit_params(-0.1, 3.0, 16, 1)
 
 
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+def test_pit_params_refuse_a_non_finite_c(c):
+    """Both builders refuse a class exponent that is not finite, which
+    would make ``class_check`` pass (inf) or fail (nan) for any circuit."""
+    with pytest.raises(ValueError, match=f"^c = {c} is not finite$"):
+        derive_pit_params(0, float(c), 16, 1)
+    with pytest.raises(ValueError, match=f"^c = {c} is not finite$"):
+        toy_pit_params(N=2, k=1, l=2, c=float(c))
+
+
 def test_toy_params_shapes():
     p = checked_sets(toy_pit_params(N=2, k=1, l=2))
     assert p.stream_size == 9
