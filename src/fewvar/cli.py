@@ -558,23 +558,12 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     set_defaults adds ``func`` and ``command``, which the subparsers action
     also sets to the name.
 
-    Any other line whose first word names a subcommand is parsed by that
-    subcommand's parser alone, built as ``build_parser`` builds it.  That
-    also gives what the full tree gives: the subcommand parser's own
-    ``parse_known_args`` reads the words under the prog "fewvar <name>",
-    and the words it leaves over go back to the top level as
-    "unrecognized arguments".  So when nothing is left over the Namespace
-    is the same, and an error raised inside the subcommand prints the same
-    usage and message.  Every other line (words left over, no words, a
-    first word that is an option or no subcommand) goes to the full tree,
-    which prints the top-level help, usage and error text."""
+    Every other line goes to the full tree, which reads a valid line
+    argparse's way (the ``=`` form, a prefix, a value starting with "-")
+    and prints the help, usage and error text."""
     if argv and argv[0] in _COMMANDS:
         args = _read_plain(argv[0], argv[1:])
         if args is not None:
-            return args
-        sp = _fill_command(_Parser(prog=f"fewvar {argv[0]}"), argv[0])
-        args, rest = sp.parse_known_args(argv[1:])
-        if not rest:
             return args
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -721,8 +721,7 @@ def cli_transcript(argvs) -> str:
 
 def test_help_and_usage_text_golden(monkeypatch):
     """Help, usage and parse-error text of every subcommand, at a fixed
-    terminal width: the parser fills in only the invoked subcommand's
-    arguments, and no text may move because of it."""
+    terminal width: no text may move with how a command line is read."""
     monkeypatch.setenv("COLUMNS", "80")
     assert cli_transcript(HELP_ARGVS) == (GOLDEN / "help_usage.txt").read_text()
 
@@ -802,8 +801,7 @@ def command_lines(draw, name):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_invoked_parser_agrees_with_the_full_tree(name, data):
-    """``main`` parses a command line with the invoked subcommand's parser
-    alone; on any line of that subcommand's options it returns what the
+    """On any line of a subcommand's options ``_parse`` returns what the
     full tree returns, or exits with the same code and text."""
     argv = data.draw(command_lines(name))
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
@@ -864,9 +862,8 @@ VALID_ARGVS = [
 def test_a_valid_command_line_builds_no_parser(monkeypatch, capsys,
                                                probe_dir):
     """A valid command line is read from the option declarations alone, so
-    it builds no argparse parser.  A help or error line may build the
-    invoked subcommand's parser and then the full tree, for the top-level
-    text."""
+    it builds no argparse parser.  A help or error line builds the full
+    tree alone: its top level and one parser per subcommand."""
     built = []
     init = cli._Parser.__init__
 
@@ -884,7 +881,7 @@ def test_a_valid_command_line_builds_no_parser(monkeypatch, capsys,
     for argv in HELP_ARGVS:
         built.clear()
         main(list(argv))
-        assert len(built) <= 1 + 1 + len(COMMANDS)
+        assert len(built) == 1 + len(COMMANDS)
 
 
 # Runs main() on each argv (a JSON list) in a fresh interpreter, then prints
