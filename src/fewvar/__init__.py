@@ -12,6 +12,8 @@ The package is organized as:
               univariates over a prime field.
   measure  -- the projected-shifted-partial-derivative rank measure, random
               restrictions, and the large-parameter ratio calculators.
+  symmetry -- the search for variable permutations that fix a polynomial,
+              loaded by the measure when an input calls for it.
   pit      -- set designs, hitting-set enumeration, and the blackbox
               zero-testing drivers (deterministic and randomized).
   cli      -- the `fewvar` command-line entry point.

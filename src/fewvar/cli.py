@@ -559,12 +559,26 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     also sets to the name.
 
     Every other line goes to the full tree, which reads a valid line
-    argparse's way (the ``=`` form, a prefix, a value starting with "-")
-    and prints the help, usage and error text."""
+    argparse's way (the ``=`` form, a prefix) and prints the help, usage
+    and error text.  Before it does, a word starting with "-" that follows
+    one of the command's option strings exactly is joined to it as
+    ``OPTION=VALUE``, unless it is an option string itself: argparse would
+    take ``-1/2`` or ``-inf`` for an option and refuse the line with
+    "expected one argument" instead of the value's own error."""
     if argv and argv[0] in _COMMANDS:
         args = _read_plain(argv[0], argv[1:])
         if args is not None:
             return args
+        flags = {o.flag for o in _COMMANDS[argv[0]][1] + _COMMON_OPTS}
+        argv = list(argv)
+        i = 1
+        while i < len(argv) - 1:
+            if argv[i] in flags and argv[i + 1] not in flags | {"-h", "--help"}:
+                if argv[i + 1].startswith("-"):
+                    argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+                else:
+                    i += 1
+            i += 1
     parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "func", None):

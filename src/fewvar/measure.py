@@ -26,6 +26,17 @@ are read, each row once.  Each block is eliminated sparsest row first and
 stops once its rank equals its number of columns; a row is copied only
 before it is first changed, and a block of one row skips elimination.
 
+A permutation sigma of the used variables with sigma(P) == P maps the row
+(gamma, S) to the row (sigma(gamma), sigma(S)) and each column to its
+image, with the same entries, so it carries each block onto a block of the
+same rank, over Q and GF(p) alike.  When enough rows lie in blocks of one
+shape (ORBIT_CROSSOVER), generators of such a group are searched for by
+individualization-refinement, each candidate is kept only if it maps P
+onto itself term for term with exact coefficients, and the kernel ranks
+one block per orbit, weighted by the orbit's size.  A candidate that fails
+its check, or a block whose image is missing or of another shape, can cost
+speed but never changes the rank.
+
 The module also houses random restrictions (keep each variable alive
 independently with probability p), the count of "bad" small-support monomials
 living inside single factors, the closed-form upper bound for bounded-support
@@ -35,11 +46,13 @@ ratios together with the factorial-ratio approximation check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from .algebra import (
     FieldElem,
@@ -59,6 +72,17 @@ from .nw import NWParams, derive_nw_params
 DEFAULT_ROW_CAP = 200_000
 # distinct support sets bad_support_monomials collects before refusing
 BAD_MONOMIAL_CAP = 1_000_000
+# Rows in blocks of more than one row that share their shape, below which
+# the symmetry search is not run.  Measured in-process per op, orbit step
+# forced on against off: at 247-792 such rows (the bench's restricted NW at
+# m=2) every op lost 0.1-0.6 ms to the search; at 981-1230 (13-14 of
+# NW(3,5,2)'s 15 variables alive, m=2) ops gained up to 10 ms, and at 1575
+# and more (the whole NW(3,5,2)) 20-36 ms; at 1282-1448 (11 alive, m=3)
+# they lost up to 0.6 ms.
+ORBIT_CROSSOVER = 1024
+
+# column ids -> their image ids under each generator of a column group
+Images = Callable[[List[int]], List[List[Optional[int]]]]
 
 
 class MeasureParams(FrozenValue):
@@ -95,12 +119,12 @@ class MeasureReport(Value):
 # rank computation
 
 def _blocks(rows: Iterable[Dict[int, int]]
-            ) -> List[Tuple[List[Dict[int, int]], int]]:
+            ) -> List[Tuple[List[Dict[int, int]], List[int]]]:
     """The nonempty rows grouped into the connected components of the graph
-    that joins two columns when a row holds both, each with its number of
-    columns.  One pass: a row joins the block that owns its columns, takes
-    its new columns into it, and when it meets several blocks the smaller
-    are merged into the largest.  No row of one block shares a column with
+    that joins two columns when a row holds both, each with its column ids.
+    One pass: a row joins the block that owns its columns, takes its new
+    columns into it, and when it meets several blocks the smaller are
+    merged into the largest.  No row of one block shares a column with
     another block, so the matrix is block-diagonal after a permutation."""
     owner: Dict[int, Tuple[List[Dict[int, int]], List[int]]] = {}
     blocks: Dict[int, Tuple[List[Dict[int, int]], List[int]]] = {}
@@ -131,10 +155,11 @@ def _blocks(rows: Iterable[Dict[int, int]]
         block[1].extend(fresh)
         for j in fresh:
             owner[j] = block
-    return [(block_rows, len(cols)) for block_rows, cols in blocks.values()]
+    return list(blocks.values())
 
 
-def _rank(rows: Iterable[Dict[int, int]], p: Optional[int] = None) -> int:
+def _rank(rows: Iterable[Dict[int, int]], p: Optional[int] = None,
+          images: Optional[Images] = None) -> int:
     """Rank of sparse integer rows by fraction-free elimination, block by
     block: over the rationals when p is None, else over GF(p) for a prime p.
 
@@ -161,12 +186,56 @@ def _rank(rows: Iterable[Dict[int, int]], p: Optional[int] = None) -> int:
     tried, so every pivot is a unit mod p.  A reduced row whose content p
     divides is 0 mod p and adds nothing, so it stops there.  Then b_p/g
     divides a unit, so each step is an invertible row operation mod p, and
-    every content divided out is a unit: no modular inverse is needed."""
+    every content divided out is a unit: no modular inverse is needed.
+
+    With ``images`` (see ``_orbit_weights``), one block per orbit of a
+    group of column maps that carry blocks onto blocks of equal rank is
+    ranked, weighted by the orbit's size."""
+    blocks = _blocks(rows)
+    weights = _orbit_weights(blocks, images) if images else None
     rank = 0
-    for block, width in _blocks(rows):
-        block.sort(key=len)
-        rank += _block_rank(block, width, p)
+    for weight, (block, cols) in zip(weights or itertools.repeat(1), blocks):
+        if weight:
+            block.sort(key=len)
+            rank += weight * _block_rank(block, len(cols), p)
     return rank
+
+
+def _orbit_weights(blocks: List[Tuple[List[Dict[int, int]], List[int]]],
+                   images: Images) -> Optional[List[int]]:
+    """Per block, the size of its orbit if it is its orbit's representative,
+    else 0; or None when the orbit step does not pay or a map fails.
+
+    ``images(cols)`` lists, under each generator of a group of permutations
+    of the columns that maps the row set onto itself and keeps every entry,
+    the image ids of the columns ``cols`` (None for a missing image).  Such
+    a map carries each block onto a block of the same rank, over Q and
+    GF(p) alike, so one column per block names its image.  A missing image
+    or an image block of another shape means the maps do not hold: None.
+    The search behind ``images`` runs only when at least ORBIT_CROSSOVER
+    rows lie in blocks of more than one row whose shape another such block
+    shares: there two blocks can be one orbit."""
+    shapes = [(len(block), len(cols)) for block, cols in blocks]
+    twins = Counter(s for s in shapes if s[0] > 1)
+    if sum(s[0] for s in shapes if twins[s] > 1) < ORBIT_CROSSOVER:
+        return None
+    owner = {c: i for i, (_, cols) in enumerate(blocks) for c in cols}
+    root = list(range(len(blocks)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+    for image in images([cols[0] for _, cols in blocks]):
+        for i, c in enumerate(image):
+            j = owner.get(c)
+            if j is None or shapes[j] != shapes[i]:
+                return None
+            root[find(i)] = find(j)
+    weights = [0] * len(blocks)
+    for i in range(len(blocks)):
+        weights[find(i)] += 1
+    return weights
 
 
 def _block_rank(block: List[Dict[int, int]], width: int,
@@ -218,15 +287,46 @@ def _block_rank(block: List[Dict[int, int]], width: int,
     return rank
 
 
-def rank_exact(rows: Iterable[Dict[int, int]]) -> int:
+def rank_exact(rows: Iterable[Dict[int, int]],
+               images: Optional[Images] = None) -> int:
     """Exact rank of sparse integer rows (nonzero int entries)."""
-    return _rank(rows)
+    return _rank(rows, None, images)
 
 
-def rank_mod(rows: Iterable[Dict[int, int]], p: int) -> int:
+def rank_mod(rows: Iterable[Dict[int, int]], p: int,
+             images: Optional[Images] = None) -> int:
     """Rank over GF(p) of sparse integer rows (nonzero int entries), p
     prime."""
-    return _rank(rows, p)
+    return _rank(rows, p, images)
+
+
+def _images(P: SparsePolynomial, A: Sequence[int],
+            found: List[List[Dict[int, int]]], col_ids: Dict[int, int],
+            cols: List[int]) -> List[List[Optional[int]]]:
+    """Under each generator that fixes P, the ids in ``col_ids`` of the
+    images of the column ids ``cols`` (None where an image has no id), each
+    column a bitmask of variables of A.  The generators are the candidates
+    of ``symmetry.symmetries(P, A)`` that map P onto itself term for term
+    with the same coefficients, found once per P and kept in ``found``.
+    The search module loads here, so no command compiles it at start."""
+    if not found:
+        from .symmetry import symmetries
+        found.append([g for g in symmetries(P, A) if all(
+            P.terms.get(tuple(sorted((g[v], e) for v, e in mon))) == c
+            for mon, c in P.terms.items())])
+    masks = list(col_ids)
+    out = []
+    for sigma in found[0]:
+        image = []
+        for c in cols:
+            mask, bits = masks[c], 0
+            while mask:
+                low = mask & -mask
+                bits |= 1 << sigma[low.bit_length() - 1]
+                mask ^= low
+            image.append(col_ids.get(bits))
+        out.append(image)
+    return out
 
 
 def _survivor_bases(P: SparsePolynomial, r: int,
@@ -343,6 +443,14 @@ def psd_dimension(P: SparsePolynomial, params: MeasureParams,
     ``rows`` still counts every (gamma, S) pair, C(N, r) * C(N, m) by
     default.  The row cap refuses on the rows built, one per base and per
     shift of every block ranked: len(bases) * sum_k C(|A|, m-k).
+
+    With every gamma (``monomials`` None), a permutation of A that fixes P
+    maps this row set onto itself, so the kernel may rank one block per
+    orbit of such maps (``_rank``, ``_images``): the maps are searched for
+    once per P, only when some k has at least ORBIT_CROSSOVER rows in
+    blocks that share their shape, and each is checked on P.  A listed
+    set of derivatives need not be invariant, so there every block is
+    ranked.
     """
     if P.field_p is not None:
         raise ValueError("the measure is defined over the rationals")
@@ -375,15 +483,20 @@ def psd_dimension(P: SparsePolynomial, params: MeasureParams,
             f"row cap exceeded: {count} rows to build, of {gcount} derivatives "
             f"x {n_shifts} shifts = {gcount * n_shifts} rows")
     phi = cols = 0
+    found: List[List[Dict[int, int]]] = []
     for k in ks:
         shifts = [sum(1 << v for v in S)
                   for S in itertools.combinations(A, m - k)]
         col_ids: Dict[int, int] = {}
         rows = _shift_rows(bases, shifts, col_ids)
+        # the rows at stake are at most the rows built
+        images = None if params.monomials is not None or \
+            len(bases) * len(shifts) < ORBIT_CROSSOVER else \
+            functools.partial(_images, P, A, found, col_ids)
         if params.rank_prime is None:
-            rank = rank_exact(rows)
+            rank = rank_exact(rows, images)
         else:
-            rank = rank_mod(rows, params.rank_prime)
+            rank = rank_mod(rows, params.rank_prime, images)
         phi += math.comb(z, k) * rank
         cols += math.comb(z, k) * len(col_ids)
     return MeasureReport(phi=phi, rows=gcount * n_shifts, cols=cols,

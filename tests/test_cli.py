@@ -315,10 +315,28 @@ def test_a_non_finite_c_is_refused(capsys, tmp_path, line, value, shown):
     f.write_text(HOM_CIRCUIT)
     argv = [w.format(circuit=f) for w in line]
     assert run(capsys, *argv, "--c", "2.5")[0] != cli.EXIT_ERROR
-    # "--c -inf" is a usage error: argparse reads -inf as an option
-    c_words = [f"--c={value}"] if value.startswith("-") else ["--c", value]
-    rc, out, err = run(capsys, *argv, *c_words)
+    rc, out, err = run(capsys, *argv, "--c", value)
     assert (rc, out, err) == (3, "", f"error: c = {shown} is not finite\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    (["ratios", "--n", "100", "--mu", "-1/2"], "mu=-1/2 outside [0, 1)"),
+    (["pit", "--circuit", "{circuit}", "--c", "-inf"], "c = -inf is not finite"),
+    (["restrict-experiment", "--circuit", "{circuit}", "--s", "1",
+      "--p", "-1e-3"], "probability -0.001 outside [0, 1]"),
+])
+def test_a_value_starting_with_a_dash_gets_its_own_error(capsys, tmp_path,
+                                                         line, message):
+    """A value that starts with "-" is its option's value, as in the "="
+    form, so the line fails on the value, not with argparse's "expected
+    one argument"; the quick reader still turns the line down."""
+    f = tmp_path / "hom.circuit"
+    f.write_text(HOM_CIRCUIT)
+    argv = [w.format(circuit=f) for w in line]
+    assert cli._read_plain(argv[0], argv[1:]) is None
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    for words in (argv, joined):
+        assert run(capsys, *words) == (3, "", f"error: {message}\n")
 
 
 def test_nw_check_frozen(capsys):
@@ -744,6 +762,23 @@ def full_tree_parse(argv):
     return cli.build_parser().parse_args(argv)
 
 
+def dash_values_joined(argv):
+    """``argv`` with each word that starts with "-" and follows an option
+    string of its command joined to that option as ``OPTION=VALUE``, unless
+    the word is an option string too: how ``_parse`` hands a line to the
+    full tree, so that ``--mu -1/2`` is read as mu = -1/2."""
+    sp = cli._fill_command(cli._Parser(prog=f"fewvar {argv[0]}"), argv[0])
+    options = {o for a in sp._actions for o in a.option_strings}
+    out = argv[:1]
+    for word in argv[1:]:
+        if out[-1] in options - {"-h", "--help"} and word.startswith("-") \
+                and word not in options:
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 # option values by type, valid and refused ("1/0" raises in Fraction)
 GOOD_VALUES = {int: ["0", "1", "3", "-1", "12"], float: ["0.3", "1", "25e-2"],
                cli._rational: ["0", "1/2", "-3/4", "2"],
@@ -802,11 +837,12 @@ def command_lines(draw, name):
 @given(data=st.data())
 def test_invoked_parser_agrees_with_the_full_tree(name, data):
     """On any line of a subcommand's options ``_parse`` returns what the
-    full tree returns, or exits with the same code and text."""
+    full tree returns once each value starting with "-" is joined to its
+    option, or exits with the same code and text."""
     argv = data.draw(command_lines(name))
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         assert parse_outcome(cli._parse, argv) == parse_outcome(
-            full_tree_parse, argv)
+            full_tree_parse, dash_values_joined(argv))
 
 
 @st.composite

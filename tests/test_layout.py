@@ -13,7 +13,8 @@ The package has one product loop: ``mon_mul`` is named only inside
 ``algebra.multiply_out``; and one circuit evaluator: the compiled
 ``integer_form`` is read only by ``circuit.eval_circuit``; and one graph
 construction: ``univariate_graph`` is named only by the NW column table and
-the design's set accessor.  numpy is a test-only dependency: no module of
+the design's set accessor; and one rank kernel: only ``measure._rank``
+calls ``_block_rank``.  numpy is a test-only dependency: no module of
 the package imports it; nor does any import ``dataclasses``, which compiles
 methods when the CLI starts.  The CLI has one report path: only ``cli.main``
 names ``sys.stdout``, the ``--out`` destination or the ``seed=`` line.  Each
@@ -247,6 +248,19 @@ def test_only_the_column_table_and_the_design_build_graphs():
              for name, node in code_units(path)
              if referenced_names(node)["univariate_graph"]]
     assert users == ["nw.NWInstance.columns", "pit.Design.__getitem__"]
+
+
+def test_one_rank_kernel_and_one_symmetry_search():
+    """One elimination kernel: only ``measure._rank`` calls
+    ``_block_rank``, so ranking one block per orbit is a weight on the
+    same kernel, not a second rank path; and the symmetry search has one
+    caller, ``measure._images``, which keeps only the maps that fix P."""
+    users = {name: [unit for path in sorted(SRC.glob("*.py"))
+                    for unit, node in code_units(path)
+                    if referenced_names(node)[name]]
+             for name in ("_block_rank", "symmetries")}
+    assert users == {"_block_rank": ["measure._rank"],
+                     "symmetries": ["measure._images"]}
 
 
 def report_writers():

@@ -407,7 +407,8 @@ def test_blocks_are_the_connected_components(rows):
     assert sorted(id(row) for block, _ in blocks for row in block) == \
         sorted(id(row) for row in rows if row)
     columns = [set().union(*block) for block, _ in blocks]
-    assert [width for _, width in blocks] == [len(cols) for cols in columns]
+    # each block lists its own column ids, each once
+    assert [sorted(cols) for _, cols in blocks] == [sorted(c) for c in columns]
     assert sum(map(len, columns)) == len(set().union(*columns))
     for block, _ in blocks:
         reached = set(block[0])
@@ -557,12 +558,14 @@ def test_phi_of_a_product_of_rational_linear_forms():
 
 
 # phi and cols of the NW polynomial (D=2, r=1), as one elimination over all
-# rows computed them before the rank was split into blocks
+# rows computed them before the rank was split into blocks (psi=7 at m=3 by
+# the block kernel before blocks were ranked one per symmetry orbit)
 @pytest.mark.parametrize("rank_prime", [None, (1 << 61) - 1])
 @pytest.mark.parametrize("n, psi, m, phi, cols", [
     (3, 5, 2, 1275, 1350),
     (3, 5, 3, 3000, 3000),
     (4, 5, 3, 21640, 35700),
+    (3, 7, 3, 19887, 20286),
 ])
 def test_nw_measure_pins(n, psi, m, phi, cols, rank_prime):
     P = nw_expand(NWInstance(n=n, psi=psi, D=2))
@@ -591,6 +594,123 @@ def test_rank_kernels_receive_integer_rows(monkeypatch, rank_prime):
     assert rep.phi == brute_phi(P, 1, 1)
     assert len(seen) == rep.rows
     assert all(type(c) is int and c for row in seen for c in row.values())
+
+
+# ---------------------------------------------------------------------------
+# one block per orbit of the variable permutations that fix P
+
+def cyclic_group(gen):
+    """The powers of the permutation ``gen`` of range(len(gen))."""
+    g, out = list(range(len(gen))), []
+    while not out or g != out[0]:
+        out.append(g)
+        g = [gen[v] for v in g]
+    return out
+
+
+def group_images(group, items):
+    """The (coefficient, pairs) items mapped by each permutation of
+    ``group``: their sum is fixed by the group."""
+    return [(c, [(g[v], e) for v, e in mon]) for g in group for c, mon in items]
+
+
+@st.composite
+def planted_symmetry_cases(draw):
+    """A polynomial over N <= 8 variables fixed by a random permutation
+    group: a random term set summed over the group's images.  The group is
+    generated by one or two random permutations, or by the first alone when
+    the two generate more than 48 maps.  r <= 2, 1 <= m <= 3."""
+    N = draw(st.integers(3, 8))
+    gens = draw(st.lists(st.permutations(range(N)), min_size=1, max_size=2))
+    group = {tuple(range(N))}
+    todo = list(group)
+    while todo and len(group) <= 48:
+        g = todo.pop()
+        for h in gens:
+            gh = tuple(h[v] for v in g)
+            if gh not in group:
+                group.add(gh)
+                todo.append(gh)
+    if len(group) > 48:
+        group = cyclic_group(gens[0])
+    items = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(ENTRIES.filter(bool))
+        exps = draw(st.lists(st.integers(0, 2), min_size=N, max_size=N))
+        items.append((c, [(v, e) for v, e in enumerate(exps) if e]))
+    P = SparsePolynomial.from_terms(N, group_images(group, items))
+    return P, draw(st.integers(0, 2)), draw(st.integers(1, 3))
+
+
+def measure_both_ways(P, params):
+    """The report with the orbit step on every input and with it off, and
+    the number of blocks ranked each way."""
+    import fewvar.measure as measure
+    reports = []
+    for crossover in (0, math.inf):
+        calls = []
+
+        def block_rank(*args, _kernel=measure._block_rank):
+            calls.append(args)
+            return _kernel(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measure, "ORBIT_CROSSOVER", crossover)
+            mp.setattr(measure, "_block_rank", block_rank)
+            reports.append((psd_dimension(P, params), len(calls)))
+    return reports
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=planted_symmetry_cases(),
+       rank_prime=st.sampled_from((None, 3, (1 << 61) - 1)))
+def test_orbit_step_matches_the_block_kernel_and_brute_force(case, rank_prime):
+    P, r, m = case
+    params = MeasureParams(r=r, m=m, rank_prime=rank_prime)
+    (on, ranked_on), (off, ranked_off) = measure_both_ways(P, params)
+    assert (on.phi, on.cols, on.rows) == (off.phi, off.cols, off.rows)
+    assert ranked_on <= ranked_off
+    if rank_prime != 3 and math.comb(P.num_vars, r) * math.comb(
+            P.num_vars, m) <= 400:
+        assert on.phi == brute_phi(P, r, m)
+
+
+def test_a_map_that_does_not_fix_p_is_refused(monkeypatch):
+    # x0x3 + x1x4 + x2x5 is fixed by the rotation v -> v+1 mod 6, and with
+    # it the orbit step ranks 3 of its 15 blocks at r = m = 1.  With one
+    # coefficient changed the rotation no longer fixes it; a search that
+    # still proposes the rotation is refused by the map check, every block
+    # is ranked, and phi stays that of the block kernel and brute force.
+    import fewvar.symmetry as symmetry
+    rotation = {v: (v + 1) % 6 for v in range(6)}
+    monkeypatch.setattr(symmetry, "symmetries", lambda P, A: [rotation])
+    params = MeasureParams(r=1, m=1)
+    items = group_images(cyclic_group([1, 2, 3, 4, 5, 0]), [(1, [(0, 1), (3, 1)])])
+    P = SparsePolynomial.from_terms(6, items)
+    (on, ranked_on), (off, ranked_off) = measure_both_ways(P, params)
+    assert (on.phi, ranked_on, ranked_off) == (off.phi, 3, 15)
+    P = SparsePolynomial.from_terms(6, items + [(1, [(0, 1), (3, 1)])])
+    (on, ranked_on), (off, ranked_off) = measure_both_ways(P, params)
+    assert on.phi == off.phi == brute_phi(P, 1, 1)
+    assert ranked_on == ranked_off == 15
+
+
+def test_listed_monomials_skip_the_orbit_step(monkeypatch):
+    # the rotation fixes P but not the list {x0, x1}, so the rows are not
+    # invariant under it: no search, and phi is brute force's
+    import fewvar.measure as measure
+    import fewvar.symmetry as symmetry
+
+    def no_search(P, A):
+        raise AssertionError("the symmetry search ran")
+    monkeypatch.setattr(symmetry, "symmetries", no_search)
+    monkeypatch.setattr(measure, "ORBIT_CROSSOVER", 0)
+    P = SparsePolynomial.from_terms(6, group_images(
+        cyclic_group([1, 2, 3, 4, 5, 0]),
+        [(1, [(0, 1), (1, 1)]), (2, [(0, 2), (3, 1)])]))
+    listed = (make_mon((0, 1)), make_mon((1, 1)))
+    for m in (1, 2, 3):
+        rep = psd_dimension(P, MeasureParams(r=1, m=m, monomials=listed))
+        assert rep.phi == brute_phi(P, 1, m, listed)
 
 
 # phi and cols of NW(3,5,2) with every variable outside ``alive`` set to
