@@ -498,13 +498,13 @@ def coeffs_in_var(P: SparsePolynomial, var: int) -> List[SparsePolynomial]:
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _miller_rabin(n: int) -> bool:
+def _miller_rabin(n: int, bases: Sequence[int]) -> bool:
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -583,11 +583,13 @@ def _strong_lucas(n: int) -> bool:
 
 def is_prime(n: int) -> bool:
     """Primality by one path for every n: trial division by the twelve
-    witnesses, Miller-Rabin to the same twelve, then a strong Lucas test.
-    Below psi_12 (about 3.2e23) the Miller-Rabin stage alone is a proof;
-    above it the pair is a Baillie-PSW-strength check, with no known
-    counterexample.  Cross-checked against trial division in the test
-    suite."""
+    witnesses, Miller-Rabin, then a strong Lucas test.  Below 2^64 the
+    Miller-Rabin stage is to base 2 alone: that is the Baillie-PSW test,
+    which has no pseudoprime there (the base-2 strong pseudoprimes below
+    2^64, listed by Feitsma and Galway, all fail the Lucas test).  From
+    2^64 on it is to all twelve witnesses, a proof below psi_12 (about
+    3.2e23) and above it a check with no known counterexample.
+    Cross-checked against trial division in the test suite."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -595,7 +597,8 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    return _miller_rabin(n) and _strong_lucas(n)
+    bases = _MR_WITNESSES[:1] if n < 1 << 64 else _MR_WITNESSES
+    return _miller_rabin(n, bases) and _strong_lucas(n)
 
 
 def next_prime_at_least(n: int) -> int:
@@ -742,19 +745,30 @@ def read_header(ln: int, line: str, keys: Sequence[str], build: Callable):
 def parse_poly_lines(lines: Sequence[Tuple[int, str]], num_vars: int,
                      field_p: Field, where: str = "") -> SparsePolynomial:
     """Parse `coeff <c> ; v:e v:e ...` lines, as ``document_lines`` gives
-    them, into a polynomial; a repeated monomial's coefficients add up."""
+    them, into a polynomial; a repeated monomial's coefficients add up.
+    The one reader of a `coeff` line, for `.poly` and `.circuit` alike.
+    The common shapes skip a step, with the same result and the same
+    errors: an integer over Q is read by ``int`` alone, not through
+    ``parse_coeff``, and a monomial of at most one token, with a variable
+    index >= 0 and an exponent > 0, is built without ``mon_make``."""
     acc: Dict[Mon, FieldElem] = {}
     for ln, body in lines:
         if not body.startswith("coeff "):
             raise ValueError(f"{where}line {ln}: expected a `coeff` line, got {body!r}")
-        rest = body[len("coeff "):]
-        if ";" not in rest:
+        cpart, semi, mpart = body[len("coeff "):].partition(";")
+        if not semi:
             raise ValueError(f"{where}line {ln}: missing `;` separator")
-        cpart, mpart = rest.split(";", 1)
-        try:
-            c = parse_coeff(cpart, field_p)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{where}line {ln}: bad coefficient: {exc}") from None
+        c = None
+        if field_p is None and "/" not in cpart:
+            try:
+                c = int(cpart)
+            except ValueError:
+                pass            # parse_coeff raises, with its own message
+        if c is None:
+            try:
+                c = parse_coeff(cpart, field_p)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{where}line {ln}: bad coefficient: {exc}") from None
         pairs = []
         for tok in mpart.split():
             v, _, e = tok.partition(":")
@@ -764,7 +778,10 @@ def parse_poly_lines(lines: Sequence[Tuple[int, str]], num_vars: int,
                 raise ValueError(
                     f"{where}line {ln}: bad monomial token {tok!r}") from None
         try:
-            mon = mon_make(pairs)
+            if not pairs or len(pairs) == 1 and pairs[0][0] >= 0 and pairs[0][1] > 0:
+                mon = tuple(pairs)          # as mon_make would return it
+            else:
+                mon = mon_make(pairs)
             if mon and mon[-1][0] >= num_vars:
                 raise ValueError(f"variable {mon[-1][0]} out of range for "
                                  f"num_vars={num_vars}")

@@ -168,12 +168,16 @@ class FewVarCircuit(Value):
         """The circuit in ints, for ``eval_circuit``: L and terms (mult,
         factors), each factor a tuple of (c, ((var, exp), ...)), such that
         the sum over terms of mult times the product of the factors is L
-        times the circuit.  Each factor is cleared by the lcm of its
-        coefficients' denominators; the term's scale and those lcms fold
-        into mult, and L is the lcm of the terms' denominators (1 over
-        GF(p)).  Terms with scale 0 are dropped.  The cache cannot go
-        stale: nothing reassigns ``terms`` once a constructor returns, and
-        a circuit with another ``k`` is a new circuit."""
+        times the circuit.  A factor whose coefficients are all ints, as
+        is every factor over GF(p) and every factor read with integer
+        coefficients, needs no clearing and keeps them as they are; any
+        other is cleared by the lcm of its coefficients' denominators.
+        The term's scale and those lcms fold into mult, and L is the lcm
+        of the terms' denominators (1 over GF(p)).  Terms with scale 0 are
+        dropped.  Monomials over the global variables come from
+        ``FactorPoly.global_terms``.  The cache cannot go stale: nothing
+        reassigns ``terms`` once a constructor returns, and a circuit with
+        another ``k`` is a new circuit."""
         cleared = []
         for scale, factors in self.terms:
             if not scale:
@@ -181,9 +185,13 @@ class FewVarCircuit(Value):
             num, den = scale.numerator, scale.denominator
             polys = []
             for f in factors:
-                d = math.lcm(*(c.denominator for c in f.poly.terms.values()))
+                terms = f.global_terms()
+                if all(type(c) is int for c in terms.values()):
+                    polys.append(tuple([(c, mon) for mon, c in terms.items()]))
+                    continue
+                d = math.lcm(*(c.denominator for c in terms.values()))
                 polys.append(tuple((c.numerator * (d // c.denominator), mon)
-                                   for mon, c in f.global_terms().items()))
+                                   for mon, c in terms.items()))
                 den *= d
             cleared.append((num, den, tuple(polys)))
         L = math.lcm(*(den for _, den, _ in cleared))
@@ -603,28 +611,31 @@ def parse_circuit(text: str) -> FewVarCircuit:
                          lambda f, n, p: FewVarCircuit(n, (), int(f["s"]), p, (
                              None if f["k"] == "unknown" else int(f["k"]))))
     blocks: List[Tuple[FieldElem, list]] = []   # (scale, [(line, support, coeffs)])
+    coeffs = None           # the coeff lines of the open factor block
     for ln, body in lines[2:]:
-        if body.startswith("term "):
+        if body.startswith("coeff "):
+            if coeffs is None:
+                raise ValueError(f"line {ln}: coeff line outside a factor block")
+            coeffs.append((ln, body))
+        elif body.startswith("term "):
             kv = read_fields(ln, body[len("term "):], ("scale",), "term line needs")
             try:
                 blocks.append((parse_coeff(kv["scale"], header.field_p), []))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"line {ln}: bad scale: {exc}") from None
+            coeffs = None
         elif body.startswith("factor "):
             if not blocks:
                 raise ValueError(f"line {ln}: factor before any `term` line")
             kv = read_fields(ln, body[len("factor "):], ("support",),
                              "factor line needs")
             try:
-                sup = tuple(int(x) for x in kv["support"].split(",")) \
+                sup = tuple(map(int, kv["support"].split(","))) \
                     if kv["support"] else ()
             except ValueError as exc:
                 raise ValueError(f"line {ln}: bad support: {exc}") from None
-            blocks[-1][1].append((ln, sup, []))
-        elif body.startswith("coeff "):
-            if not blocks or not blocks[-1][1]:
-                raise ValueError(f"line {ln}: coeff line outside a factor block")
-            blocks[-1][1][-1][2].append((ln, body))
+            coeffs = []
+            blocks[-1][1].append((ln, sup, coeffs))
         else:
             raise ValueError(f"line {ln}: unrecognized line {body!r}")
 

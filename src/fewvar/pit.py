@@ -32,8 +32,10 @@ from .nw import (NWInstance, degree_bound, intersections, nw_eval,
                  univariate_graph)
 
 DEFAULT_STREAM_CAP = 1_000_000
-# stream sizes with more digits are reported as grid_size^l, not in decimal
+# stream sizes with more digits are reported as grid_size^l, not in decimal;
+# 10^DECIMAL_STREAM_DIGITS has bit length DECIMAL_STREAM_BITS
 DECIMAL_STREAM_DIGITS = 4000
+DECIMAL_STREAM_BITS = 13288
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +179,18 @@ class PitParams(NamedTuple):
     @property
     def stream_size_text(self) -> str:
         """stream_size in decimal, or as ``<grid_size>^<l>`` from 10^4000 on,
-        where the decimal nears Python's int-to-str digit limit."""
-        if self.stream_exceeds(10 ** DECIMAL_STREAM_DIGITS - 1):
-            return f"{len(self.grid)}^{self.l}"
-        return str(self.stream_size)
+        where the decimal nears Python's int-to-str digit limit.  As in
+        ``stream_exceeds``, the bit length b of the grid size decides: g^l
+        is below 2^(bl) and at least 2^((b-1)l), and 10^4000 has
+        DECIMAL_STREAM_BITS bits.  Only in the band between is 10^4000
+        built and compared with g^l."""
+        g, l = len(self.grid), self.l
+        b = g.bit_length()
+        if b * l < DECIMAL_STREAM_BITS or (
+                (b - 1) * l < DECIMAL_STREAM_BITS
+                and self.stream_size < 10 ** DECIMAL_STREAM_DIGITS):
+            return str(self.stream_size)
+        return f"{g}^{l}"
 
 
 def _class_exponent(c) -> float:

@@ -392,6 +392,43 @@ def test_is_prime_large_known_values():
     assert not is_prime(psi13)
 
 
+def strong_to_base_2(n):
+    """Whether odd n > 2 passes the strong probable-prime test to base 2,
+    from the definition: 2^d = 1 or 2^(d 2^r) = -1 mod n for some r < s,
+    where n - 1 = d 2^s with d odd."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return pow(2, d, n) == 1 or any(
+        pow(2, d << r, n) == n - 1 for r in range(s))
+
+
+def test_is_prime_below_two_to_the_64_is_baillie_psw():
+    """Below 2^64 is_prime runs Miller-Rabin to base 2 alone before the
+    strong Lucas test.  Each composite here is a strong pseudoprime to
+    base 2, and the first to every base from 2 to 23, so only the Lucas
+    test refuses them."""
+    assert 3825123056546413051 == 149491 * 747451 * 34233211
+    assert 3215031751 == 151 * 751 * 28351
+    for n in (3825123056546413051, 3215031751, 2047, 3277, 4033, 4681, 8321):
+        assert strong_to_base_2(n), n
+        assert not is_prime(n), n
+    # the primes on either side of 2^64: below it base 2 and the Lucas
+    # test decide, from it on all twelve bases and the Lucas test
+    assert is_prime(2 ** 64 - 59)
+    assert is_prime(2 ** 64 + 13)
+    assert not any(is_prime(n) for n in range(2 ** 64 - 58, 2 ** 64 + 13))
+
+
+def test_is_prime_refuses_every_base_2_strong_pseudoprime_below_10_to_the_5():
+    """The composites that pass base 2, found from the definition and
+    checked composite by trial division."""
+    spsp = [n for n in range(3, 10 ** 5, 2)
+            if strong_to_base_2(n) and not is_prime_trial(n)]
+    assert spsp[:5] == [2047, 3277, 4033, 4681, 8321]
+    assert not any(is_prime(n) for n in spsp)
+
+
 def test_bertrand_prime_examples():
     assert bertrand_prime(32, 64) == 37
     assert bertrand_prime(100, 200) == 101
@@ -479,6 +516,67 @@ def test_parse_poly_error_carries_line_number():
         parse_poly("vars=2 field=Q\ncoeff 1 ; 5:1")
     with pytest.raises(ValueError, match="line 3: negative exponent"):
         parse_poly("vars=2 field=Q\ncoeff 1 ; 0:1\ncoeff 1 ; 1:-1")
+
+
+SPACES = st.sampled_from(("", " ", "  ", "\t", " \t "))
+
+
+@st.composite
+def coeff_documents(draw):
+    """A `.poly` document of generated `coeff` lines, over Q or GF(7), and
+    its term map built from the drawn numbers, not from the text.  The
+    lines hold signed ints, a/b, zero coefficients, v:0 tokens, repeated
+    variables and 0-3 tokens, with extra whitespace around the parts."""
+    p = draw(st.sampled_from((None, 7)))
+    num_vars = draw(st.integers(1, 3))
+    lines, want = [f"vars={num_vars} field={'Q' if p is None else 'GF(7)'}"], {}
+    for _ in range(draw(st.integers(0, 5))):
+        num = draw(st.integers(-9, 9))
+        den = draw(st.one_of(st.none(), st.sampled_from((1, 2, 3, 4, 6))))
+        if den is None:
+            c, text = num, draw(st.sampled_from(("", "+"))) * (num >= 0) + str(num)
+        else:
+            c, text = Fraction(num, den), f"{num}/{den}"
+        if p is not None:
+            c = c.numerator * pow(c.denominator, -1, p) % p
+        pairs = draw(st.lists(st.tuples(st.integers(0, num_vars - 1),
+                                        st.integers(0, 3)), max_size=3))
+        sep = draw(st.sampled_from((" ", "  ", "\t", " \t ")))
+        tokens = "".join(f"{sep}{v}:{e}" for v, e in pairs)
+        lines.append(f"coeff {draw(SPACES)}{text}{draw(SPACES)};{tokens}{draw(SPACES)}")
+        exps = {}
+        for v, e in pairs:
+            exps[v] = exps.get(v, 0) + e
+        mon = tuple(sorted((v, e) for v, e in exps.items() if e))
+        want[mon] = want.get(mon, 0) + c
+    if p is not None:
+        want = {mon: c % p for mon, c in want.items()}
+    return "\n".join(lines), p, {mon: c for mon, c in want.items() if c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeff_documents())
+def test_parse_poly_reads_generated_coeff_lines(case):
+    """The one `coeff`-line reader, its short path for an integer and a
+    monomial of at most one token included, against the drawn terms:
+    the same coefficients, each of the same type (an int stays an int
+    over Q)."""
+    text, p, want = case
+    P = checked(parse_poly(text))
+    assert P.field_p == p
+    assert P.terms == want
+    assert {m: type(c) for m, c in P.terms.items()} == \
+        {m: type(c) for m, c in want.items()}
+
+
+def test_parse_poly_drops_a_zero_exponent_even_out_of_range():
+    """`v:0` contributes nothing, so an index past the variables is not
+    refused, as before the short path; a negative index still is."""
+    assert checked(parse_poly("vars=2 field=Q\ncoeff 3 ; 5:0")) == P_of(2, (3, []))
+    assert checked(parse_poly("vars=2 field=Q\ncoeff 3 ; 5:0 1:1")) == \
+        P_of(2, (3, [(1, 1)]))
+    with pytest.raises(ValueError, match="line 2: negative variable index -1"):
+        parse_poly("vars=2 field=Q\ncoeff 3 ; -1:0")
 
 
 def test_serialize_poly_is_graded_lex_descending():

@@ -113,26 +113,30 @@ def test_eval_matches_expansion(C):
 
 @st.composite
 def field_circuit_points(draw):
-    """A circuit over Q, GF(7) or GF(97) with rational scales and
-    coefficients, scale-0 terms, constant and zero factors, and sometimes
-    no terms at all; and points of ints and Fractions, whose denominators
-    over GF(p) are prime to p."""
+    """A circuit over Q, GF(7) or GF(97) with int and Fraction scales,
+    factors whose coefficients are all ints, all Fractions or a mix of the
+    two (so ``integer_form`` takes both of its paths), scale-0 terms,
+    constant and zero factors, and sometimes no terms at all; and points
+    of ints and Fractions, whose denominators over GF(p) are prime to p."""
     p = draw(st.sampled_from((None, 7, 97)))
     num_vars = draw(st.integers(1, 4))
     dens = st.integers(1, 9).filter(lambda d: p is None or d % p)
-    rationals = st.builds(Fraction, st.integers(-4, 4), dens)
+    ints = st.integers(-4, 4)
+    rationals = st.builds(Fraction, ints, dens)
+    mixed = st.one_of(ints, rationals)
     terms = []
     for _ in range(draw(st.integers(0, 3))):
         factors = []
         for _ in range(draw(st.integers(0, 3))):
             support = tuple(sorted(draw(st.sets(
                 st.integers(0, num_vars - 1), max_size=2))))
-            items = [(draw(rationals),
+            coefficients = draw(st.sampled_from((ints, rationals, mixed)))
+            items = [(draw(coefficients),
                       [(v, e) for v in range(len(support))
                        if (e := draw(st.integers(0, 3)))])
                      for _ in range(draw(st.integers(0, 3)))]
             factors.append(fp(support, *items, p=p))
-        terms.append((draw(rationals), tuple(factors)))
+        terms.append((draw(mixed), tuple(factors)))
     C = FewVarCircuit(num_vars, tuple(terms), 2, p)
     coordinate = st.one_of(st.integers(-5, 5), rationals)
     points = draw(st.lists(st.lists(coordinate, min_size=num_vars,
@@ -681,6 +685,18 @@ def test_circuit_round_trip(C):
     assert D.k == C.k
     assert expand_circuit(D) == expand_circuit(C)
     assert serialize_circuit(D) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_circuit_points())
+def test_parsed_circuit_evaluates_like_the_circuit_written_out(case):
+    """``parse_circuit`` reads integer coefficients as ints, so a factor
+    written with Fraction coefficients that are integral comes back on
+    ``integer_form``'s all-int path: both forms give the same values."""
+    C, points = case
+    D = checked(parse_circuit(serialize_circuit(C)))
+    for point in points:
+        assert eval_circuit(D, point) == eval_circuit(C, point)
 
 
 def test_circuit_round_trip_unknown_k(C):

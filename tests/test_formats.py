@@ -42,6 +42,16 @@ BAD_DOCUMENTS = {
     "poly-var-out-of-range": (parse_poly, POLY + "coeff 1 ; 5:1", r"line 2: variable 5 out of range for num_vars=2"),
     "poly-negative-var": (parse_poly, POLY + "coeff 1 ; -1:1", r"line 2: negative variable index -1"),
     "poly-negative-exponent": (parse_poly, POLY + "coeff 1 ; 0:1\ncoeff 1 ; 1:-1", r"line 3: negative exponent -1 for variable 1"),
+    # each monomial error once more with two tokens, the first one good:
+    # one token takes the reader's short path, two its general one
+    "poly-bad-token-second": (parse_poly, POLY + "coeff 1 ; 0:1 1:y", r"line 2: bad monomial token '1:y'"),
+    "poly-bare-token-second": (parse_poly, POLY + "coeff 1 ; 0:1 1", r"line 2: bad monomial token '1'"),
+    "poly-var-out-of-range-second": (parse_poly, POLY + "coeff 1 ; 0:1 5:1", r"line 2: variable 5 out of range for num_vars=2"),
+    "poly-negative-var-second": (parse_poly, POLY + "coeff 1 ; 0:1 -1:1", r"line 2: negative variable index -1"),
+    "poly-negative-exponent-second": (parse_poly, POLY + "coeff 1 ; 0:1 1:-1", r"line 2: negative exponent -1 for variable 1"),
+    "poly-negative-var-zero-exponent": (parse_poly, POLY + "coeff 1 ; -1:0", r"line 2: negative variable index -1"),
+    "poly-bad-token-after-negative-var": (parse_poly, POLY + "coeff 1 ; -1:1 0:y", r"line 2: bad monomial token '0:y'"),
+    "poly-bad-coeff-before-bad-token": (parse_poly, POLY + "coeff  x  ; 0:y", r"line 2: bad coefficient: invalid literal for int\(\) with base 10: 'x'$"),
     "poly-line-after-comments": (parse_poly, "# c\n" + POLY + "\n# d\ncoeff x ; 0:1 # e", r"line 5: bad coefficient"),
     # .circuit header
     "circuit-empty": (parse_circuit, "", r"empty document: missing `fewvar-circuit v1` header"),
@@ -91,6 +101,11 @@ BAD_DOCUMENTS = {
     "circuit-factor-bad-token": (parse_circuit, FACTOR + "coeff 1 ; 0:y", r"factor at line 4: line 5: bad monomial token '0:y'"),
     "circuit-factor-local-var": (parse_circuit, FACTOR + "coeff 1 ; 1:1", r"factor at line 4: line 5: variable 1 out of range for num_vars=1"),
     "circuit-factor-negative-exponent": (parse_circuit, FACTOR + "coeff 1 ; 0:-2", r"factor at line 4: line 5: negative exponent -2"),
+    "circuit-factor-negative-var": (parse_circuit, FACTOR + "coeff 1 ; -1:1", r"factor at line 4: line 5: negative variable index -1"),
+    "circuit-factor-bad-token-second": (parse_circuit, FACTOR + "coeff 1 ; 0:1 0:y", r"factor at line 4: line 5: bad monomial token '0:y'"),
+    "circuit-factor-local-var-second": (parse_circuit, FACTOR + "coeff 1 ; 0:1 1:1", r"factor at line 4: line 5: variable 1 out of range for num_vars=1"),
+    "circuit-factor-negative-exponent-second": (parse_circuit, FACTOR + "coeff 1 ; 0:1 0:-2", r"factor at line 4: line 5: negative exponent -2"),
+    "circuit-factor-negative-var-second": (parse_circuit, FACTOR + "coeff 1 ; 0:1 -1:1", r"factor at line 4: line 5: negative variable index -1"),
     "circuit-lines-after-comments": (parse_circuit, "# c\nfewvar-circuit v1 # v1\n\nvars=2 field=Q s=1 k=1\nterm scale=1 # t\n# d\nfactor support=0\ncoeff x ;", r"factor at line 7: line 8: bad coefficient"),
 }
 

@@ -11,7 +11,11 @@ Likewise every field of a record or value class is read as an attribute
 in the package.
 The package has one product loop: ``mon_mul`` is named only inside
 ``algebra.multiply_out``; and one circuit evaluator: the compiled
-``integer_form`` is read only by ``circuit.eval_circuit``; and one graph
+``integer_form`` is read only by ``circuit.eval_circuit``, and it takes
+monomials over the global variables only from ``FactorPoly.global_terms``,
+the one support relabel; and one `coeff`-line reader: only
+``algebra.parse_poly_lines`` splits a `coeff` line at its `;` and its
+monomial tokens at their `:`; and one graph
 construction: ``univariate_graph`` is named only by the NW column table and
 the design's set accessor; and one rank kernel: only ``measure._rank``
 calls ``_block_rank``.  numpy is a test-only dependency: no module of
@@ -173,6 +177,38 @@ def test_only_eval_circuit_reads_the_compiled_circuit():
                             and sub.name == "integer_form"]
     assert users == ["circuit.eval_circuit"]
     assert definitions == ["circuit.FewVarCircuit"]
+
+
+def test_integer_form_relabels_through_global_terms():
+    """``integer_form`` reads each factor's monomials over the global
+    variables from ``FactorPoly.global_terms`` alone: it names neither a
+    factor's support nor its local polynomial."""
+    units = dict(code_units(SRC / "circuit.py"))
+    names = referenced_names(units["circuit.FewVarCircuit.integer_form"])
+    assert names["global_terms"] >= 1
+    assert names["support"] == names["poly"] == 0
+
+
+def separator_splitters(separators):
+    """Each code unit of the package that calls a string's split or
+    partition method on one of ``separators``."""
+    for path in sorted(SRC.glob("*.py")):
+        for name, node in code_units(path):
+            if any(isinstance(sub, ast.Call)
+                   and isinstance(sub.func, ast.Attribute)
+                   and sub.func.attr in ("split", "rsplit", "partition",
+                                         "rpartition")
+                   and sub.args and isinstance(sub.args[0], ast.Constant)
+                   and sub.args[0].value in separators
+                   for sub in ast.walk(node)):
+                yield name
+
+
+def test_one_coeff_line_reader():
+    """One reader of a `coeff` line, for `.poly` and `.circuit` alike:
+    only ``algebra.parse_poly_lines`` splits a line into its coefficient
+    and its monomial at `;`, and a monomial token at `:`."""
+    assert list(separator_splitters((";", ":"))) == ["algebra.parse_poly_lines"]
 
 
 # private constructor -> the functions and methods that may call it

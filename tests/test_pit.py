@@ -2,12 +2,13 @@
 driver, and the baselines."""
 
 import itertools
+import math
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fewvar.pit as pit_module
 from fewvar.algebra import SparsePolynomial
@@ -223,6 +224,38 @@ def test_stream_size_text_at_the_boundary_matches_the_full_power(g, l):
     params = checked_sets(toy_pit_params(N=1, k=1, l=l, grid=range(g)))
     assert params.stream_size_text == old
     assert params.stream_exceeds(10 ** 4000 - 1) == (total >= 10 ** 4000)
+
+
+def test_decimal_stream_bits_is_the_bit_length_of_the_decimal_limit():
+    assert (10 ** pit_module.DECIMAL_STREAM_DIGITS).bit_length() \
+        == pit_module.DECIMAL_STREAM_BITS
+
+
+@st.composite
+def powers_near_the_decimal_limit(draw):
+    """A grid size g in 2..300 and an l for which g^l has 3999 to 4001
+    digits."""
+    g = draw(st.integers(2, 300))
+    l = math.ceil(3998 / math.log10(g))
+    ls = [m for m in range(l - 2, l + 4)
+          if 10 ** 3998 <= g ** m < 10 ** 4001]
+    return g, draw(st.sampled_from(ls))
+
+
+@settings(max_examples=200, deadline=None)
+@given(powers_near_the_decimal_limit())
+@example((256, 1661))     # 2^13288: the bit lengths alone decide the power
+@example((3, 8383))       # 3^8383 < 10^4000: in the band they leave open
+@example((3, 8384))       # 3^8384 > 10^4000, in the same band
+def test_stream_size_text_near_the_decimal_limit(case):
+    """Against the full power: the decimal below 10^4000 and g^l from it
+    on.  Near the limit the bit lengths decide only for a power of 2; for
+    every other g the text comes from the exact comparison."""
+    g, l = case
+    total = g ** l
+    old = str(total) if total < 10 ** 4000 else f"{g}^{l}"
+    params = checked_sets(toy_pit_params(N=1, k=1, l=l, grid=range(g)))
+    assert params.stream_size_text == old
 
 
 @settings(max_examples=300, deadline=None)
