@@ -11,8 +11,10 @@ the reader build through it from parts that are already checked.  Binary
 operations check that both tags agree and raise on a mismatch.
 ``multiply_out`` is the one product loop, on plain term maps:
 ``__mul__`` and circuit expansion multiply through it, and each builds one
-polynomial from its result.  ``translate_poly`` is a Taylor shift, one
-variable at a time, and multiplies no polynomials.
+polynomial from its result.  Inside it a monomial is packed into one int
+(``_packed``, ``_unpacked``), so a monomial product is one add.
+``translate_poly`` is a Taylor shift, one variable at a time on the same
+packed monomials, and multiplies no polynomials.
 
 A monomial is a sorted tuple of ``(variable_index, exponent)`` pairs with all
 exponents positive; the empty tuple is the constant monomial.  A polynomial is
@@ -101,23 +103,6 @@ def mon_make(pairs: Iterable[Tuple[int, int]]) -> Mon:
             raise ValueError(f"negative exponent {e} for variable {v}")
         if e:
             acc[v] = acc.get(v, 0) + e
-    return tuple(sorted(acc.items()))
-
-
-def mon_mul(a: Mon, b: Mon) -> Mon:
-    if not a:
-        return b
-    if not b:
-        return a
-    # when one monomial's variables all come before the other's, the
-    # product is the concatenation
-    if a[-1][0] < b[0][0]:
-        return a + b
-    if b[-1][0] < a[0][0]:
-        return b + a
-    acc = dict(a)
-    for v, e in b:
-        acc[v] = acc.get(v, 0) + e
     return tuple(sorted(acc.items()))
 
 
@@ -284,7 +269,8 @@ class SparsePolynomial(Value):
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         self._check_compatible(other)
         return _poly(
-            self.num_vars, multiply_out((self.terms, other.terms), self.field_p),
+            self.num_vars,
+            multiply_out([(1, (self.terms, other.terms))], self.field_p),
             self.field_p)
 
     def scale(self, c) -> "SparsePolynomial":
@@ -338,27 +324,97 @@ def _poly(num_vars: int, terms: Dict[Mon, FieldElem],
 # ---------------------------------------------------------------------------
 # polynomial operations
 
-def multiply_out(term_maps: Iterable[Dict[Mon, FieldElem]],
+def multiply_out(products: Sequence[Tuple[FieldElem, Sequence[Dict[Mon, FieldElem]]]],
                  field_p: Field) -> Dict[Mon, FieldElem]:
-    """The product of polynomials given as term maps (monomial ->
-    coefficient), as a map from monomial to nonzero coefficient, empty when
-    the product vanishes.  The one product loop: from {(): 1}, each factor
-    is multiplied in with ``mon_mul``, reduced mod p over GF(p), and cleared
-    of zeros; an empty product stops early."""
-    prod: Dict[Mon, FieldElem] = {MON_ONE: 1}
-    for terms in term_maps:
-        nxt: Dict[Mon, FieldElem] = {}
-        for ma, ca in prod.items():
-            for mb, cb in terms.items():
-                mon = mon_mul(ma, mb)
-                nxt[mon] = nxt.get(mon, 0) + ca * cb
-        if field_p is None:
-            prod = {m: c for m, c in nxt.items() if c}
-        else:
-            prod = {m: c % field_p for m, c in nxt.items() if c % field_p}
-        if not prod:
-            break
-    return prod
+    """The sum of mult * Q_1 * ... * Q_d over the (mult, (Q_1, ..., Q_d)) in
+    ``products``, each Q a term map (monomial -> coefficient), as a map
+    from monomial to nonzero coefficient, reduced mod p over GF(p).  The
+    one product loop.  Inside it a monomial is an int of W bits per
+    variable (``_packed``), so a monomial product is one add.  No field can
+    carry: a variable's exponent in one product is at most the sum of each
+    factor's largest exponent, and W is the bit length of the largest such
+    sum over the products.  Each distinct term map (by identity, for this
+    call) is packed once, every product is summed into one packed
+    accumulator, and that is unpacked once at the end.  A product starts
+    from {0: mult}; each factor is multiplied in, the result reduced mod p
+    over GF(p) and cleared of zeros, and an empty product stops early."""
+    maps_by_id = {id(terms): terms for _, maps in products for terms in maps}
+    top: Dict[int, int] = {}        # id of a term map -> its largest exponent
+    for key, terms in maps_by_id.items():
+        most = 0
+        for mon in terms:
+            for _, e in mon:
+                if e > most:
+                    most = e
+        top[key] = most
+    W = max([sum([top[id(terms)] for terms in maps]) for _, maps in products],
+            default=0).bit_length()
+    packed = {key: _packed(terms, W) for key, terms in maps_by_id.items()}
+    acc: Dict[int, FieldElem] = {}
+    for mult, maps in products:
+        prod = {0: mult}
+        for terms in maps:
+            factor = packed[id(terms)].items()
+            nxt: Dict[int, FieldElem] = {}
+            for ka, ca in prod.items():
+                for kb, cb in factor:
+                    key = ka + kb
+                    nxt[key] = nxt.get(key, 0) + ca * cb
+            if field_p is None:
+                prod = {key: c for key, c in nxt.items() if c}
+            else:
+                prod = {key: c % field_p for key, c in nxt.items() if c % field_p}
+            if not prod:
+                break
+        for key, c in prod.items():
+            acc[key] = acc.get(key, 0) + c
+    return _unpacked(acc, W, field_p)
+
+
+def _packed(terms: Dict[Mon, FieldElem], W: int) -> Dict[int, FieldElem]:
+    """The term map with each monomial as one int, the exponent of
+    variable v in bits v*W up to (v+1)*W; every exponent must fit in W
+    bits."""
+    out: Dict[int, FieldElem] = {}
+    for mon, c in terms.items():
+        key = 0
+        for v, e in mon:
+            key |= e << v * W
+        out[key] = c
+    return out
+
+
+def _unpacked(packed: Dict[int, FieldElem], W: int,
+              field_p: Field) -> Dict[Mon, FieldElem]:
+    """The inverse of ``_packed``, each coefficient reduced mod p over
+    GF(p) and the zeros dropped.  It empties ``packed``, so no caller holds
+    the packed map, the unpacked one and ``_poly``'s copy all at once."""
+    mask = (1 << W) - 1
+    out: Dict[Mon, FieldElem] = {}
+    # one tuple per (v, e), shared by every monomial that holds it: a new
+    # pair per monomial would raise the peak memory of a large expansion
+    pairs: Dict[int, Tuple[int, int]] = {}
+    for key, c in packed.items():
+        if field_p is not None:
+            c %= field_p
+        if not c:
+            continue
+        mon = []
+        v = 0
+        while key:
+            e = key & mask
+            if not e:           # skip to the next variable present
+                skip = ((key & -key).bit_length() - 1) // W
+                key >>= skip * W
+                v += skip
+                e = key & mask
+            code = v << W | e
+            mon.append(pairs.get(code) or pairs.setdefault(code, (v, e)))
+            key >>= W
+            v += 1
+        out[tuple(mon)] = c
+    packed.clear()
+    return out
 
 
 def hom_component(P: SparsePolynomial, i: int) -> SparsePolynomial:
@@ -394,38 +450,44 @@ def esym_all(inputs: Sequence[SparsePolynomial], lmax: int) -> List[SparsePolyno
 def translate_poly(P: SparsePolynomial, a: Sequence) -> SparsePolynomial:
     """Return P(X + a).  Degree is preserved; translating back by -a undoes it.
 
-    A Taylor shift, one variable at a time: for each v with a_v != 0, one
-    pass over the terms rewrites x_v^e as sum_j C(e, j) a_v^(e-j) x_v^j,
-    merges equal monomials, reduces mod p over GF(p) and drops zeros."""
+    A Taylor shift, one variable at a time, on the packed monomials of
+    ``multiply_out`` with W the bit length of P's largest exponent, which
+    no shift raises: for each v with a_v != 0, one pass over the terms
+    takes the field e of x_v out of each key by shift and mask and adds
+    sum_j C(e, j) a_v^(e-j) x_v^j back in, merging equal monomials.  A pass
+    reduces each coefficient it reads mod p over GF(p) and skips the
+    zeros; the unpacking at the end does so once more."""
     if len(a) != P.num_vars:
         raise ValueError(
             f"dimension mismatch: shift has {len(a)} values, "
             f"polynomial has {P.num_vars} variables")
     p = P.field_p
-    terms = P.terms
+    W = P.individual_degree().bit_length()
+    mask = (1 << W) - 1
+    terms = _packed(P.terms, W)
     for v, s in enumerate(a):
         s = coerce(s, p)
         if not s:
             continue
-        out: Dict[Mon, FieldElem] = {}
-        for mon, c in terms.items():
-            for i, (w, e) in enumerate(mon):
-                if w == v:
-                    break
-            else:
-                out[mon] = out.get(mon, 0) + c
+        at = v * W
+        out: Dict[int, FieldElem] = {}
+        for key, c in terms.items():
+            if p is not None:
+                c %= p
+            if not c:
                 continue
-            head, tail = mon[:i], mon[i + 1:]
+            e = key >> at & mask
+            if not e:
+                out[key] = out.get(key, 0) + c
+                continue
+            key -= e << at
             pw = c
             for j in range(e, -1, -1):
-                m = head + ((v, j),) + tail if j else head + tail
+                m = key + (j << at)
                 out[m] = out.get(m, 0) + math.comb(e, j) * pw
                 pw *= s
-        if p is None:
-            terms = {m: c for m, c in out.items() if c}
-        else:
-            terms = {m: c % p for m, c in out.items() if c % p}
-    return _poly(P.num_vars, terms, p)
+        terms = out
+    return _poly(P.num_vars, _unpacked(terms, W, p), p)
 
 
 def derivative_poly(P: SparsePolynomial, var: int, order: int = 1) -> SparsePolynomial:

@@ -5,7 +5,9 @@ polynomial touching at most ``declared_s`` of the N global variables (of
 arbitrary degree).  The factor stores its support (global indices) and a local
 polynomial over ``len(support)`` variables; ``FactorPoly.global_terms`` is
 the one map of its terms onto the global variables, and expansion multiplies
-those term maps through ``algebra.multiply_out``, the one product loop.
+those term maps through ``algebra.multiply_out``, the one product loop, in
+one call for the whole circuit: each distinct factor is packed once and
+every product added into one packed accumulator.
 
 ``eval_circuit`` is the one evaluator of a circuit at a point, over Q and
 GF(p) alike, in the circuit's ``integer_form``, compiled once on first use.
@@ -218,7 +220,8 @@ def _circuit(num_vars: int, terms, declared_s: int, field_p: Field,
 def eval_circuit(C: FewVarCircuit, point: Sequence) -> FieldElem:
     """The value at a point, equal to the expansion's: a Fraction over Q at
     int and Fraction coordinates, and an int in [0, p) over GF(p), after
-    coercing each coordinate into the field."""
+    coercing each coordinate into the field.  Over Q a zero total, the
+    common value in an identity scan, is Fraction(0), with no gcd."""
     if len(point) != C.num_vars:
         raise ValueError(
             f"dimension mismatch: point has {len(point)} values, circuit has "
@@ -239,18 +242,21 @@ def eval_circuit(C: FewVarCircuit, point: Sequence) -> FieldElem:
             if not prod:
                 break
         total += prod
-    return Fraction(total, L) if p is None else total % p
+    if p is not None:
+        return total % p
+    return Fraction(total, L) if total else Fraction(0)
 
 
 def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynomial:
     """The exact polynomial the circuit computes.
 
     Refuses when the pre-merge term-count estimate, over every term,
-    exceeds the cap (argument, else 10^6).  Each term with a nonzero scale
-    is multiplied out and added into one accumulator, and the one
-    polynomial built at the end only normalizes it.  The scales
-    enter as ints, times L, the lcm of their denominators (1 over GF(p)),
-    and each sum is divided by L once.
+    exceeds the cap (argument, else 10^6).  The terms with a nonzero scale
+    go through ``algebra.multiply_out`` in one call, which packs each
+    distinct factor's global terms once and sums every product into one
+    accumulator; the one polynomial built at the end only normalizes it.
+    The scales enter as ints, times L, the lcm of their denominators (1
+    over GF(p)), and each sum is divided by L once.
     """
     limit = DEFAULT_EXPAND_CAP if cap is None else cap
     est = 0
@@ -263,12 +269,11 @@ def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynom
         raise ValueError(f"too large to expand: estimated {est} terms > cap {limit}")
     live = [(scale, factors) for scale, factors in C.terms if scale]
     L = math.lcm(*(scale.denominator for scale, _ in live))
-    acc: Dict[Mon, FieldElem] = {}
-    for scale, factors in live:
-        mult = scale.numerator * (L // scale.denominator)
-        for mon, c in multiply_out((f.global_terms() for f in factors),
-                                   C.field_p).items():
-            acc[mon] = acc.get(mon, 0) + mult * c
+    distinct = {id(f): f for _, factors in live for f in factors}
+    maps = {key: f.global_terms() for key, f in distinct.items()}
+    acc = multiply_out([(scale.numerator * (L // scale.denominator),
+                         [maps[id(f)] for f in factors])
+                        for scale, factors in live], C.field_p)
     if L > 1:
         acc = {mon: Fraction(c, L) for mon, c in acc.items()}
     return _poly(C.num_vars, acc, C.field_p)
@@ -300,11 +305,11 @@ def _rewrite(C: FewVarCircuit, step) -> FewVarCircuit:
     return _circuit(C.num_vars, terms, C.declared_s, C.field_p, C.k)
 
 
-def _lagrange_coeff_matrix(count: int, field_p: Field):
-    """W[v][i] = coefficient of y^i in the Lagrange basis polynomial through
-    node v of the nodes 0..count-1.  Writing P(y) = sum_i c_i y^i, the
-    coefficients recombine the node evaluations as c_i = sum_v W[v][i] *
-    P(v)."""
+def _lagrange_coeff_matrix(count: int, wanted: Sequence[int], field_p: Field):
+    """W[v][t] = coefficient of y^i, i = wanted[t], in the Lagrange basis
+    polynomial through node v of the nodes 0..count-1.  Writing P(y) =
+    sum_i c_i y^i, the coefficients recombine the node evaluations as
+    c_i = sum_v W[v][t] * P(v)."""
     W: List[List[FieldElem]] = []
     for v in range(count):
         # expand prod_{u != v} (y - u) / (v - u)
@@ -320,7 +325,7 @@ def _lagrange_coeff_matrix(count: int, field_p: Field):
             coeffs = nxt
             denom = denom * (v - u)
         # denom is a product of differences of distinct nodes: a unit mod p
-        W.append([coerce(Fraction(c, denom), field_p) for c in coeffs])
+        W.append([coerce(Fraction(coeffs[i], denom), field_p) for i in wanted])
     return W
 
 
@@ -336,8 +341,7 @@ def _interpolate(C: FewVarCircuit, count: int, at_node,
         raise ValueError(
             f"need {count} distinct nodes but GF({C.field_p}) has only {C.field_p}")
     outs: List[List[Term]] = [[] for _ in wanted]
-    for x, row in enumerate(_lagrange_coeff_matrix(count, C.field_p)):
-        weights = [row[i] for i in wanted]
+    for x, weights in enumerate(_lagrange_coeff_matrix(count, wanted, C.field_p)):
         if not any(weights):
             continue
         node = _rewrite(C, at_node(x)).terms
@@ -407,18 +411,20 @@ def coeff_circuits(C: FewVarCircuit, y: int) -> List[FewVarCircuit]:
     return coeffs
 
 
-def derivative_circuit(C: FewVarCircuit, y: int, j: int) -> FewVarCircuit:
-    """A circuit for the j-th partial derivative in y, rebuilt from the
-    coefficient circuits: the y^i coefficient contributes its falling
-    factorial times y^(i-j).  Top fan-in stays within T*(k+1)^2; factor
-    supports never grow (only a single-variable power of y may be added)."""
+def derivative_circuit(C: FewVarCircuit, y: int, j: int,
+                       coeffs: List[FewVarCircuit]) -> FewVarCircuit:
+    """A circuit for the j-th partial derivative in y, rebuilt from
+    ``coeffs``, the circuits ``coeff_circuits(C, y)``, which a caller that
+    also checks the coefficients builds once for both: the y^i coefficient
+    contributes its falling factorial times y^(i-j).  Top fan-in stays
+    within T*(k+1)^2; factor supports never grow (only a single-variable
+    power of y may be added)."""
     if j < 0:
         raise ValueError("derivative order must be nonnegative")
     if C.field_p is not None:
         raise ValueError("circuit derivatives need characteristic zero")
     if C.k is None:
         raise ValueError("derivative extraction needs the declared degree bound k")
-    coeffs = coeff_circuits(C, y)
     terms: List[Term] = []
     for i in range(j, C.k + 1):
         fall = math.perm(i, j)
@@ -521,8 +527,8 @@ class HomogDecomposition(NamedTuple):
         acc = SparsePolynomial.zero(self.num_vars, self.field_p)
         for piece in self.pieces:
             prod = SparsePolynomial(self.num_vars, multiply_out(
-                (f.global_terms() for f in piece.plain_factors), self.field_p),
-                self.field_p)
+                [(1, [f.global_terms() for f in piece.plain_factors])],
+                self.field_p), self.field_p)
             esums = esym_all(list(piece.esym_args), piece.l_max) if piece.esym_args \
                 else [SparsePolynomial.const(self.num_vars, 1, self.field_p)]
             total_esym = SparsePolynomial.zero(self.num_vars, self.field_p)
@@ -656,11 +662,12 @@ def parse_circuit(text: str) -> FewVarCircuit:
 # random circuits and the transform audit
 
 def random_circuit(rng, num_vars: int, max_terms: int, max_factors: int,
-                   max_support: int, max_k: int) -> FewVarCircuit:
+                   max_support: int, max_k: int
+                   ) -> Tuple[FewVarCircuit, SparsePolynomial]:
     """A random circuit over Q within the given size bounds, with the
     declared k set to the true individual degree of the expansion
-    (recomputed exactly).  Retries until the individual degree fits
-    max_k."""
+    (recomputed exactly), and that expansion.  Retries until the
+    individual degree fits max_k."""
     for _ in range(RANDOM_CIRCUIT_TRIES):
         T = rng.integers(1, max_terms + 1)
         terms: List[Term] = []
@@ -691,7 +698,7 @@ def random_circuit(rng, num_vars: int, max_terms: int, max_factors: int,
         P = expand_circuit(C)
         k = P.individual_degree()
         if k <= max_k:
-            return _circuit(num_vars, C.terms, max_support, None, k)
+            return _circuit(num_vars, C.terms, max_support, None, k), P
     raise RuntimeError("could not generate a circuit within the degree bound")
 
 
@@ -716,7 +723,10 @@ def transform_audit(count: int, seed: int, num_vars: int = 10, max_terms: int = 
     For each circuit: derivative, coefficient extraction, homogeneous
     component, translation, and restriction are expanded and compared to the
     same operation applied to the expansion.  Fan-in ratios report the worst
-    observed top fan-in against the T*(k+1)^2 and T*(k+1) ceilings.
+    observed top fan-in against the T*(k+1)^2 and T*(k+1) ceilings.  Each
+    step is done once: the expansion is the one ``random_circuit`` computed
+    to find k, and the coefficient circuits of y, built once, serve both
+    the derivative and the coefficient check.
     """
     for name, value, least in (("count", count, 1), ("num_vars", num_vars, 1),
                                ("max_terms", max_terms, 1),
@@ -734,13 +744,14 @@ def transform_audit(count: int, seed: int, num_vars: int = 10, max_terms: int = 
     worst_d = 0.0
     worst_c = 0.0
     for idx in range(count):
-        C = random_circuit(rng, num_vars, max_terms, max_factors, max_support, max_k)
-        P = expand_circuit(C)
+        C, P = random_circuit(rng, num_vars, max_terms, max_factors,
+                              max_support, max_k)
         T, k = C.top_fanin, C.k
         y = rng.integers(0, num_vars)
         j = rng.integers(0, 3)
 
-        dC = derivative_circuit(C, y, j)
+        cs = coeff_circuits(C, y)
+        dC = derivative_circuit(C, y, j, cs)
         checks += 1
         if expand_circuit(dC) != derivative_poly(P, y, j):
             failures.append(f"circuit {idx}: derivative (y={y}, j={j}) mismatch")
@@ -750,7 +761,6 @@ def transform_audit(count: int, seed: int, num_vars: int = 10, max_terms: int = 
                 f"circuit {idx}: derivative fan-in {dC.top_fanin} > {bound_d}")
         worst_d = max(worst_d, dC.top_fanin / bound_d)
 
-        cs = coeff_circuits(C, y)
         ref = coeffs_in_var(P, y)
         checks += 1
         for i, ci in enumerate(cs):

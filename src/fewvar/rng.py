@@ -127,22 +127,34 @@ class Stream:
         self._half = word >> 32
         return word & _M32
 
-    def _bounded(self, rng: int) -> int:
-        """A uniform int in [0, rng]: numpy's Lemire draw, on 32-bit words
-        when ``rng`` fits in them, else on 64-bit words."""
+    def _bounded(self, rng: int, size: Optional[int] = None):
+        """A uniform int in [0, rng], or a list of ``size`` of them:
+        numpy's Lemire draw, on 32-bit words when ``rng`` fits in them,
+        else on 64-bit words, with the word size and mask set once per
+        call.  A draw m is rejected while its low word is below
+        2^bits mod n, which is below n, so that remainder is computed only
+        when the low word is below n.  For rng = 2^bits - 1 it is 0 and
+        the draw is the word itself, as numpy returns it."""
         if rng == 0:
-            return 0
+            return 0 if size is None else [0] * size
         bits, draw = (32, self._next32) if rng <= _M32 else (64, self._next64)
         mask = (1 << bits) - 1
-        if rng == mask:
-            return draw()
         n = rng + 1
-        m = draw() * n
-        if m & mask < n:
-            threshold = (1 << bits) % n
+        if size is None:
+            m = draw() * n
+            if m & mask < n:
+                threshold = (1 << bits) % n
+                while m & mask < threshold:
+                    m = draw() * n
+            return m >> bits
+        threshold = (1 << bits) % n
+        out = []
+        for _ in range(size):
+            m = draw() * n
             while m & mask < threshold:
                 m = draw() * n
-        return m >> bits
+            out.append(m >> bits)
+        return out
 
     def _shuffle(self, data: List[int], first: int) -> None:
         """Fisher–Yates over positions len(data)-1 down to ``first``."""
@@ -160,8 +172,11 @@ class Stream:
             raise ValueError("high is out of bounds for int64")
         if high <= low:
             raise ValueError("low >= high")
-        rng = high - 1 - low
-        return _shaped(size, lambda: low + self._bounded(rng))
+        if size is None:
+            return low + self._bounded(high - 1 - low)
+        if size < 0:
+            raise ValueError("negative dimensions are not allowed")
+        return [low + v for v in self._bounded(high - 1 - low, size)]
 
     def random(self, size: Optional[int] = None):
         """Uniform doubles in [0, 1) with 53 random bits."""

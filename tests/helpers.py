@@ -168,36 +168,75 @@ def embed(f: FactorPoly, num_vars: int) -> SparsePolynomial:
     return SparsePolynomial(num_vars, terms, f.poly.field_p)
 
 
-def expand_by_ring_ops(C: FewVarCircuit) -> SparsePolynomial:
-    """The circuit's expansion through the ring operations alone: each term
-    multiplied out factor by factor on the embedded factors, and the terms
-    summed one polynomial at a time.  The oracle for ``expand_circuit``."""
-    acc = SparsePolynomial.zero(C.num_vars, C.field_p)
-    for scale, factors in C.terms:
-        prod = SparsePolynomial.const(C.num_vars, scale, C.field_p)
-        for f in factors:
-            prod = prod * embed(f, C.num_vars)
-            if prod.is_zero():
-                break
-        acc = acc + prod
-    return acc
+def mon_mul(a: Mon, b: Mon) -> Mon:
+    """The product of two monomials as sorted tuples, by merging them;
+    the package multiplies packed monomials instead."""
+    if not a:
+        return b
+    if not b:
+        return a
+    # when one monomial's variables all come before the other's, the
+    # product is the concatenation
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    acc = dict(a)
+    for v, e in b:
+        acc[v] = acc.get(v, 0) + e
+    return tuple(sorted(acc.items()))
 
 
-def translate_by_ring_ops(P: SparsePolynomial, a: Sequence) -> SparsePolynomial:
-    """P(X + a) as the sum over terms c * prod_v (x_v + a_v)^e, each power
-    multiplied out factor by factor and the terms summed one polynomial at
-    a time, through the ring operations alone.  The oracle for
-    ``translate_poly``."""
-    n, p = P.num_vars, P.field_p
-    acc = SparsePolynomial.zero(n, p)
+def multiply_by_merge(products, field_p) -> dict:
+    """The sum of mult * Q_1 * ... * Q_d over the (mult, (Q_1, ..., Q_d))
+    in ``products``, each Q a term map, on tuple monomials with
+    ``mon_mul``, reduced mod p over GF(p) only at the end and with the
+    zeros dropped.  The oracle for ``multiply_out``, which packs."""
+    acc = {}
+    for mult, maps in products:
+        prod = {(): mult}
+        for terms in maps:
+            nxt = {}
+            for ma, ca in prod.items():
+                for mb, cb in terms.items():
+                    mon = mon_mul(ma, mb)
+                    nxt[mon] = nxt.get(mon, 0) + ca * cb
+            prod = nxt
+        for mon, c in prod.items():
+            acc[mon] = acc.get(mon, 0) + c
+    if field_p is not None:
+        acc = {mon: c % field_p for mon, c in acc.items()}
+    return {mon: c for mon, c in acc.items() if c}
+
+
+def expand_by_merge(C: FewVarCircuit) -> SparsePolynomial:
+    """The circuit's expansion with no packed monomial: each term's
+    embedded factors multiplied out by ``multiply_by_merge`` and the sum
+    built through the public constructor.  The oracle for
+    ``expand_circuit``."""
+    products = [(scale, [embed(f, C.num_vars).terms for f in factors])
+                for scale, factors in C.terms]
+    return SparsePolynomial(C.num_vars, multiply_by_merge(products, C.field_p),
+                            C.field_p)
+
+
+def translate_by_binomials(P: SparsePolynomial, a: Sequence) -> SparsePolynomial:
+    """P(X + a) term by term: c * prod_v x_v^e becomes the sum, over one
+    j_v <= e_v per variable, of c * prod_v C(e_v, j_v) a_v^(e_v - j_v)
+    x_v^(j_v), every monomial a tuple and the sum built through the public
+    constructor.  The oracle for ``translate_poly``, which shifts packed
+    monomials one variable at a time."""
+    acc = {}
     for mon, c in P.terms.items():
-        term = SparsePolynomial.const(n, c, p)
-        for v, e in mon:
-            linear = SparsePolynomial(n, {((v, 1),): 1, (): a[v]}, p)
-            for _ in range(e):
-                term = term * linear
-        acc = acc + term
-    return acc
+        choices = [[(((v, j),) if j else (), math.comb(e, j) * a[v] ** (e - j))
+                    for j in range(e + 1)] for v, e in mon]
+        for picks in itertools.product(*choices):
+            out, coef = (), c
+            for part, weight in picks:
+                out += part         # the variables come in increasing order
+                coef *= weight
+            acc[out] = acc.get(out, 0) + coef
+    return SparsePolynomial(P.num_vars, acc, P.field_p)
 
 
 def combnulls_grid(N: int, d: int) -> Iterator[Tuple[int, ...]]:

@@ -92,7 +92,7 @@ def test_criterion_3_homogenization_identity(capsys):
     for i in range(50):
         C = normalize_constants(random_circuit(
             rng, num_vars=6, max_terms=3, max_factors=3, max_support=2,
-            max_k=2))
+            max_k=2)[0])
         P = expand_circuit(C)
         n = i % 5
         if homogenize(C, n).value() != hom_component(P, n):
@@ -213,9 +213,9 @@ def test_criterion_9_pit_soundness_and_desk_completeness(capsys):
     params5 = checked_sets(toy_pit_params(N=5, k=2, l=4, q=2))
     tested = 0
     while tested < 100:
-        C = random_circuit(rng, num_vars=5, max_terms=3, max_factors=2,
-                           max_support=2, max_k=2)
-        if expand_circuit(C).is_zero():
+        C, P = random_circuit(rng, num_vars=5, max_terms=3, max_factors=2,
+                              max_support=2, max_k=2)
+        if P.is_zero():
             continue
         tested += 1
         r = pit_run(C, params5)

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (checked, is_prime_trial, multilinear_project,
-                     translate_by_ring_ops)
+from helpers import (checked, is_prime_trial, mon_mul, multilinear_project,
+                     multiply_by_merge, translate_by_binomials)
 from fewvar.algebra import (
     SparsePolynomial,
     bertrand_prime,
@@ -22,7 +22,6 @@ from fewvar.algebra import (
     int_floor_root,
     is_prime,
     mon_make,
-    mon_mul,
     multiply_out,
     next_prime_at_least,
     parse_poly,
@@ -242,12 +241,108 @@ def test_product_and_translation_agree_with_evaluation(data):
     assert checked(A * B).eval_at(point) == \
         coerce(A.eval_at(point) * B.eval_at(point), p)
     # the product comes out reduced, with no zero coefficient
-    prod = multiply_out((A.terms, B.terms), p)
+    prod = multiply_out([(1, (A.terms, B.terms))], p)
     assert SparsePolynomial(3, prod, p).terms == prod
     moved = [u + a for u, a in zip(point, shift)]
     T = checked(translate_poly(A, shift))
     assert T.eval_at(point) == A.eval_at(moved)
     assert T.degree() == A.degree()
+
+
+# ---------------------------------------------------------------------------
+# the packed product loop and Taylor shift against oracles that do not pack
+
+# exponents whose sums cross powers of two: 7 + 9 = 16, 8 + 8, 15 + 1, 3 + 1
+packed_exps = st.sampled_from((1, 2, 3, 7, 8, 9, 15, 16))
+shift_exps = st.sampled_from((1, 2, 3, 4, 7, 8))
+
+
+def field_coeffs(p):
+    """Nonzero coefficients in the field's normal form."""
+    if p is not None:
+        return st.integers(1, p - 1)
+    return st.one_of(st.integers(-5, 5).filter(bool),
+                     st.builds(Fraction, st.integers(-5, 5).filter(bool),
+                               st.integers(2, 4)))
+
+
+@st.composite
+def term_maps(draw, p, num_vars, exps):
+    """A term map of up to three terms on the low and the high variables,
+    so that with 70 or more variables a packed key passes one machine
+    word; now and then empty (a zero factor) or a constant."""
+    pool = sorted({0, 1, 2, num_vars - 2, num_vars - 1})
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        vs = draw(st.lists(st.sampled_from(pool), unique=True, max_size=3))
+        mon = tuple(sorted((v, draw(exps)) for v in vs))
+        terms[mon] = draw(field_coeffs(p))
+    return terms
+
+
+def normal_nonzero(terms, p):
+    return all(c and (p is None or type(c) is int and 0 < c < p)
+               for c in terms.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_multiply_out_matches_the_tuple_merge(data):
+    """Sums of products of a few shared term maps, some repeated in one
+    product, with empty products (the multiplier alone), and now and then
+    the first product again with the opposite multiplier, so that it
+    cancels."""
+    p = data.draw(st.sampled_from((None, 7, 97)))
+    n = data.draw(st.sampled_from((3, 12, 70, 130)))
+    pool = [data.draw(term_maps(p, n, packed_exps)) for _ in range(3)]
+    products = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        picks = data.draw(st.lists(st.integers(0, 2), max_size=4))
+        products.append((data.draw(field_coeffs(p)), [pool[i] for i in picks]))
+    if products and data.draw(st.booleans()):
+        mult, maps = products[0]
+        products.append((-mult if p is None else p - mult, maps))
+    got = multiply_out(products, p)
+    assert got == multiply_by_merge(products, p)
+    assert normal_nonzero(got, p)
+
+
+def test_packed_products_carry_into_no_other_variable():
+    """Exponent sums that fill a field to the next power of two, on the
+    first and the last of 80 variables; a zero factor; a constant factor;
+    an empty product; and a product that cancels to zero."""
+    for p in (None, 7, 97):
+        A = {((0, 7), (79, 1)): 1, ((1, 8),): 2}
+        B = {((0, 9), (79, 15)): 3, ((1, 8),): coerce(-2, p), (): 5}
+        C = {(): coerce(Fraction(1, 2), p)}
+        minus = coerce(-1, p)
+        for products in ([(1, [A, B])], [(2, [A, B, C, A])], [(1, [A, {}, B])],
+                         [(3, [])], [(1, [A, B]), (minus, [B, A])],
+                         [(1, [B, B, B])]):
+            got = multiply_out(products, p)
+            assert got == multiply_by_merge(products, p)
+            assert normal_nonzero(got, p)
+        assert multiply_out([(1, [A, B]), (minus, [B, A])], p) == {}
+        assert multiply_out([(1, [A, {}, B])], p) == {}
+        assert multiply_out([(3, [])], p) == {(): 3}
+        assert multiply_out([], p) == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_translate_poly_matches_the_binomial_expansion(data):
+    """The shift on packed keys against a term-by-term binomial expansion
+    on tuples, with exponents that fill a field (7) or pass a power of two
+    (8), on up to 130 variables."""
+    p = data.draw(st.sampled_from((None, 7, 97)))
+    n = data.draw(st.sampled_from((3, 12, 70, 130)))
+    P = SparsePolynomial(n, data.draw(term_maps(p, n, shift_exps)), p)
+    shift = [0] * n
+    for v in data.draw(st.lists(st.integers(0, n - 1), max_size=6)):
+        shift[v] = data.draw(shift_values)
+    T = checked(translate_poly(P, shift))
+    assert T == translate_by_binomials(P, shift)
+    assert normal_nonzero(T.terms, p)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +409,7 @@ def test_translate_poly_matches_ring_operations(p, items, shift, which):
     elif which == "one variable":
         shift = [0, shift[1], 0]
     T = checked(translate_poly(P, shift))
-    assert T == translate_by_ring_ops(P, shift)
+    assert T == translate_by_binomials(P, shift)
     assert T.degree() == P.degree()
     assert checked(translate_poly(T, [-v for v in shift])) == P
     if p is not None:

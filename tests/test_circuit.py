@@ -36,7 +36,7 @@ from fewvar.circuit import (
     translate_circuit,
 )
 from fewvar.rng import named_rng
-from helpers import (GF7_CIRCUIT, checked, embed, expand_by_ring_ops,
+from helpers import (GF7_CIRCUIT, checked, embed, expand_by_merge,
                      over_field, serialize_circuit)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -199,7 +199,7 @@ def test_expand_cap_counts_every_term():
             expand_circuit(C, cap=100)
         assert str(info.value) == \
             "too large to expand: estimated 120 terms > cap 100"
-        assert expand_circuit(C, cap=120) == expand_by_ring_ops(C)
+        assert expand_circuit(C, cap=120) == expand_by_merge(C)
 
 def test_normalize_constants():
     C = FewVarCircuit(num_vars=2, terms=[
@@ -277,14 +277,14 @@ def test_coeff_circuits_hold_missing_terms_once(make):
 @given(st.sampled_from((None, 7)), st.integers(0, 10 ** 6))
 def test_coeff_circuits_hold_missing_terms_once_random(p, seed):
     rng = named_rng(seed, "coeff-circuits")
-    missing_terms_held_once(over_field(random_circuit(rng, 4, 4, 3, 2, 3), p))
+    missing_terms_held_once(over_field(random_circuit(rng, 4, 4, 3, 2, 3)[0], p))
 
 
 def test_derivative_circuit_identity(C):
     P = expand_circuit(C)
     for y in range(4):
         for j in range(3):
-            D = checked(derivative_circuit(C, y, j))
+            D = checked(derivative_circuit(C, y, j, coeff_circuits(C, y)))
             assert checked(expand_circuit(D)) == derivative_poly(P, y, j)
             assert D.top_fanin <= C.top_fanin * (C.k + 1) ** 2
 
@@ -357,11 +357,13 @@ def transforms_text(name, C, derivatives=True):
         blocks.append(f"== {name} {label}\n" + serialize_circuit(checked(out)))
 
     for y in range(C.num_vars):
-        for i, ci in enumerate(coeff_circuits(C, y)):
+        coeffs = coeff_circuits(C, y)
+        for i, ci in enumerate(coeffs):
             emit(f"coeff y={y} i={i}", ci)
         if derivatives:
             for j in (1, 2):
-                emit(f"derivative y={y} j={j}", derivative_circuit(C, y, j))
+                emit(f"derivative y={y} j={j}",
+                     derivative_circuit(C, y, j, coeffs))
     D = expand_circuit(C).degree()
     for i in range(D + 2):
         emit(f"hom i={i} bound={D}", hom_component_circuit(C, i, D))
@@ -433,8 +435,8 @@ def test_homogenize_identity_on_random_circuits():
     rng = named_rng(11, "homog-test")
     hits = 0
     for _ in range(40):
-        C = random_circuit(rng, num_vars=6, max_terms=3, max_factors=3,
-                           max_support=2, max_k=2)
+        C, _ = random_circuit(rng, num_vars=6, max_terms=3, max_factors=3,
+                              max_support=2, max_k=2)
         C = checked(normalize_constants(C))
         P = expand_circuit(C)
         for n in range(4):
@@ -599,19 +601,20 @@ def shared_factor_circuit(draw):
        st.integers(0, 2), st.integers(0, 2))
 def test_expand_matches_ring_operations(C, point, y, j):
     P = checked(expand_circuit(C))
-    assert P == expand_by_ring_ops(C)
+    assert P == expand_by_merge(C)
     assert eval_circuit(C, point) == P.eval_at(point)
     for _, factors in C.terms:
         # each product comes out reduced, with no zero coefficient
         one = FewVarCircuit(C.num_vars, ((1, factors),), C.declared_s, C.field_p)
-        assert multiply_out((f.global_terms() for f in factors),
-                            C.field_p) == expand_by_ring_ops(one).terms
+        assert multiply_out([(1, [f.global_terms() for f in factors])],
+                            C.field_p) == expand_by_merge(one).terms
     if C.field_p is None:
         # a derivative rebuilt from the coefficient circuits, the y^0 one
         # holding each term that misses y as it is
-        dC = checked(derivative_circuit(FewVarCircuit(
-            C.num_vars, C.terms, C.declared_s, None, P.individual_degree()), y, j))
-        assert expand_circuit(dC) == expand_by_ring_ops(dC) == \
+        Ck = FewVarCircuit(C.num_vars, C.terms, C.declared_s, None,
+                           P.individual_degree())
+        dC = checked(derivative_circuit(Ck, y, j, coeff_circuits(Ck, y)))
+        assert expand_circuit(dC) == expand_by_merge(dC) == \
             derivative_poly(P, y, j)
 
 
@@ -625,7 +628,7 @@ def test_expand_with_fraction_scales_and_coefficients():
                                              third))), 1)
     want = SparsePolynomial(2, {((0, 1), (1, 1)): Fraction(-1, 6),
                                 ((1, 1),): Fraction(2, 9)})
-    assert expand_circuit(C) == expand_by_ring_ops(C) == want
+    assert expand_circuit(C) == expand_by_merge(C) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -637,10 +640,10 @@ def test_expand_lagrange_circuits_matches_ring_operations(seed, y, i):
     rng = named_rng(seed, "expand-lagrange-test")
     C = normalize_constants(random_circuit(rng, num_vars=6, max_terms=3,
                                            max_factors=3, max_support=2,
-                                           max_k=2))
+                                           max_k=2)[0])
     D = expand_circuit(C).degree()
     for circ in checked(coeff_circuits(C, y) + [hom_component_circuit(C, i, D)]):
-        assert checked(expand_circuit(circ)) == expand_by_ring_ops(circ)
+        assert checked(expand_circuit(circ)) == expand_by_merge(circ)
 
 
 @settings(max_examples=100, deadline=None)
@@ -670,7 +673,7 @@ def test_substituted_factor_agrees_with_evaluation(data):
 def test_expand_empty_circuit_is_zero():
     for p in (None, 7):
         C = FewVarCircuit(3, (), 2, p)
-        assert expand_circuit(C) == expand_by_ring_ops(C) == \
+        assert expand_circuit(C) == expand_by_merge(C) == \
             SparsePolynomial.zero(3, p)
 
 
@@ -740,11 +743,12 @@ def test_parse_circuit_error_line_numbers():
 def test_random_circuit_respects_bounds():
     rng = named_rng(3, "random-circuit-test")
     for _ in range(20):
-        C = random_circuit(rng, num_vars=8, max_terms=3, max_factors=3,
-                           max_support=2, max_k=2)
+        C, P = random_circuit(rng, num_vars=8, max_terms=3, max_factors=3,
+                              max_support=2, max_k=2)
         assert C.top_fanin <= 3
         assert C.max_support() <= 2
-        assert expand_circuit(C).individual_degree() <= 2
+        assert P == expand_circuit(C)
+        assert P.individual_degree() <= 2
 
 
 def test_random_circuit_checks_each_factor_once(monkeypatch):
@@ -760,10 +764,11 @@ def test_random_circuit_checks_each_factor_once(monkeypatch):
     rng = named_rng(5, "random-circuit-checks")
     for _ in range(20):
         checks.clear(), drawn.clear()
-        C = random_circuit(rng, num_vars=6, max_terms=3, max_factors=3,
-                           max_support=2, max_k=2)
+        C, P = random_circuit(rng, num_vars=6, max_terms=3, max_factors=3,
+                              max_support=2, max_k=2)
         assert len(checks) == sum(len(fs) for D in drawn
                                   for _, fs in D.terms)
         assert C.terms == checked(drawn[-1]).terms
         checked(C)
-        assert C.k == real_expand(C).individual_degree() <= 2
+        assert P == real_expand(C)
+        assert C.k == P.individual_degree() <= 2

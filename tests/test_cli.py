@@ -1024,6 +1024,10 @@ def test_rng_is_imported_only_to_draw(probe_dir):
     (["restrict-experiment", "--circuit", "hom.circuit", "--s", "1",
       "--p", "0.3", "--trials", "40", "--seed", "5"], [],
      "restrict_experiment_hom.txt"),
+    # the benchmark's large audit shape, which pins both fan-in ratios
+    (["transform-audit", "--count", "3", "--seed", "5", "--vars", "12",
+      "--terms", "6", "--factors", "4", "--support", "4", "--max-k", "3"], [],
+     "transform_audit_3_5_large.txt"),
 ])
 def test_commands_load_what_they_use(probe_dir, argv, loaded, golden):
     """A command that rounds a real loads mpmath, one that draws random

@@ -9,8 +9,10 @@ it in ``__all__``, so a stale import keeps no dead function alive; every
 other import from the package is listed with a reason.
 Likewise every field of a record or value class is read as an attribute
 in the package.
-The package has one product loop: ``mon_mul`` is named only inside
-``algebra.multiply_out``; and one circuit evaluator: the compiled
+The package has one product loop: the packed monomials, ``_packed`` and
+``_unpacked``, are named only inside ``algebra.multiply_out`` and the
+Taylor shift ``algebra.translate_poly``, and ``mon_mul`` not at all; and
+one circuit evaluator: the compiled
 ``integer_form`` is read only by ``circuit.eval_circuit``, and it takes
 monomials over the global variables only from ``FactorPoly.global_terms``,
 the one support relabel; and one `coeff`-line reader: only
@@ -150,16 +152,21 @@ def test_every_record_field_is_read_in_src():
 
 
 def test_only_multiply_out_multiplies_monomials():
-    """One product loop: ``mon_mul`` is named in the package only inside
-    ``algebra.multiply_out``, so every product of polynomials goes through
-    it."""
-    users = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if referenced_names(node)["mon_mul"]:
-                name = getattr(node, "name", type(node).__name__)
-                users.append(f"{path.stem}.{name}")
-    assert users == ["algebra.multiply_out"]
+    """One product loop: the pack and unpack helpers are named in the
+    package only inside ``algebra.multiply_out`` and the Taylor shift
+    ``algebra.translate_poly``, which multiplies no polynomials, so every
+    product of polynomials goes through ``multiply_out``; and the tuple
+    merge ``mon_mul`` is the tests' oracle, named nowhere in the
+    package."""
+    users = {name: [unit for path in sorted(SRC.glob("*.py"))
+                    for unit, node in code_units(path)
+                    if referenced_names(node)[name]]
+             for name in ("_packed", "_unpacked", "mon_mul")}
+    assert users == {"_packed": ["algebra.multiply_out",
+                                 "algebra.translate_poly"],
+                     "_unpacked": ["algebra.multiply_out",
+                                   "algebra.translate_poly"],
+                     "mon_mul": []}
 
 
 def test_only_eval_circuit_reads_the_compiled_circuit():

@@ -871,8 +871,8 @@ def test_bad_support_bound_on_random_circuits():
     from fewvar.circuit import random_circuit
     rng = named_rng(41, "bad-support")
     for _ in range(20):
-        C = random_circuit(rng, num_vars=8, max_terms=3, max_factors=3,
-                           max_support=3, max_k=2)
+        C, _ = random_circuit(rng, num_vars=8, max_terms=3, max_factors=3,
+                              max_support=3, max_k=2)
         for s in (1, 2, 3):
             assert bad_support_monomials(C, s).ok
 

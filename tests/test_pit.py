@@ -449,8 +449,8 @@ def test_pit_run_evaluates_circuits_through_eval_circuit(monkeypatch):
     params = checked_sets(toy_pit_params(N=3, k=2, l=3))
     for field_p in (None, 7):
         C = over_field(random_circuit(rng, num_vars=3, max_terms=3,
-                                      max_factors=2, max_support=2, max_k=2),
-                       field_p)
+                                      max_factors=2, max_support=2,
+                                      max_k=2)[0], field_p)
         assert not expand_circuit(C).is_zero()
         for circuit in (FewVarCircuit(3, (), 2, field_p, 2), C):
             calls.clear()
@@ -495,9 +495,9 @@ def test_pit_circuit_soundness_suite():
     params = checked_sets(toy_pit_params(N=5, k=2, l=4, q=2))
     found = 0
     for _ in range(100):
-        C = random_circuit(rng, num_vars=5, max_terms=3, max_factors=2,
-                           max_support=2, max_k=2)
-        if expand_circuit(C).is_zero():
+        C, P = random_circuit(rng, num_vars=5, max_terms=3, max_factors=2,
+                              max_support=2, max_k=2)
+        if P.is_zero():
             continue
         res = pit_run(C, params)
         if res.status == "witness":
@@ -673,9 +673,9 @@ def test_completeness_shadow_of_schwartz_zippel():
     missed = 0
     checked = 0
     for _ in range(40):
-        C = random_circuit(rng, num_vars=4, max_terms=2, max_factors=2,
-                           max_support=2, max_k=2)
-        if expand_circuit(C).is_zero():
+        C, P = random_circuit(rng, num_vars=4, max_terms=2, max_factors=2,
+                              max_support=2, max_k=2)
+        if P.is_zero():
             continue
         checked += 1
         sz = schwartz_zippel(blackbox_from_circuit(C), 50, 11, 67)
