@@ -9,12 +9,13 @@ normalizes: it reduces every coefficient and drops the zeros.  The private
 ``_poly`` only normalizes; the ring operations, the transforms below and
 the reader build through it from parts that are already checked.  Binary
 operations check that both tags agree and raise on a mismatch.
-``multiply_out`` is the one product loop, on plain term maps:
-``__mul__`` and circuit expansion multiply through it, and each builds one
-polynomial from its result.  Inside it a monomial is packed into one int
-(``_packed``, ``_unpacked``), so a monomial product is one add.
-``translate_poly`` is a Taylor shift, one variable at a time on the same
-packed monomials, and multiplies no polynomials.
+``_packed_products`` is the one product loop: a monomial is packed into
+one int (``_packed``), so a monomial product is one add.  ``multiply_out``
+unpacks its sum (``_unpacked``) into a plain term map: ``__mul__`` and
+circuit expansion multiply through it, and each builds one polynomial from
+its result.  ``_shifted`` is a Taylor shift, one variable at a time on the
+same packed monomials, and ``translate_poly`` unpacks it.  The transform
+audit's ``circuit.expands_to`` compares the two packed maps as they are.
 
 A monomial is a sorted tuple of ``(variable_index, exponent)`` pairs with all
 exponents positive; the empty tuple is the constant monomial.  A polynomial is
@@ -328,16 +329,24 @@ def multiply_out(products: Sequence[Tuple[FieldElem, Sequence[Dict[Mon, FieldEle
                  field_p: Field) -> Dict[Mon, FieldElem]:
     """The sum of mult * Q_1 * ... * Q_d over the (mult, (Q_1, ..., Q_d)) in
     ``products``, each Q a term map (monomial -> coefficient), as a map
-    from monomial to nonzero coefficient, reduced mod p over GF(p).  The
-    one product loop.  Inside it a monomial is an int of W bits per
-    variable (``_packed``), so a monomial product is one add.  No field can
-    carry: a variable's exponent in one product is at most the sum of each
-    factor's largest exponent, and W is the bit length of the largest such
-    sum over the products.  Each distinct term map (by identity, for this
-    call) is packed once, every product is summed into one packed
-    accumulator, and that is unpacked once at the end.  A product starts
-    from {0: mult}; each factor is multiplied in, the result reduced mod p
-    over GF(p) and cleared of zeros, and an empty product stops early."""
+    from monomial to nonzero coefficient, reduced mod p over GF(p): the
+    packed sum of ``_packed_products``, unpacked once."""
+    return _unpacked(*_packed_products(products, field_p), field_p)
+
+
+def _packed_products(products: Sequence[Tuple[FieldElem, Sequence[Dict[Mon, FieldElem]]]],
+                     field_p: Field, W: int = 0) -> Tuple[Dict[int, FieldElem], int]:
+    """The one product loop: the sum ``multiply_out`` returns, as a packed
+    map (``_packed``, W bits per variable) whose sums are not yet reduced
+    mod p or cleared of zeros, and W.  A monomial product is one add.  No
+    field can carry: a variable's exponent in one product is at most the
+    sum of each factor's largest exponent, and W is at least the bit
+    length of the largest such sum over the products (and at least the W
+    given).  Each distinct term map (by identity, for this call) is packed
+    once and every product is summed into one accumulator.  A product
+    starts from {0: mult}; each factor is multiplied in, the result reduced
+    mod p over GF(p) and cleared of zeros, and an empty product stops
+    early."""
     maps_by_id = {id(terms): terms for _, maps in products for terms in maps}
     top: Dict[int, int] = {}        # id of a term map -> its largest exponent
     for key, terms in maps_by_id.items():
@@ -347,8 +356,8 @@ def multiply_out(products: Sequence[Tuple[FieldElem, Sequence[Dict[Mon, FieldEle
                 if e > most:
                     most = e
         top[key] = most
-    W = max([sum([top[id(terms)] for terms in maps]) for _, maps in products],
-            default=0).bit_length()
+    W = max(W, max([sum([top[id(terms)] for terms in maps]) for _, maps in products],
+                   default=0).bit_length())
     packed = {key: _packed(terms, W) for key, terms in maps_by_id.items()}
     acc: Dict[int, FieldElem] = {}
     for mult, maps in products:
@@ -368,7 +377,7 @@ def multiply_out(products: Sequence[Tuple[FieldElem, Sequence[Dict[Mon, FieldEle
                 break
         for key, c in prod.items():
             acc[key] = acc.get(key, 0) + c
-    return _unpacked(acc, W, field_p)
+    return acc, W
 
 
 def _packed(terms: Dict[Mon, FieldElem], W: int) -> Dict[int, FieldElem]:
@@ -449,20 +458,26 @@ def esym_all(inputs: Sequence[SparsePolynomial], lmax: int) -> List[SparsePolyno
 
 def translate_poly(P: SparsePolynomial, a: Sequence) -> SparsePolynomial:
     """Return P(X + a).  Degree is preserved; translating back by -a undoes it.
+    The Taylor shift of ``_shifted`` at W the bit length of P's largest
+    exponent, unpacked once."""
+    W = P.individual_degree().bit_length()
+    return _poly(P.num_vars, _unpacked(_shifted(P, a, W), W, P.field_p), P.field_p)
 
-    A Taylor shift, one variable at a time, on the packed monomials of
-    ``multiply_out`` with W the bit length of P's largest exponent, which
-    no shift raises: for each v with a_v != 0, one pass over the terms
+
+def _shifted(P: SparsePolynomial, a: Sequence, W: int) -> Dict[int, FieldElem]:
+    """The terms of P(X + a), packed at W bits per variable (``_packed``),
+    not yet cleared of zeros or reduced; W must be at least the bit length
+    of P's largest exponent, which no shift raises.  A Taylor shift, one
+    variable at a time: for each v with a_v != 0, one pass over the terms
     takes the field e of x_v out of each key by shift and mask and adds
     sum_j C(e, j) a_v^(e-j) x_v^j back in, merging equal monomials.  A pass
     reduces each coefficient it reads mod p over GF(p) and skips the
-    zeros; the unpacking at the end does so once more."""
+    zeros."""
     if len(a) != P.num_vars:
         raise ValueError(
             f"dimension mismatch: shift has {len(a)} values, "
             f"polynomial has {P.num_vars} variables")
     p = P.field_p
-    W = P.individual_degree().bit_length()
     mask = (1 << W) - 1
     terms = _packed(P.terms, W)
     for v, s in enumerate(a):
@@ -487,7 +502,7 @@ def translate_poly(P: SparsePolynomial, a: Sequence) -> SparsePolynomial:
                 out[m] = out.get(m, 0) + math.comb(e, j) * pw
                 pw *= s
         terms = out
-    return _poly(P.num_vars, _unpacked(terms, W, p), p)
+    return terms
 
 
 def derivative_poly(P: SparsePolynomial, var: int, order: int = 1) -> SparsePolynomial:

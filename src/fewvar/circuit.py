@@ -5,9 +5,10 @@ polynomial touching at most ``declared_s`` of the N global variables (of
 arbitrary degree).  The factor stores its support (global indices) and a local
 polynomial over ``len(support)`` variables; ``FactorPoly.global_terms`` is
 the one map of its terms onto the global variables, and expansion multiplies
-those term maps through ``algebra.multiply_out``, the one product loop, in
-one call for the whole circuit: each distinct factor is packed once and
-every product added into one packed accumulator.
+those term maps through the one product loop, ``algebra._packed_products``,
+in one call for the whole circuit: each distinct factor is packed once and
+every product added into one packed accumulator.  The transform audit
+compares that accumulator with a packed polynomial (``expands_to``).
 
 ``eval_circuit`` is the one evaluator of a circuit at a point, over Q and
 GF(p) alike, in the circuit's ``integer_form``, compiled once on first use.
@@ -51,7 +52,10 @@ from .algebra import (
     Mon,
     SparsePolynomial,
     Value,
+    _packed,
+    _packed_products,
     _poly,
+    _shifted,
     coerce,
     document_lines,
     esym_all,
@@ -247,17 +251,12 @@ def eval_circuit(C: FewVarCircuit, point: Sequence) -> FieldElem:
     return Fraction(total, L) if total else Fraction(0)
 
 
-def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynomial:
-    """The exact polynomial the circuit computes.
-
-    Refuses when the pre-merge term-count estimate, over every term,
-    exceeds the cap (argument, else 10^6).  The terms with a nonzero scale
-    go through ``algebra.multiply_out`` in one call, which packs each
-    distinct factor's global terms once and sums every product into one
-    accumulator; the one polynomial built at the end only normalizes it.
-    The scales enter as ints, times L, the lcm of their denominators (1
-    over GF(p)), and each sum is divided by L once.
-    """
+def _products(C: FewVarCircuit, cap: Optional[int] = None):
+    """The products of C for ``algebra._packed_products`` and L, the lcm of
+    the scales' denominators (1 over GF(p)): the terms with a nonzero
+    scale, the scale as an int times L, with each distinct factor's global
+    terms built once.  Refuses first when the pre-merge term-count
+    estimate, over every term, exceeds the cap (argument, else 10^6)."""
     limit = DEFAULT_EXPAND_CAP if cap is None else cap
     est = 0
     for _, factors in C.terms:
@@ -271,12 +270,41 @@ def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynom
     L = math.lcm(*(scale.denominator for scale, _ in live))
     distinct = {id(f): f for _, factors in live for f in factors}
     maps = {key: f.global_terms() for key, f in distinct.items()}
-    acc = multiply_out([(scale.numerator * (L // scale.denominator),
-                         [maps[id(f)] for f in factors])
-                        for scale, factors in live], C.field_p)
+    return [(scale.numerator * (L // scale.denominator),
+             [maps[id(f)] for f in factors]) for scale, factors in live], L
+
+
+def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynomial:
+    """The exact polynomial the circuit computes, refused as ``_products``
+    refuses: its products multiplied out in one call, each sum divided by L
+    once, and one polynomial built at the end that only normalizes it."""
+    products, L = _products(C, cap)
+    acc = multiply_out(products, C.field_p)
     if L > 1:
         acc = {mon: Fraction(c, L) for mon, c in acc.items()}
     return _poly(C.num_vars, acc, C.field_p)
+
+
+def expands_to(C: FewVarCircuit, P: SparsePolynomial,
+               shift: Optional[Sequence] = None) -> bool:
+    """Whether ``expand_circuit(C) == P``, or ``== translate_poly(P,
+    shift)`` when a shift is given, with the same refusals, decided on
+    packed monomials with neither polynomial built.  The expansion packs at
+    a W of at least the bit length of P's largest exponent, so P, shifted
+    or not, packs at that W with no carry, and equal keys are equal
+    monomials.  The expansion's sums are L times its coefficients, so each
+    is compared with L times P's, after dropping zeros and reducing mod p."""
+    products, L = _products(C)
+    p = C.field_p
+    acc, W = _packed_products(products, p, P.individual_degree().bit_length())
+    want = _packed(P.terms, W) if shift is None else _shifted(P, shift, W)
+    if (P.num_vars, P.field_p) != (C.num_vars, p):
+        return False
+    if p is None:
+        return {key: c for key, c in acc.items() if c} == \
+            {key: L * r for key, r in want.items() if r}
+    return {key: c % p for key, c in acc.items() if c % p} == \
+        {key: r % p for key, r in want.items() if r % p}
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +695,8 @@ def random_circuit(rng, num_vars: int, max_terms: int, max_factors: int,
     """A random circuit over Q within the given size bounds, with the
     declared k set to the true individual degree of the expansion
     (recomputed exactly), and that expansion.  Retries until the
-    individual degree fits max_k."""
+    individual degree fits max_k; a draw ``_degree_above`` rejects is
+    neither built nor expanded."""
     for _ in range(RANDOM_CIRCUIT_TRIES):
         T = rng.integers(1, max_terms + 1)
         terms: List[Term] = []
@@ -694,12 +723,35 @@ def random_circuit(rng, num_vars: int, max_terms: int, max_factors: int,
                     poly = SparsePolynomial.const(ssize, 1)
                 factors.append(FactorPoly(support, poly))
             terms.append((scale, tuple(factors)))
+        if _degree_above(terms, max_k):
+            continue
         C = FewVarCircuit(num_vars, tuple(terms), max_support)
         P = expand_circuit(C)
         k = P.individual_degree()
         if k <= max_k:
             return _circuit(num_vars, C.terms, max_support, None, k), P
     raise RuntimeError("could not generate a circuit within the degree bound")
+
+
+def _degree_above(terms: Sequence[Term], bound: int) -> bool:
+    """Whether some variable v surely has degree above ``bound`` in the
+    sum of the terms, none of whose scales and factors is zero, decided
+    without expanding it: d_v, the largest over the terms of the sum of
+    the factors' degrees in v, exceeds the bound and exactly one term
+    attains it.  That term's coefficient of v^d_v is its scale times the
+    factors' leading coefficients in v, none of them zero, and no other
+    term reaches v^d_v, so it cannot cancel."""
+    top: Dict[int, Tuple[int, int]] = {}    # v -> (d_v, terms attaining it)
+    for _, factors in terms:
+        deg: Dict[int, int] = {}
+        for f in factors:
+            for local, v in enumerate(f.support):
+                deg[v] = deg.get(v, 0) + f.poly.individual_degree(local)
+        for v, d in deg.items():
+            most, ties = top.get(v, (0, 0))
+            if d >= most:
+                top[v] = (d, ties + 1 if d == most else 1)
+    return any(d > bound and ties == 1 for d, ties in top.values())
 
 
 class AuditReport(NamedTuple):
@@ -721,12 +773,13 @@ def transform_audit(count: int, seed: int, num_vars: int = 10, max_terms: int = 
     circuits, exactly, and audit the fan-in bounds.
 
     For each circuit: derivative, coefficient extraction, homogeneous
-    component, translation, and restriction are expanded and compared to the
-    same operation applied to the expansion.  Fan-in ratios report the worst
-    observed top fan-in against the T*(k+1)^2 and T*(k+1) ceilings.  Each
-    step is done once: the expansion is the one ``random_circuit`` computed
-    to find k, and the coefficient circuits of y, built once, serve both
-    the derivative and the coefficient check.
+    component, translation, and restriction are each compared by
+    ``expands_to`` with the same operation applied to the expansion.
+    Fan-in ratios report the worst observed top fan-in against the
+    T*(k+1)^2 and T*(k+1) ceilings.  Each step is done once: the expansion
+    is the one ``random_circuit`` computed to find k, and the coefficient
+    circuits of y, built once, serve both the derivative and the
+    coefficient check.
     """
     for name, value, least in (("count", count, 1), ("num_vars", num_vars, 1),
                                ("max_terms", max_terms, 1),
@@ -753,7 +806,7 @@ def transform_audit(count: int, seed: int, num_vars: int = 10, max_terms: int = 
         cs = coeff_circuits(C, y)
         dC = derivative_circuit(C, y, j, cs)
         checks += 1
-        if expand_circuit(dC) != derivative_poly(P, y, j):
+        if not expands_to(dC, derivative_poly(P, y, j)):
             failures.append(f"circuit {idx}: derivative (y={y}, j={j}) mismatch")
         bound_d = T * (k + 1) ** 2
         if dC.top_fanin > bound_d:
@@ -764,10 +817,9 @@ def transform_audit(count: int, seed: int, num_vars: int = 10, max_terms: int = 
         ref = coeffs_in_var(P, y)
         checks += 1
         for i, ci in enumerate(cs):
-            got = expand_circuit(ci)
             want = ref[i] if i < len(ref) else SparsePolynomial.zero(
                 C.num_vars, C.field_p)
-            if got != want:
+            if not expands_to(ci, want):
                 failures.append(f"circuit {idx}: coefficient {i} of x{y} mismatch")
                 break
             bound_c = T * (k + 1)
@@ -780,13 +832,13 @@ def transform_audit(count: int, seed: int, num_vars: int = 10, max_terms: int = 
         i_hom = rng.integers(0, deg + 2)
         hC = hom_component_circuit(C, i_hom, deg)
         checks += 1
-        if expand_circuit(hC) != hom_component(P, i_hom):
+        if not expands_to(hC, hom_component(P, i_hom)):
             failures.append(f"circuit {idx}: degree-{i_hom} component mismatch")
 
         shift = [rng.integers(-2, 3) for _ in range(num_vars)]
         tC = translate_circuit(C, shift)
         checks += 1
-        if expand_circuit(tC) != translate_poly(P, shift):
+        if not expands_to(tC, P, shift):
             failures.append(f"circuit {idx}: translation mismatch")
 
         alive = frozenset(v for v in range(num_vars) if rng.random() < 0.6)
@@ -796,6 +848,6 @@ def transform_audit(count: int, seed: int, num_vars: int = 10, max_terms: int = 
             if v not in alive:
                 Pr = substitute(Pr, v, 0)
         checks += 1
-        if expand_circuit(rC) != Pr:
+        if not expands_to(rC, Pr):
             failures.append(f"circuit {idx}: restriction mismatch")
     return AuditReport(count, checks, failures, worst_d, worst_c)

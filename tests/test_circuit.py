@@ -1,6 +1,7 @@
 """Circuit representation, transforms against the polynomial-level oracle,
 the homogenization identity, and the document format."""
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,12 +21,14 @@ import fewvar.circuit as circuit_module
 from fewvar.circuit import (
     FactorPoly,
     FewVarCircuit,
+    _degree_above,
     _substitute_factor,
     class_check,
     coeff_circuits,
     derivative_circuit,
     eval_circuit,
     expand_circuit,
+    expands_to,
     hom_component_circuit,
     homogenize,
     normalize_constants,
@@ -397,6 +400,46 @@ def test_transform_audit_clean():
     assert rep.max_coeff_fanin_ratio <= 1.0
 
 
+def _swap_first_two(real):
+    def broken(C, y):
+        cs = real(C, y)
+        cs[0], cs[1] = cs[1], cs[0]
+        return cs
+    return broken
+
+
+# check named in the failures -> (transform, its broken variant)
+BROKEN_TRANSFORMS = {
+    "translation": ("translate_circuit", lambda real: lambda C, a: real(
+        C, [a[0] + 1, *a[1:]])),
+    "component": ("hom_component_circuit", lambda real: lambda C, i, D: real(
+        C, i + 1, D)),
+    "restriction": ("restrict_circuit", lambda real: lambda C, alive: real(
+        C, alive | {min(set(range(C.num_vars)) - alive, default=0)})),
+    "derivative": ("derivative_circuit", lambda real: lambda C, y, j, cs: real(
+        C, y, j + 1, cs)),
+    "coefficient": ("coeff_circuits", _swap_first_two),
+}
+
+
+@pytest.mark.parametrize("check", sorted(BROKEN_TRANSFORMS))
+def test_transform_audit_catches_a_broken_transform(monkeypatch, check):
+    """Each check fails when its transform is wrong: a shift off by one in
+    the first coordinate, the component of the next degree, a restriction
+    that keeps a dead variable, a derivative of one order more, and the
+    first two coefficient circuits swapped.  The derivative is rebuilt from
+    the coefficient circuits, so swapping them may fail it too; every other
+    broken transform fails its own check alone."""
+    name, broken = BROKEN_TRANSFORMS[check]
+    monkeypatch.setattr(circuit_module, name,
+                        broken(getattr(circuit_module, name)))
+    rep = transform_audit(10, seed=7)
+    named = [f for f in rep.failures if re.search(rf"{check}.* mismatch$", f)]
+    assert named
+    if check != "coefficient":
+        assert named == rep.failures
+
+
 # ---------------------------------------------------------------------------
 # homogenization
 
@@ -670,6 +713,102 @@ def test_substituted_factor_agrees_with_evaluation(data):
     assert embed(g, 5).eval_at(point) == embed(f, 5).eval_at(at) == want
 
 
+@st.composite
+def expansion_claims(draw):
+    """A circuit from ``field_circuit_points``, sometimes with its own
+    terms negated added (so the expansion cancels to zero); a shift of
+    small ints with zero entries, or none; and the polynomial P whose
+    shift by it is the expansion, as it is, with one coefficient changed,
+    with one monomial added, or with one monomial moved to the one that
+    packs to the same key at the products' widest field W: a unit of
+    exponent of a variable u taken off and 2^W put on variable u - 1.
+    Returns the circuit, P, the shift and whether P was left as it is."""
+    C = draw(field_circuit_points())[0]
+    p, n = C.field_p, C.num_vars
+    if draw(st.booleans()):
+        C = FewVarCircuit(n, C.terms + tuple((-s, fs) for s, fs in C.terms),
+                          2, p)
+    shift = draw(st.none() | st.lists(st.integers(-2, 2), min_size=n,
+                                      max_size=n))
+    P = expand_circuit(C)
+    if shift is not None:
+        P = translate_poly(P, [-a for a in shift])
+    terms = dict(P.terms)
+    change = draw(st.sampled_from(("none", "coefficient", "monomial",
+                                   "carry")))
+    W = max([sum(f.poly.individual_degree() for f in fs)
+             for s, fs in C.terms if s], default=0).bit_length()
+    if change == "coefficient" and terms:
+        mon = draw(st.sampled_from(sorted(terms)))
+        terms[mon] += draw(st.sampled_from((1, -1, Fraction(1, 2))))
+    elif change == "carry" and any(mon and mon[-1][0] for mon in terms):
+        mon = draw(st.sampled_from(sorted(m for m in terms if m and m[-1][0])))
+        u, e = mon[-1]
+        moved = dict(mon)
+        moved[u - 1] = moved.get(u - 1, 0) + (1 << W)
+        moved[u] = e - 1
+        terms[tuple(sorted((v, x) for v, x in moved.items() if x))] = \
+            terms.pop(mon)
+    elif change != "none":
+        mon = ((draw(st.integers(0, n - 1)), 1 << W),)
+        terms[mon] = terms.get(mon, 0) + 1
+    return C, SparsePolynomial(n, terms, p), shift, change == "none"
+
+
+@settings(max_examples=300, deadline=None)
+@given(expansion_claims())
+def test_expands_to_matches_comparing_the_expansion(claim):
+    """The packed comparison against building both polynomials and
+    comparing them: over Q with Fraction scales (the lcm L of their
+    denominators above 1), GF(7) and GF(97), on expansions that cancel,
+    empty circuits, shifts with zero entries, and a P that differs by one
+    coefficient, by one monomial, or by one exponent past every product's
+    field, which must not carry into its neighbour's."""
+    C, P, shift, same = claim
+    want = P if shift is None else translate_poly(P, shift)
+    assert expands_to(C, P, shift) is (expand_circuit(C) == want) is same
+
+
+def test_expands_to_sees_no_carry():
+    """x0^2 packs as x1 at the expansion's own width of 1 bit, and the
+    empty circuit expands to the zero polynomial, shifted or not."""
+    x1 = FewVarCircuit(2, ((1, (fp((1,), (1, [(0, 1)])),)),), 1)
+    assert expands_to(x1, SparsePolynomial.from_terms(2, [(1, [(1, 1)])]))
+    assert not expands_to(x1, SparsePolynomial.from_terms(2, [(1, [(0, 2)])]))
+    for p in (None, 7, 97):
+        C = FewVarCircuit(3, (), 2, p)
+        for shift in (None, [0, 0, 0], [1, 0, -2]):
+            assert expands_to(C, SparsePolynomial.zero(3, p), shift)
+            assert not expands_to(C, SparsePolynomial.const(3, 1, p), shift)
+
+
+def test_expands_to_refuses_as_expand_circuit_does():
+    """The cap refusal, with the same message, before the shift's length
+    is checked; then the shift's, as ``translate_poly`` gives it; and a
+    polynomial over other variables or another field is not the
+    expansion."""
+    big = FewVarCircuit(21, ((1, tuple(fp((i,), (1, [(0, 1)]), (1, []))
+                                       for i in range(21))),), 1)
+    zero = SparsePolynomial.zero(21)
+    with pytest.raises(ValueError) as info:
+        expand_circuit(big)
+    for shift in (None, [0] * 21, [1]):
+        with pytest.raises(ValueError) as got:
+            expands_to(big, zero, shift)
+        assert str(got.value) == str(info.value)
+    C = small_circuit()
+    P = expand_circuit(C)
+    with pytest.raises(ValueError) as info:
+        translate_poly(P, [1])
+    with pytest.raises(ValueError) as got:
+        expands_to(C, P, [1])
+    assert str(got.value) == str(info.value)
+    assert expands_to(C, P) and expands_to(C, translate_poly(P, [-1] * 4),
+                                           [1] * 4)
+    assert not expands_to(C, SparsePolynomial(5, dict(P.terms)))
+    assert not expands_to(C, SparsePolynomial(4, dict(P.terms), 97))
+
+
 def test_expand_empty_circuit_is_zero():
     for p in (None, 7):
         C = FewVarCircuit(3, (), 2, p)
@@ -751,10 +890,56 @@ def test_random_circuit_respects_bounds():
         assert P.individual_degree() <= 2
 
 
+@settings(max_examples=200, deadline=None)
+@given(circuit_data(), st.integers(0, 4))
+def test_degree_above_never_rejects_a_circuit_within_the_bound(data, bound):
+    """A sum of terms that ``_degree_above`` rejects without expanding it
+    has individual degree above the bound, so ``random_circuit`` accepts
+    the same draws as when it expanded every one: terms of nonzero
+    scales and nonzero factors, whose degree sums often tie."""
+    terms = [(scale or 1, tuple(f for f in factors if not f.poly.is_zero()))
+             for scale, factors in build_circuit(data, 4, None).terms]
+    if _degree_above(terms, bound):
+        C = FewVarCircuit(4, tuple(terms), 2)
+        assert expand_circuit(C).individual_degree() > bound
+
+
+def test_degree_above_sums_factors_and_leaves_ties_to_the_expansion():
+    """x0 * x0^2 has degree 3 in x0 though no factor does; two terms that
+    both reach x0^3 may cancel, so they are left to the expansion."""
+    x0, sq = fp((0,), (1, [(0, 1)])), fp((0, 1), (1, [(0, 2)]), (1, [(1, 1)]))
+    assert _degree_above([(2, (x0, sq))], 2)
+    assert not _degree_above([(2, (x0, sq))], 3)
+    assert not _degree_above([(1, (x0, sq)), (-1, (sq, x0))], 2)
+    assert not _degree_above([(1, (x0,)), (1, (sq,))], 2)
+
+
+def test_degree_above_rejects_only_draws_above_the_bound(monkeypatch):
+    """The draws of 100 audits that ``_degree_above`` rejects before they
+    are expanded each have individual degree above max_k, and there are
+    some."""
+    rejected = []
+    real = circuit_module._degree_above
+
+    def recorded(terms, bound):
+        above = real(terms, bound)
+        if above:
+            rejected.append((terms, bound))
+        return above
+    monkeypatch.setattr(circuit_module, "_degree_above", recorded)
+    for seed in range(100):
+        transform_audit(1, seed)
+    assert rejected
+    for terms, bound in rejected:
+        C = FewVarCircuit(10, tuple(terms), 3)
+        assert expand_circuit(C).individual_degree() > bound
+
+
 def test_random_circuit_checks_each_factor_once(monkeypatch):
-    """Each drawn circuit is built once through the public constructor, one
-    ``_check_factor`` call per factor; the accepted one keeps those checked
-    terms and takes the measured k."""
+    """Each draw that is expanded is built once through the public
+    constructor, one ``_check_factor`` call per factor, and a draw
+    rejected before it is expanded is not built; the accepted one keeps
+    those checked terms and takes the measured k."""
     checks, drawn = [], []
     real_check, real_expand = circuit_module._check_factor, expand_circuit
     monkeypatch.setattr(circuit_module, "_check_factor",

@@ -10,8 +10,10 @@ other import from the package is listed with a reason.
 Likewise every field of a record or value class is read as an attribute
 in the package.
 The package has one product loop: the packed monomials, ``_packed`` and
-``_unpacked``, are named only inside ``algebra.multiply_out`` and the
-Taylor shift ``algebra.translate_poly``, and ``mon_mul`` not at all; and
+``_unpacked``, are named only inside the product loop
+``algebra._packed_products``, the Taylor shift ``algebra._shifted``, their
+unpacking wrappers ``multiply_out`` and ``translate_poly``, and the
+audit's comparison ``circuit.expands_to``, and ``mon_mul`` not at all; and
 one circuit evaluator: the compiled
 ``integer_form`` is read only by ``circuit.eval_circuit``, and it takes
 monomials over the global variables only from ``FactorPoly.global_terms``,
@@ -152,20 +154,26 @@ def test_every_record_field_is_read_in_src():
 
 
 def test_only_multiply_out_multiplies_monomials():
-    """One product loop: the pack and unpack helpers are named in the
-    package only inside ``algebra.multiply_out`` and the Taylor shift
-    ``algebra.translate_poly``, which multiplies no polynomials, so every
-    product of polynomials goes through ``multiply_out``; and the tuple
-    merge ``mon_mul`` is the tests' oracle, named nowhere in the
-    package."""
+    """One product loop: the pack helper is named in the package only by
+    the product loop ``algebra._packed_products``, the Taylor shift
+    ``algebra._shifted``, which multiplies no polynomials, and
+    ``circuit.expands_to``, which packs the polynomial it compares an
+    expansion with; the unpack helper only by the wrappers that return
+    those two cores' results as term maps, ``multiply_out`` and
+    ``translate_poly``.  So every product of polynomials goes through
+    ``_packed_products``, and the tuple merge ``mon_mul`` is the tests'
+    oracle, named nowhere in the package."""
     users = {name: [unit for path in sorted(SRC.glob("*.py"))
                     for unit, node in code_units(path)
                     if referenced_names(node)[name]]
-             for name in ("_packed", "_unpacked", "mon_mul")}
-    assert users == {"_packed": ["algebra.multiply_out",
-                                 "algebra.translate_poly"],
+             for name in ("_packed", "_unpacked", "_packed_products",
+                          "mon_mul")}
+    assert users == {"_packed": ["algebra._packed_products",
+                                 "algebra._shifted", "circuit.expands_to"],
                      "_unpacked": ["algebra.multiply_out",
                                    "algebra.translate_poly"],
+                     "_packed_products": ["algebra.multiply_out",
+                                          "circuit.expands_to"],
                      "mon_mul": []}
 
 
