@@ -9,11 +9,12 @@ normalizes: it reduces every coefficient and drops the zeros.  The private
 ``_poly`` only normalizes; the ring operations, the transforms below and
 the reader build through it from parts that are already checked.  Binary
 operations check that both tags agree and raise on a mismatch.
-``_packed_products`` is the one product loop: a monomial is packed into
-one int (``_packed``), so a monomial product is one add.  ``multiply_out``
-unpacks its sum (``_unpacked``) into a plain term map: ``__mul__`` and
-circuit expansion multiply through it, and each builds one polynomial from
-its result.  ``_shifted`` is a Taylor shift, one variable at a time on the
+``_packed_products`` is the one product loop, on factors given as
+(monomial, coefficient) pairs: a monomial is packed into one int
+(``_packed``), so a monomial product is one add.  ``multiply_out`` unpacks
+its sum (``_unpacked``) into a plain term map: ``__mul__`` and circuit
+expansion multiply through it, and each builds one polynomial from its
+result.  ``_shifted`` is a Taylor shift, one variable at a time on the
 same packed monomials, and ``translate_poly`` unpacks it.  The transform
 audit's ``circuit.expands_to`` compares the two packed maps as they are.
 
@@ -271,7 +272,8 @@ class SparsePolynomial(Value):
         self._check_compatible(other)
         return _poly(
             self.num_vars,
-            multiply_out([(1, (self.terms, other.terms))], self.field_p),
+            multiply_out([(1, (self.terms.items(), other.terms.items()))],
+                         self.field_p),
             self.field_p)
 
     def scale(self, c) -> "SparsePolynomial":
@@ -325,16 +327,19 @@ def _poly(num_vars: int, terms: Dict[Mon, FieldElem],
 # ---------------------------------------------------------------------------
 # polynomial operations
 
-def multiply_out(products: Sequence[Tuple[FieldElem, Sequence[Dict[Mon, FieldElem]]]],
+Pairs = Iterable[Tuple[Mon, FieldElem]]     # each monomial once
+
+
+def multiply_out(products: Sequence[Tuple[FieldElem, Sequence[Pairs]]],
                  field_p: Field) -> Dict[Mon, FieldElem]:
     """The sum of mult * Q_1 * ... * Q_d over the (mult, (Q_1, ..., Q_d)) in
-    ``products``, each Q a term map (monomial -> coefficient), as a map
-    from monomial to nonzero coefficient, reduced mod p over GF(p): the
-    packed sum of ``_packed_products``, unpacked once."""
+    ``products``, each Q a sequence of (monomial, coefficient) pairs, as a
+    map from monomial to nonzero coefficient, reduced mod p over GF(p):
+    the packed sum of ``_packed_products``, unpacked once."""
     return _unpacked(*_packed_products(products, field_p), field_p)
 
 
-def _packed_products(products: Sequence[Tuple[FieldElem, Sequence[Dict[Mon, FieldElem]]]],
+def _packed_products(products: Sequence[Tuple[FieldElem, Sequence[Pairs]]],
                      field_p: Field, W: int = 0) -> Tuple[Dict[int, FieldElem], int]:
     """The one product loop: the sum ``multiply_out`` returns, as a packed
     map (``_packed``, W bits per variable) whose sums are not yet reduced
@@ -342,16 +347,16 @@ def _packed_products(products: Sequence[Tuple[FieldElem, Sequence[Dict[Mon, Fiel
     field can carry: a variable's exponent in one product is at most the
     sum of each factor's largest exponent, and W is at least the bit
     length of the largest such sum over the products (and at least the W
-    given).  Each distinct term map (by identity, for this call) is packed
+    given).  Each distinct factor (by identity, for this call) is packed
     once and every product is summed into one accumulator.  A product
     starts from {0: mult}; each factor is multiplied in, the result reduced
     mod p over GF(p) and cleared of zeros, and an empty product stops
     early."""
     maps_by_id = {id(terms): terms for _, maps in products for terms in maps}
-    top: Dict[int, int] = {}        # id of a term map -> its largest exponent
+    top: Dict[int, int] = {}        # id of a factor -> its largest exponent
     for key, terms in maps_by_id.items():
         most = 0
-        for mon in terms:
+        for mon, _ in terms:
             for _, e in mon:
                 if e > most:
                     most = e
@@ -380,12 +385,12 @@ def _packed_products(products: Sequence[Tuple[FieldElem, Sequence[Dict[Mon, Fiel
     return acc, W
 
 
-def _packed(terms: Dict[Mon, FieldElem], W: int) -> Dict[int, FieldElem]:
-    """The term map with each monomial as one int, the exponent of
-    variable v in bits v*W up to (v+1)*W; every exponent must fit in W
-    bits."""
+def _packed(terms: Pairs, W: int) -> Dict[int, FieldElem]:
+    """The (monomial, coefficient) pairs as a map with each monomial one
+    int, the exponent of variable v in bits v*W up to (v+1)*W; every
+    exponent must fit in W bits."""
     out: Dict[int, FieldElem] = {}
-    for mon, c in terms.items():
+    for mon, c in terms:
         key = 0
         for v, e in mon:
             key |= e << v * W
@@ -479,7 +484,7 @@ def _shifted(P: SparsePolynomial, a: Sequence, W: int) -> Dict[int, FieldElem]:
             f"polynomial has {P.num_vars} variables")
     p = P.field_p
     mask = (1 << W) - 1
-    terms = _packed(P.terms, W)
+    terms = _packed(P.terms.items(), W)
     for v, s in enumerate(a):
         s = coerce(s, p)
         if not s:

@@ -4,14 +4,14 @@ A circuit computes  sum_i  scale_i * prod_j Q_ij  where every factor Q_ij is a
 polynomial touching at most ``declared_s`` of the N global variables (of
 arbitrary degree).  The factor stores its support (global indices) and a local
 polynomial over ``len(support)`` variables; ``FactorPoly.global_terms`` is
-the one map of its terms onto the global variables, and expansion multiplies
-those term maps through the one product loop, ``algebra._packed_products``,
-in one call for the whole circuit: each distinct factor is packed once and
-every product added into one packed accumulator.  The transform audit
-compares that accumulator with a packed polynomial (``expands_to``).
-
-``eval_circuit`` is the one evaluator of a circuit at a point, over Q and
-GF(p) alike, in the circuit's ``integer_form``, compiled once on first use.
+the one map of its terms onto the global variables, made once per factor.
+A circuit's one compiled form, ``integer_form``, built on first use, holds
+it as integer products of those terms: ``eval_circuit``, the one evaluator
+at a point over Q and GF(p) alike, reads it, and expansion multiplies its
+products through the one product loop, ``algebra._packed_products``, in
+one call: each distinct factor is packed once and every product added into
+one packed accumulator.  The transform audit compares that accumulator
+with a packed polynomial (``expands_to``).
 
 The public constructors of ``FactorPoly`` and ``FewVarCircuit`` check
 their input and normalize it (each scale lifted into the field).  The
@@ -92,13 +92,15 @@ class FactorPoly(FrozenValue):
                 f"support lists {len(support)}")
         vars(self).update(support=support, poly=poly)
 
-    def global_terms(self) -> Dict[Mon, FieldElem]:
-        """The factor's terms over the global variables: each local monomial
-        mapped through the support, which is strictly increasing, so the
-        monomial stays sorted.  The one support relabel."""
+    @cached_property
+    def global_terms(self) -> Tuple[Tuple[Mon, FieldElem], ...]:
+        """The factor's (monomial, c) pairs over the global variables: each
+        local monomial mapped through the support, which is strictly
+        increasing, so the monomial stays sorted.  The one support relabel,
+        made once per factor."""
         sup = self.support
-        return {tuple([(sup[v], e) for v, e in mon]): c
-                for mon, c in self.poly.terms.items()}
+        return tuple([(tuple([(sup[v], e) for v, e in mon]), c)
+                      for mon, c in self.poly.terms.items()])
 
 
 def _factor(support: Tuple[int, ...], poly: SparsePolynomial) -> FactorPoly:
@@ -171,19 +173,19 @@ class FewVarCircuit(Value):
 
     @cached_property
     def integer_form(self) -> Tuple[int, Tuple]:
-        """The circuit in ints, for ``eval_circuit``: L and terms (mult,
-        factors), each factor a tuple of (c, ((var, exp), ...)), such that
-        the sum over terms of mult times the product of the factors is L
-        times the circuit.  A factor whose coefficients are all ints, as
+        """The one compiled form of the circuit, read by ``eval_circuit``,
+        ``expand_circuit`` and ``expands_to``: L and terms (mult, factors),
+        each factor a tuple of (monomial, c) pairs over the global variables,
+        such that the sum over terms of mult times the product of the factors
+        is L times the circuit.  A factor whose coefficients are all ints, as
         is every factor over GF(p) and every factor read with integer
-        coefficients, needs no clearing and keeps them as they are; any
-        other is cleared by the lcm of its coefficients' denominators.
-        The term's scale and those lcms fold into mult, and L is the lcm
-        of the terms' denominators (1 over GF(p)).  Terms with scale 0 are
-        dropped.  Monomials over the global variables come from
-        ``FactorPoly.global_terms``.  The cache cannot go stale: nothing
-        reassigns ``terms`` once a constructor returns, and a circuit with
-        another ``k`` is a new circuit."""
+        coefficients, is its ``FactorPoly.global_terms`` tuple itself; any
+        other is cleared by the lcm of its coefficients' denominators.  The
+        term's scale and those lcms fold into mult, and L is the lcm of the
+        terms' denominators (1 over GF(p)).  Terms with scale 0 are dropped.
+        The cache cannot go stale: nothing reassigns ``terms`` once a
+        constructor returns, and a circuit with another ``k`` is a new
+        circuit."""
         cleared = []
         for scale, factors in self.terms:
             if not scale:
@@ -191,13 +193,13 @@ class FewVarCircuit(Value):
             num, den = scale.numerator, scale.denominator
             polys = []
             for f in factors:
-                terms = f.global_terms()
-                if all(type(c) is int for c in terms.values()):
-                    polys.append(tuple([(c, mon) for mon, c in terms.items()]))
+                terms = f.global_terms
+                if all(type(c) is int for _, c in terms):
+                    polys.append(terms)
                     continue
-                d = math.lcm(*(c.denominator for c in terms.values()))
-                polys.append(tuple((c.numerator * (d // c.denominator), mon)
-                                   for mon, c in terms.items()))
+                d = math.lcm(*(c.denominator for _, c in terms))
+                polys.append(tuple([(mon, c.numerator * (d // c.denominator))
+                                    for mon, c in terms]))
                 den *= d
             cleared.append((num, den, tuple(polys)))
         L = math.lcm(*(den for _, den, _ in cleared))
@@ -238,7 +240,7 @@ def eval_circuit(C: FewVarCircuit, point: Sequence) -> FieldElem:
     for prod, polys in terms:
         for poly in polys:
             value = 0
-            for c, mon in poly:
+            for mon, c in poly:
                 for v, e in mon:
                     c *= point[v] if e == 1 else point[v] ** e
                 value += c
@@ -251,12 +253,9 @@ def eval_circuit(C: FewVarCircuit, point: Sequence) -> FieldElem:
     return Fraction(total, L) if total else Fraction(0)
 
 
-def _products(C: FewVarCircuit, cap: Optional[int] = None):
-    """The products of C for ``algebra._packed_products`` and L, the lcm of
-    the scales' denominators (1 over GF(p)): the terms with a nonzero
-    scale, the scale as an int times L, with each distinct factor's global
-    terms built once.  Refuses first when the pre-merge term-count
-    estimate, over every term, exceeds the cap (argument, else 10^6)."""
+def _check_cap(C: FewVarCircuit, cap: Optional[int] = None) -> None:
+    """Refuse to expand C when the pre-merge term-count estimate, over
+    every term, exceeds the cap (argument, else 10^6)."""
     limit = DEFAULT_EXPAND_CAP if cap is None else cap
     est = 0
     for _, factors in C.terms:
@@ -266,19 +265,15 @@ def _products(C: FewVarCircuit, cap: Optional[int] = None):
         est += count
     if est > limit:
         raise ValueError(f"too large to expand: estimated {est} terms > cap {limit}")
-    live = [(scale, factors) for scale, factors in C.terms if scale]
-    L = math.lcm(*(scale.denominator for scale, _ in live))
-    distinct = {id(f): f for _, factors in live for f in factors}
-    maps = {key: f.global_terms() for key, f in distinct.items()}
-    return [(scale.numerator * (L // scale.denominator),
-             [maps[id(f)] for f in factors]) for scale, factors in live], L
 
 
 def expand_circuit(C: FewVarCircuit, cap: Optional[int] = None) -> SparsePolynomial:
-    """The exact polynomial the circuit computes, refused as ``_products``
-    refuses: its products multiplied out in one call, each sum divided by L
-    once, and one polynomial built at the end that only normalizes it."""
-    products, L = _products(C, cap)
+    """The exact polynomial the circuit computes, refused as ``_check_cap``
+    refuses: the products of its ``integer_form`` multiplied out in one
+    call, each sum divided by L once, and one polynomial built at the end
+    that only normalizes it."""
+    _check_cap(C, cap)
+    L, products = C.integer_form
     acc = multiply_out(products, C.field_p)
     if L > 1:
         acc = {mon: Fraction(c, L) for mon, c in acc.items()}
@@ -294,10 +289,11 @@ def expands_to(C: FewVarCircuit, P: SparsePolynomial,
     or not, packs at that W with no carry, and equal keys are equal
     monomials.  The expansion's sums are L times its coefficients, so each
     is compared with L times P's, after dropping zeros and reducing mod p."""
-    products, L = _products(C)
+    _check_cap(C)
+    L, products = C.integer_form
     p = C.field_p
     acc, W = _packed_products(products, p, P.individual_degree().bit_length())
-    want = _packed(P.terms, W) if shift is None else _shifted(P, shift, W)
+    want = _packed(P.terms.items(), W) if shift is None else _shifted(P, shift, W)
     if (P.num_vars, P.field_p) != (C.num_vars, p):
         return False
     if p is None:
@@ -554,8 +550,8 @@ class HomogDecomposition(NamedTuple):
         n = self.target_degree
         acc = SparsePolynomial.zero(self.num_vars, self.field_p)
         for piece in self.pieces:
-            prod = SparsePolynomial(self.num_vars, multiply_out(
-                [(1, [f.global_terms() for f in piece.plain_factors])],
+            prod = _poly(self.num_vars, multiply_out(
+                [(1, [f.global_terms for f in piece.plain_factors])],
                 self.field_p), self.field_p)
             esums = esym_all(list(piece.esym_args), piece.l_max) if piece.esym_args \
                 else [SparsePolynomial.const(self.num_vars, 1, self.field_p)]
@@ -585,7 +581,7 @@ def homogenize(C: FewVarCircuit, n: int) -> HomogDecomposition:
             if not c0:
                 plain.append(f)
             elif c0 == 1:
-                pos = {m: c for m, c in f.global_terms().items() if m}
+                pos = {m: c for m, c in f.global_terms if m}
                 args.append(_poly(C.num_vars, pos, f.poly.field_p))
             else:
                 raise ValueError(

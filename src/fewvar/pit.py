@@ -10,7 +10,9 @@ bound D).  The generator then maps every point of the grid G^l through the
 N local polynomials, and the driver scans the resulting N-tuples in
 lexicographic order until the blackbox returns a nonzero value or the
 stream is exhausted.  An open circuit, over Q or GF(p), is a blackbox
-through ``circuit.eval_circuit``, the one circuit evaluator.
+through ``circuit.eval_circuit``, the one circuit evaluator, which reads
+the circuit's one compiled form, ``integer_form``, the same one expansion
+multiplies out.
 
 The baseline lives here too: seeded Schwartz-Zippel random evaluation.
 """
@@ -32,10 +34,9 @@ from .nw import (NWInstance, degree_bound, intersections, nw_eval,
                  univariate_graph)
 
 DEFAULT_STREAM_CAP = 1_000_000
-# stream sizes with more digits are reported as grid_size^l, not in decimal;
-# 10^DECIMAL_STREAM_DIGITS has bit length DECIMAL_STREAM_BITS
-DECIMAL_STREAM_DIGITS = 4000
-DECIMAL_STREAM_BITS = 13288
+# stream sizes above this one (from 10^4000 on) are reported as
+# grid_size^l, not in decimal
+DECIMAL_STREAM_LIMIT = 10 ** 4000 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +180,12 @@ class PitParams(NamedTuple):
     @property
     def stream_size_text(self) -> str:
         """stream_size in decimal, or as ``<grid_size>^<l>`` from 10^4000 on,
-        where the decimal nears Python's int-to-str digit limit.  As in
-        ``stream_exceeds``, the bit length b of the grid size decides: g^l
-        is below 2^(bl) and at least 2^((b-1)l), and 10^4000 has
-        DECIMAL_STREAM_BITS bits.  Only in the band between is 10^4000
-        built and compared with g^l."""
-        g, l = len(self.grid), self.l
-        b = g.bit_length()
-        if b * l < DECIMAL_STREAM_BITS or (
-                (b - 1) * l < DECIMAL_STREAM_BITS
-                and self.stream_size < 10 ** DECIMAL_STREAM_DIGITS):
-            return str(self.stream_size)
-        return f"{g}^{l}"
+        where the decimal nears Python's int-to-str digit limit; decided by
+        ``stream_exceeds``, which builds g^l only when the bit lengths
+        leave the comparison open."""
+        if self.stream_exceeds(DECIMAL_STREAM_LIMIT):
+            return f"{len(self.grid)}^{self.l}"
+        return str(self.stream_size)
 
 
 def _class_exponent(c) -> float:

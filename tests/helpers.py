@@ -191,7 +191,8 @@ def multiply_by_merge(products, field_p) -> dict:
     """The sum of mult * Q_1 * ... * Q_d over the (mult, (Q_1, ..., Q_d))
     in ``products``, each Q a term map, on tuple monomials with
     ``mon_mul``, reduced mod p over GF(p) only at the end and with the
-    zeros dropped.  The oracle for ``multiply_out``, which packs."""
+    zeros dropped.  The oracle for ``multiply_out``, which packs and takes
+    each Q as its (monomial, coefficient) pairs."""
     acc = {}
     for mult, maps in products:
         prod = {(): mult}

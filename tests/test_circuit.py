@@ -150,9 +150,13 @@ def field_circuit_points(draw):
 @settings(max_examples=300, deadline=None)
 @given(field_circuit_points())
 def test_eval_circuit_matches_expansion(case):
-    """The one circuit evaluator against evaluating the expansion."""
+    """The one circuit evaluator against evaluating the expansion, and,
+    since both read the one compiled form, the expansion against the
+    oracle ``expand_by_merge``, which does not."""
     C, points = case
-    P = checked(expand_circuit(C))
+    P, Q = checked(expand_circuit(C)), expand_by_merge(C)
+    assert P == Q
+    assert expands_to(C, Q)
     for point in points:
         got = eval_circuit(C, point)
         if C.field_p is None:
@@ -649,7 +653,7 @@ def test_expand_matches_ring_operations(C, point, y, j):
     for _, factors in C.terms:
         # each product comes out reduced, with no zero coefficient
         one = FewVarCircuit(C.num_vars, ((1, factors),), C.declared_s, C.field_p)
-        assert multiply_out([(1, [f.global_terms() for f in factors])],
+        assert multiply_out([(1, [f.global_terms for f in factors])],
                             C.field_p) == expand_by_merge(one).terms
     if C.field_p is None:
         # a derivative rebuilt from the coefficient circuits, the y^0 one

@@ -14,12 +14,12 @@ The package has one product loop: the packed monomials, ``_packed`` and
 ``algebra._packed_products``, the Taylor shift ``algebra._shifted``, their
 unpacking wrappers ``multiply_out`` and ``translate_poly``, and the
 audit's comparison ``circuit.expands_to``, and ``mon_mul`` not at all; and
-one circuit evaluator: the compiled
-``integer_form`` is read only by ``circuit.eval_circuit``, and it takes
-monomials over the global variables only from ``FactorPoly.global_terms``,
-the one support relabel; and one `coeff`-line reader: only
-``algebra.parse_poly_lines`` splits a `coeff` line at its `;` and its
-monomial tokens at their `:`; and one graph
+one compiled circuit: ``integer_form`` is read only by the evaluator
+``circuit.eval_circuit`` and by expansion, ``circuit.expand_circuit`` and
+``circuit.expands_to``, and it takes monomials over the global variables
+only from ``FactorPoly.global_terms``, the one support relabel; and one
+`coeff`-line reader: only ``algebra.parse_poly_lines`` splits a `coeff`
+line at its `;` and its monomial tokens at their `:`; and one graph
 construction: ``univariate_graph`` is named only by the NW column table and
 the design's set accessor; and one rank kernel: only ``measure._rank``
 calls ``_block_rank``.  numpy is a test-only dependency: no module of
@@ -178,9 +178,11 @@ def test_only_multiply_out_multiplies_monomials():
 
 
 def test_only_eval_circuit_reads_the_compiled_circuit():
-    """One circuit evaluator: ``integer_form`` is named in the package only
+    """One compiled circuit: ``integer_form`` is named in the package only
     where ``FewVarCircuit`` defines it and inside ``circuit.eval_circuit``,
-    so every evaluation of a circuit at a point goes through it."""
+    ``circuit.expand_circuit`` and ``circuit.expands_to``, so every
+    evaluation of a circuit at a point and every expansion of one goes
+    through it."""
     users, definitions = [], []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -190,7 +192,8 @@ def test_only_eval_circuit_reads_the_compiled_circuit():
             definitions += [name for sub in ast.walk(node)
                             if isinstance(sub, ast.FunctionDef)
                             and sub.name == "integer_form"]
-    assert users == ["circuit.eval_circuit"]
+    assert users == ["circuit.eval_circuit", "circuit.expand_circuit",
+                     "circuit.expands_to"]
     assert definitions == ["circuit.FewVarCircuit"]
 
 
@@ -244,6 +247,7 @@ PRIVATE_CONSTRUCTOR_CALLERS = {
         "circuit.expand_circuit",
         "circuit._substitute_factor",
         "circuit.derivative_circuit",
+        "circuit.HomogDecomposition.value",
         "circuit.homogenize",
     ],
     "_factor": [

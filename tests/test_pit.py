@@ -227,8 +227,11 @@ def test_stream_size_text_at_the_boundary_matches_the_full_power(g, l):
 
 
 def test_decimal_stream_bits_is_the_bit_length_of_the_decimal_limit():
-    assert (10 ** pit_module.DECIMAL_STREAM_DIGITS).bit_length() \
-        == pit_module.DECIMAL_STREAM_BITS
+    """The largest stream size written in decimal is 10^4000 - 1, which
+    has the bit length of 10^4000 (not a power of two)."""
+    limit = pit_module.DECIMAL_STREAM_LIMIT
+    assert limit + 1 == 10 ** 4000
+    assert limit.bit_length() == (10 ** 4000).bit_length() == 13288
 
 
 @st.composite

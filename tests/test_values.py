@@ -100,8 +100,12 @@ def test_value_contract(name):
 def test_cached_properties_are_computed_once():
     C = CASES["FewVarCircuit"][0](0)
     assert C.integer_form is C.integer_form
-    # L = 1; one term of multiplier 1 whose one factor is 3 * x0
-    assert C.integer_form == (1, ((1, (((3, ((0, 1),)),),)),))
+    # L = 1; one term of multiplier 1 whose one factor is 3 * x0, as
+    # (monomial, coefficient) pairs: the factor's global_terms tuple itself
+    assert C.integer_form == (1, ((1, (((((0, 1),), 3),),)),))
+    f = C.terms[0][1][0]
+    assert f.global_terms is f.global_terms
+    assert C.integer_form[1][0][1][0] is f.global_terms
     inst = NWInstance(2, 3, 1)
     assert inst.columns is inst.columns
     assert inst.columns == ((0, 3), (1, 4), (2, 5))
