@@ -9,8 +9,8 @@ normalizes: it reduces every coefficient and drops the zeros.  The private
 ``_poly`` only normalizes; the ring operations, the transforms below and
 the reader build through it from parts that are already checked.  Binary
 operations check that both tags agree and raise on a mismatch.
-``_packed_products`` is the one product loop, on factors given as
-(monomial, coefficient) pairs: a monomial is packed into one int
+``_packed_products`` is the one product loop, on factors given as term
+maps like ``SparsePolynomial.terms``: a monomial is packed into one int
 (``_packed``), so a monomial product is one add.  ``multiply_out`` unpacks
 its sum (``_unpacked``) into a plain term map: ``__mul__`` and circuit
 expansion multiply through it, and each builds one polynomial from its
@@ -272,28 +272,13 @@ class SparsePolynomial(Value):
         self._check_compatible(other)
         return _poly(
             self.num_vars,
-            multiply_out([(1, (self.terms.items(), other.terms.items()))],
-                         self.field_p),
+            multiply_out([(1, (self.terms, other.terms))], self.field_p),
             self.field_p)
 
     def scale(self, c) -> "SparsePolynomial":
         cc = coerce(c, self.field_p)
         return _poly(
             self.num_vars, {m: v * cc for m, v in self.terms.items()}, self.field_p)
-
-    def eval_at(self, point: Sequence) -> FieldElem:
-        """Evaluate at a point with one value per variable."""
-        if len(point) != self.num_vars:
-            raise ValueError(
-                f"dimension mismatch: point has {len(point)} values, "
-                f"polynomial has {self.num_vars} variables")
-        vals = [coerce(v, self.field_p) for v in point]
-        total = 0
-        for mon, c in self.terms.items():
-            for v, e in mon:
-                c *= vals[v] ** e
-            total += c
-        return coerce(total, self.field_p)
 
     def sorted_terms(self) -> List[Tuple[Mon, FieldElem]]:
         """Terms in descending graded-lexicographic order (canonical)."""
@@ -327,19 +312,16 @@ def _poly(num_vars: int, terms: Dict[Mon, FieldElem],
 # ---------------------------------------------------------------------------
 # polynomial operations
 
-Pairs = Iterable[Tuple[Mon, FieldElem]]     # each monomial once
-
-
-def multiply_out(products: Sequence[Tuple[FieldElem, Sequence[Pairs]]],
+def multiply_out(products: Sequence[Tuple[FieldElem, Sequence[Dict[Mon, FieldElem]]]],
                  field_p: Field) -> Dict[Mon, FieldElem]:
     """The sum of mult * Q_1 * ... * Q_d over the (mult, (Q_1, ..., Q_d)) in
-    ``products``, each Q a sequence of (monomial, coefficient) pairs, as a
-    map from monomial to nonzero coefficient, reduced mod p over GF(p):
-    the packed sum of ``_packed_products``, unpacked once."""
+    ``products``, each Q a term map, as a map from monomial to nonzero
+    coefficient, reduced mod p over GF(p): the packed sum of
+    ``_packed_products``, unpacked once."""
     return _unpacked(*_packed_products(products, field_p), field_p)
 
 
-def _packed_products(products: Sequence[Tuple[FieldElem, Sequence[Pairs]]],
+def _packed_products(products: Sequence[Tuple[FieldElem, Sequence[Dict[Mon, FieldElem]]]],
                      field_p: Field, W: int = 0) -> Tuple[Dict[int, FieldElem], int]:
     """The one product loop: the sum ``multiply_out`` returns, as a packed
     map (``_packed``, W bits per variable) whose sums are not yet reduced
@@ -356,7 +338,7 @@ def _packed_products(products: Sequence[Tuple[FieldElem, Sequence[Pairs]]],
     top: Dict[int, int] = {}        # id of a factor -> its largest exponent
     for key, terms in maps_by_id.items():
         most = 0
-        for mon, _ in terms:
+        for mon in terms:
             for _, e in mon:
                 if e > most:
                     most = e
@@ -385,12 +367,11 @@ def _packed_products(products: Sequence[Tuple[FieldElem, Sequence[Pairs]]],
     return acc, W
 
 
-def _packed(terms: Pairs, W: int) -> Dict[int, FieldElem]:
-    """The (monomial, coefficient) pairs as a map with each monomial one
-    int, the exponent of variable v in bits v*W up to (v+1)*W; every
-    exponent must fit in W bits."""
+def _packed(terms: Dict[Mon, FieldElem], W: int) -> Dict[int, FieldElem]:
+    """The term map with each monomial one int, the exponent of variable v
+    in bits v*W up to (v+1)*W; every exponent must fit in W bits."""
     out: Dict[int, FieldElem] = {}
-    for mon, c in terms:
+    for mon, c in terms.items():
         key = 0
         for v, e in mon:
             key |= e << v * W
@@ -473,23 +454,26 @@ def _shifted(P: SparsePolynomial, a: Sequence, W: int) -> Dict[int, FieldElem]:
     """The terms of P(X + a), packed at W bits per variable (``_packed``),
     not yet cleared of zeros or reduced; W must be at least the bit length
     of P's largest exponent, which no shift raises.  A Taylor shift, one
-    variable at a time: for each v with a_v != 0, one pass over the terms
-    takes the field e of x_v out of each key by shift and mask and adds
-    sum_j C(e, j) a_v^(e-j) x_v^j back in, merging equal monomials.  A pass
-    reduces each coefficient it reads mod p over GF(p) and skips the
-    zeros."""
+    variable at a time: for each v with a_v != 0 that occurs in P, one pass
+    over the terms takes the field e of x_v out of each key by shift and
+    mask and adds sum_j C(e, j) a_v^(e-j) x_v^j back in, merging equal
+    monomials.  A pass reduces each coefficient it reads mod p over GF(p)
+    and skips the zeros."""
     if len(a) != P.num_vars:
         raise ValueError(
             f"dimension mismatch: shift has {len(a)} values, "
             f"polynomial has {P.num_vars} variables")
     p = P.field_p
     mask = (1 << W) - 1
-    terms = _packed(P.terms.items(), W)
+    terms = _packed(P.terms, W)
+    used = 0                # field v is nonzero when x_v occurs in P
+    for key in terms:
+        used |= key
     for v, s in enumerate(a):
         s = coerce(s, p)
-        if not s:
-            continue
         at = v * W
+        if not s or not used >> at & mask:
+            continue
         out: Dict[int, FieldElem] = {}
         for key, c in terms.items():
             if p is not None:
@@ -825,14 +809,20 @@ def read_header(ln: int, line: str, keys: Sequence[str], build: Callable):
 
 
 def parse_poly_lines(lines: Sequence[Tuple[int, str]], num_vars: int,
-                     field_p: Field, where: str = "") -> SparsePolynomial:
+                     field_p: Field, where: str = "",
+                     support: Optional[Sequence[int]] = None) -> SparsePolynomial:
     """Parse `coeff <c> ; v:e v:e ...` lines, as ``document_lines`` gives
-    them, into a polynomial; a repeated monomial's coefficients add up.
-    The one reader of a `coeff` line, for `.poly` and `.circuit` alike.
-    The common shapes skip a step, with the same result and the same
-    errors: an integer over Q is read by ``int`` alone, not through
-    ``parse_coeff``, and a monomial of at most one token, with a variable
-    index >= 0 and an exponent > 0, is built without ``mon_make``."""
+    them, into a polynomial over ``num_vars`` variables; a repeated
+    monomial's coefficients add up.  The one reader of a `coeff` line, for
+    `.poly` and `.circuit` alike.  A `.circuit` factor's lines pass its
+    support: their indices are local, each in range(len(support)), and
+    local variable v is read as ``support[v]``, the one map of a monomial
+    through a support.  The common shapes skip a step, with the same result
+    and the same errors: an integer over Q is read by ``int`` alone, not
+    through ``parse_coeff``, and a monomial of at most one token, with a
+    variable index >= 0 and an exponent > 0, is built without
+    ``mon_make``."""
+    local = num_vars if support is None else len(support)
     acc: Dict[Mon, FieldElem] = {}
     for ln, body in lines:
         if not body.startswith("coeff "):
@@ -864,11 +854,13 @@ def parse_poly_lines(lines: Sequence[Tuple[int, str]], num_vars: int,
                 mon = tuple(pairs)          # as mon_make would return it
             else:
                 mon = mon_make(pairs)
-            if mon and mon[-1][0] >= num_vars:
+            if mon and mon[-1][0] >= local:
                 raise ValueError(f"variable {mon[-1][0]} out of range for "
-                                 f"num_vars={num_vars}")
+                                 f"num_vars={local}")
         except ValueError as exc:
             raise ValueError(f"{where}line {ln}: {exc}") from None
+        if support is not None:
+            mon = tuple([(support[v], e) for v, e in mon])
         acc[mon] = acc.get(mon, 0) + c
     return _poly(num_vars, acc, field_p)
 

@@ -1,17 +1,19 @@
 """Sums of products of few-variable polynomials, and their transforms.
 
 A circuit computes  sum_i  scale_i * prod_j Q_ij  where every factor Q_ij is a
-polynomial touching at most ``declared_s`` of the N global variables (of
-arbitrary degree).  The factor stores its support (global indices) and a local
-polynomial over ``len(support)`` variables; ``FactorPoly.global_terms`` is
-the one map of its terms onto the global variables, made once per factor.
+polynomial touching at most ``declared_s`` of the N variables (of arbitrary
+degree).  The factor stores its support, the indices of the variables it
+may use, and its polynomial over all N variables, which uses no other
+variable; every transform works on those N variables, with no relabel.
+Only the `.circuit` format writes a factor's monomials over its support,
+and ``parse_circuit`` maps them onto the N variables as it reads them.
 A circuit's one compiled form, ``integer_form``, built on first use, holds
-it as integer products of those terms: ``eval_circuit``, the one evaluator
-at a point over Q and GF(p) alike, reads it, and expansion multiplies its
-products through the one product loop, ``algebra._packed_products``, in
-one call: each distinct factor is packed once and every product added into
-one packed accumulator.  The transform audit compares that accumulator
-with a packed polynomial (``expands_to``).
+it as integer products of the factors' term maps: ``eval_circuit``, the one
+evaluator at a point over Q and GF(p) alike, reads it, and expansion
+multiplies its products through the one product loop,
+``algebra._packed_products``, in one call: each distinct factor is packed
+once and every product added into one packed accumulator.  The transform
+audit compares that accumulator with a packed polynomial (``expands_to``).
 
 The public constructors of ``FactorPoly`` and ``FewVarCircuit`` check
 their input and normalize it (each scale lifted into the field).  The
@@ -79,49 +81,49 @@ RANDOM_CIRCUIT_TRIES = 200     # draws random_circuit makes before giving up
 # data types
 
 class FactorPoly(FrozenValue):
-    """One factor: a polynomial over a small ordered set of global variables."""
+    """One factor: a polynomial over the circuit's variables that uses only
+    those in ``support``, a strictly increasing tuple of their indices."""
 
     _fields = ("support", "poly")
 
     def __init__(self, support: Tuple[int, ...], poly: SparsePolynomial):
         if list(support) != sorted(set(support)):
             raise ValueError(f"support {support} must be strictly increasing")
-        if poly.num_vars != len(support):
-            raise ValueError(
-                f"factor polynomial has {poly.num_vars} variables but "
-                f"support lists {len(support)}")
+        for mon in poly.terms:
+            for v, _ in mon:
+                if v not in support:
+                    raise ValueError(f"factor polynomial uses variable {v} "
+                                     f"outside its support {support}")
         vars(self).update(support=support, poly=poly)
-
-    @cached_property
-    def global_terms(self) -> Tuple[Tuple[Mon, FieldElem], ...]:
-        """The factor's (monomial, c) pairs over the global variables: each
-        local monomial mapped through the support, which is strictly
-        increasing, so the monomial stays sorted.  The one support relabel,
-        made once per factor."""
-        sup = self.support
-        return tuple([(tuple([(sup[v], e) for v, e in mon]), c)
-                      for mon, c in self.poly.terms.items()])
 
 
 def _factor(support: Tuple[int, ...], poly: SparsePolynomial) -> FactorPoly:
     """The private constructor of a factor, without the public one's
-    checks: only for a polynomial over ``len(support)`` variables and a
-    strictly increasing support that fits the circuit the factor goes
-    into (the callers are listed in tests/test_layout.py)."""
+    checks: only for a strictly increasing support that fits the circuit
+    the factor goes into and a polynomial over the circuit's variables
+    that uses none outside it (the callers are listed in
+    tests/test_layout.py)."""
     f = object.__new__(FactorPoly)
     vars(f).update(support=support, poly=poly)
     return f
 
 
 def _check_factor(f: FactorPoly, num_vars: int, declared_s: int) -> None:
-    """Raise unless the factor's support fits a circuit of ``num_vars``
-    variables and support bound ``declared_s``."""
+    """Raise unless the factor fits a circuit of ``num_vars`` variables and
+    support bound ``declared_s``: its support strictly increasing (which
+    ``parse_circuit`` checks here alone), within range and bound, and its
+    polynomial over ``num_vars`` variables."""
+    if list(f.support) != sorted(set(f.support)):
+        raise ValueError(f"support {f.support} must be strictly increasing")
     if len(f.support) > declared_s:
         raise ValueError(
             f"factor support {f.support} exceeds declared_s={declared_s}")
     if f.support and not 0 <= f.support[0] <= f.support[-1] < num_vars:
         raise ValueError(
             f"factor support {f.support} out of range for {num_vars} variables")
+    if f.poly.num_vars != num_vars:
+        raise ValueError(f"factor polynomial has {f.poly.num_vars} variables "
+                         f"but the circuit has {num_vars}")
 
 
 Term = Tuple[FieldElem, Tuple[FactorPoly, ...]]
@@ -141,8 +143,8 @@ class FewVarCircuit(Value):
     def __init__(self, num_vars: int, terms: Sequence[Term], declared_s: int,
                  field_p: Field = None, k: Optional[int] = None):
         """Check the sizes, normalize as ``_circuit`` does (so the terms and
-        factor lists are tuples when they are read), then check every
-        factor."""
+        factor lists are tuples when they are read), then check that every
+        factor fits the circuit."""
         for name, value in (("num_vars", num_vars), ("declared_s", declared_s),
                             ("k", k)):
             if value is not None and value < 0:
@@ -175,14 +177,14 @@ class FewVarCircuit(Value):
     def integer_form(self) -> Tuple[int, Tuple]:
         """The one compiled form of the circuit, read by ``eval_circuit``,
         ``expand_circuit`` and ``expands_to``: L and terms (mult, factors),
-        each factor a tuple of (monomial, c) pairs over the global variables,
-        such that the sum over terms of mult times the product of the factors
-        is L times the circuit.  A factor whose coefficients are all ints, as
-        is every factor over GF(p) and every factor read with integer
-        coefficients, is its ``FactorPoly.global_terms`` tuple itself; any
-        other is cleared by the lcm of its coefficients' denominators.  The
-        term's scale and those lcms fold into mult, and L is the lcm of the
-        terms' denominators (1 over GF(p)).  Terms with scale 0 are dropped.
+        each factor a term map, such that the sum over terms of mult times
+        the product of the factors is L times the circuit.  A factor whose
+        coefficients are all ints, as is every factor over GF(p) and every
+        factor read with integer coefficients, is its polynomial's term map
+        itself; any other is cleared by the lcm of its coefficients'
+        denominators.  The term's scale and those lcms fold into mult, and L
+        is the lcm of the terms' denominators (1 over GF(p)).  Terms with
+        scale 0 are dropped.
         The cache cannot go stale: nothing reassigns ``terms`` once a
         constructor returns, and a circuit with another ``k`` is a new
         circuit."""
@@ -193,13 +195,13 @@ class FewVarCircuit(Value):
             num, den = scale.numerator, scale.denominator
             polys = []
             for f in factors:
-                terms = f.global_terms
-                if all(type(c) is int for _, c in terms):
+                terms = f.poly.terms
+                if all(type(c) is int for c in terms.values()):
                     polys.append(terms)
                     continue
-                d = math.lcm(*(c.denominator for _, c in terms))
-                polys.append(tuple([(mon, c.numerator * (d // c.denominator))
-                                    for mon, c in terms]))
+                d = math.lcm(*(c.denominator for c in terms.values()))
+                polys.append({mon: c.numerator * (d // c.denominator)
+                              for mon, c in terms.items()})
                 den *= d
             cleared.append((num, den, tuple(polys)))
         L = math.lcm(*(den for _, den, _ in cleared))
@@ -240,7 +242,7 @@ def eval_circuit(C: FewVarCircuit, point: Sequence) -> FieldElem:
     for prod, polys in terms:
         for poly in polys:
             value = 0
-            for mon, c in poly:
+            for mon, c in poly.items():
                 for v, e in mon:
                     c *= point[v] if e == 1 else point[v] ** e
                 value += c
@@ -293,7 +295,7 @@ def expands_to(C: FewVarCircuit, P: SparsePolynomial,
     L, products = C.integer_form
     p = C.field_p
     acc, W = _packed_products(products, p, P.individual_degree().bit_length())
-    want = _packed(P.terms.items(), W) if shift is None else _shifted(P, shift, W)
+    want = _packed(P.terms, W) if shift is None else _shifted(P, shift, W)
     if (P.num_vars, P.field_p) != (C.num_vars, p):
         return False
     if p is None:
@@ -377,30 +379,25 @@ def _interpolate(C: FewVarCircuit, count: int, at_node,
 
 
 def _substitute_factor(gvars: FrozenSet[int], value, f: FactorPoly):
-    """Set every global variable in ``gvars`` to one scalar inside a factor,
-    as a rewrite step (the factor comes last, for ``partial``): the factor
-    is kept when none is in its support.  One pass over the factor's terms
-    substitutes the value and lowers the kept local variables onto the
-    shrunken support."""
+    """Set every variable in ``gvars`` to one scalar inside a factor, as a
+    rewrite step (the factor comes last, for ``partial``): the factor is
+    kept when none is in its support.  One pass over the factor's terms
+    substitutes the value, and the support drops those variables."""
     if gvars.isdisjoint(f.support):
         return 1, f
     val = coerce(value, f.poly.field_p)
-    lower: Dict[int, int] = {}          # kept local variable -> new index
-    for local, g in enumerate(f.support):
-        if g not in gvars:
-            lower[local] = len(lower)
     out: Dict[Mon, FieldElem] = {}
     for mon, c in f.poly.terms.items():
         rest = []
         for v, e in mon:
-            if v in lower:
-                rest.append((lower[v], e))
-            else:
+            if v in gvars:
                 c = c * val ** e
+            else:
+                rest.append((v, e))
         key = tuple(rest)
         out[key] = out.get(key, 0) + c
     support = tuple(g for g in f.support if g not in gvars)
-    return 1, _factor(support, _poly(len(support), out, f.poly.field_p))
+    return 1, _factor(support, _poly(f.poly.num_vars, out, f.poly.field_p))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +451,7 @@ def derivative_circuit(C: FewVarCircuit, y: int, j: int,
         fall = math.perm(i, j)
         power: Optional[FactorPoly] = None
         if i > j:
-            power = _factor((y,), _poly(1, {((0, i - j),): 1}, C.field_p))
+            power = _factor((y,), _poly(C.num_vars, {((y, i - j),): 1}, C.field_p))
         for scale, factors in coeffs[i].terms:
             terms.append((scale * fall, factors + (power,) if power else factors))
     return _circuit(C.num_vars, terms, max(C.declared_s, 1), C.field_p, C.k)
@@ -480,14 +477,14 @@ def hom_component_circuit(C: FewVarCircuit, i: int,
 
 
 def translate_circuit(C: FewVarCircuit, a: Sequence) -> FewVarCircuit:
-    """Shift every variable: each factor is translated on its own support, so
-    supports, term count, and product fan-ins are unchanged."""
+    """Shift every variable: each factor is translated with one Taylor-shift
+    pass per variable it uses, so supports, term count, and product fan-ins
+    are unchanged."""
     if len(a) != C.num_vars:
         raise ValueError(
             f"dimension mismatch: shift has {len(a)} values, circuit has "
             f"{C.num_vars} variables")
-    return _rewrite(C, lambda f: (1, _factor(
-        f.support, translate_poly(f.poly, [a[g] for g in f.support]))))
+    return _rewrite(C, lambda f: (1, _factor(f.support, translate_poly(f.poly, a))))
 
 
 def restrict_circuit(C: FewVarCircuit, alive: FrozenSet[int]) -> FewVarCircuit:
@@ -551,7 +548,7 @@ class HomogDecomposition(NamedTuple):
         acc = SparsePolynomial.zero(self.num_vars, self.field_p)
         for piece in self.pieces:
             prod = _poly(self.num_vars, multiply_out(
-                [(1, [f.global_terms for f in piece.plain_factors])],
+                [(1, [f.poly.terms for f in piece.plain_factors])],
                 self.field_p), self.field_p)
             esums = esym_all(list(piece.esym_args), piece.l_max) if piece.esym_args \
                 else [SparsePolynomial.const(self.num_vars, 1, self.field_p)]
@@ -581,7 +578,7 @@ def homogenize(C: FewVarCircuit, n: int) -> HomogDecomposition:
             if not c0:
                 plain.append(f)
             elif c0 == 1:
-                pos = {m: c for m, c in f.global_terms if m}
+                pos = {m: c for m, c in f.poly.terms.items() if m}
                 args.append(_poly(C.num_vars, pos, f.poly.field_p))
             else:
                 raise ValueError(
@@ -671,10 +668,10 @@ def parse_circuit(text: str) -> FewVarCircuit:
 
     for _, factors in blocks:      # each block becomes its factor, in place
         for i, (fln, sup, coeffs) in enumerate(factors):
-            poly = parse_poly_lines(coeffs, len(sup), header.field_p,
-                                    where=f"factor at line {fln}: ")
+            poly = parse_poly_lines(coeffs, header.num_vars, header.field_p,
+                                    f"factor at line {fln}: ", sup)
+            factors[i] = _factor(sup, poly)
             try:
-                factors[i] = FactorPoly(sup, poly)
                 _check_factor(factors[i], header.num_vars, header.declared_s)
             except ValueError as exc:
                 raise ValueError(f"line {fln}: {exc}") from None
@@ -707,16 +704,16 @@ def random_circuit(rng, num_vars: int, max_terms: int, max_factors: int,
                 items = []
                 for _ in range(nterms):
                     pairs = []
-                    for li in range(ssize):
+                    for v in support:
                         e = rng.integers(0, 3)
                         if e:
-                            pairs.append((li, e))
+                            pairs.append((v, e))
                     c = rng.integers(-3, 4)
                     if c:
                         items.append((c, pairs))
-                poly = SparsePolynomial.from_terms(ssize, items)
+                poly = SparsePolynomial.from_terms(num_vars, items)
                 if poly.is_zero():
-                    poly = SparsePolynomial.const(ssize, 1)
+                    poly = SparsePolynomial.const(num_vars, 1)
                 factors.append(FactorPoly(support, poly))
             terms.append((scale, tuple(factors)))
         if _degree_above(terms, max_k):
@@ -741,8 +738,8 @@ def _degree_above(terms: Sequence[Term], bound: int) -> bool:
     for _, factors in terms:
         deg: Dict[int, int] = {}
         for f in factors:
-            for local, v in enumerate(f.support):
-                deg[v] = deg.get(v, 0) + f.poly.individual_degree(local)
+            for v in f.support:
+                deg[v] = deg.get(v, 0) + f.poly.individual_degree(v)
         for v, d in deg.items():
             most, ties = top.get(v, (0, 0))
             if d >= most:

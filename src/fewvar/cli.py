@@ -604,7 +604,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return EXIT_ERROR
     except Exception as e:          # noqa: BLE001  (single reporting point)
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return EXIT_ERROR
 
 

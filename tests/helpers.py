@@ -8,8 +8,10 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from fewvar.algebra import (
+    FieldElem,
     Mon,
     SparsePolynomial,
+    coerce,
     derivative_poly,
     field_name,
     mon_make,
@@ -44,6 +46,22 @@ def degree_raw_at_most(sigma: Fraction, gamma: Fraction, n: int, N: int,
     D_raw <= k exactly when ln N / ln n <= a/b, i.e. N^b <= n^a."""
     t = (2 * (1 + gamma) * Fraction(k, n) - gamma) / sigma
     return t > 0 and N ** t.denominator <= n ** t.numerator
+
+
+def eval_at(P: SparsePolynomial, point: Sequence) -> FieldElem:
+    """P at a point with one value per variable, each coerced into P's
+    field, term by term."""
+    if len(point) != P.num_vars:
+        raise ValueError(
+            f"dimension mismatch: point has {len(point)} values, "
+            f"polynomial has {P.num_vars} variables")
+    vals = [coerce(v, P.field_p) for v in point]
+    total = 0
+    for mon, c in P.terms.items():
+        for v, e in mon:
+            c *= vals[v] ** e
+        total += c
+    return coerce(total, P.field_p)
 
 
 def rebuilt(obj):
@@ -117,8 +135,7 @@ def fcircuit(num_vars, declared_s, *factor_groups, k=None):
         factors = tuple(
             FactorPoly(support=tuple(sorted(supp)),
                        poly=SparsePolynomial.from_terms(
-                           len(supp), [(1, [(i, 1) for i in range(len(supp))]),
-                                       (1, [])]))
+                           num_vars, [(1, [(v, 1) for v in supp]), (1, [])]))
             for supp in supports)
         terms.append((Fraction(1), factors))
     return FewVarCircuit(num_vars=num_vars, terms=terms,
@@ -145,8 +162,9 @@ coeff 2 ; 0:1
 
 def serialize_circuit(C: FewVarCircuit) -> str:
     """Canonical text form: fixed header, then term and factor blocks.  Terms
-    keep input order; polynomial lines are graded-lex as in the algebra
-    module.  ``parse_circuit`` reads it back."""
+    keep input order; a factor's lines give its polynomial over its support,
+    the variable support[i] as i, graded-lex as in the algebra module.
+    ``parse_circuit`` reads it back."""
     k_text = "unknown" if C.k is None else str(C.k)
     lines = [
         "fewvar-circuit v1",
@@ -156,16 +174,12 @@ def serialize_circuit(C: FewVarCircuit) -> str:
         lines.append(f"term scale={scale}")
         for f in factors:
             lines.append("factor support=" + ",".join(str(v) for v in f.support))
-            lines.extend(serialize_poly(f.poly).splitlines()[1:])
+            local = {v: i for i, v in enumerate(f.support)}
+            lowered = SparsePolynomial(len(f.support), {
+                tuple((local[v], e) for v, e in mon): c
+                for mon, c in f.poly.terms.items()}, f.poly.field_p)
+            lines.extend(serialize_poly(lowered).splitlines()[1:])
     return "\n".join(lines) + "\n"
-
-
-def embed(f: FactorPoly, num_vars: int) -> SparsePolynomial:
-    """The factor as a polynomial over ``num_vars`` variables, each local
-    variable v renamed to ``f.support[v]``."""
-    terms = {mon_make((f.support[v], e) for v, e in mon): c
-             for mon, c in f.poly.terms.items()}
-    return SparsePolynomial(num_vars, terms, f.poly.field_p)
 
 
 def mon_mul(a: Mon, b: Mon) -> Mon:
@@ -191,8 +205,7 @@ def multiply_by_merge(products, field_p) -> dict:
     """The sum of mult * Q_1 * ... * Q_d over the (mult, (Q_1, ..., Q_d))
     in ``products``, each Q a term map, on tuple monomials with
     ``mon_mul``, reduced mod p over GF(p) only at the end and with the
-    zeros dropped.  The oracle for ``multiply_out``, which packs and takes
-    each Q as its (monomial, coefficient) pairs."""
+    zeros dropped.  The oracle for ``multiply_out``, which packs."""
     acc = {}
     for mult, maps in products:
         prod = {(): mult}
@@ -212,10 +225,9 @@ def multiply_by_merge(products, field_p) -> dict:
 
 def expand_by_merge(C: FewVarCircuit) -> SparsePolynomial:
     """The circuit's expansion with no packed monomial: each term's
-    embedded factors multiplied out by ``multiply_by_merge`` and the sum
-    built through the public constructor.  The oracle for
-    ``expand_circuit``."""
-    products = [(scale, [embed(f, C.num_vars).terms for f in factors])
+    factors multiplied out by ``multiply_by_merge`` and the sum built
+    through the public constructor.  The oracle for ``expand_circuit``."""
+    products = [(scale, [f.poly.terms for f in factors])
                 for scale, factors in C.terms]
     return SparsePolynomial(C.num_vars, multiply_by_merge(products, C.field_p),
                             C.field_p)

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (checked, is_prime_trial, mon_mul, multilinear_project,
-                     multiply_by_merge, translate_by_binomials)
+from helpers import (checked, eval_at, is_prime_trial, mon_mul,
+                     multilinear_project, multiply_by_merge,
+                     translate_by_binomials)
 from fewvar.algebra import (
     SparsePolynomial,
     bertrand_prime,
@@ -100,7 +101,7 @@ def test_gf_arithmetic_table():
     assert coerce(Fraction(3, 5), 7) == 2
     assert a * c7(Fraction(1, 5)) == c7(2)
     assert -a == c7(4)
-    assert P_of(1, (1, [(0, 6)]), p=7).eval_at([3]) == 1
+    assert eval_at(P_of(1, (1, [(0, 6)]), p=7), [3]) == 1
     assert c7(7).is_zero() and c7(7) == SparsePolynomial.zero(1, 7)
 
 
@@ -211,8 +212,8 @@ def test_gf_operations_are_reduction_of_integer_results(p, A, B, var, order,
         assert got.field_p == p
         assert_gf_coeffs(got, p)
         assert got.terms == reduce_mod(want, p)
-    value = Ap.eval_at(point)
-    assert type(value) is int and value == A.eval_at(point) % p
+    value = eval_at(Ap, point)
+    assert type(value) is int and value == eval_at(A, point) % p
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +239,14 @@ def test_product_and_translation_agree_with_evaluation(data):
     A, B = data.draw(field_polys(p)), data.draw(field_polys(p))
     point, shift = (data.draw(st.lists(wide_coeffs, min_size=3, max_size=3))
                     for _ in range(2))
-    assert checked(A * B).eval_at(point) == \
-        coerce(A.eval_at(point) * B.eval_at(point), p)
+    assert eval_at(checked(A * B), point) == \
+        coerce(eval_at(A, point) * eval_at(B, point), p)
     # the product comes out reduced, with no zero coefficient
-    prod = multiply_out([(1, (A.terms.items(), B.terms.items()))], p)
+    prod = multiply_out([(1, (A.terms, B.terms))], p)
     assert SparsePolynomial(3, prod, p).terms == prod
     moved = [u + a for u, a in zip(point, shift)]
     T = checked(translate_poly(A, shift))
-    assert T.eval_at(point) == A.eval_at(moved)
+    assert eval_at(T, point) == eval_at(A, moved)
     assert T.degree() == A.degree()
 
 
@@ -280,15 +281,6 @@ def term_maps(draw, p, num_vars, exps):
     return terms
 
 
-def as_pairs(products):
-    """``products`` as ``multiply_out`` takes them, each term map a tuple
-    of its (monomial, coefficient) pairs, one tuple per distinct map; the
-    oracle ``multiply_by_merge`` takes the maps."""
-    pairs = {}
-    return [(mult, [pairs.setdefault(id(m), tuple(m.items())) for m in maps])
-            for mult, maps in products]
-
-
 def normal_nonzero(terms, p):
     return all(c and (p is None or type(c) is int and 0 < c < p)
                for c in terms.values())
@@ -311,7 +303,7 @@ def test_multiply_out_matches_the_tuple_merge(data):
     if products and data.draw(st.booleans()):
         mult, maps = products[0]
         products.append((-mult if p is None else p - mult, maps))
-    got = multiply_out(as_pairs(products), p)
+    got = multiply_out(products, p)
     assert got == multiply_by_merge(products, p)
     assert normal_nonzero(got, p)
 
@@ -328,11 +320,11 @@ def test_packed_products_carry_into_no_other_variable():
         for products in ([(1, [A, B])], [(2, [A, B, C, A])], [(1, [A, {}, B])],
                          [(3, [])], [(1, [A, B]), (minus, [B, A])],
                          [(1, [B, B, B])]):
-            got = multiply_out(as_pairs(products), p)
+            got = multiply_out(products, p)
             assert got == multiply_by_merge(products, p)
             assert normal_nonzero(got, p)
-        assert multiply_out(as_pairs([(1, [A, B]), (minus, [B, A])]), p) == {}
-        assert multiply_out(as_pairs([(1, [A, {}, B])]), p) == {}
+        assert multiply_out([(1, [A, B]), (minus, [B, A])], p) == {}
+        assert multiply_out([(1, [A, {}, B])], p) == {}
         assert multiply_out([(3, [])], p) == {(): 3}
         assert multiply_out([], p) == {}
 

@@ -39,14 +39,16 @@ from fewvar.circuit import (
     translate_circuit,
 )
 from fewvar.rng import named_rng
-from helpers import (GF7_CIRCUIT, checked, embed, expand_by_merge,
+from helpers import (GF7_CIRCUIT, checked, eval_at, expand_by_merge,
                      over_field, serialize_circuit)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def fp(support, *items, p=None):
-    poly = SparsePolynomial.from_terms(len(support), items, p)
+def fp(num_vars, support, *items, p=None):
+    """A factor over ``num_vars`` variables from (c, [(v, e), ...]) items,
+    each v in ``support``."""
+    poly = SparsePolynomial.from_terms(num_vars, items, p)
     return FactorPoly(support=tuple(support), poly=poly)
 
 
@@ -55,9 +57,9 @@ def small_circuit():
     return FewVarCircuit(
         num_vars=4,
         terms=[
-            (Fraction(1), (fp((0, 1), (1, [(0, 1), (1, 1)]), (1, [])),
-                           fp((2,), (1, [(0, 1)])))),
-            (Fraction(-2), (fp((1, 3), (1, [(0, 1)]), (3, [(1, 2)])),)),
+            (Fraction(1), (fp(4, (0, 1), (1, [(0, 1), (1, 1)]), (1, [])),
+                           fp(4, (2,), (1, [(2, 1)])))),
+            (Fraction(-2), (fp(4, (1, 3), (1, [(1, 1)]), (3, [(3, 2)])),)),
         ],
         declared_s=2,
         k=2,
@@ -74,18 +76,43 @@ def test_factor_support_must_be_sorted():
         FactorPoly(support=(3, 1), poly=SparsePolynomial.zero(2))
 
 
+def test_factor_refuses_a_variable_outside_its_support():
+    """A factor's polynomial is over the circuit's variables and uses only
+    those in its support."""
+    x1 = SparsePolynomial.from_terms(3, [(1, [(1, 1)]), (2, [])])
+    assert FactorPoly((1,), x1).poly is x1
+    assert FactorPoly((0, 1), x1).support == (0, 1)
+    for support in ((), (0,), (0, 2)):
+        with pytest.raises(ValueError) as info:
+            FactorPoly(support, x1)
+        assert str(info.value) == \
+            f"factor polynomial uses variable 1 outside its support {support}"
+
+
+def test_circuit_refuses_a_factor_over_other_variables():
+    """Every factor's polynomial has the circuit's variable count."""
+    f = fp(3, (1,), (1, [(1, 1)]))
+    assert FewVarCircuit(3, ((1, (f,)),), 1).terms[0][1] == (f,)
+    for n in (2, 4):
+        with pytest.raises(ValueError) as info:
+            FewVarCircuit(n, ((1, (f,)),), 1)
+        assert str(info.value) == \
+            f"factor polynomial has 3 variables but the circuit has {n}"
+
+
 def test_declared_s_enforced():
     with pytest.raises(ValueError):
         FewVarCircuit(num_vars=4, terms=[
-            (Fraction(1), (fp((0, 1, 2), (1, [(0, 1)])),)),
+            (Fraction(1), (fp(4, (0, 1, 2), (1, [(0, 1)])),)),
         ], declared_s=2)
 
 
 def test_checked_catches_a_skipped_check_or_normalization():
     """The rebuild helper fails on what a private constructor must never
-    build: a variable or factor out of range, a factor polynomial over the
-    wrong number of variables, a zero coefficient kept, or a coefficient
-    or scale left unreduced mod p."""
+    build: a variable or factor out of range, a factor polynomial that uses
+    a variable outside its support or is over another number of variables
+    than its circuit, a zero coefficient kept, or a coefficient or scale
+    left unreduced mod p."""
     def raw(cls, **fields):
         obj = object.__new__(cls)
         vars(obj).update(fields)
@@ -97,9 +124,14 @@ def test_checked_catches_a_skipped_check_or_normalization():
     for terms, p in (({((0, 1),): 0}, None), ({(): 9}, 7)):
         with pytest.raises(AssertionError):
             checked(raw(SparsePolynomial, num_vars=1, terms=terms, field_p=p))
+    x1 = SparsePolynomial.from_terms(2, [(1, [(1, 1)])])
+    with pytest.raises(ValueError, match="factor polynomial uses"):
+        checked(raw(FactorPoly, support=(0,), poly=x1))
     with pytest.raises(ValueError, match="factor polynomial has"):
-        checked(raw(FactorPoly, support=(0, 1), poly=SparsePolynomial.zero(1)))
-    f = fp((0, 1), (1, [(0, 1)]), p=7)
+        checked(raw(FewVarCircuit, num_vars=3,
+                    terms=((1, (raw(FactorPoly, support=(1,), poly=x1),)),),
+                    declared_s=1, field_p=None, k=None))
+    f = fp(2, (0, 1), (1, [(0, 1)]), p=7)
     with pytest.raises(ValueError, match="exceeds declared_s"):
         checked(raw(FewVarCircuit, num_vars=2, terms=((1, (f,)),),
                     declared_s=1, field_p=7, k=None))
@@ -111,7 +143,7 @@ def test_checked_catches_a_skipped_check_or_normalization():
 def test_eval_matches_expansion(C):
     P = checked(expand_circuit(C))
     for point in ([0, 0, 0, 0], [1, 2, 3, 4], [Fraction(1, 2), 1, -1, 2]):
-        assert eval_circuit(C, point) == P.eval_at(point)
+        assert eval_circuit(C, point) == eval_at(P, point)
 
 
 @st.composite
@@ -135,10 +167,10 @@ def field_circuit_points(draw):
                 st.integers(0, num_vars - 1), max_size=2))))
             coefficients = draw(st.sampled_from((ints, rationals, mixed)))
             items = [(draw(coefficients),
-                      [(v, e) for v in range(len(support))
+                      [(v, e) for v in support
                        if (e := draw(st.integers(0, 3)))])
                      for _ in range(draw(st.integers(0, 3)))]
-            factors.append(fp(support, *items, p=p))
+            factors.append(fp(num_vars, support, *items, p=p))
         terms.append((draw(mixed), tuple(factors)))
     C = FewVarCircuit(num_vars, tuple(terms), 2, p)
     coordinate = st.one_of(st.integers(-5, 5), rationals)
@@ -163,7 +195,7 @@ def test_eval_circuit_matches_expansion(case):
             assert type(got) is Fraction
         else:
             assert type(got) is int and 0 <= got < C.field_p
-        assert got == P.eval_at(point)
+        assert got == eval_at(P, point)
 
 
 def test_eval_circuit_refuses_a_denominator_divisible_by_p():
@@ -172,7 +204,7 @@ def test_eval_circuit_refuses_a_denominator_divisible_by_p():
         with pytest.raises(ZeroDivisionError):
             eval_circuit(C, point)
     assert eval_circuit(C, (Fraction(1, 2), 1, 2)) == \
-        expand_circuit(C).eval_at((Fraction(1, 2), 1, 2))
+        eval_at(expand_circuit(C), (Fraction(1, 2), 1, 2))
 
 
 def test_expand_known_value(C):
@@ -189,7 +221,7 @@ def test_expand_known_value(C):
 def test_expand_cap_refuses_blowup():
     big = FewVarCircuit(num_vars=12, terms=[
         (Fraction(1), tuple(
-            fp((i,), (1, [(0, 1)]), (1, [])) for i in range(12))),
+            fp(12, (i,), (1, [(i, 1)]), (1, [])) for i in range(12))),
     ], declared_s=1)
     with pytest.raises(ValueError, match="expand"):
         expand_circuit(big, cap=100)
@@ -199,7 +231,8 @@ def test_expand_cap_refuses_blowup():
 def test_expand_cap_counts_every_term():
     # one product of two two-term factors, 4 terms, repeated in 30 terms:
     # the estimate counts every copy, whether their scales add up or cancel
-    fs = (fp((0,), (1, [(0, 1)]), (1, [])), fp((1,), (1, [(0, 1)]), (2, [])))
+    fs = (fp(2, (0,), (1, [(0, 1)]), (1, [])),
+          fp(2, (1,), (1, [(1, 1)]), (2, [])))
     for scales in ([1] * 30, [1, -1] * 15):
         C = FewVarCircuit(2, tuple((c, fs) for c in scales), 1)
         with pytest.raises(ValueError) as info:
@@ -210,9 +243,9 @@ def test_expand_cap_counts_every_term():
 
 def test_normalize_constants():
     C = FewVarCircuit(num_vars=2, terms=[
-        (Fraction(1), (fp((0,), (2, [(0, 1)]), (3, [])),
-                       fp((1,), (1, [(0, 1)])))),
-        (Fraction(5), (fp((0,), (0, [])),)),      # zero factor kills the term
+        (Fraction(1), (fp(2, (0,), (2, [(0, 1)]), (3, [])),
+                       fp(2, (1,), (1, [(1, 1)])))),
+        (Fraction(5), (fp(2, (0,), (0, [])),)),   # zero factor kills the term
     ], declared_s=1)
     N = checked(normalize_constants(C))
     assert len(N.terms) == 1
@@ -224,7 +257,7 @@ def test_normalize_constants():
 
 def test_normalize_absorbs_constant_factor():
     C = FewVarCircuit(num_vars=2, terms=[
-        (Fraction(2), (fp((0,), (7, [])), fp((1,), (1, [(0, 1)])))),
+        (Fraction(2), (fp(2, (0,), (7, [])), fp(2, (1,), (1, [(1, 1)])))),
     ], declared_s=1)
     N = checked(normalize_constants(C))
     assert expand_circuit(N) == expand_circuit(C)
@@ -450,8 +483,8 @@ def test_transform_audit_catches_a_broken_transform(monkeypatch, check):
 def test_homogenize_example():
     # (1+x0)(1+x1), n=2 -> x0*x1
     C = FewVarCircuit(num_vars=2, terms=[
-        (Fraction(1), (fp((0,), (1, []), (1, [(0, 1)])),
-                       fp((1,), (1, []), (1, [(0, 1)])))),
+        (Fraction(1), (fp(2, (0,), (1, []), (1, [(0, 1)])),
+                       fp(2, (1,), (1, []), (1, [(1, 1)])))),
     ], declared_s=1, k=1)
     dec = homogenize(C, 2)
     assert dec.value() == SparsePolynomial.from_terms(
@@ -460,7 +493,7 @@ def test_homogenize_example():
 
 def test_homogenize_requires_normalized_constants():
     C = FewVarCircuit(num_vars=1, terms=[
-        (Fraction(1), (fp((0,), (1, [(0, 1)]), (5, [])),)),
+        (Fraction(1), (fp(1, (0,), (1, [(0, 1)]), (5, [])),)),
     ], declared_s=1)
     with pytest.raises(ValueError, match="normalize"):
         homogenize(C, 1)
@@ -471,7 +504,7 @@ def test_homogenize_requires_normalized_constants():
 def test_homogenize_drops_overfull_terms():
     # three degree-1 zero-constant factors cannot reach degree < 3 pieces
     C = FewVarCircuit(num_vars=3, terms=[
-        (Fraction(1), tuple(fp((i,), (1, [(0, 1)])) for i in range(3))),
+        (Fraction(1), tuple(fp(3, (i,), (1, [(i, 1)])) for i in range(3))),
     ], declared_s=1)
     dec = homogenize(C, 2)
     assert len(dec.pieces) == 0
@@ -498,7 +531,8 @@ def test_homogenize_identity_on_random_circuits():
 
 def test_class_check_regime():
     C = FewVarCircuit(num_vars=16, terms=[
-        (Fraction(1), (fp((0,), (1, [(0, 1)])), fp((5,), (1, [(0, 1)])))),
+        (Fraction(1), (fp(16, (0,), (1, [(0, 1)])),
+                       fp(16, (5,), (1, [(5, 1)])))),
     ], declared_s=1, k=1)
     assert C.top_fanin == 1 and C.max_product_fanin == 2
     rep = class_check(C, c=2.0, mu=0.5)
@@ -530,8 +564,8 @@ def circuit_data(draw, num_vars=4):
                 st.integers(min_value=0, max_value=num_vars - 1),
                 min_size=1, max_size=2))))
             items = [(draw(small_ints),
-                      [(i, draw(st.integers(min_value=0, max_value=2)))
-                       for i in range(len(support))])
+                      [(v, draw(st.integers(min_value=0, max_value=2)))
+                       for v in support])
                      for _ in range(draw(st.integers(min_value=1, max_value=3)))]
             factors.append((support, items))
         terms.append((draw(small_ints), factors))
@@ -539,7 +573,7 @@ def circuit_data(draw, num_vars=4):
 
 
 def build_circuit(data, num_vars, p):
-    terms = [(scale, tuple(fp(support, *items, p=p)
+    terms = [(scale, tuple(fp(num_vars, support, *items, p=p)
                            for support, items in factors))
              for scale, factors in data]
     C = FewVarCircuit(num_vars, tuple(terms), 2, p)
@@ -568,7 +602,7 @@ def test_gf_transforms_match_polynomial_operations(p, data, y, i, shift, alive):
     # the expansion over GF(p) is the integer expansion reduced mod p
     P_int = expand_circuit(build_circuit(data, 4, None))
     assert P.terms == {m: c % p for m, c in P_int.terms.items() if c % p}
-    assert eval_circuit(C, shift) == P.eval_at(shift) == P_int.eval_at(shift) % p
+    assert eval_circuit(C, shift) == eval_at(P, shift) == eval_at(P_int, shift) % p
     assert_gf_circuit(C, p)
 
     if C.k + 1 <= p:
@@ -621,16 +655,16 @@ def shared_factor_circuit(draw):
     factors share supports, a power of one variable overlaps other
     supports (as in a derivative circuit), and some factors are zero."""
     p = draw(st.sampled_from((None, 7, 97)))
-    pool = [fp((draw(st.integers(0, 2)),),
-               (1, [(0, draw(st.integers(1, 2)))]), p=p)]
+    y = draw(st.integers(0, 2))
+    pool = [fp(3, (y,), (1, [(y, draw(st.integers(1, 2)))]), p=p)]
     for _ in range(draw(st.integers(1, 3))):
         support = tuple(sorted(draw(st.sets(st.integers(0, 2), max_size=2))))
         for _ in range(draw(st.integers(1, 2))):
             items = draw(st.lists(st.tuples(small_ints, st.lists(
                 st.integers(0, 2), min_size=len(support),
                 max_size=len(support))), max_size=3))
-            pool.append(fp(support, *[(c, list(enumerate(es)))
-                                      for c, es in items], p=p))
+            pool.append(fp(3, support, *[(c, list(zip(support, es)))
+                                         for c, es in items], p=p))
     shapes = draw(st.lists(st.lists(st.integers(0, len(pool) - 1), max_size=3),
                            min_size=1, max_size=3))
     terms = [(draw(small_ints), tuple(draw(st.sampled_from(shapes))))
@@ -649,11 +683,11 @@ def shared_factor_circuit(draw):
 def test_expand_matches_ring_operations(C, point, y, j):
     P = checked(expand_circuit(C))
     assert P == expand_by_merge(C)
-    assert eval_circuit(C, point) == P.eval_at(point)
+    assert eval_circuit(C, point) == eval_at(P, point)
     for _, factors in C.terms:
         # each product comes out reduced, with no zero coefficient
         one = FewVarCircuit(C.num_vars, ((1, factors),), C.declared_s, C.field_p)
-        assert multiply_out([(1, [f.global_terms for f in factors])],
+        assert multiply_out([(1, [f.poly.terms for f in factors])],
                             C.field_p) == expand_by_merge(one).terms
     if C.field_p is None:
         # a derivative rebuilt from the coefficient circuits, the y^0 one
@@ -668,10 +702,10 @@ def test_expand_matches_ring_operations(C, point, y, j):
 def test_expand_with_fraction_scales_and_coefficients():
     # (1/3) * (x0/2 + 1) * (2/3 x1)  -  (5/6) * x0/2 * (2/3 x1)
     #   = (1/9 - 5/18) x0 x1 + 2/9 x1  =  -1/6 x0 x1 + 2/9 x1
-    half = fp((0,), (Fraction(1, 2), [(0, 1)]), (1, []))
-    third = fp((1,), (Fraction(2, 3), [(0, 1)]))
+    half = fp(2, (0,), (Fraction(1, 2), [(0, 1)]), (1, []))
+    third = fp(2, (1,), (Fraction(2, 3), [(1, 1)]))
     C = FewVarCircuit(2, ((Fraction(1, 3), (half, third)),
-                          (Fraction(-5, 6), (fp((0,), (Fraction(1, 2), [(0, 1)])),
+                          (Fraction(-5, 6), (fp(2, (0,), (Fraction(1, 2), [(0, 1)])),
                                              third))), 1)
     want = SparsePolynomial(2, {((0, 1), (1, 1)): Fraction(-1, 6),
                                 ((1, 1),): Fraction(2, 9)})
@@ -701,9 +735,9 @@ def test_substituted_factor_agrees_with_evaluation(data):
     p = data.draw(st.sampled_from((None, 7, 97)))
     support = sorted(data.draw(st.sets(st.integers(0, 4), max_size=3)))
     items = [(Fraction(data.draw(small_ints), data.draw(st.integers(1, 6))),
-              [(i, data.draw(st.integers(0, 3))) for i in range(len(support))])
+              [(v, data.draw(st.integers(0, 3))) for v in support])
              for _ in range(data.draw(st.integers(0, 4)))]
-    f = fp(support, *items, p=p)
+    f = fp(5, support, *items, p=p)
     gvars = frozenset(data.draw(st.sets(st.integers(0, 4))))
     value = data.draw(small_ints)
     point = data.draw(st.lists(small_ints, min_size=5, max_size=5))
@@ -712,9 +746,7 @@ def test_substituted_factor_agrees_with_evaluation(data):
     checked(g)
     assert c == 1
     assert g.support == tuple(v for v in support if v not in gvars)
-    want = f.poly.eval_at([at[v] for v in f.support])
-    assert g.poly.eval_at([point[v] for v in g.support]) == want
-    assert embed(g, 5).eval_at(point) == embed(f, 5).eval_at(at) == want
+    assert eval_at(g.poly, point) == eval_at(f.poly, at)
 
 
 @st.composite
@@ -776,7 +808,7 @@ def test_expands_to_matches_comparing_the_expansion(claim):
 def test_expands_to_sees_no_carry():
     """x0^2 packs as x1 at the expansion's own width of 1 bit, and the
     empty circuit expands to the zero polynomial, shifted or not."""
-    x1 = FewVarCircuit(2, ((1, (fp((1,), (1, [(0, 1)])),)),), 1)
+    x1 = FewVarCircuit(2, ((1, (fp(2, (1,), (1, [(1, 1)])),)),), 1)
     assert expands_to(x1, SparsePolynomial.from_terms(2, [(1, [(1, 1)])]))
     assert not expands_to(x1, SparsePolynomial.from_terms(2, [(1, [(0, 2)])]))
     for p in (None, 7, 97):
@@ -791,7 +823,7 @@ def test_expands_to_refuses_as_expand_circuit_does():
     is checked; then the shift's, as ``translate_poly`` gives it; and a
     polynomial over other variables or another field is not the
     expansion."""
-    big = FewVarCircuit(21, ((1, tuple(fp((i,), (1, [(0, 1)]), (1, []))
+    big = FewVarCircuit(21, ((1, tuple(fp(21, (i,), (1, [(i, 1)]), (1, []))
                                        for i in range(21))),), 1)
     zero = SparsePolynomial.zero(21)
     with pytest.raises(ValueError) as info:
@@ -843,6 +875,51 @@ def test_parsed_circuit_evaluates_like_the_circuit_written_out(case):
     D = checked(parse_circuit(serialize_circuit(C)))
     for point in points:
         assert eval_circuit(D, point) == eval_circuit(C, point)
+
+
+def test_reader_maps_local_indices_through_the_support():
+    """A `.circuit` factor's lines number its variables within its
+    support; the factor read holds its polynomial over the circuit's."""
+    C = parse_circuit("fewvar-circuit v1\nvars=5 field=GF(7) s=2 k=2\n"
+                      "term scale=1\nfactor support=1,4\n"
+                      "coeff 3 ; 0:2 1:1\ncoeff 9 ; 1:1\n")
+    f = C.terms[0][1][0]
+    assert f.support == (1, 4)
+    assert f.poly == SparsePolynomial(5, {((1, 2), (4, 1)): 3, ((4, 1),): 2}, 7)
+
+
+@st.composite
+def gapped_circuits(draw):
+    """Circuits over Q or GF(7) on up to 6 variables whose factor supports
+    are any increasing sets of up to three of them, most with gaps, such
+    as (1, 4); coefficients and scales are ints and Fractions."""
+    p = draw(st.sampled_from((None, 7)))
+    n = draw(st.integers(1, 6))
+    coefficient = st.one_of(st.integers(-4, 4), st.builds(
+        Fraction, st.integers(-4, 4), st.integers(1, 6)))
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        factors = []
+        for _ in range(draw(st.integers(0, 3))):
+            support = sorted(draw(st.sets(st.integers(0, n - 1), max_size=3)))
+            items = [(draw(coefficient),
+                      [(v, e) for v in support if (e := draw(st.integers(0, 3)))])
+                     for _ in range(draw(st.integers(0, 3)))]
+            factors.append(fp(n, support, *items, p=p))
+        terms.append((draw(coefficient), tuple(factors)))
+    return FewVarCircuit(n, tuple(terms), 3, p,
+                         draw(st.none() | st.integers(0, 9)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gapped_circuits())
+def test_circuit_text_round_trip_over_gapped_supports(C):
+    """Written out with each factor over its support and read back, the
+    circuit is the same, and so is its text."""
+    text = serialize_circuit(C)
+    D = checked(parse_circuit(text))
+    assert D == C
+    assert serialize_circuit(D) == text
 
 
 def test_circuit_round_trip_unknown_k(C):
@@ -911,7 +988,8 @@ def test_degree_above_never_rejects_a_circuit_within_the_bound(data, bound):
 def test_degree_above_sums_factors_and_leaves_ties_to_the_expansion():
     """x0 * x0^2 has degree 3 in x0 though no factor does; two terms that
     both reach x0^3 may cancel, so they are left to the expansion."""
-    x0, sq = fp((0,), (1, [(0, 1)])), fp((0, 1), (1, [(0, 2)]), (1, [(1, 1)]))
+    x0 = fp(2, (0,), (1, [(0, 1)]))
+    sq = fp(2, (0, 1), (1, [(0, 2)]), (1, [(1, 1)]))
     assert _degree_above([(2, (x0, sq))], 2)
     assert not _degree_above([(2, (x0, sq))], 3)
     assert not _degree_above([(1, (x0, sq)), (-1, (sq, x0))], 2)

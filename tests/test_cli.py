@@ -659,6 +659,17 @@ def test_broken_stdout_exits_three(monkeypatch, tmp_path):
     assert not dest.exists()
 
 
+def test_an_exception_without_text_is_reported_by_its_type(monkeypatch,
+                                                           capsys):
+    """A MemoryError, as under ``ulimit -v``, carries no text: the error
+    line names its type."""
+    def exhausted(*args):
+        raise MemoryError()
+    monkeypatch.setattr(cli, "derive_nw_params", exhausted)
+    rc, out, err = run(capsys, "nw-params", "--mu", "0", "--n", "2")
+    assert (rc, out, err) == (3, "", "error: MemoryError\n")
+
+
 def test_error_exits(capsys, tmp_path):
     assert run(capsys, "no-such-command")[0] == 3
     assert run(capsys)[0] == 3

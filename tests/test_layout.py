@@ -16,10 +16,13 @@ unpacking wrappers ``multiply_out`` and ``translate_poly``, and the
 audit's comparison ``circuit.expands_to``, and ``mon_mul`` not at all; and
 one compiled circuit: ``integer_form`` is read only by the evaluator
 ``circuit.eval_circuit`` and by expansion, ``circuit.expand_circuit`` and
-``circuit.expands_to``, and it takes monomials over the global variables
-only from ``FactorPoly.global_terms``, the one support relabel; and one
-`coeff`-line reader: only ``algebra.parse_poly_lines`` splits a `coeff`
-line at its `;` and its monomial tokens at their `:`; and one graph
+``circuit.expands_to``, and it takes each factor's monomials from its
+polynomial's term map, with no support relabel; and one representation of
+a factor, its polynomial over the circuit's variables: only the reader of
+a `.circuit` factor, ``algebra.parse_poly_lines``, maps a variable index
+through a support; and one `coeff`-line reader: only
+``algebra.parse_poly_lines`` splits a `coeff` line at its `;` and its
+monomial tokens at their `:`; and one graph
 construction: ``univariate_graph`` is named only by the NW column table and
 the design's set accessor; and one rank kernel: only ``measure._rank``
 calls ``_block_rank``.  numpy is a test-only dependency: no module of
@@ -197,14 +200,35 @@ def test_only_eval_circuit_reads_the_compiled_circuit():
     assert definitions == ["circuit.FewVarCircuit"]
 
 
-def test_integer_form_relabels_through_global_terms():
-    """``integer_form`` reads each factor's monomials over the global
-    variables from ``FactorPoly.global_terms`` alone: it names neither a
-    factor's support nor its local polynomial."""
+def test_integer_form_reads_the_factor_term_maps():
+    """``integer_form`` takes each factor's monomials from its polynomial's
+    term map, ``poly.terms``, as they are: it names neither a support nor
+    a relabelled copy of the terms, ``global_terms``."""
     units = dict(code_units(SRC / "circuit.py"))
-    names = referenced_names(units["circuit.FewVarCircuit.integer_form"])
-    assert names["global_terms"] >= 1
-    assert names["support"] == names["poly"] == 0
+    node = units["circuit.FewVarCircuit.integer_form"]
+    assert any(isinstance(sub, ast.Attribute) and sub.attr == "terms"
+               and isinstance(sub.value, ast.Attribute)
+               and sub.value.attr == "poly" for sub in ast.walk(node))
+    names = referenced_names(node)
+    assert names["support"] == names["global_terms"] == 0
+
+
+def test_only_the_circuit_reader_maps_through_a_support():
+    """One representation of a factor: a factor's polynomial is over the
+    circuit's variables, so only the reader of a `.circuit` factor's
+    lines, which give its monomials over its support, indexes a support
+    by a variable or enumerates one."""
+    def names_support(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "support"
+
+    mappers = sorted({
+        name for path in sorted(SRC.glob("*.py"))
+        for name, node in code_units(path) for sub in ast.walk(node)
+        if isinstance(sub, ast.Subscript) and names_support(sub.value)
+        and not isinstance(sub.slice, (ast.Constant, ast.UnaryOp))
+        or isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "enumerate"
+        and any(map(names_support, sub.args))})
+    assert mappers == ["algebra.parse_poly_lines"]
 
 
 def separator_splitters(separators):
@@ -256,6 +280,10 @@ PRIVATE_CONSTRUCTOR_CALLERS = {
         "circuit.hom_component_circuit",
         "circuit.translate_circuit",
         "circuit.normalize_constants",
+        # each factor's polynomial comes from parse_poly_lines, over the
+        # circuit's variables and its support alone, and its support is
+        # checked by _check_factor as soon as it is built
+        "circuit.parse_circuit",
     ],
     "_circuit": [
         "circuit.FewVarCircuit.__init__",

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (checked_sets, degree_raw_at_most, is_prime_trial,
-                     naive_graphs, nw_expand, nw_monomials)
+from helpers import (checked_sets, degree_raw_at_most, eval_at,
+                     is_prime_trial, naive_graphs, nw_expand, nw_monomials)
 from fewvar.algebra import mon_degree, mon_is_multilinear
 from fewvar.nw import (
     NWInstance,
@@ -190,7 +190,7 @@ def test_eval_matches_expansion(psi, D, n):
     for _ in range(50):
         point = [Fraction(int(v)) for v in
                  rng.integers(-3, 4, size=inst.num_vars)]
-        assert nw_eval(inst, point) == P.eval_at(point)
+        assert nw_eval(inst, point) == eval_at(P, point)
 
 
 def test_eval_degenerate_points():

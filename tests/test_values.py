@@ -37,7 +37,7 @@ def nw_params(i):
 CASES = {
     "SparsePolynomial": (poly, "terms", False, False),
     "FactorPoly": (factor, "support", True, False),
-    "FewVarCircuit": (lambda i: FewVarCircuit(2, [(1, (factor(i),))], 1, None, 1),
+    "FewVarCircuit": (lambda i: FewVarCircuit(1, [(1, (factor(i),))], 1, None, 1),
                       "k", False, False),
     "HomogPiece": (lambda i: HomogPiece(1, (factor(i),), (), 0), "l_max", True,
                    False),
@@ -100,12 +100,10 @@ def test_value_contract(name):
 def test_cached_properties_are_computed_once():
     C = CASES["FewVarCircuit"][0](0)
     assert C.integer_form is C.integer_form
-    # L = 1; one term of multiplier 1 whose one factor is 3 * x0, as
-    # (monomial, coefficient) pairs: the factor's global_terms tuple itself
-    assert C.integer_form == (1, ((1, (((((0, 1),), 3),),)),))
-    f = C.terms[0][1][0]
-    assert f.global_terms is f.global_terms
-    assert C.integer_form[1][0][1][0] is f.global_terms
+    # L = 1; one term of multiplier 1 whose one factor is 3 * x0, as a
+    # term map: the factor polynomial's own
+    assert C.integer_form == (1, ((1, ({((0, 1),): 3},)),))
+    assert C.integer_form[1][0][1][0] is C.terms[0][1][0].poly.terms
     inst = NWInstance(2, 3, 1)
     assert inst.columns is inst.columns
     assert inst.columns == ((0, 3), (1, 4), (2, 5))
