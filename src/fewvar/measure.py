@@ -21,10 +21,11 @@ holds, and blocks with the same number k of them are copies of one matrix.
 number of its copies, for every input: with no absent variable that is the
 one block of all rows.  The kernel works block by block too: the
 rank is the sum of the ranks of the connected components of the row/column
-graph, in which two rows meet when they share a column, found as the rows
-are read, each row once.  Each block is eliminated sparsest row first and
-stops once its rank equals its number of columns; a row is copied only
-before it is first changed, and a block of one row skips elimination.
+graph, in which two rows meet when they share a column, and each row is
+placed in its component by the loop that builds it.  Each block is
+eliminated sparsest row first and stops once its rank equals its number of
+columns; a row is copied only before it is first changed, and a block of
+one row skips elimination.
 
 A permutation sigma of the used variables with sigma(P) == P maps the row
 (gamma, S) to the row (sigma(gamma), sigma(S)) and each column to its
@@ -51,7 +52,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+from typing import (Callable, Dict, FrozenSet, Iterable, List,
                     NamedTuple, Optional, Sequence, Tuple)
 
 from .algebra import (
@@ -83,6 +84,8 @@ ORBIT_CROSSOVER = 1024
 
 # column ids -> their image ids under each generator of a column group
 Images = Callable[[List[int]], List[List[Optional[int]]]]
+# the integer rows of one connected component and its column ids
+Block = Tuple[List[Dict[int, int]], List[int]]
 
 
 class MeasureParams(FrozenValue):
@@ -110,7 +113,7 @@ class MeasureReport(Value):
     _fields = ("phi", "rows", "cols", "exact")
 
     def __init__(self, phi: int, rows: int, cols: int, exact: bool):
-        if not 0 <= phi <= min(rows, cols) and rows:
+        if not 0 <= phi <= min(rows, cols):
             raise ValueError("rank outside matrix dimensions")
         self.phi, self.rows, self.cols, self.exact = phi, rows, cols, exact
 
@@ -118,24 +121,38 @@ class MeasureReport(Value):
 # ---------------------------------------------------------------------------
 # rank computation
 
-def _blocks(rows: Iterable[Dict[int, int]]
-            ) -> List[Tuple[List[Dict[int, int]], List[int]]]:
-    """The nonempty rows grouped into the connected components of the graph
-    that joins two columns when a row holds both, each with its column ids.
-    One pass: a row joins the block that owns its columns, takes its new
-    columns into it, and when it meets several blocks the smaller are
-    merged into the largest.  No row of one block shares a column with
-    another block, so the matrix is block-diagonal after a permutation."""
-    owner: Dict[int, Tuple[List[Dict[int, int]], List[int]]] = {}
-    blocks: Dict[int, Tuple[List[Dict[int, int]], List[int]]] = {}
-    for row in rows:
-        block = None
-        fresh = []
-        for j in row:
-            b = owner.get(j)
-            if b is None:
-                fresh.append(j)
-            elif b is not block:
+def _blocks(bases: List[List[Tuple[int, int]]], shifts: List[int],
+            col_ids: Dict[int, int]) -> List[Block]:
+    """The nonempty integer rows, one per base and shift (both bitmasks),
+    grouped into the connected components of the graph that joins two
+    columns when a row holds both, each with its column ids.  A column is
+    a multilinear monomial, interned in ``col_ids`` (empty on entry) by
+    its bitmask in order of first appearance.  A survivor that meets the
+    shift is projected away; distinct survivors stay distinct after the
+    shift, so no two collide.  A row is placed as it is built: a column
+    new to ``col_ids`` has no owner yet, and when a row meets several
+    blocks the smaller are merged into the largest.  So the matrix is
+    block-diagonal after a permutation."""
+    owner: List[Block] = []
+    blocks: Dict[int, Block] = {}
+    setdefault = col_ids.setdefault
+    n = 0
+    for base in bases:
+        for smask in shifts:
+            row: Dict[int, int] = {}
+            block = None
+            start = n
+            for mask, c in base:
+                if mask & smask:
+                    continue
+                j = setdefault(mask | smask, n)
+                row[j] = c
+                if j == n:
+                    n += 1
+                    continue
+                b = owner[j]
+                if b is block:
+                    continue
                 if block is None:
                     block = b
                     continue
@@ -146,63 +163,36 @@ def _blocks(rows: Iterable[Dict[int, int]]
                 for k in b[1]:
                     owner[k] = block
                 del blocks[id(b)]
-        if block is None:
-            if not fresh:
-                continue
-            block = ([], [])
-            blocks[id(block)] = block
-        block[0].append(row)
-        block[1].extend(fresh)
-        for j in fresh:
-            owner[j] = block
+            if block is None:
+                if not row:
+                    continue
+                block = ([], [])
+                blocks[id(block)] = block
+            block[0].append(row)
+            if n > start:
+                block[1].extend(range(start, n))
+                owner += [block] * (n - start)
     return list(blocks.values())
 
 
-def _rank(rows: Iterable[Dict[int, int]], p: Optional[int] = None,
-          images: Optional[Images] = None) -> int:
-    """Rank of sparse integer rows by fraction-free elimination, block by
-    block: over the rationals when p is None, else over GF(p) for a prime p.
-
-    The rows are read once.  Each row maps column ids to nonzero ints, as
-    ``_shift_rows`` makes them; empty rows are dropped.  The rows then split
-    into the connected components of their row/column graph (``_blocks``),
-    and the rank is the sum of the block ranks.  Inside a block the rows go
-    sparsest first, and the block stops as soon as its rank equals its
-    number of columns: no later row can add to it.  A block's columns are
-    those of its rows over the integers, which bound its rank mod p too, so
-    both the partition and the early exit hold over GF(p).  A block of one
-    row has rank 1, over GF(p) when some entry is nonzero mod p.
-
-    A row is reduced on its largest column index: by a basis row b with the
-    same pivot it becomes (b_p/g)*v - (v_p/g)*b, g = gcd(b_p, v_p), divided
-    by its content.  The caller's row is copied before it is first changed,
-    and a row that enters the basis untouched is stored as it is:
-    basis rows are never changed, so the caller's rows are left alone.
-    Basis rows are kept primitive with a positive pivot, so entries stay
-    small and no Fraction is ever built.
-
-    Over GF(p) the same integer steps run with two guards.  A pivot that
-    is 0 mod p is dropped from the row (a copy) and the next largest column
-    tried, so every pivot is a unit mod p.  A reduced row whose content p
-    divides is 0 mod p and adds nothing, so it stops there.  Then b_p/g
-    divides a unit, so each step is an invertible row operation mod p, and
-    every content divided out is a unit: no modular inverse is needed.
-
-    With ``images`` (see ``_orbit_weights``), one block per orbit of a
-    group of column maps that carry blocks onto blocks of equal rank is
+def _rank(blocks: List[Block], p: Optional[int],
+          images: Optional[Images]) -> int:
+    """The sum of the ranks of ``blocks`` (see ``_blocks``), each by
+    ``rank_exact``, or ``rank_mod`` for a prime p, with its number of
+    columns as its width; a block's integer columns bound its rank mod p
+    too.  With ``images`` (see ``_orbit_weights``), one block per orbit of
+    a group of column maps that carry blocks onto blocks of equal rank is
     ranked, weighted by the orbit's size."""
-    blocks = _blocks(rows)
     weights = _orbit_weights(blocks, images) if images else None
     rank = 0
-    for weight, (block, cols) in zip(weights or itertools.repeat(1), blocks):
+    for weight, (rows, cols) in zip(weights or itertools.repeat(1), blocks):
         if weight:
-            block.sort(key=len)
-            rank += weight * _block_rank(block, len(cols), p)
+            rank += weight * (rank_exact(rows, len(cols)) if p is None
+                              else rank_mod(rows, p, len(cols)))
     return rank
 
 
-def _orbit_weights(blocks: List[Tuple[List[Dict[int, int]], List[int]]],
-                   images: Images) -> Optional[List[int]]:
+def _orbit_weights(blocks: List[Block], images: Images) -> Optional[List[int]]:
     """Per block, the size of its orbit if it is its orbit's representative,
     else 0; or None when the orbit step does not pay or a map fails.
 
@@ -238,14 +228,37 @@ def _orbit_weights(blocks: List[Tuple[List[Dict[int, int]], List[int]]],
     return weights
 
 
-def _block_rank(block: List[Dict[int, int]], width: int,
+def _block_rank(rows: Iterable[Dict[int, int]], width: Optional[int],
                 p: Optional[int]) -> int:
-    """The rank of one block of ``width`` columns (the loop of ``_rank``)."""
-    if len(block) == 1:
-        return 1 if p is None or any(c % p for c in block[0].values()) else 0
+    """The rank of sparse integer rows (any iterable, read once; a list is
+    not copied, and not reordered), taken sparsest first, by fraction-free
+    elimination over the rationals when p is None, else over GF(p) for a
+    prime p.  It stops once the rank reaches ``width``, the number of
+    columns (None: no bound).  One row has rank 1 when it is nonempty,
+    over GF(p) when some entry is nonzero mod p.
+
+    A row is reduced on its largest column index: by a basis row b with the
+    same pivot it becomes (b_p/g)*v - (v_p/g)*b, g = gcd(b_p, v_p), divided
+    by its content.  The caller's row is copied before it is first changed,
+    and a row that enters the basis untouched is stored as it is:
+    basis rows are never changed, so the caller's rows are left alone.
+    Basis rows are kept primitive with a positive pivot, so entries stay
+    small and no Fraction is ever built.
+
+    Over GF(p) the same integer steps run with two guards.  A pivot that
+    is 0 mod p is dropped from the row (a copy) and the next largest column
+    tried, so every pivot is a unit mod p.  A reduced row whose content p
+    divides is 0 mod p and adds nothing, so it stops there.  Then b_p/g
+    divides a unit, so each step is an invertible row operation mod p, and
+    every content divided out is a unit: no modular inverse is needed."""
+    if type(rows) is not list:
+        rows = list(rows)
+    if len(rows) == 1:
+        return 1 if rows[0] and (p is None or any(
+            c % p for c in rows[0].values())) else 0
     basis: Dict[int, Dict[int, int]] = {}
     rank = 0
-    for row in block:
+    for row in sorted(rows, key=len):
         if rank == width:
             break
         v = row
@@ -288,16 +301,17 @@ def _block_rank(block: List[Dict[int, int]], width: int,
 
 
 def rank_exact(rows: Iterable[Dict[int, int]],
-               images: Optional[Images] = None) -> int:
-    """Exact rank of sparse integer rows (nonzero int entries)."""
-    return _rank(rows, None, images)
+               width: Optional[int] = None) -> int:
+    """Exact rank of sparse integer rows (nonzero int entries) of at most
+    ``width`` columns, if given, by ``_block_rank``."""
+    return _block_rank(rows, width, None)
 
 
 def rank_mod(rows: Iterable[Dict[int, int]], p: int,
-             images: Optional[Images] = None) -> int:
-    """Rank over GF(p) of sparse integer rows (nonzero int entries), p
-    prime."""
-    return _rank(rows, p, images)
+             width: Optional[int] = None) -> int:
+    """Rank over GF(p), p prime, of sparse integer rows (nonzero int
+    entries) of at most ``width`` columns, if given, by ``_block_rank``."""
+    return _block_rank(rows, width, p)
 
 
 def _images(P: SparsePolynomial, A: Sequence[int],
@@ -401,23 +415,6 @@ def _survivor_bases(P: SparsePolynomial, r: int,
     return bases
 
 
-def _shift_rows(bases: List[List[Tuple[int, int]]], shifts: List[int],
-                col_ids: Dict[int, int]) -> Iterator[Dict[int, int]]:
-    """Yield one integer row per base and shift (both bitmasks), keyed by an
-    interned column id per multilinear monomial, which ``col_ids`` maps from
-    the monomial's bitmask.  A survivor that meets the shift is projected
-    away; distinct survivors stay distinct after the shift, so no two
-    collide."""
-    for base in bases:
-        for smask in shifts:
-            row: Dict[int, int] = {}
-            for mask, c in base:
-                if mask & smask:
-                    continue
-                row[col_ids.setdefault(mask | smask, len(col_ids))] = c
-            yield row
-
-
 def psd_dimension(P: SparsePolynomial, params: MeasureParams,
                   row_cap: int = DEFAULT_ROW_CAP) -> MeasureReport:
     """The measure of P: rank of all projected shifted derivative rows.
@@ -444,13 +441,15 @@ def psd_dimension(P: SparsePolynomial, params: MeasureParams,
     default.  The row cap refuses on the rows built, one per base and per
     shift of every block ranked: len(bases) * sum_k C(|A|, m-k).
 
-    With every gamma (``monomials`` None), a permutation of A that fixes P
-    maps this row set onto itself, so the kernel may rank one block per
-    orbit of such maps (``_rank``, ``_images``): the maps are searched for
-    once per P, only when some k has at least ORBIT_CROSSOVER rows in
-    blocks that share their shape, and each is checked on P.  A listed
-    set of derivatives need not be invariant, so there every block is
-    ranked.
+    Each k's rows are built straight into their connected components
+    (``_blocks``), and ``_rank`` hands each block it ranks to ``rank_exact``
+    or ``rank_mod``.  With every gamma (``monomials`` None), a permutation
+    of A that fixes P maps this row set onto itself, so only one component
+    per orbit of such maps is ranked (``_rank``, ``_images``): the maps are
+    searched for once per P, only when some k has at least ORBIT_CROSSOVER
+    rows in components that share their shape, and each is checked on P.
+    A listed set of derivatives need not be invariant, so there every
+    component is ranked.
     """
     if P.field_p is not None:
         raise ValueError("the measure is defined over the rationals")
@@ -488,16 +487,12 @@ def psd_dimension(P: SparsePolynomial, params: MeasureParams,
         shifts = [sum(1 << v for v in S)
                   for S in itertools.combinations(A, m - k)]
         col_ids: Dict[int, int] = {}
-        rows = _shift_rows(bases, shifts, col_ids)
+        blocks = _blocks(bases, shifts, col_ids)
         # the rows at stake are at most the rows built
         images = None if params.monomials is not None or \
             len(bases) * len(shifts) < ORBIT_CROSSOVER else \
             functools.partial(_images, P, A, found, col_ids)
-        if params.rank_prime is None:
-            rank = rank_exact(rows, images)
-        else:
-            rank = rank_mod(rows, params.rank_prime, images)
-        phi += math.comb(z, k) * rank
+        phi += math.comb(z, k) * _rank(blocks, params.rank_prime, images)
         cols += math.comb(z, k) * len(col_ids)
     return MeasureReport(phi=phi, rows=gcount * n_shifts, cols=cols,
                          exact=params.rank_prime is None)

@@ -332,6 +332,47 @@ def survivor_bases(P: SparsePolynomial, gammas: Sequence[Mon]
     return bases
 
 
+def blocks_by_search(bases: Sequence[Sequence[Tuple[int, int]]],
+                     shifts: Sequence[int]):
+    """The oracle for ``measure._blocks``: every (base, shift) row built
+    the plain way, a survivor mask that meets the shift dropped and the
+    others keyed by the id of ``mask | shift`` in order of first
+    appearance; then the connected components of the nonempty rows, two
+    rows meeting when they share a column, by breadth-first search.
+    Returns (nonempty rows, column ids, components as lists of row
+    indices)."""
+    col_ids = {}
+    rows = []
+    for base in bases:
+        for smask in shifts:
+            row = {}
+            for mask, c in base:
+                if not mask & smask:
+                    row[col_ids.setdefault(mask | smask, len(col_ids))] = c
+            if row:
+                rows.append(row)
+    holders = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, []).append(i)
+    components, seen = [], set()
+    for i in range(len(rows)):
+        if i in seen:
+            continue
+        seen.add(i)
+        component, queue = [], [i]
+        while queue:
+            a = queue.pop(0)
+            component.append(a)
+            for j in rows[a]:
+                for b in holders[j]:
+                    if b not in seen:
+                        seen.add(b)
+                        queue.append(b)
+        components.append(component)
+    return rows, col_ids, components
+
+
 def brute_shifted_derivatives(P: SparsePolynomial, r: int, m: int,
                               monomials: Optional[Sequence[Mon]] = None
                               ) -> List[SparsePolynomial]:

@@ -24,8 +24,9 @@ through a support; and one `coeff`-line reader: only
 ``algebra.parse_poly_lines`` splits a `coeff` line at its `;` and its
 monomial tokens at their `:`; and one graph
 construction: ``univariate_graph`` is named only by the NW column table and
-the design's set accessor; and one rank kernel: only ``measure._rank``
-calls ``_block_rank``.  numpy is a test-only dependency: no module of
+the design's set accessor; and one rank kernel: only ``measure.rank_exact``
+and ``measure.rank_mod`` call ``_block_rank``, and only ``measure._rank``
+calls them.  numpy is a test-only dependency: no module of
 the package imports it; nor does any import ``dataclasses``, which compiles
 methods when the CLI starts.  The CLI has one report path: only ``cli.main``
 names ``sys.stdout``, the ``--out`` destination or the ``seed=`` line.  Each
@@ -334,15 +335,19 @@ def test_only_the_column_table_and_the_design_build_graphs():
 
 
 def test_one_rank_kernel_and_one_symmetry_search():
-    """One elimination kernel: only ``measure._rank`` calls
-    ``_block_rank``, so ranking one block per orbit is a weight on the
+    """One elimination kernel: only ``measure.rank_exact`` and
+    ``measure.rank_mod`` call ``_block_rank``, and only ``measure._rank``
+    calls those two, so ranking one block per orbit is a weight on the
     same kernel, not a second rank path; and the symmetry search has one
     caller, ``measure._images``, which keeps only the maps that fix P."""
     users = {name: [unit for path in sorted(SRC.glob("*.py"))
                     for unit, node in code_units(path)
                     if referenced_names(node)[name]]
-             for name in ("_block_rank", "symmetries")}
-    assert users == {"_block_rank": ["measure._rank"],
+             for name in ("_block_rank", "rank_exact", "rank_mod",
+                          "symmetries")}
+    assert users == {"_block_rank": ["measure.rank_exact", "measure.rank_mod"],
+                     "rank_exact": ["measure._rank"],
+                     "rank_mod": ["measure._rank"],
                      "symmetries": ["measure._images"]}
 
 

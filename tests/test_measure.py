@@ -2,6 +2,7 @@
 large-parameter ratio calculators."""
 
 import copy
+import functools
 import math
 import subprocess
 import sys
@@ -10,8 +11,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (fcircuit, bounded_support_poly, brute_cols, brute_phi,
-                     dense_rank, dense_rank_mod, make_mon,
+from helpers import (blocks_by_search, fcircuit, bounded_support_poly,
+                     brute_cols, brute_phi, dense_rank, dense_rank_mod, make_mon,
                      multilinear_monomials, nw_expand, nw_monomials,
                      random_poly, src_env, subadditivity_check,
                      survivor_bases)
@@ -20,6 +21,7 @@ from fewvar.measure import (
     DEFAULT_ROW_CAP,
     DerivedMeasure,
     MeasureParams,
+    MeasureReport,
     _blocks,
     _survivor_bases,
     appendix_ratios,
@@ -397,29 +399,57 @@ def test_single_row_blocks():
     assert rank_mod([{0: 7, 1: 14, 2: 5}], 7) == 1
 
 
+def test_empty_rows_have_rank_zero():
+    # ranked explicitly, an empty row adds nothing, alone or among others
+    for kernel in (rank_exact, functools.partial(rank_mod, p=7)):
+        assert kernel([{}]) == 0
+        assert kernel([{}, {0: 3}, {}]) == 1
+
+
+def items(row):
+    return sorted(row.items())
+
+
+# survivor bases over four variables (distinct masks, nonzero ints) and
+# shift masks; a shift may meet a survivor, which projects it away
+bases_and_shifts = st.tuples(
+    st.lists(st.dictionaries(st.integers(0, 15), st.integers(-3, 3).filter(bool),
+                             min_size=1, max_size=4).map(
+                                 lambda base: list(base.items())),
+             min_size=1, max_size=6),
+    st.lists(st.integers(0, 15), min_size=1, max_size=6))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.dictionaries(st.integers(0, 15),
-                                st.integers(-3, 3).filter(bool), max_size=4),
-                max_size=14))
-def test_blocks_are_the_connected_components(rows):
-    # read from a one-shot iterator, as the kernels receive their rows
-    blocks = _blocks(iter(rows))
-    assert sorted(id(row) for block, _ in blocks for row in block) == \
-        sorted(id(row) for row in rows if row)
-    columns = [set().union(*block) for block, _ in blocks]
-    # each block lists its own column ids, each once
-    assert [sorted(cols) for _, cols in blocks] == [sorted(c) for c in columns]
-    assert sum(map(len, columns)) == len(set().union(*columns))
-    for block, _ in blocks:
-        reached = set(block[0])
-        grew = True
-        while grew:
-            grew = False
-            for row in block:
-                if reached & row.keys() and not row.keys() <= reached:
-                    reached |= row.keys()
-                    grew = True
-        assert reached == set().union(*block)
+@given(bases_and_shifts)
+@example(([], [0]))
+# the third row meets the blocks of the first two and merges them
+@example(([[(1, 1)], [(2, 5)], [(1, 2), (2, -1)]], [0, 4]))
+def test_blocks_are_the_connected_components(case):
+    bases, shifts = case
+    col_ids = {}
+    blocks = _blocks(bases, shifts, col_ids)
+    rows, want_ids, components = blocks_by_search(bases, shifts)
+    # the same column ids, in order of first appearance
+    assert list(col_ids.items()) == list(want_ids.items())
+    # the same nonempty rows
+    assert sorted(items(row) for block, _ in blocks for row in block) == \
+        sorted(map(items, rows))
+    # each block is one component and lists its own column ids, each once
+    want = {frozenset().union(*(rows[i] for i in component)):
+            sorted(items(rows[i]) for i in component) for component in components}
+    assert len(blocks) == len(want)
+    for block, cols in blocks:
+        assert len(cols) == len(set(cols))
+        assert sorted(items(row) for row in block) == want[frozenset(cols)]
+
+
+def test_an_impossible_phi_is_refused():
+    for phi, rows, cols in ((5, 0, 0), (-2, 0, 7), (3, 2, 5), (3, 5, 2)):
+        with pytest.raises(ValueError, match="rank outside matrix dimensions"):
+            MeasureReport(phi, rows, cols, True)
+    # the report of m > N: no shift, so no row
+    assert MeasureReport(0, 0, 0, True).phi == 0
 
 
 def test_rank_prime_must_be_prime():
@@ -574,26 +604,48 @@ def test_nw_measure_pins(n, psi, m, phi, cols, rank_prime):
     assert rep.exact == (rank_prime is None)
 
 
+def wrap_kernels_and_builder(monkeypatch):
+    """Wrap ``rank_exact`` and ``rank_mod`` by module-level name as
+    ``perfbench/spans.py`` does: each reads its first argument through a
+    one-shot iterator that calls ``.values()`` on every item.  Spy on
+    ``_blocks`` too.  Returns the rows the kernels read and, per call of
+    ``_blocks``, the number of rows it builds, one per base and shift."""
+    import fewvar.measure as measure
+    seen, built = [], []
+
+    def read(rows):
+        for row in rows:
+            row.values()
+            seen.append(row)
+            yield row
+    for name in ("rank_exact", "rank_mod"):
+        def kernel(rows, *args, _kernel=getattr(measure, name)):
+            return _kernel(read(rows), *args)
+        monkeypatch.setattr(measure, name, kernel)
+
+    def blocks(bases, shifts, col_ids, _builder=measure._blocks):
+        built.append(len(bases) * len(shifts))
+        return _builder(bases, shifts, col_ids)
+    monkeypatch.setattr(measure, "_blocks", blocks)
+    return seen, built
+
+
+def nonempty_integer_rows(rows):
+    return all(type(row) is dict and row and all(
+        type(c) is int and c for c in row.values()) for row in rows)
+
+
 @pytest.mark.parametrize("rank_prime", [None, (1 << 61) - 1])
 def test_rank_kernels_receive_integer_rows(monkeypatch, rank_prime):
-    # the kernels are looked up by module-level name, rows first
-    import fewvar.measure as measure
-    name = "rank_exact" if rank_prime is None else "rank_mod"
-    kernel = getattr(measure, name)
-    seen = []
-
-    def spy(rows, *args):
-        rows = list(rows)
-        seen.extend(rows)
-        return kernel(rows, *args)
-    monkeypatch.setattr(measure, name, spy)
+    seen, built = wrap_kernels_and_builder(monkeypatch)
     P = SparsePolynomial.from_terms(
         4, [(Fraction(1, 2), [(0, 1), (1, 1)]), (Fraction(-2, 3), [(1, 1), (2, 1)]),
             (Fraction(5, 6), [(2, 1), (3, 1)])])
     rep = psd_dimension(P, MeasureParams(r=1, m=1, rank_prime=rank_prime))
     assert rep.phi == brute_phi(P, 1, 1)
-    assert len(seen) == rep.rows
-    assert all(type(c) is int and c for row in seen for c in row.values())
+    # every variable is used: one builder call, one row per (gamma, S)
+    assert built == [rep.rows]
+    assert seen and nonempty_integer_rows(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -740,18 +792,10 @@ def test_rank_kernels_receive_one_block_per_absent_count(monkeypatch, m,
                                                          rank_prime):
     # P uses A = {x0..x3} of six variables, so z = 2 are absent; d/dx0
     # leaves no multilinear survivor and d/dx4, d/dx5 give zero, so three
-    # derivatives have rows.  The kernel ranks one block per k = |S & Z|,
-    # one row per such derivative and (m-k)-subset of A.
-    import fewvar.measure as measure
-    name = "rank_exact" if rank_prime is None else "rank_mod"
-    kernel = getattr(measure, name)
-    calls = []
-
-    def spy(rows, *args):
-        rows = list(rows)
-        calls.append(rows)
-        return kernel(rows, *args)
-    monkeypatch.setattr(measure, name, spy)
+    # derivatives have rows.  One block is built per k = |S & Z|, one row
+    # per such derivative and (m-k)-subset of A, and the kernels rank its
+    # components.
+    seen, built = wrap_kernels_and_builder(monkeypatch)
     P = SparsePolynomial.from_terms(
         6, [(1, [(0, 3)]), (Fraction(1, 2), [(1, 1), (2, 1)]),
             (Fraction(-2, 3), [(2, 1), (3, 1)])])
@@ -760,11 +804,8 @@ def test_rank_kernels_receive_one_block_per_absent_count(monkeypatch, m,
     assert rep.cols == brute_cols(P, 1, m)
     assert rep.rows == 6 * math.comb(6, m)
     z = 2
-    assert len(calls) == min(z, m) + 1
-    assert [len(rows) for rows in calls] == [
-        3 * math.comb(4, m - k) for k in range(min(z, m) + 1)]
-    assert all(type(c) is int and c for rows in calls for row in rows
-               for c in row.values())
+    assert built == [3 * math.comb(4, m - k) for k in range(min(z, m) + 1)]
+    assert seen and nonempty_integer_rows(seen)
 
 
 @st.composite
